@@ -24,7 +24,7 @@ from .calculus import (
     insertion_sign,
     wirtinger,
 )
-from .scalars import Chart, ScalarExpr, const
+from .scalars import Chart, ScalarExpr, const, eval_table
 
 __all__ = [
     "AlgebroidSpec",
@@ -37,6 +37,7 @@ __all__ = [
     "ce_differential",
     "d_squared_residual",
     "is_elliptic_at",
+    "ellipticity_margins",
     "jacobiator",
     "holomorphic_component",
     "antiholomorphic_component",
@@ -83,8 +84,15 @@ class AlgebroidSpec:
 
     def anchor_matrix_at(self, point) -> np.ndarray:
         """m x l complex matrix of anchor values at a point."""
-        cols = [a.eval(point) for a in self.anchors]
-        return np.array(cols, dtype=complex).T
+        return self.anchor_matrices([point])[0]
+
+    def anchor_matrices(self, points) -> np.ndarray:
+        """(N, m, l) stack of anchor matrices over an (N, m) batch of points.
+
+        A transposed view of an (N, l, m) array, so each matrix has the
+        memory layout the per-point numeric code has always seen.
+        """
+        return eval_table([a.components for a in self.anchors], points).transpose(0, 2, 1)
 
 
 def _ZERO_ROW(alg):
@@ -449,11 +457,21 @@ def is_elliptic_at(
     the stacked m x 2l matrix of anchors and conjugated anchors, relative
     to the largest one (so a unitary-anchor frame scores 1).
     """
-    A = alg.anchor_matrix_at(point)
-    stacked = np.hstack([A, A.conj()])
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    m = alg.chart.dim
-    if len(svals) < m or svals[0] == 0:
-        return False, 0.0
-    margin = float(svals[m - 1] / svals[0])
-    return margin >= rank_tol, margin
+    flags, margins = ellipticity_margins(alg.anchor_matrices([point]), rank_tol)
+    return bool(flags[0]), float(margins[0])
+
+
+def ellipticity_margins(A: np.ndarray, rank_tol: float = 1e-8):
+    """is_elliptic_at over an (N, m, l) stack of anchor matrices.
+
+    Returns boolean flags and float margins, each of shape (N,), from one
+    stacked SVD.
+    """
+    n, m, _ = A.shape
+    svals = np.linalg.svd(np.concatenate([A, A.conj()], axis=2), compute_uv=False)
+    if svals.shape[1] < m:
+        return np.zeros(n, dtype=bool), np.zeros(n)
+    top = svals[:, 0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        margins = np.where(top == 0, 0.0, svals[:, m - 1] / top)
+    return (margins >= rank_tol) & (top != 0), margins

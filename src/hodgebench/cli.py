@@ -4,8 +4,7 @@
               --spec FILE [--seed N] [--samples N] [--require-q Q]
               [--out FILE] [--format json|csv]
 
---spec accepts a gallery name (see gallery.gallery_names) or a path.  The
-environment variable WORKBENCH_THREADS caps per-sample parallelism.  Exit
+--spec accepts a gallery name (see gallery.gallery_names) or a path.  Exit
 codes: 0 success, 2 verdict failure (e.g. a required q not attained),
 1 error.  Reports are deterministic given the spec and seed; floats carry
 17 significant digits.
@@ -16,9 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -27,7 +24,7 @@ import numpy as np
 from . import __version__
 from .algebroids import d_squared_residual
 from .gallery import GALLERY, gallery_names
-from .levi import classify_point, levi_form_generic, q_convex_set
+from .levi import classify_points, levi_forms_generic, q_convex_set
 from .neumann import dbar_report
 from .sobolev import (
     HalfGrid,
@@ -157,34 +154,18 @@ def _meta(spec: Optional[SpecFile], seed: int) -> Dict:
     return meta
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("WORKBENCH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _classify_all(alg, bd, points):
-    workers = _thread_count()
-    if workers == 1:
-        return [classify_point(alg, bd, p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda p: classify_point(alg, bd, p), points))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_classify(args) -> Tuple[Dict, int]:
     spec = load_spec(args.spec, args.seed)
-    if args.samples:
+    if args.samples is not None:
         spec.samples = args.samples
     alg = spec.build_algebroid()
     bd = spec.build_boundary()
     points = spec.sample_points()
-    results = _classify_all(alg, bd, points)
+    results = classify_points(alg, bd, points)
     margins = [c.margin for c in results]
     n_elliptic = sum(1 for c in results if c.elliptic)
     table = [
@@ -210,20 +191,28 @@ def cmd_classify(args) -> Tuple[Dict, int]:
 
 
 def _parse_point(text: str) -> List[float]:
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    try:
+        point = [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    except ValueError:
+        point = []
+    if not point or not all(math.isfinite(x) for x in point):
+        raise ValueError(f"--point needs finite comma-separated coordinates, got {text!r}")
+    return point
 
 
 def cmd_levi(args) -> Tuple[Dict, int]:
     spec = load_spec(args.spec, args.seed)
     alg = spec.build_algebroid()
     bd = spec.build_boundary()
+    classes = None
     if args.point:
         points = [_parse_point(p) for p in args.point]
     else:
         candidates = spec.sample_points()
-        points = [
-            p for p in candidates if not classify_point(alg, bd, p).elliptic
-        ][: args.max_points]
+        classes = classify_points(alg, bd, candidates)
+        picked = [i for i, c in enumerate(classes) if not c.elliptic][: args.max_points]
+        points = [candidates[i] for i in picked]
+        classes = [classes[i] for i in picked]
         if not points:
             report = {
                 "command": "levi",
@@ -233,8 +222,7 @@ def cmd_levi(args) -> Tuple[Dict, int]:
             }
             return report, 0
     table = []
-    for p in points:
-        rep = levi_form_generic(alg, bd, p)
+    for p, rep in zip(points, levi_forms_generic(alg, bd, points, classes)):
         table.append(
             {
                 "point": [float(x) for x in p],
@@ -256,7 +244,7 @@ def cmd_levi(args) -> Tuple[Dict, int]:
 
 def cmd_convexity(args) -> Tuple[Dict, int]:
     spec = load_spec(args.spec, args.seed)
-    if args.samples:
+    if args.samples is not None:
         spec.samples = args.samples
     alg = spec.build_algebroid()
     bd = spec.build_boundary()
@@ -360,6 +348,16 @@ def cmd_hodge(args) -> Tuple[Dict, int]:
 # argument wiring
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="workbench",
@@ -376,18 +374,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify sampled boundary points")
     common(p)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=None)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("levi", help="Levi forms at explicit or sampled points")
     common(p)
     p.add_argument("--point", action="append", help="comma-separated coordinates")
-    p.add_argument("--max-points", type=int, default=5)
+    p.add_argument("--max-points", type=_positive_int, default=5)
     p.set_defaults(fn=cmd_levi)
 
     p = sub.add_parser("convexity", help="q-convexity verdict over samples")
     common(p)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--require-q", type=int, default=None)
     p.set_defaults(fn=cmd_convexity)
 
@@ -399,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, spec=False)
     p.add_argument("--suite", required=True, help=f"one of {SOBOLEV_SUITES}")
     p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--trials", type=int, default=8)
+    p.add_argument("--trials", type=_positive_int, default=8)
     p.add_argument("--quad-order", type=int, default=32)
     p.set_defaults(fn=cmd_sobolev)
 
@@ -408,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho0", type=float, default=0.5)
     p.add_argument("--n-theta", type=int, default=64)
     p.add_argument("--n-r", type=int, default=64)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument(
         "--spectra",
         action="store_true",
@@ -425,6 +423,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         report, code = args.fn(args)
     except (SpecError, ValueError, KeyError, RuntimeError) as err:
         sys.stderr.write(f"error: {err}\n")
+        return 1
+    except ArithmeticError as err:
+        sys.stderr.write(f"error: {type(err).__name__}: {err}\n")
         return 1
     _write(report, args)
     return code

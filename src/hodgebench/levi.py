@@ -22,9 +22,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtri
 
-from .algebroids import AlgebroidSpec, is_elliptic_at, sigma_contract
+from .algebroids import AlgebroidSpec, ellipticity_margins, sigma_contract
 from .calculus import VectorFieldExpr, lie_bracket
-from .scalars import ScalarExpr, const
+from .scalars import PointBatch, ScalarExpr, const, eval_table
 
 __all__ = [
     "BoundaryData",
@@ -33,8 +33,10 @@ __all__ = [
     "LeviReport",
     "ConvexityVerdict",
     "classify_point",
+    "classify_points",
     "adapted_frame",
     "levi_form_generic",
+    "levi_forms_generic",
     "levi_form_complex_hessian",
     "levi_form_poisson",
     "eigen_signature",
@@ -74,15 +76,40 @@ class BoundaryData:
         ]
 
     def grad_at(self, point) -> np.ndarray:
-        g = np.array([gi.eval(point) for gi in self.grad])
+        g = self.grad_values([point])[0]
         if np.linalg.norm(g) <= self.rank_tol:
-            raise ValueError("defining function is degenerate at the point (|dr| ~ 0)")
+            raise ValueError(_DEGENERATE)
         return g
+
+    def grad_values(self, points) -> np.ndarray:
+        """(N, m) gradient of r over a batch of points."""
+        return eval_table(self.grad, points)
 
     def check_on_boundary(self, point):
         val = self.r.eval(point)
-        if abs(val) > self.boundary_tol:
-            raise ValueError(f"point is not on the boundary (r = {val})")
+        if not abs(val) <= self.boundary_tol:
+            raise _off_boundary(val)
+
+
+_NOT_ELLIPTIC = "algebroid is not elliptic at the point"
+_DEGENERATE = "defining function is degenerate at the point (|dr| ~ 0)"
+
+# Points are evaluated in blocks of this many, which bounds the memory of the
+# stacked per-point arrays (anchors, jacobians) whatever the sample count.
+_BLOCK = 256
+
+
+def _off_boundary(val) -> ValueError:
+    return ValueError(f"point is not on the boundary (r = {complex(val)})")
+
+
+def _batches(points, dim: int) -> List[PointBatch]:
+    X = np.asarray(points, dtype=float)
+    if X.size == 0:
+        X = X.reshape(0, dim)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError("point dimension mismatch")
+    return [PointBatch(X[s : s + _BLOCK]) for s in range(0, len(X), _BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -135,22 +162,29 @@ class ConvexityVerdict:
 # classification
 
 
-def _intersection_basis(A: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Orthonormal basis of col(A) cap col(conj(A)) in C^m."""
-    stacked = np.hstack([A, -A.conj()])
-    _, s, vh = np.linalg.svd(stacked)
-    if s.size == 0 or s[0] == 0:
-        return np.zeros((A.shape[0], 0))
-    null_cols = [
-        k for k in range(vh.shape[0]) if k >= s.size or s[k] <= rel_tol * s[0]
-    ]
-    null_vecs = vh.conj().T[:, null_cols]
-    if null_vecs.shape[1] == 0:
-        return np.zeros((A.shape[0], 0))
-    vecs = A @ null_vecs[: A.shape[1]]
-    q, s2, _ = np.linalg.svd(vecs, full_matrices=False)
-    keep = s2 > rel_tol * max(s2[0], 1e-300) if s2.size else []
-    return q[:, keep] if s2.size else np.zeros((A.shape[0], 0))
+def _intersection_bases(A: np.ndarray, rel_tol: float) -> List[np.ndarray]:
+    """Orthonormal bases of col(A_i) cap col(conj(A_i)) in C^m for an
+    (N, m, l) stack of anchor matrices.
+
+    The SVDs are taken over the stack (the second one per group of equal
+    null-space size); LAPACK sees the same matrices as it would one by one.
+    """
+    n, m, l = A.shape
+    bases = [np.zeros((m, 0))] * n
+    _, s, vh = np.linalg.svd(np.concatenate([A, -A.conj()], axis=2))
+    null = np.ones((n, vh.shape[1]), dtype=bool)
+    null[:, : s.shape[1]] = s <= rel_tol * s[:, :1]
+    groups: Dict[int, list] = {}
+    for i in range(n):
+        if s[i, 0] == 0 or not null[i].any():
+            continue
+        vecs = A[i] @ vh[i].conj().T[:, np.flatnonzero(null[i])][:l]
+        groups.setdefault(vecs.shape[1], []).append((i, vecs))
+    for members in groups.values():
+        q, s2, _ = np.linalg.svd(np.stack([v for _, v in members]), full_matrices=False)
+        for g, (i, _) in enumerate(members):
+            bases[i] = q[g][:, s2[g] > rel_tol * max(s2[g, 0], 1e-300)]
+    return bases
 
 
 def classify_point(
@@ -158,19 +192,59 @@ def classify_point(
 ) -> Classification:
     """Elliptic iff rho(L) cap conj(rho(L)) carries a direction with a
     nonzero dr-pairing; the margin is the best normalized pairing."""
-    bd.check_on_boundary(point)
-    flag, _ = is_elliptic_at(alg, point, bd.rank_tol)
-    if not flag:
-        raise ValueError("algebroid is not elliptic at the point")
-    A = alg.anchor_matrix_at(point)
-    basis = _intersection_basis(A, bd.rank_tol)
-    g = bd.grad_at(point)
-    if basis.shape[1] == 0:
-        return Classification(False, 0.0)
-    # max over unit v in the intersection of |dr(v)| / |dr|
-    pairing = basis.conj().T @ g.conj()
-    margin = float(np.linalg.norm(pairing) / np.linalg.norm(g))
-    return Classification(margin >= bd.rank_tol, margin)
+    return classify_points(alg, bd, [point])[0]
+
+
+def classify_points(
+    alg: AlgebroidSpec, bd: BoundaryData, points
+) -> List[Classification]:
+    """classify_point at each point, evaluating the anchors once per point.
+
+    Raises what classify_point raises at the first point that fails a check.
+    """
+    classes, error = _classify(alg, bd, points)
+    if error is not None:
+        raise error
+    return classes
+
+
+def _classify(alg, bd, points):
+    """Classifications up to the first point failing a check, and its error.
+
+    Each point is checked for its boundary residual, then ellipticity, then
+    |dr| degeneracy.  Returns the classifications of the points before the
+    first failure and the ValueError for it (None if every point passes).
+    Past an off-boundary point only r is evaluated.
+    """
+    classes: List[Classification] = []
+    for batch in _batches(points, alg.chart.dim):
+        r_vals = bd.r.eval_many(batch)
+        off = np.flatnonzero(~(np.abs(r_vals) <= bd.boundary_tol))
+        if off.size:
+            batch = PointBatch(batch.points[: off[0]])
+        if len(batch):
+            A = alg.anchor_matrices(batch)
+            flags, _ = ellipticity_margins(A, bd.rank_tol)
+            G = bd.grad_values(batch)
+            bases = _intersection_bases(A, bd.rank_tol)
+            for i in range(len(batch)):
+                if not flags[i]:
+                    return classes, ValueError(_NOT_ELLIPTIC)
+                g = G[i]
+                g_norm = np.linalg.norm(g)
+                if g_norm <= bd.rank_tol:
+                    return classes, ValueError(_DEGENERATE)
+                basis = bases[i]
+                if basis.shape[1] == 0:
+                    classes.append(Classification(False, 0.0))
+                    continue
+                # max over unit v in the intersection of |dr(v)| / |dr|
+                pairing = basis.conj().T @ g.conj()
+                margin = float(np.linalg.norm(pairing) / g_norm)
+                classes.append(Classification(margin >= bd.rank_tol, margin))
+        if off.size:
+            return classes, _off_boundary(r_vals[off[0]])
+    return classes, None
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +253,19 @@ def classify_point(
 
 def adapted_frame(alg: AlgebroidSpec, bd: BoundaryData, point) -> AdaptedFrame:
     bd.check_on_boundary(point)
-    l = alg.rank
-    pairings = np.array(
-        [_dr_pairing_value(alg, bd, j, point) for j in range(l)]
-    )
+    batch = PointBatch([point])
+    A = alg.anchor_matrices(batch)
+    pairings = _dr_pairings(alg, bd.grad_values(batch), A)
+    return _frame_at(pairings[0], A[0], bd.rank_tol)
+
+
+def _frame_at(pairings: np.ndarray, A: np.ndarray, rank_tol: float) -> AdaptedFrame:
+    """The adapted frame from the pairings dr(rho(w_j)) and anchors A at a point."""
+    l = len(pairings)
     pivot = int(np.argmax(np.abs(pairings)))
     top = abs(pairings[pivot])
-    scale_ref = max(float(np.linalg.norm(alg.anchor_matrix_at(point))), 1.0)
-    if top <= bd.rank_tol * scale_ref:
+    scale_ref = max(float(np.linalg.norm(A)), 1.0)
+    if top <= rank_tol * scale_ref:
         raise ValueError(
             "all frame anchors are tangent at the point (ellipticity violated)"
         )
@@ -200,13 +279,23 @@ def adapted_frame(alg: AlgebroidSpec, bd: BoundaryData, point) -> AdaptedFrame:
     return AdaptedFrame(pivot, np.array(rows), 1.0 / pairings[pivot])
 
 
-def _dr_pairing_value(alg, bd, j, point) -> complex:
-    total = 0j
-    for t in range(alg.chart.dim):
-        c = alg.anchors[j].components[t]
-        if not c.is_zero:
-            total += bd.grad[t].eval(point) * c.eval(point)
-    return total
+def _dr_pairings(alg, G: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """(N, l) pairings dr(rho(w_j)) from the gradient and anchor stacks.
+
+    Sums sum_t dr_t * rho(w_j)^t over the nonzero anchor components, with
+    complex products spelled out as CPython computes them.
+    """
+    n, m, l = A.shape
+    re, im = np.zeros((n, l)), np.zeros((n, l))
+    for j in range(l):
+        for t in range(m):
+            if not alg.anchors[j].components[t].is_zero:
+                gr, gi, ar, ai = G[:, t].real, G[:, t].imag, A[:, t, j].real, A[:, t, j].imag
+                re[:, j] += gr * ar - gi * ai
+                im[:, j] += gr * ai + gi * ar
+    out = np.empty((n, l), dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def dr_pairing_expr(alg: AlgebroidSpec, bd: BoundaryData, j: int) -> ScalarExpr:
@@ -252,6 +341,11 @@ def mu_component(
     span: np.ndarray, g: np.ndarray, value: np.ndarray, rel_tol: float = 1e-8
 ) -> complex:
     """Coefficient of g in value modulo span, via orthogonal projection."""
+    return _mu_functional(span, g, rel_tol)(value)
+
+
+def _mu_functional(span: np.ndarray, g: np.ndarray, rel_tol: float):
+    """value -> mu_component(span, g, value), projecting span out once."""
     if span.shape[1]:
         q, s, _ = np.linalg.svd(span, full_matrices=False)
         if s.size and s[0] > 0:
@@ -263,7 +357,8 @@ def mu_component(
         raise ClassificationInconsistency(
             "mu generator lies in the CR span; the point classifies as elliptic"
         )
-    return complex(np.vdot(u, value) / np.vdot(u, g))
+    u_g = np.vdot(u, g)
+    return lambda value: complex(np.vdot(u, value) / u_g)
 
 
 def levi_from_cr_fields(
@@ -324,20 +419,18 @@ class _GenericRoute:
             for j in range(alg.rank)
         ]
 
-    def evaluate(self, point, frame: AdaptedFrame):
-        alg, chart = self.alg, self.alg.chart
-        m, l = chart.dim, alg.rank
-        A = np.array(
-            [[c.eval(point) for c in a.components] for a in alg.anchors]
-        )  # (l, m)
-        dA = np.array(
-            [
-                [[self.dA[j][k][t].eval(point) for t in range(m)] for k in range(m)]
-                for j in range(l)
-            ]
-        )  # (l, m_comp, m_dir)
-        P = np.array([p.eval(point) for p in self.P])
-        dP = np.array([[d.eval(point) for d in row] for row in self.dP])
+    def values(self, batch: PointBatch):
+        """evaluate's dA, P and dP at every point of a batch, stacked."""
+        return (
+            eval_table(self.dA, batch),
+            eval_table(self.P, batch),
+            eval_table(self.dP, batch),
+        )
+
+    def evaluate(self, frame: AdaptedFrame, A, dA, P, dP):
+        """Levi matrix at a point from the anchor values A (l, m), their
+        jacobians dA (l, m_comp, m_dir), P (l,) and dP (l, m) there."""
+        m = A.shape[1]
         piv = frame.pivot
         rows = frame.cr_rows
         k = rows.shape[0]
@@ -354,15 +447,15 @@ class _GenericRoute:
             dv[i] -= np.outer(A[piv], dq)
         t_val = complex(frame.transverse_scale) * A[piv]
         g = 1j * (t_val.conj() - t_val)
-        span = (
-            np.vstack([v, v.conj()]).T if k else np.zeros((m, 0), dtype=complex)
-        )
         B = np.zeros((k, k), dtype=complex)
+        if not k:
+            return B
+        mu = _mu_functional(np.vstack([v, v.conj()]).T, g, self.bd.rank_tol)
         for i in range(k):
             for j in range(k):
                 # -i [v_i, conj(v_j)] at the point
                 br = v[i] @ dv[j].conj().T - v[j].conj() @ dv[i].T
-                B[i, j] = mu_component(span, g, -1j * br, self.bd.rank_tol)
+                B[i, j] = mu(-1j * br)
         return B
 
 
@@ -395,20 +488,71 @@ def levi_form_generic(
     routes can share a basis.
     """
     cls = classify_point(alg, bd, point)
+    if not exact:
+        return _levi_reports(alg, bd, [point], [cls], cr_rows)[0]
+    _require_non_elliptic(cls)
+    frame = _with_rows(adapted_frame(alg, bd, point), cr_rows)
+    fields, transverse = adapted_sections(alg, bd, frame)
+    B = levi_from_cr_fields(bd, fields, transverse, point)
+    return _finish_report(point, cls, B, "generic", bd.eig_zero_tol)
+
+
+def levi_forms_generic(
+    alg: AlgebroidSpec,
+    bd: BoundaryData,
+    points,
+    classifications: Optional[Sequence[Classification]] = None,
+) -> List[LeviReport]:
+    """levi_form_generic (fast route) at each point, batched.
+
+    ``classifications`` are classify_points' results at the same points;
+    passing them skips classifying again.  Raises what the per-point loop
+    raises at the first point that fails.
+    """
+    error = None
+    if classifications is None:
+        classifications, error = _classify(alg, bd, points)
+        points = points[: len(classifications)]
+    reports = _levi_reports(alg, bd, points, classifications)
+    if error is not None:
+        raise error
+    return reports
+
+
+def _require_non_elliptic(cls: Classification):
     if cls.elliptic:
         raise ValueError(
             "levi_form_generic requires a non-elliptic point "
             f"(margin {cls.margin:.3e})"
         )
-    frame = adapted_frame(alg, bd, point)
-    if cr_rows is not None:
-        frame = AdaptedFrame(frame.pivot, np.asarray(cr_rows, dtype=complex), frame.transverse_scale)
-    if exact:
-        fields, transverse = adapted_sections(alg, bd, frame)
-        B = levi_from_cr_fields(bd, fields, transverse, point)
-    else:
-        B = _route_cache(alg, bd).evaluate(point, frame)
-    return _finish_report(point, cls, B, "generic", bd.eig_zero_tol)
+
+
+def _with_rows(frame: AdaptedFrame, cr_rows) -> AdaptedFrame:
+    if cr_rows is None:
+        return frame
+    return AdaptedFrame(frame.pivot, np.asarray(cr_rows, dtype=complex), frame.transverse_scale)
+
+
+def _levi_reports(alg, bd, points, classes, cr_rows=None) -> List[LeviReport]:
+    """Generic-route reports at classified points, in order.
+
+    Expression values are evaluated per block of points; the frame, the
+    bracket matrix and its signature are then computed point by point.
+    """
+    route = _route_cache(alg, bd)
+    reports: List[LeviReport] = []
+    for batch in _batches(points, alg.chart.dim):
+        A = alg.anchor_matrices(batch)
+        pairings = _dr_pairings(alg, bd.grad_values(batch), A)
+        anchor_rows = A.transpose(0, 2, 1)
+        dA, P, dP = route.values(batch)
+        for i in range(len(batch)):
+            point, cls = points[len(reports)], classes[len(reports)]
+            _require_non_elliptic(cls)
+            frame = _with_rows(_frame_at(pairings[i], A[i], bd.rank_tol), cr_rows)
+            B = route.evaluate(frame, anchor_rows[i], dA[i], P[i], dP[i])
+            reports.append(_finish_report(point, cls, B, "generic", bd.eig_zero_tol))
+    return reports
 
 
 def _finish_report(point, cls, B, route, eig_zero_tol) -> LeviReport:
@@ -454,15 +598,6 @@ def antiholomorphic_gradient(bd: BoundaryData, point) -> np.ndarray:
     for k in range(chart.n_complex):
         ri, ii = chart.complex_pairs[k]
         out.append(0.5 * (bd.grad[ri].eval(point) + 1j * bd.grad[ii].eval(point)))
-    return np.array(out)
-
-
-def holomorphic_gradient(bd: BoundaryData, point) -> np.ndarray:
-    chart = bd.chart
-    out = []
-    for k in range(chart.n_complex):
-        ri, ii = chart.complex_pairs[k]
-        out.append(0.5 * (bd.grad[ri].eval(point) - 1j * bd.grad[ii].eval(point)))
     return np.array(out)
 
 
@@ -621,13 +756,22 @@ def q_convex_set(
     elliptic samples pass unconditionally.  The verdict is certified on the
     sample only.
     """
-    reports: List[LeviReport] = []
-    for p in samples:
-        cls = classify_point(alg, bd, p)
-        if cls.elliptic:
-            reports.append(LeviReport(tuple(p), cls, None, None, "none"))
-        else:
-            reports.append(levi_form_generic(alg, bd, p))
+    classes, error = _classify(alg, bd, samples)
+    non_elliptic = [i for i, c in enumerate(classes) if not c.elliptic]
+    levi = iter(
+        _levi_reports(
+            alg,
+            bd,
+            [samples[i] for i in non_elliptic],
+            [classes[i] for i in non_elliptic],
+        )
+    )
+    reports = [
+        LeviReport(tuple(p), c, None, None, "none") if c.elliptic else next(levi)
+        for p, c in zip(samples, classes)
+    ]
+    if error is not None:
+        raise error
     l = alg.rank
     q_set = set()
     witnesses: Dict[int, int] = {}

@@ -15,10 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 __all__ = [
     "CNum",
     "Chart",
+    "PointBatch",
     "ScalarExpr",
+    "eval_table",
     "ExprSyntaxError",
     "UnknownVariableError",
     "parse_expr",
@@ -187,6 +191,79 @@ def _poly_eval(p: dict, point: Sequence[complex]) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# batched evaluation
+#
+# A lowered polynomial is a list of terms (re, im, ((var, exp), ...)) in dict
+# order.  Evaluating it over a batch repeats _poly_eval's float operations
+# elementwise: powers by libm pow, each complex product spelled out the way
+# CPython's complex type computes it, terms summed in the same order.  (NumPy's
+# own complex multiply and array power round differently.)  So eval_many
+# equals eval bit for bit, signed zeros included.
+
+
+def _lower(p: dict) -> list:
+    terms = []
+    for mono, c in p.items():
+        z = c.to_complex()
+        terms.append((z.real, z.imag, tuple((i, e) for i, e in enumerate(mono) if e)))
+    return terms
+
+
+class PointBatch:
+    """An (N, m) batch of real points and the coordinate powers taken on it.
+
+    Each power is computed once, with Python float ``**`` as in
+    ScalarExpr.eval, and shared by every expression evaluated on the batch.
+    """
+
+    def __init__(self, points):
+        X = np.asarray(points, dtype=float)
+        if X.ndim != 2:
+            raise ValueError("a point batch must be an (N, m) array")
+        self.points = X
+        self._powers: dict = {}
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
+
+    def power(self, i: int, e: int) -> np.ndarray:
+        """x_i ** e at every point of the batch."""
+        col = self._powers.get((i, e))
+        if col is None:
+            xs = self.points[:, i]
+            col = xs.copy() if e == 1 else np.array([x**e for x in xs.tolist()])
+            self._powers[(i, e)] = col
+        return col
+
+
+def _eval_terms(terms: list, batch: PointBatch):
+    re = im = 0.0
+    for cr, ci, factors in terms:
+        tr, ti = cr, ci
+        for i, e in factors:
+            p = batch.power(i, e)
+            tr, ti = tr * p - ti * 0.0, tr * 0.0 + ti * p
+        re, im = re + tr, im + ti
+    return re, im
+
+
+def _quotient(ar, ai, br, bi):
+    """CPython's complex division (Smith's method), elementwise on real parts."""
+    by_re = np.abs(br) >= np.abs(bi)
+    by_im = np.abs(bi) >= np.abs(br)
+    t = bi / br
+    d = br + bi * t
+    re_r, im_r = (ar + ai * t) / d, (ai - ar * t) / d
+    t = br / bi
+    d = br * t + bi
+    re_i, im_i = (ar * t + ai) / d, (ai * t - ar) / d
+    # neither branch holds only when the divisor has a nan part
+    re = np.where(by_re, re_r, np.where(by_im, re_i, np.nan))
+    im = np.where(by_re, im_r, np.where(by_im, im_i, np.nan))
+    return re, im
+
+
+# ---------------------------------------------------------------------------
 # charts
 
 
@@ -246,10 +323,11 @@ class Chart:
 class ScalarExpr:
     """A rational function num/den on a chart, kept in normalized form."""
 
-    __slots__ = ("chart", "num", "den")
+    __slots__ = ("chart", "num", "den", "_lowered")
 
     def __init__(self, chart: Chart, num: dict, den: Optional[dict] = None):
         self.chart = chart
+        self._lowered = None
         if den is None:
             den = {(0,) * chart.dim: C_ONE}
         if not den:
@@ -396,6 +474,35 @@ class ScalarExpr:
             raise ZeroDivisionError("expression denominator vanishes at the point")
         return _poly_eval(self.num, point) / den
 
+    def eval_many(self, points) -> np.ndarray:
+        """eval at every row of an (N, m) array of real points or a PointBatch.
+
+        Equal to eval row by row bit for bit; the expression is lowered to
+        float terms on first use and the lowered form is kept on it.
+        """
+        batch = points if isinstance(points, PointBatch) else PointBatch(points)
+        if batch.points.shape[1] != self.chart.dim:
+            raise ValueError("point dimension mismatch")
+        if self._lowered is None:
+            den = None if self.is_polynomial else _lower(self.den)
+            self._lowered = (_lower(self.num), den)
+        num, den = self._lowered
+        # overflow to inf and inf * 0 pass silently, as in complex arithmetic
+        with np.errstate(all="ignore"):
+            ar, ai = _eval_terms(num, batch)
+            if den is None:
+                # the quotient by the constant denominator 1 + 0j
+                re, im = ar + ai * 0.0, ai - ar * 0.0
+            else:
+                br, bi = _eval_terms(den, batch)
+                if np.any((br == 0) & (bi == 0)):
+                    raise ZeroDivisionError("expression denominator vanishes at the point")
+                re, im = _quotient(ar, ai, br, bi)
+        out = np.empty(len(batch), dtype=complex)
+        out.real = re
+        out.imag = im
+        return out
+
     def eval_grad(self, point: Sequence[complex]):
         """Value and gradient at a point, via the exact quotient rule."""
         pt = list(point)
@@ -453,6 +560,21 @@ def _frac_str(f: Fraction) -> str:
     if f.numerator < 0:
         return f"(0 - {-f.numerator}/{f.denominator})"
     return f"{f.numerator}/{f.denominator}"
+
+
+def eval_table(table, points) -> np.ndarray:
+    """Values of a nested list of expressions over a batch of points.
+
+    The result has shape (N,) + the table's shape and is C-contiguous, so
+    its i-th entry is laid out as np.array of the values at point i would be.
+    """
+    batch = points if isinstance(points, PointBatch) else PointBatch(points)
+    table = np.array(table, dtype=object)
+    out = np.zeros((len(batch), table.size), dtype=complex)
+    for idx, expr in enumerate(table.flat):
+        if not expr.is_zero:
+            out[:, idx] = expr.eval_many(batch)
+    return out.reshape((len(batch),) + table.shape)
 
 
 def const(chart: Chart, value) -> ScalarExpr:

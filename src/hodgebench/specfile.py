@@ -240,6 +240,8 @@ def parse_specfile(text: str) -> SpecFile:
 
 
 def _validate(spec: SpecFile):
+    if spec.samples < 1:
+        raise SpecError("[boundary] samples must be >= 1")
     chart = spec.chart()
     parse_expr(spec.r_text, chart)  # raises with position on bad input
     for key, text in spec.entries.items():

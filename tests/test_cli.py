@@ -196,12 +196,63 @@ def test_classify_poisson_locus_fraction(capsys):
     assert report["non_elliptic"] == 20
 
 
-def test_threaded_classification_matches_serial(capsys, monkeypatch):
-    code1, out1 = run_cli(
-        capsys, "classify", "--spec", "ball_c2_dbar", "--samples", "32"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--spec", "tangent_sphere", "--samples", "0"],
+        ["classify", "--spec", "tangent_sphere", "--samples", "-5"],
+        ["convexity", "--spec", "ball_c2_dbar", "--samples", "-5"],
+        ["levi", "--spec", "poisson_c4", "--max-points", "0"],
+        ["sobolev", "--suite", "A.ii", "--trials", "0"],
+        ["hodge", "--trials", "-1"],
+    ],
+)
+def test_nonpositive_counts_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_samples_override_reaches_the_sampler(capsys):
+    code, out = run_cli(capsys, "classify", "--spec", "tangent_sphere", "--samples", "1")
+    assert code == 0
+    assert json.loads(out)["samples"] == 1
+
+
+def test_spec_samples_must_be_positive(tmp_path, capsys):
+    text = gallery_spec_text("tangent_sphere").replace("samples = 1000", "samples = 0")
+    path = tmp_path / "empty.spec"
+    path.write_text(text)
+    for command in ("classify", "convexity"):
+        assert main([command, "--spec", str(path)]) == 1
+        assert capsys.readouterr().err == "error: [boundary] samples must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "point", ["1e300,0,0,0", "nan,0,0,0", "0,inf,0,0", "1,x,0,0", ""]
+)
+def test_levi_bad_point_exits_1_with_one_line(capsys, point):
+    code = main(["levi", "--spec", "ball_c2_dbar", "--point", point])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_arithmetic_errors_exit_1_with_one_line(tmp_path, capsys):
+    # the first circle sample is (1, 0), where r's denominator vanishes
+    text = gallery_spec_text("symplectic_gc").replace(
+        'r = "x1^2 + x2^2 - 1"', 'r = "(x1^2 + x2^2 - 1) / x2"'
     )
-    monkeypatch.setenv("WORKBENCH_THREADS", "4")
-    code2, out2 = run_cli(
-        capsys, "classify", "--spec", "ball_c2_dbar", "--samples", "32"
+    path = tmp_path / "pole.spec"
+    path.write_text(text)
+    assert main(["classify", "--spec", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: ZeroDivisionError: expression denominator vanishes at the point\n"
     )
-    assert out1 == out2
+
+
+def gallery_spec_text(name):
+    from hodgebench.gallery import GALLERY
+
+    return GALLERY[name]

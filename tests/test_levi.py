@@ -5,21 +5,28 @@ import pytest
 
 from hodgebench.algebroids import (
     make_antiholomorphic,
+    make_graph_bivector,
     make_graph_two_form,
     make_holomorphic_poisson,
     make_tangent,
 )
 from hodgebench.calculus import FormExpr, VectorFieldExpr
+from hodgebench import levi
+from hodgebench.gallery import gallery_spec
 from hodgebench.levi import (
+    AdaptedFrame,
     BoundaryData,
+    Classification,
     adapted_frame,
     adapted_sections,
     classify_point,
+    classify_points,
     cr_kernel_basis,
     eigen_signature,
     gc_ellipticity_via_bivector,
     levi_form_complex_hessian,
     levi_form_generic,
+    levi_forms_generic,
     levi_form_poisson,
     levi_from_cr_fields,
     q_convex_set,
@@ -98,6 +105,136 @@ def test_classify_requires_elliptic_algebroid():
     bd = ball_boundary(chart)
     with pytest.raises(ValueError, match="not elliptic"):
         classify_point(alg, bd, [1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# batched classification and Levi route against a per-point reference
+#
+# The reference is the per-point classification and generic-route input
+# evaluation on ScalarExpr.eval, as they were before batching.  The batched
+# routes must reproduce them exactly, not approximately.
+
+
+def reference_intersection_basis(A, rel_tol):
+    stacked = np.hstack([A, -A.conj()])
+    _, s, vh = np.linalg.svd(stacked)
+    if s.size == 0 or s[0] == 0:
+        return np.zeros((A.shape[0], 0))
+    null_cols = [
+        k for k in range(vh.shape[0]) if k >= s.size or s[k] <= rel_tol * s[0]
+    ]
+    null_vecs = vh.conj().T[:, null_cols]
+    if null_vecs.shape[1] == 0:
+        return np.zeros((A.shape[0], 0))
+    vecs = A @ null_vecs[: A.shape[1]]
+    q, s2, _ = np.linalg.svd(vecs, full_matrices=False)
+    keep = s2 > rel_tol * max(s2[0], 1e-300) if s2.size else []
+    return q[:, keep] if s2.size else np.zeros((A.shape[0], 0))
+
+
+def reference_classify(alg, bd, point):
+    val = bd.r.eval(point)
+    if abs(val) > bd.boundary_tol:
+        raise ValueError(f"point is not on the boundary (r = {val})")
+    A = np.array([a.eval(point) for a in alg.anchors], dtype=complex).T
+    svals = np.linalg.svd(np.hstack([A, A.conj()]), compute_uv=False)
+    m = alg.chart.dim
+    if len(svals) < m or svals[0] == 0 or not float(svals[m - 1] / svals[0]) >= bd.rank_tol:
+        raise ValueError("algebroid is not elliptic at the point")
+    basis = reference_intersection_basis(A, bd.rank_tol)
+    g = np.array([gi.eval(point) for gi in bd.grad])
+    if np.linalg.norm(g) <= bd.rank_tol:
+        raise ValueError("defining function is degenerate at the point (|dr| ~ 0)")
+    if basis.shape[1] == 0:
+        return Classification(False, 0.0)
+    pairing = basis.conj().T @ g.conj()
+    margin = float(np.linalg.norm(pairing) / np.linalg.norm(g))
+    return Classification(margin >= bd.rank_tol, margin)
+
+
+def reference_levi_matrix(alg, bd, point):
+    l, m = alg.rank, alg.chart.dim
+    pairings = []
+    for j in range(l):
+        total = 0j
+        for t in range(m):
+            c = alg.anchors[j].components[t]
+            if not c.is_zero:
+                total += bd.grad[t].eval(point) * c.eval(point)
+        pairings.append(total)
+    pairings = np.array(pairings)
+    A = np.array([[c.eval(point) for c in a.components] for a in alg.anchors])
+    pivot = int(np.argmax(np.abs(pairings)))
+    assert abs(pairings[pivot]) > bd.rank_tol * max(float(np.linalg.norm(A.T)), 1.0)
+    rows = np.array([np.eye(l, dtype=complex)[i] for i in range(l) if i != pivot])
+    frame = AdaptedFrame(pivot, rows, 1.0 / pairings[pivot])
+    route = levi._GenericRoute(alg, bd)
+    dA = np.array([[[d.eval(point) for d in row] for row in dj] for dj in route.dA])
+    P = np.array([p.eval(point) for p in route.P])
+    dP = np.array([[d.eval(point) for d in row] for row in route.dP])
+    return route.evaluate(frame, A, dA, P, dP)
+
+
+def test_batched_routes_match_per_point_reference(monkeypatch):
+    # small blocks, so that block boundaries fall inside every sample
+    monkeypatch.setattr(levi, "_BLOCK", 7)
+    for name in ("tangent_sphere", "symplectic_gc", "ball_c2_dbar", "annulus_c3_dbar", "poisson_c4"):
+        spec = gallery_spec(name)
+        spec.samples = 24
+        alg, bd = spec.build_algebroid(), spec.build_boundary()
+        points = spec.sample_points()
+        want = [reference_classify(alg, bd, p) for p in points]
+        got = classify_points(alg, bd, points)
+        assert [(c.elliptic, c.margin) for c in got] == [(c.elliptic, c.margin) for c in want]
+        assert classify_point(alg, bd, points[-1]) == want[-1]
+        non_elliptic = [p for p, c in zip(points, want) if not c.elliptic][:9]
+        for rep, p in zip(levi_forms_generic(alg, bd, non_elliptic), non_elliptic):
+            B = reference_levi_matrix(alg, bd, p)
+            assert np.array_equal(rep.levi, 0.5 * (B + B.conj().T)), name
+        verdict = q_convex_set(alg, bd, points)
+        for rep, p, c in zip(verdict.reports, points, want):
+            assert rep.classification == c
+            if not c.elliptic:
+                B = reference_levi_matrix(alg, bd, p)
+                assert np.array_equal(rep.levi, 0.5 * (B + B.conj().T)), name
+
+
+def first_error(fn, points):
+    for p in points:
+        try:
+            fn(p)
+        except ValueError as err:
+            return str(err)
+    raise AssertionError("no point fails")
+
+
+def test_batched_errors_are_those_of_the_first_bad_point(monkeypatch):
+    monkeypatch.setattr(levi, "_BLOCK", 3)
+    chart = Chart.real(2)
+    circle = [[math.cos(t), math.sin(t)] for t in np.linspace(0.1, 6.0, 8)]
+    off = [0.2, 0.3]
+    tangent, zero_anchors = make_tangent(chart), make_graph_bivector(chart, {})
+    round_r, flat_r = ball_boundary(chart), BoundaryData(
+        parse_expr("(x1^2 + x2^2 - 1)^2", chart)  # dr vanishes on the circle
+    )
+    cases = [
+        (tangent, round_r, circle[:5] + [off] + circle[5:]),
+        (zero_anchors, round_r, circle[:4] + [off]),
+        (zero_anchors, round_r, [off] + circle),
+        (tangent, flat_r, circle[:2] + [off]),
+        (tangent, flat_r, [off] + circle),
+        (zero_anchors, flat_r, circle),
+    ]
+    for alg, bd, points in cases:
+        message = first_error(lambda p: reference_classify(alg, bd, p), points)
+        for batched in (classify_points, q_convex_set):
+            with pytest.raises(ValueError) as err:
+                batched(alg, bd, points)
+            assert str(err.value) == message
+        message = first_error(lambda p: levi_form_generic(alg, bd, p), points)
+        with pytest.raises(ValueError) as err:
+            levi_forms_generic(alg, bd, points)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -152,3 +152,85 @@ def test_chart_invariants():
     chart = Chart.complex_chart(2)
     assert chart.dim == 4
     assert chart.n_complex == 2
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation: eval_many against eval, bit for bit
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from hodgebench.scalars import CNum, ScalarExpr
+
+small = st.integers(-9, 9)
+coefficients = st.builds(
+    lambda a, b, c, d: CNum(Fraction(a, b), Fraction(c, d)),
+    small, st.integers(1, 8), small, st.integers(1, 8),
+).filter(lambda c: not c.is_zero)
+coordinates = st.floats(-2.0, 2.0)
+
+
+def polynomials(dim, min_terms=0):
+    monomials = st.tuples(*[st.integers(0, 6)] * dim)
+    return st.dictionaries(monomials, coefficients, min_size=min_terms, max_size=4)
+
+
+def points(dim, min_size=1):
+    return st.lists(st.lists(coordinates, min_size=dim, max_size=dim), min_size=min_size, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_eval_many_equals_eval_bytes(data):
+    dim = data.draw(st.integers(1, 3))
+    chart = Chart.real(dim)
+    num = data.draw(polynomials(dim))
+    den = data.draw(st.none() | polynomials(dim, min_terms=1))
+    expr = ScalarExpr(chart, num, den)
+    rows = data.draw(points(dim))
+    try:
+        want = np.array([expr.eval(p) for p in rows], dtype=complex)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            expr.eval_many(np.array(rows))
+        return
+    got = expr.eval_many(np.array(rows))
+    assert got.tobytes() == want.tobytes()
+    # sample points reach eval as numpy scalars; the values must not change
+    assert np.array([expr.eval(list(p)) for p in np.array(rows)]).tobytes() == want.tobytes()
+
+
+def test_eval_many_equals_eval_bytes_past_overflow():
+    # a product overflowing to inf and then meeting a zero part makes a nan;
+    # the batch must make the same ones, and fail where eval fails
+    chart = Chart.real(3)
+    rows = [[1e120, 1e120, 1.0], [-1e120, 1e100, 0.0], [1e150, -1e150, 2.0], [1.0, 2.0, 3.0]]
+    for text in ("(1+i)*x1^2*x2^2*x3", "i*x1^2*x2^2 + x3", "x1^2*x2^2*x3 / (x3 + 2*i)"):
+        expr = parse_expr(text, chart)
+        want = np.array([expr.eval(p) for p in rows])
+        assert np.isnan(want).any()
+        assert expr.eval_many(np.array(rows)).tobytes() == want.tobytes()
+    too_big = parse_expr("x1^3", chart)
+    with pytest.raises(OverflowError):
+        too_big.eval(rows[0])
+    with pytest.raises(OverflowError):
+        too_big.eval_many(np.array(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_vanishing_denominator_raises_on_both_paths(data):
+    dim = data.draw(st.integers(1, 3))
+    chart = Chart.real(dim)
+    root = Fraction(data.draw(st.integers(-8, 8)), 4)  # exact in binary
+    den = {(1,) + (0,) * (dim - 1): CNum.of(1), (0,) * dim: CNum.of(-root)}
+    expr = ScalarExpr(chart, data.draw(polynomials(dim, min_terms=1)), den)
+    assume(not expr.is_polynomial)
+    rows = data.draw(points(dim, min_size=0))
+    bad = [float(root)] + data.draw(st.lists(coordinates, min_size=dim - 1, max_size=dim - 1))
+    with pytest.raises(ZeroDivisionError):
+        expr.eval(bad)
+    with pytest.raises(ZeroDivisionError):
+        expr.eval_many(np.array(rows + [bad]))
