@@ -6,7 +6,8 @@
 
 --spec accepts a gallery name (see gallery.gallery_names) or a path.  Exit
 codes: 0 success, 2 verdict failure (e.g. a required q not attained),
-1 error.  Reports are deterministic given the spec and seed; floats carry
+1 error, a rejected command line included, with one ``error: ...`` line on
+stderr.  Reports are deterministic given the spec and seed; floats carry
 17 significant digits.
 """
 
@@ -358,8 +359,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class UsageError(Exception):
+    """A command line that argparse rejected."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # exit 2 means a verdict failure, so a rejected command line becomes an
+    # ordinary error (exit 1, one stderr line) instead of argparse's exit 2
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="workbench",
         description="boundary Hodge theory workbench for pre-Lie algebroids",
     )
@@ -418,10 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         report, code = args.fn(args)
-    except (SpecError, ValueError, KeyError, RuntimeError) as err:
+    except (UsageError, SpecError, ValueError, KeyError, RuntimeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
     except ArithmeticError as err:

@@ -208,10 +208,34 @@ def test_classify_poisson_locus_fraction(capsys):
     ],
 )
 def test_nonpositive_counts_are_rejected(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "expected a positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--spec", "tangent_sphere", "--format", "xml"],
+        ["hodge", "--n-r", "many"],
+        ["classify"],
+        ["nosuchcommand"],
+        [],
+    ],
+)
+def test_rejected_command_lines_exit_1_with_one_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "expected a positive integer" in capsys.readouterr().err
+        main(["hodge", "--help"])
+    assert exc.value.code == 0
+    assert "--spectra" in capsys.readouterr().out
 
 
 def test_samples_override_reaches_the_sampler(capsys):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgebench.neumann import (
     AnnulusGrid,
     DiscreteForm,
     NeumannProblem,
+    _diff_matrix,
     anchor_energy,
     assemble,
     basic_estimate_report,
@@ -24,6 +26,157 @@ RHO0 = 0.5
 @pytest.fixture(scope="module")
 def problem():
     return assemble(AnnulusGrid(RHO0, 32, 48))
+
+
+def dense(problem, apply, degree):
+    """Per-mode matrices (n_modes, n_out, n_in) of a mode-diagonal operator,
+    read off its action on unit vectors."""
+    n_in = problem.grid.n_r - 2 * degree
+    cols = []
+    for k in range(n_in):
+        e = np.zeros((len(problem.modes0), n_in))
+        e[:, k] = 1.0
+        cols.append(apply(DiscreteForm(degree, e)).values)
+    return np.stack(cols, axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# dense reference: per-mode matrices and a full eigen-decomposition per mode
+# and degree, built from the grid formulas alone
+
+
+class DenseReference:
+    """N, pi and box from a full eigen-decomposition of each mode's dense
+    Laplacian at each degree; the cut is harmonic_tol * (largest eigenvalue
+    of that degree)."""
+
+    def __init__(self, grid, eps=0.0, profile=None, harmonic_tol=1e-8):
+        rho = grid.rho()
+        self.w = grid.weights()
+        self.w_int = self.w[1:-1]
+        self.harmonic_tol = harmonic_tol
+        D = _diff_matrix(grid.n_r, grid.h)
+        scale = np.ones(grid.n_r)
+        if profile is not None and eps != 0.0:
+            scale = 1.0 + eps * np.asarray(profile(rho), dtype=float)
+        self.modes0 = grid.modes0()
+        self.L1, self.L0, self.eig1, self.eig0 = [], [], [], []
+        s_int, s_full = np.sqrt(self.w_int), np.sqrt(self.w)
+        for n in self.modes0:
+            A = scale[:, None] * (0.5 * (D - n * np.diag(1.0 / rho)))
+            P = A[1:-1, :]
+            Ps = (A.T[:, 1:-1] * self.w_int[None, :]) / self.w[:, None]
+            for L, s, table, eig in (
+                (P @ Ps, s_int, self.L1, self.eig1),
+                (Ps @ P, s_full, self.L0, self.eig0),
+            ):
+                table.append(L)
+                sym = (s[:, None] * L) / s[None, :]
+                lam, V = np.linalg.eigh(0.5 * (sym + sym.T))
+                eig.append((lam, V / s[:, None]))
+        self.lam_max = {1: max(lam.max() for lam, _ in self.eig1),
+                        0: max(lam.max() for lam, _ in self.eig0)}
+
+    def _bundle(self, degree):
+        eig = self.eig1 if degree == 1 else self.eig0
+        w = self.w_int if degree == 1 else self.w
+        return eig, w, self.harmonic_tol * self.lam_max[degree]
+
+    def _spectral_apply(self, values, degree, weight_fn):
+        eig, w, cut = self._bundle(degree)
+        out = np.zeros_like(values)
+        for i, (lam, V) in enumerate(eig):
+            coeff = V.conj().T @ (w * values[i])
+            out[i] = V @ (weight_fn(lam, cut) * coeff)
+        return out
+
+    def apply_N(self, values, degree):
+        return self._spectral_apply(
+            values, degree,
+            lambda lam, cut: np.where(lam > cut, 1.0 / np.where(lam > cut, lam, 1.0), 0.0),
+        )
+
+    def apply_pi(self, values, degree):
+        return self._spectral_apply(values, degree, lambda lam, cut: np.where(lam > cut, 0.0, 1.0))
+
+    def apply_box(self, values, degree):
+        table = self.L1 if degree == 1 else self.L0
+        return np.stack([L @ v for L, v in zip(table, values)])
+
+    def harmonic_dim(self, degree):
+        eig, _, cut = self._bundle(degree)
+        return int(sum(np.sum(lam <= cut) for lam, _ in eig))
+
+    def smallest_positive_eigenvalue(self, degree):
+        eig, _, cut = self._bundle(degree)
+        return float(min(lam[lam > cut].min() for lam, _ in eig if np.any(lam > cut)))
+
+    def dense_N1(self, i):
+        lam, V = self.eig1[i]
+        cut = self.harmonic_tol * self.lam_max[1]
+        inv = np.where(lam > cut, 1.0 / np.where(lam > cut, lam, 1.0), 0.0)
+        return (V * inv[None, :]) @ (V.conj().T * self.w_int[None, :])
+
+
+def reference_norm_diff(a, b):
+    s = np.sqrt(a.w_int)
+    worst = 0.0
+    for i in range(len(a.modes0)):
+        diff = (s[:, None] * (a.dense_N1(i) - b.dense_N1(i))) / s[None, :]
+        worst = max(worst, float(np.linalg.svd(diff, compute_uv=False)[0]))
+    return worst
+
+
+def bump_on(rho0):
+    def bump(r):
+        mid = 0.5 * (1.0 + rho0)
+        width = 0.25 * (1.0 - rho0)
+        u = (r - mid) / width
+        out = np.zeros_like(r)
+        inside = np.abs(u) < 1
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
+        return out
+
+    return bump
+
+
+PROFILES = {"constant": lambda rho0: (lambda r: np.ones_like(r)), "bump": bump_on}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rho0=st.floats(0.1, 0.9, exclude_max=True),
+    n_theta=st.sampled_from([4, 6, 8, 10, 12, 14, 16]),
+    n_r=st.integers(16, 40),
+    eps=st.floats(-0.5, 0.5),
+    profile=st.sampled_from(sorted(PROFILES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_matches_dense_reference(rho0, n_theta, n_r, eps, profile, seed):
+    grid = AnnulusGrid(rho0, n_theta, n_r)
+    prof = PROFILES[profile](rho0)
+    prob = NeumannProblem(grid, eps=eps, profile=prof)
+    ref = DenseReference(grid, eps=eps, profile=prof)
+    rng = np.random.default_rng(seed)
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    for deg in (0, 1):
+        phi = prob.random_form(deg, rng)
+        assert close(prob.apply_N(phi).values, ref.apply_N(phi.values, deg))
+        assert close(prob.apply_pi(phi).values, ref.apply_pi(phi.values, deg))
+        assert close(prob.apply_box(phi).values, ref.apply_box(phi.values, deg))
+        assert prob.harmonic_dim(deg) == ref.harmonic_dim(deg)
+        assert prob.smallest_positive_eigenvalue(deg) == pytest.approx(
+            ref.smallest_positive_eigenvalue(deg), rel=1e-10
+        )
+    base = NeumannProblem(grid)
+    ref_base = DenseReference(grid)
+    # a difference of two operators is known to rounding relative to the
+    # operators themselves, not to the (possibly tiny) difference
+    got, want = operator_norm_diff(prob, base), reference_norm_diff(ref, ref_base)
+    assert abs(got - want) <= 1e-10 * (want + prob.operator_norm_N() + base.operator_norm_N())
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +214,15 @@ def test_integration_by_parts_defect_second_order():
         n = 2  # function mode; pairs with form mode 3
         u = np.exp(rho) * (1 + 0.3 * rho**2)
         v = np.cos(2.0 * rho) + 0.1j * rho
-        A = prob.A[n]
-        Pf = prob.Pf_formula[n + 1]
+        D = _diff_matrix(n_r, prob.grid.h)
+        A = 0.5 * (D - n * np.diag(1.0 / rho))
+        Pf = -0.5 * (D + (n + 1) * np.diag(1.0 / rho))
+        # P is the interior rows of A
+        idx = int(np.where(prob.modes0 == n)[0][0])
+        vals = np.zeros((len(prob.modes0), n_r))
+        vals[idx] = u
+        assert np.allclose(prob.apply_P(DiscreteForm(0, vals)).values[idx], (A @ u)[1:-1],
+                           rtol=1e-14, atol=1e-14 * np.abs(A @ u).max())
         lhs = 2 * math.pi * np.sum((A @ u) * np.conj(v) * prob.w)
         rhs = 2 * math.pi * np.sum(u * np.conj(Pf @ v) * prob.w)
         boundary = math.pi * (
@@ -75,8 +235,7 @@ def test_integration_by_parts_defect_second_order():
 
 def test_box_hermitian_and_nonnegative(problem):
     s = np.sqrt(problem.w_int)
-    for m in problem.modes1:
-        L = problem.L1[m]
+    for L in dense(problem, problem.apply_box, 1):
         sym = (s[:, None] * L) / s[None, :]
         assert np.linalg.norm(sym - sym.T.conj()) <= 1e-10 * np.linalg.norm(sym)
         lam = np.linalg.eigvalsh(0.5 * (sym + sym.T.conj()))
@@ -90,9 +249,8 @@ def test_box_hermitian_and_nonnegative(problem):
 def test_degree1_harmonics_empty(problem):
     assert problem.harmonic_dim(1) == 0
     # cross-check by a dense rank oracle: the adjoint has trivial kernel
-    for m in problem.modes1:
-        n = m - 1
-        mat = problem.P_star[n] * np.sqrt(problem.w_int)[None, :]
+    for p_star in dense(problem, problem.apply_P_star, 1):
+        mat = p_star * np.sqrt(problem.w_int)[None, :]
         svals = np.linalg.svd(mat, compute_uv=False)
         assert svals[-1] > 1e-8 * svals[0]
 
@@ -155,6 +313,24 @@ def test_n_on_harmonic_is_zero(problem):
     idx = int(np.where(problem.modes0 == m)[0][0])
     h.values[idx] = vec
     assert problem.norm(problem.apply_N(h)) <= 1e-12 * problem.norm(h)
+
+
+def test_nonempty_degree1_harmonics_raise():
+    # only a harmonic_tol far above the default puts degree-1 eigenvalues
+    # under the cut; N and pi are then refused, as solve_dbar always did
+    grid = AnnulusGrid(RHO0, 8, 24)
+    prob = NeumannProblem(grid, harmonic_tol=0.05)
+    ref = DenseReference(grid, harmonic_tol=0.05)
+    assert prob.harmonic_dim(1) == ref.harmonic_dim(1) > 0
+    for deg in (0, 1):
+        assert prob.harmonic_dim(deg) == ref.harmonic_dim(deg)
+        assert prob.smallest_positive_eigenvalue(deg) == pytest.approx(
+            ref.smallest_positive_eigenvalue(deg), rel=1e-10
+        )
+    phi = prob.random_form(1, np.random.default_rng(0))
+    for call in (prob.apply_N, prob.apply_pi, lambda f: solve_dbar(prob, f)):
+        with pytest.raises(RuntimeError, match="harmonic obstruction"):
+            call(phi)
 
 
 def test_operator_norm_is_inverse_smallest_eigenvalue(problem):
@@ -319,17 +495,7 @@ def test_family_pure_rescaling_matches_spectral_oracle():
 
 def test_family_bump_profile_linear_slope():
     grid = AnnulusGrid(RHO0, 16, 40)
-
-    def bump(r):
-        mid = 0.5 * (1.0 + RHO0)
-        width = 0.25 * (1.0 - RHO0)
-        u = (r - mid) / width
-        out = np.zeros_like(r)
-        inside = np.abs(u) < 1
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-        return out
-
-    report = family_continuity(grid, bump, [1e-1, 1e-2, 1e-3])
+    report = family_continuity(grid, bump_on(RHO0), [1e-1, 1e-2, 1e-3])
     assert report["harmonic_dims_deg1"] == [0, 0, 0]
     diffs = report["norm_diffs"]
     assert diffs[0] > diffs[1] > diffs[2] > 0
@@ -337,8 +503,6 @@ def test_family_bump_profile_linear_slope():
 
 
 def test_family_zero_deformation_is_exact():
-    from hodgebench.neumann import operator_norm_diff
-
     grid = AnnulusGrid(RHO0, 16, 32)
     base = assemble(grid)
     same = assemble(grid)
@@ -356,9 +520,13 @@ def test_elliptic_regularity_trend():
     for n_r in (32, 64):
         prob = assemble(AnnulusGrid(RHO0, 16, n_r))
         rho = prob.grid.rho()
+        s = np.sqrt(prob.w_int)
+        D = _diff_matrix(n_r, prob.grid.h)
         worst = 0.0
-        for m in prob.modes1:
-            lam, V = prob.eig1[m]
+        for m, L in zip(prob.modes1, dense(prob, prob.apply_box, 1)):
+            sym = (s[:, None] * L) / s[None, :]
+            lam, V = np.linalg.eigh(0.5 * (sym + sym.T))
+            V = V / s[:, None]
             for j in range(V.shape[1]):
                 vec = V[:, j]
                 phi = DiscreteForm(1, np.zeros((len(prob.modes1), n_r - 2), dtype=complex))
@@ -366,9 +534,6 @@ def test_elliptic_regularity_trend():
                 phi.values[idx] = vec
                 ext = np.zeros(n_r, dtype=complex)
                 ext[1:-1] = vec
-                from hodgebench.neumann import _diff_matrix
-
-                D = _diff_matrix(n_r, prob.grid.h)
                 h1 = math.sqrt(
                     2 * math.pi
                     * float(
