@@ -81,6 +81,6 @@ def bump(r):
     return out
 
 
-fam = family_continuity(AnnulusGrid(0.5, 16, 48), bump, [1e-1, 1e-2, 1e-3])
+fam = family_continuity(assemble(AnnulusGrid(0.5, 16, 48)), bump, [1e-1, 1e-2, 1e-3])
 print(f"  bump profile: ||N_eps - N_0|| = {['%.3e' % d for d in fam['norm_diffs']]}")
 print(f"  fitted log-log slope {fam['fitted_slope']:.3f} (continuity, close to linear)")

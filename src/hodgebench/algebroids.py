@@ -22,6 +22,8 @@ from .calculus import (
     coordinate_field,
     courant_bracket,
     insertion_sign,
+    normalized_coeffs,
+    wedge_table,
     wirtinger,
 )
 from .scalars import Chart, ScalarExpr, const, eval_table
@@ -276,18 +278,10 @@ class AlgebroidForm:
     def __post_init__(self):
         if not 0 <= self.degree <= self.alg.rank:
             raise ValueError("degree out of range for the algebroid rank")
-        table: Dict[tuple, ScalarExpr] = {}
-        for idx, c in self.coeffs:
-            idx = tuple(idx)
-            if len(idx) != self.degree or list(idx) != sorted(set(idx)):
-                raise ValueError("indices must be strictly increasing tuples")
-            if any(not 0 <= k < self.alg.rank for k in idx):
-                raise IndexError("frame index out of range")
-            table[idx] = table[idx] + c if idx in table else c
         object.__setattr__(
             self,
             "coeffs",
-            tuple((i, c) for i, c in sorted(table.items()) if not c.is_zero),
+            normalized_coeffs(self.coeffs, self.degree, self.alg.rank, "frame"),
         )
 
     @staticmethod
@@ -327,20 +321,7 @@ class AlgebroidForm:
         )
 
     def wedge(self, other: "AlgebroidForm") -> "AlgebroidForm":
-        table: Dict[tuple, ScalarExpr] = {}
-        for ia, ca in self.coeffs:
-            for ib, cb in other.coeffs:
-                combined = list(ia) + list(ib)
-                if len(set(combined)) != len(combined):
-                    continue
-                sign = 1
-                for a in range(len(combined)):
-                    for b in range(a + 1, len(combined)):
-                        if combined[a] > combined[b]:
-                            sign = -sign
-                idx = tuple(sorted(combined))
-                term = const(self.alg.chart, sign) * ca * cb
-                table[idx] = table.get(idx, const(self.alg.chart, 0)) + term
+        table = wedge_table(self.alg.chart, self.coeffs, other.coeffs)
         return AlgebroidForm(
             self.alg, self.degree + other.degree, tuple(table.items())
         )

@@ -146,6 +146,22 @@ def lie_bracket(X: VectorFieldExpr, Y: VectorFieldExpr) -> VectorFieldExpr:
     return VectorFieldExpr(chart, tuple(comps))
 
 
+def normalized_coeffs(coeffs, degree: int, bound: int, what: str) -> tuple:
+    """Antisymmetric coefficient table of a degree-``degree`` form: entries
+    of equal strictly increasing index tuples (indices below ``bound``)
+    summed, sorted by index, zeros dropped.  ``what`` names the index in
+    the out-of-range error."""
+    table: Dict[tuple, ScalarExpr] = {}
+    for idx, c in coeffs:
+        idx = tuple(idx)
+        if len(idx) != degree or list(idx) != sorted(set(idx)):
+            raise ValueError("indices must be strictly increasing tuples")
+        if any(not 0 <= k < bound for k in idx):
+            raise IndexError(f"{what} index out of range")
+        table[idx] = table[idx] + c if idx in table else c
+    return tuple((idx, c) for idx, c in sorted(table.items()) if not c.is_zero)
+
+
 @dataclass(frozen=True)
 class FormExpr:
     chart: Chart
@@ -155,18 +171,10 @@ class FormExpr:
     def __post_init__(self):
         if not 0 <= self.degree <= MAX_FORM_DEGREE:
             raise ValueError(f"form degree must lie in 0..{MAX_FORM_DEGREE}")
-        table: Dict[tuple, ScalarExpr] = {}
-        for idx, c in self.coeffs:
-            idx = tuple(idx)
-            if len(idx) != self.degree or list(idx) != sorted(set(idx)):
-                raise ValueError("indices must be strictly increasing tuples")
-            if any(not 0 <= k < self.chart.dim for k in idx):
-                raise IndexError("form index out of range")
-            table[idx] = table[idx] + c if idx in table else c
         object.__setattr__(
             self,
             "coeffs",
-            tuple((idx, c) for idx, c in sorted(table.items()) if not c.is_zero),
+            normalized_coeffs(self.coeffs, self.degree, self.chart.dim, "form"),
         )
 
     @staticmethod
@@ -296,17 +304,22 @@ def wedge(alpha: FormExpr, beta: FormExpr) -> FormExpr:
     _same_chart(alpha, beta)
     if alpha.degree + beta.degree > MAX_FORM_DEGREE:
         raise ValueError("degree overflow beyond 3")
-    chart = alpha.chart
+    table = wedge_table(alpha.chart, alpha.coeffs, beta.coeffs)
+    return FormExpr.from_table(alpha.chart, alpha.degree + beta.degree, table)
+
+
+def wedge_table(chart: Chart, a_coeffs, b_coeffs) -> Dict[tuple, ScalarExpr]:
+    """Coefficient table of the wedge of two antisymmetric tables."""
     table: Dict[tuple, ScalarExpr] = {}
-    for ia, ca in alpha.coeffs:
-        for ib, cb in beta.coeffs:
+    for ia, ca in a_coeffs:
+        for ib, cb in b_coeffs:
             merged = _merge_sign(ia, ib)
             if merged is None:
                 continue
             sign, idx = merged
             term = const(chart, sign) * ca * cb
             table[idx] = table.get(idx, const(chart, 0)) + term
-    return FormExpr.from_table(chart, alpha.degree + beta.degree, table)
+    return table
 
 
 def _merge_sign(ia, ib):

@@ -626,7 +626,11 @@ def levi_form_complex_hessian(
     scale = np.linalg.norm(w) * max(np.linalg.norm(basis, axis=1).max(), 1e-300)
     if residual.max() > 1e-8 * max(scale, 1e-300):
         raise ValueError("cr_basis is not contained in the CR kernel")
-    H = wirtinger_hessian(bd, point)
+    return _hessian_form(wirtinger_hessian(bd, point), basis)
+
+
+def _hessian_form(H: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """L(u_a, u_b) = sum H_ij conj(u_b^i) u_a^j over the rows u of basis."""
     k = basis.shape[0]
     B = np.zeros((k, k), dtype=complex)
     for a in range(k):
@@ -637,6 +641,16 @@ def levi_form_complex_hessian(
 
 # ---------------------------------------------------------------------------
 # holomorphic Poisson route
+
+
+def _hamiltonian_of_r(bd: BoundaryData, sigma: dict):
+    """X_r = sigma(dr^{1,0}), with dr^{1,0} = (d_x - i d_y) r / 2 per pair."""
+    chart = bd.chart
+    dr_holo = [
+        const(chart, 0.5) * (bd.grad[ri] - const(chart, 1j) * bd.grad[ii])
+        for (ri, ii) in chart.complex_pairs
+    ]
+    return sigma_contract(chart, sigma, dr_holo)
 
 
 def levi_form_poisson(
@@ -656,11 +670,7 @@ def levi_form_poisson(
     n = chart.n_complex
     if n == 0:
         raise ValueError("poisson route needs a chart with complex pairing")
-    dr_holo = [
-        const(chart, 0.5) * (bd.grad[ri] - const(chart, 1j) * bd.grad[ii])
-        for (ri, ii) in chart.complex_pairs
-    ]
-    X_r = sigma_contract(chart, sigma, dr_holo)
+    X_r = _hamiltonian_of_r(bd, sigma)
     x_val = np.array(X_r.eval(point))
     g = bd.grad_at(point)
     if np.linalg.norm(x_val) > bd.rank_tol * max(np.linalg.norm(g), 1.0):
@@ -674,10 +684,7 @@ def levi_form_poisson(
     H = wirtinger_hessian(bd, point)
     size = k + n
     B = np.zeros((size, size), dtype=complex)
-    # T-block: L(u,v) = sum H_ij conj(v^i) u^j
-    for a in range(k):
-        for b in range(k):
-            B[a, b] = np.einsum("ij,i,j->", H, basis[b].conj(), basis[a])
+    B[:k, :k] = _hessian_form(H, basis)  # T-block
     # sigma values sig(dz^j) as holomorphic component matrices
     unit = [
         [const(chart, 1) if i == j else const(chart, 0) for i in range(n)]
@@ -825,14 +832,7 @@ def gc_ellipticity_via_bivector(
         margin = float(np.linalg.norm(v) / gn)
         return Classification(margin >= bd.rank_tol, margin)
     if kind == "holomorphic_poisson":
-        chart = alg.chart
-        sigma = alg.meta["sigma"]
-        dr_holo = [
-            const(chart, 0.5) * (bd.grad[ri] - const(chart, 1j) * bd.grad[ii])
-            for (ri, ii) in chart.complex_pairs
-        ]
-        X_r = sigma_contract(chart, sigma, dr_holo)
-        xv = np.array(X_r.eval(point))
+        xv = np.array(_hamiltonian_of_r(bd, alg.meta["sigma"]).eval(point))
         pi_dr = 2j * (xv - np.conj(xv))  # 2i X_r + conj(2i X_r), a real vector
         margin = float(np.linalg.norm(pi_dr) / gn)
         return Classification(margin >= bd.rank_tol, margin)

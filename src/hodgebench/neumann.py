@@ -482,17 +482,17 @@ def operator_norm_diff(problem_a: NeumannProblem, problem_b: NeumannProblem) -> 
 
 
 def family_continuity(
-    grid: AnnulusGrid,
+    base: NeumannProblem,
     profile: Callable,
     eps_list: Sequence[float],
-    harmonic_tol: float = 1e-8,
 ) -> Dict:
-    """||N_eps - N_0|| for a one-parameter deformation P_eps = (1+eps a) P.
+    """||N_eps - N_0|| for a one-parameter deformation P_eps = (1+eps a) P
+    of the undeformed problem ``base``, on its grid and harmonic cut.
 
     Returns per-eps operator norms, the fitted log-log slope, and the
     harmonic dimensions (expected empty at degree 1 for all tested eps).
     """
-    base = NeumannProblem(grid, harmonic_tol=harmonic_tol)
+    grid = base.grid
     rho = grid.rho()
     amax = float(np.max(np.abs(np.asarray(profile(rho), dtype=float))))
     diffs = []
@@ -500,7 +500,9 @@ def family_continuity(
     for eps in eps_list:
         if abs(eps) * amax >= 1.0:
             raise ValueError("|eps| * max|a| must stay below 1")
-        prob = NeumannProblem(grid, eps=eps, profile=profile, harmonic_tol=harmonic_tol)
+        prob = NeumannProblem(
+            grid, eps=eps, profile=profile, harmonic_tol=base.harmonic_tol
+        )
         diffs.append(operator_norm_diff(prob, base))
         h_dims.append(prob.harmonic_dim(1))
     eps_arr = np.abs(np.asarray(eps_list, dtype=float))
@@ -575,7 +577,7 @@ def dbar_report(
     pu_err = problem.norm(DiscreteForm(1, resid_pu.values - f.values)) / problem.norm(f)
     estimates = basic_estimate_report(problem, trials=min(trials, 25), seed=seed)
     family = family_continuity(
-        grid, lambda r: np.ones_like(r), [1e-1, 1e-2, 1e-3]
+        problem, lambda r: np.ones_like(r), [1e-1, 1e-2, 1e-3]
     )
     out = {
         "grid": {"rho0": rho0, "n_theta": n_theta, "n_r": n_r},

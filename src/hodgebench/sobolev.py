@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "TorusGrid",
     "HalfGrid",
-    "SobolevConfig",
     "lambda_full",
     "sobolev_norm",
     "l2_inner",
@@ -45,19 +44,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SobolevConfig:
-    """Embedding index a = 1 + m/2 and the quadrature order of the kernel
-    lemma's double integral."""
-
-    dim: int
-    quad_order: int = 32
-
-    @property
-    def a(self) -> float:
-        return 1.0 + self.dim / 2.0
 
 
 @dataclass(frozen=True)
@@ -96,9 +82,6 @@ class TorusGrid:
             shape[axis] = self.n
             out = out + (base**2).reshape(shape)
         return out
-
-    def config(self, quad_order: int = 32) -> SobolevConfig:
-        return SobolevConfig(self.dim, quad_order)
 
 
 def lambda_full(grid: TorusGrid, phi: np.ndarray, s: float) -> np.ndarray:
@@ -169,9 +152,6 @@ class HalfGrid:
             shape[axis] = self.n_t
             out = out + (base**2).reshape(shape)
         return out[..., np.newaxis]
-
-    def config(self, quad_order: int = 32) -> SobolevConfig:
-        return SobolevConfig(self.dim, quad_order)
 
 
 def _t_axes(grid: HalfGrid):
@@ -581,8 +561,10 @@ def _memoized(fn):
     return wrapped
 
 
-def _full_rhs(grid, cfg, part, form, s, k, nf, ng, np_):
-    a = cfg.a
+def _rhs(a, part, form, s, k, nf, ng, np_):
+    """Right-hand side of one battery case.  The full-space and tangential
+    forms share it: nf/ng are the H^s or C^k norms of f/g, np_ the norm of
+    phi, and a = 1 + m/2 is the embedding index."""
     if part == "i":
         if form == "first":
             return nf(s + a) * np_(0) + nf(a) * np_(s)
@@ -631,56 +613,6 @@ def _full_rhs(grid, cfg, part, form, s, k, nf, ng, np_):
     raise ValueError(part)
 
 
-def _tang_rhs(grid, cfg, part, form, s, k, cf, cg, np_):
-    a = cfg.a
-    if part == "i":
-        if form == "first":
-            return cf(s + a) * np_(0) + cf(a) * np_(s)
-        return cf(abs(s) + a) * np_(s)
-    if part == "ii":
-        if form == "first":
-            return (
-                cf(s + k + a) * np_(0)
-                + cf(k + a) * np_(s)
-                + cf(s + 1 + a) * np_(k - 1)
-                + cf(1 + a) * np_(s + k - 1)
-            )
-        return (cf(abs(s + k - 1) + 1 + a) + cf(abs(s) + 1 + a)) * np_(s + k - 1)
-    if part == "iii":
-        if form == "first":
-            return (
-                cf(2 * k + s + a) * np_(0)
-                + cf(2 * k + a) * np_(s)
-                + cf(2 + a) * np_(2 * k + s - 2)
-                + cf(s + 2 + a) * np_(2 * k - 2)
-            )
-        return (cf(abs(s + 2 * k - 2) + 2 + a) + cf(abs(s) + 2 + a)) * np_(
-            s + 2 * k - 2
-        )
-    if part == "iv":
-        if form == "first":
-            return (
-                (
-                    cf(k - 1 + s + a) * cg(1 + a)
-                    + cf(k - 1 + a) * cg(s + 1 + a)
-                    + cf(s + 1 + a) * cg(k - 1 + a)
-                    + cf(1 + a) * cg(k - 1 + s + a)
-                )
-                * np_(0)
-                + (cf(k - 1 + a) * cg(1 + a) + cf(1 + a) * cg(k - 1 + a)) * np_(s)
-                + (cf(s + 1 + a) * cg(1 + a) + cf(1 + a) * cg(s + 1 + a))
-                * np_(k - 2)
-                + cf(1 + a) * cg(1 + a) * np_(k - 2 + s)
-            )
-        return (
-            cf(1 + abs(s) + abs(k - 2) + a) * cg(1 + a)
-            + cf(1 + abs(s) + a) * cg(1 + abs(k - 2) + a)
-            + cf(1 + abs(k - 2) + a) * cg(1 + abs(s) + a)
-            + cf(1 + a) * cg(1 + abs(s) + abs(k - 2) + a)
-        ) * np_(s + k - 2)
-    raise ValueError(part)
-
-
 def _battery_lhs(grid, part, s, k, f, g, phi):
     norm = sobolev_norm if isinstance(grid, TorusGrid) else tangential_norm
     if part == "i":
@@ -699,7 +631,6 @@ def leibniz_battery(
     grid,
     trials: int = 8,
     seed: int = 0,
-    quad_order: int = 32,
 ) -> Dict:
     """Empirical LHS/RHS ratios (C = 1) for one appendix inequality.
 
@@ -707,16 +638,20 @@ def leibniz_battery(
     T-parts a HalfGrid.  Deterministic given the seed: trial fields come
     from per-trial child seeds so the report is scheduling-independent.
     """
-    family, part_tag = inequality.split(".")
-    part = part_tag
+    family, part = inequality.split(".")
     tangential = family == "T"
     if tangential and not isinstance(grid, HalfGrid):
         raise TypeError("tangential batteries need a HalfGrid")
     if not tangential and not isinstance(grid, TorusGrid):
         raise TypeError("full-space batteries need a TorusGrid")
-    cfg = grid.config(quad_order)
+    a = 1.0 + grid.dim / 2.0
+    if tangential:
+        make, phi_norm = random_half_field, tangential_norm
+        coeff_norm = lambda h, t_: ck_norm(grid, h, math.ceil(t_))
+    else:
+        make, phi_norm = random_torus_field, sobolev_norm
+        coeff_norm = lambda h, t_: sobolev_norm(grid, h, t_)
     cases = _battery_cases(part)
-    make = random_half_field if tangential else random_torus_field
     trial_ratios = []
     case_ratios: Dict[str, float] = {}
     ss = np.random.SeedSequence([seed, INEQUALITY_IDS.index(inequality)])
@@ -726,24 +661,13 @@ def leibniz_battery(
         f = make(grid, rng)
         phi = make(grid, rng)
         g = make(grid, rng) if part == "iv" else None
-        if tangential:
-            nf = _memoized(lambda t_: ck_norm(grid, f, math.ceil(t_)))
-            ng = _memoized(lambda t_: ck_norm(grid, g, math.ceil(t_)))
-            np_ = _memoized(lambda t_: tangential_norm(grid, phi, t_))
-            rhs_fn = lambda form, s, k: _tang_rhs(
-                grid, cfg, part, form, s, k, nf, ng, np_
-            )
-        else:
-            nf = _memoized(lambda t_: sobolev_norm(grid, f, t_))
-            ng = _memoized(lambda t_: sobolev_norm(grid, g, t_))
-            np_ = _memoized(lambda t_: sobolev_norm(grid, phi, t_))
-            rhs_fn = lambda form, s, k: _full_rhs(
-                grid, cfg, part, form, s, k, nf, ng, np_
-            )
+        nf = _memoized(lambda t_: coeff_norm(f, t_))
+        ng = _memoized(lambda t_: coeff_norm(g, t_))
+        np_ = _memoized(lambda t_: phi_norm(grid, phi, t_))
         best = 0.0
         for form, s, k in cases:
             lhs = _battery_lhs(grid, part, s, k, f, g, phi)
-            rhs = rhs_fn(form, s, k)
+            rhs = _rhs(a, part, form, s, k, nf, ng, np_)
             ratio = lhs / rhs if rhs > 0 else math.inf
             key = f"{form}:s={s}:k={k}"
             case_ratios[key] = max(case_ratios.get(key, 0.0), ratio)

@@ -472,7 +472,7 @@ def test_criterion_11_basic_estimate_and_family():
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
         return out
 
-    fam = family_continuity(grid, bump, [1e-1, 1e-2, 1e-3])
+    fam = family_continuity(assemble(grid), bump, [1e-1, 1e-2, 1e-3])
     ok &= fam["harmonic_dims_deg1"] == [0, 0, 0]
     d = fam["norm_diffs"]
     ok &= d[0] > d[1] > d[2] > 0

@@ -495,7 +495,7 @@ def test_family_pure_rescaling_matches_spectral_oracle():
 
 def test_family_bump_profile_linear_slope():
     grid = AnnulusGrid(RHO0, 16, 40)
-    report = family_continuity(grid, bump_on(RHO0), [1e-1, 1e-2, 1e-3])
+    report = family_continuity(assemble(grid), bump_on(RHO0), [1e-1, 1e-2, 1e-3])
     assert report["harmonic_dims_deg1"] == [0, 0, 0]
     diffs = report["norm_diffs"]
     assert diffs[0] > diffs[1] > diffs[2] > 0
@@ -512,7 +512,7 @@ def test_family_zero_deformation_is_exact():
 def test_family_rejects_ellipticity_loss():
     grid = AnnulusGrid(RHO0, 16, 32)
     with pytest.raises(ValueError):
-        family_continuity(grid, lambda r: np.ones_like(r), [1.5])
+        family_continuity(assemble(grid), lambda r: np.ones_like(r), [1.5])
 
 
 def test_elliptic_regularity_trend():

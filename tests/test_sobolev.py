@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from hodgebench.cli import dumps
 from hodgebench.sobolev import (
+    INEQUALITY_IDS,
     HalfGrid,
     TorusGrid,
     boundary_square,
@@ -277,6 +280,28 @@ def test_battery_rejects_wrong_grid():
         leibniz_battery("T.i", TorusGrid(2, 32), trials=1)
     with pytest.raises(TypeError):
         leibniz_battery("A.i", HalfGrid(2, 32, 17), trials=1)
+
+
+# Report digests of every battery at dim 3, where the embedding index
+# a = 1 + m/2 is 2.5; the CLI and the goldens only ever run dim 2 (a = 2).
+DIM3_BATTERY_SHA256 = {
+    "A.i": "1bd959fe80db19097686787271521f8862095a02e5c4002161296b28c483eecf",
+    "A.ii": "a9391ce63e265cf53aa5c0e9f9819257575a1d5cc730f115094a4bc36c7c8b3f",
+    "A.iii": "377f37dd49e259cb0d96424c81d6f201d5208e2bdcc18d13882edb14c8979490",
+    "A.iv": "c7b510ab177b5a3805b5da3ff8d9a5bbd456ce17ed000d376536c5f27ca15634",
+    "T.i": "6e15751b9cca5d0e068dadd083408bf026596bcad9c8a0bb9727f4f6cfd5be56",
+    "T.ii": "2a0d417cc8e15d75a8c3a8e37f6aeb2dc18bf8d17bd6b215593b9a6e7e6a60f7",
+    "T.iii": "26fd06e747c9c2613c33286a554f36c5ab4915c5120aa44a907a954d309a3f97",
+    "T.iv": "ac56bca72f109dae33ae573f3b08bf25102254491bac523c8858a6bc0dd32080",
+}
+
+
+@pytest.mark.parametrize("ineq", INEQUALITY_IDS)
+def test_battery_report_at_dim3_is_pinned(ineq):
+    grid = TorusGrid(3, 16) if ineq.startswith("A") else HalfGrid(3, 16, 9)
+    report = leibniz_battery(ineq, grid, trials=1, seed=3)
+    digest = hashlib.sha256(dumps(report).encode()).hexdigest()
+    assert digest == DIM3_BATTERY_SHA256[ineq]
 
 
 def test_half_space_subestimate_finite_and_stable():
