@@ -41,7 +41,6 @@ __all__ = [
     "is_elliptic_at",
     "ellipticity_margins",
     "jacobiator",
-    "holomorphic_component",
     "antiholomorphic_component",
     "dz_form",
     "bivector_contract",
@@ -57,7 +56,6 @@ class AlgebroidSpec:
     anchors: tuple  # rank VectorFieldExpr entries, rho(w_1)..rho(w_l)
     structure: Optional[dict] = None  # {(i, j): list of rank ScalarExpr}, i < j
     name: str = ""
-    anchored_bracket: bool = False
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -108,15 +106,13 @@ def _ZERO_ROW(alg):
 def make_tangent(chart: Chart, name: str = "tangent") -> AlgebroidSpec:
     anchors = tuple(coordinate_field(chart, i) for i in range(chart.dim))
     structure = {}
-    return AlgebroidSpec(
-        chart, chart.dim, anchors, structure, name, anchored_bracket=True
-    )
+    return AlgebroidSpec(chart, chart.dim, anchors, structure, name)
 
 
 def make_antiholomorphic(n: int, name: str = "antiholomorphic") -> AlgebroidSpec:
     chart = Chart.complex_chart(n)
     anchors = tuple(wirtinger(chart, k + 1, anti=True) for k in range(n))
-    return AlgebroidSpec(chart, n, anchors, {}, name, anchored_bracket=True)
+    return AlgebroidSpec(chart, n, anchors, {}, name)
 
 
 def make_graph_two_form(
@@ -133,9 +129,7 @@ def make_graph_two_form(
     chart = omega.chart
     anchors = tuple(coordinate_field(chart, i) for i in range(chart.dim))
     meta = {"kind": "graph_two_form", "omega": omega, "H": H}
-    return AlgebroidSpec(
-        chart, chart.dim, anchors, {}, name, anchored_bracket=True, meta=meta
-    )
+    return AlgebroidSpec(chart, chart.dim, anchors, {}, name, meta=meta)
 
 
 def bivector_contract(chart: Chart, pi: dict, covector: Sequence[ScalarExpr]):
@@ -180,11 +174,6 @@ def make_graph_bivector(
     meta = {"kind": "graph_bivector", "pi": pi, "H": H}
     return AlgebroidSpec(chart, m, anchors, structure, name, meta=meta)
 
-
-def holomorphic_component(Y: VectorFieldExpr, k: int) -> ScalarExpr:
-    """dz^k(Y) for a chart with complex pairing (k is 1-based)."""
-    re_i, im_i = Y.chart.complex_pairs[k - 1]
-    return Y.components[re_i] + const(Y.chart, 1j) * Y.components[im_i]
 
 def antiholomorphic_component(Y: VectorFieldExpr, k: int) -> ScalarExpr:
     """dzbar^k(Y) for a chart with complex pairing (k is 1-based)."""

@@ -754,7 +754,6 @@ def q_convex_set(
     alg: AlgebroidSpec,
     bd: BoundaryData,
     samples: Sequence[Sequence[float]],
-    route: str = "generic",
 ) -> ConvexityVerdict:
     """q-convexity verdict over sampled boundary points.
 

@@ -503,21 +503,6 @@ class ScalarExpr:
         out.imag = im
         return out
 
-    def eval_grad(self, point: Sequence[complex]):
-        """Value and gradient at a point, via the exact quotient rule."""
-        pt = list(point)
-        nv = _poly_eval(self.num, pt)
-        dv = _poly_eval(self.den, pt)
-        if dv == 0:
-            raise ZeroDivisionError("expression denominator vanishes at the point")
-        ng = [_poly_eval(_poly_diff(self.num, i), pt) for i in range(self.chart.dim)]
-        if self.is_polynomial:
-            return nv, ng
-        dg = [_poly_eval(_poly_diff(self.den, i), pt) for i in range(self.chart.dim)]
-        val = nv / dv
-        grad = [(ng[i] * dv - nv * dg[i]) / (dv * dv) for i in range(self.chart.dim)]
-        return val, grad
-
     # -- printing ------------------------------------------------------------
 
     def _poly_str(self, p: dict) -> str:

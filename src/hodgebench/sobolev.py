@@ -15,9 +15,10 @@ C = 1; the underlying constants are existential, so acceptance is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cache
 from itertools import product
-from typing import Dict, Iterable, Sequence
+from typing import Callable, ClassVar, Dict, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,8 +47,34 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
+def _wavenumbers(n: int, box: float) -> np.ndarray:
+    """Angular wavenumbers of an n-point periodic axis of length box, in
+    FFT order."""
+    return np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / box)
+
+
+def _freq_square(n: int, box: float, dims: int) -> np.ndarray:
+    """|xi|^2 on the frequency grid of a dims-torus with n points per axis."""
+    base = _wavenumbers(n, box)
+    out = np.zeros((n,) * dims)
+    for axis in range(dims):
+        shape = [1] * dims
+        shape[axis] = n
+        out = out + (base**2).reshape(shape)
+    return out
+
+
+def _spectral_derivative(phi: np.ndarray, axis: int, k: np.ndarray) -> np.ndarray:
+    """d/dx along one periodic axis whose wavenumbers are k."""
+    shape = [1] * phi.ndim
+    shape[axis] = k.size
+    spec = np.fft.fft(phi, axis=axis)
+    return np.fft.ifft(spec * (1j * k).reshape(shape), axis=axis)
+
+
 @dataclass(frozen=True)
 class TorusGrid:
+    kind: ClassVar[str] = "torus"
     dim: int
     n: int  # points per axis, power of two
     box: float = TWO_PI
@@ -70,18 +97,8 @@ class TorusGrid:
         x = np.arange(self.n) * (self.box / self.n)
         return [x] * self.dim
 
-    def freqs(self):
-        base = np.fft.fftfreq(self.n, d=1.0 / self.n) * (TWO_PI / self.box)
-        return base
-
     def freq_square(self) -> np.ndarray:
-        base = self.freqs()
-        out = np.zeros(self.shape)
-        for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.n
-            out = out + (base**2).reshape(shape)
-        return out
+        return _freq_square(self.n, self.box, self.dim)
 
 
 def lambda_full(grid: TorusGrid, phi: np.ndarray, s: float) -> np.ndarray:
@@ -111,6 +128,7 @@ def sobolev_norm(grid: TorusGrid, phi: np.ndarray, s: float = 0.0) -> float:
 class HalfGrid:
     """(m-1)-torus times the radial interval [-R, 0], boundary at r = 0."""
 
+    kind: ClassVar[str] = "half"
     dim: int  # total dimension, tangential dim is dim - 1
     n_t: int  # tangential points per axis
     n_r: int  # radial points, inclusive endpoints
@@ -120,8 +138,9 @@ class HalfGrid:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("half grid needs dim >= 2")
-        if self.n_r < 4:
-            raise ValueError("need at least 4 radial points")
+        if self.n_r < 5:
+            # the one-sided ends of radial_derivative read five nodes
+            raise ValueError(f"half grid needs n_r >= 5 radial points, got {self.n_r}")
 
     @property
     def shape(self):
@@ -145,13 +164,7 @@ class HalfGrid:
         return [x] * (self.dim - 1)
 
     def tangential_freq_square(self) -> np.ndarray:
-        base = np.fft.fftfreq(self.n_t, d=1.0 / self.n_t) * (TWO_PI / self.box)
-        out = np.zeros((self.n_t,) * (self.dim - 1))
-        for axis in range(self.dim - 1):
-            shape = [1] * (self.dim - 1)
-            shape[axis] = self.n_t
-            out = out + (base**2).reshape(shape)
-        return out[..., np.newaxis]
+        return _freq_square(self.n_t, self.box, self.dim - 1)[..., np.newaxis]
 
 
 def _t_axes(grid: HalfGrid):
@@ -213,14 +226,6 @@ def radial_derivative(grid: HalfGrid, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def tangential_derivative(grid: HalfGrid, phi: np.ndarray, axis: int) -> np.ndarray:
-    base = np.fft.fftfreq(grid.n_t, d=1.0 / grid.n_t) * (TWO_PI / grid.box)
-    shape = [1] * grid.dim
-    shape[axis] = grid.n_t
-    spec = np.fft.fft(phi, axis=axis)
-    return np.fft.ifft(spec * (1j * base).reshape(shape), axis=axis)
-
-
 def d_norm(grid: HalfGrid, phi: np.ndarray, s: float) -> float:
     """||D phi||_{boundary,s}^2 = ||phi||_{d,s+1}^2 + ||d_r phi||_{d,s}^2."""
     a = tangential_norm(grid, phi, s + 1.0)
@@ -229,17 +234,46 @@ def d_norm(grid: HalfGrid, phi: np.ndarray, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# per-grid operators
+
+
+class _Operators(NamedTuple):
+    lam: Callable  # (grid, phi, s) -> Lambda^s phi
+    norm: Callable  # (grid, phi, s) -> ||phi||_s
+    random_field: Callable  # (grid, rng) -> battery field
+    derivative: Callable  # (phi, axis) -> d phi / dx_axis
+
+
+def _operators(grid) -> _Operators:
+    """The operators of a grid: full-space ones, spectral on every axis, for
+    a TorusGrid; tangential ones, with the 4th-order stencil on the radial
+    (last) axis, for a HalfGrid.  The one place the two grid kinds part."""
+    if isinstance(grid, TorusGrid):
+        k = _wavenumbers(grid.n, grid.box)
+        derivative = lambda phi, axis: _spectral_derivative(phi, axis, k)
+        return _Operators(lambda_full, sobolev_norm, random_torus_field, derivative)
+    k = _wavenumbers(grid.n_t, grid.box)
+
+    def derivative(phi, axis):
+        if axis == grid.dim - 1:
+            return radial_derivative(grid, phi)
+        return _spectral_derivative(phi, axis, k)
+
+    return _Operators(lambda_tangential, tangential_norm, random_half_field, derivative)
+
+
+# ---------------------------------------------------------------------------
 # commutators
 
 
 def commutator(grid, k: float, f: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """[Lambda^k, f] phi (full or tangential, keyed by the grid type)."""
-    lam = lambda_full if isinstance(grid, TorusGrid) else lambda_tangential
+    lam = _operators(grid).lam
     return lam(grid, f * phi, k) - f * lam(grid, phi, k)
 
 
 def double_commutator(grid, k: float, f: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    lam = lambda_full if isinstance(grid, TorusGrid) else lambda_tangential
+    lam = _operators(grid).lam
     inner = commutator(grid, k, f, phi)
     return lam(grid, inner, k) - commutator(grid, k, f, lam(grid, phi, k))
 
@@ -484,43 +518,25 @@ def random_half_field(grid: HalfGrid, rng: np.random.Generator) -> np.ndarray:
 # C^k norms
 
 
-def _multi_indices(dim: int, order: int):
-    if dim == 1:
-        for k in range(order + 1):
-            yield (k,)
-        return
-    for k in range(order + 1):
-        for rest in _multi_indices(dim - 1, order - k):
-            yield (k,) + rest
-
-
 def ck_norm(grid, f: np.ndarray, order: int) -> float:
     """max over |alpha| <= order of sup |d^alpha f| (spectral derivatives on
-    periodic axes, 4th-order differences on the radial axis)."""
+    periodic axes, 4th-order differences on the radial axis).
+
+    A depth-first walk of the multi-index tree: d^alpha f is one derivative
+    of its parent, alpha with its last nonzero entry lowered by one, so the
+    derivatives of every alpha are taken in increasing axis order."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    worst = 0.0
-    if isinstance(grid, TorusGrid):
-        base = np.fft.fftfreq(grid.n, d=1.0 / grid.n) * (TWO_PI / grid.box)
-        spec0 = np.fft.fftn(f)
-        for alpha in _multi_indices(grid.dim, order):
-            spec = spec0
-            for axis, p in enumerate(alpha):
-                if p:
-                    s = [1] * grid.dim
-                    s[axis] = grid.n
-                    spec = spec * (1j * base).reshape(s) ** p
-            worst = max(worst, float(np.max(np.abs(np.fft.ifftn(spec)))))
+    derivative = _operators(grid).derivative
+
+    def walk(g, first_axis, left):
+        worst = float(np.max(np.abs(g)))
+        if left:
+            for axis in range(first_axis, grid.dim):
+                worst = max(worst, walk(derivative(g, axis), axis, left - 1))
         return worst
-    for alpha in _multi_indices(grid.dim, order):
-        g = f
-        for axis, p in enumerate(alpha[:-1]):
-            for _ in range(p):
-                g = tangential_derivative(grid, g, axis)
-        for _ in range(alpha[-1]):
-            g = radial_derivative(grid, g)
-        worst = max(worst, float(np.max(np.abs(g))))
-    return worst
+
+    return walk(f, 0, order)
 
 
 # ---------------------------------------------------------------------------
@@ -548,17 +564,6 @@ def _battery_cases(part: str):
         cases += [("first", s, k) for s in _S_FIRST for k in (2.0,)]
         cases += [("second", s, k) for s in _S_SECOND for k in _K_SECOND]
     return cases
-
-
-def _memoized(fn):
-    cache: Dict[float, float] = {}
-
-    def wrapped(t):
-        if t not in cache:
-            cache[t] = fn(t)
-        return cache[t]
-
-    return wrapped
 
 
 def _rhs(a, part, form, s, k, nf, ng, np_):
@@ -614,7 +619,7 @@ def _rhs(a, part, form, s, k, nf, ng, np_):
 
 
 def _battery_lhs(grid, part, s, k, f, g, phi):
-    norm = sobolev_norm if isinstance(grid, TorusGrid) else tangential_norm
+    norm = _operators(grid).norm
     if part == "i":
         return norm(grid, f * phi, s)
     if part == "ii":
@@ -645,12 +650,11 @@ def leibniz_battery(
     if not tangential and not isinstance(grid, TorusGrid):
         raise TypeError("full-space batteries need a TorusGrid")
     a = 1.0 + grid.dim / 2.0
+    ops = _operators(grid)
     if tangential:
-        make, phi_norm = random_half_field, tangential_norm
         coeff_norm = lambda h, t_: ck_norm(grid, h, math.ceil(t_))
     else:
-        make, phi_norm = random_torus_field, sobolev_norm
-        coeff_norm = lambda h, t_: sobolev_norm(grid, h, t_)
+        coeff_norm = lambda h, t_: ops.norm(grid, h, t_)
     cases = _battery_cases(part)
     trial_ratios = []
     case_ratios: Dict[str, float] = {}
@@ -658,12 +662,12 @@ def leibniz_battery(
     children = ss.spawn(trials)
     for t in range(trials):
         rng = np.random.default_rng(children[t])
-        f = make(grid, rng)
-        phi = make(grid, rng)
-        g = make(grid, rng) if part == "iv" else None
-        nf = _memoized(lambda t_: coeff_norm(f, t_))
-        ng = _memoized(lambda t_: coeff_norm(g, t_))
-        np_ = _memoized(lambda t_: phi_norm(grid, phi, t_))
+        f = ops.random_field(grid, rng)
+        phi = ops.random_field(grid, rng)
+        g = ops.random_field(grid, rng) if part == "iv" else None
+        nf = cache(lambda t_: coeff_norm(f, t_))
+        ng = cache(lambda t_: coeff_norm(g, t_))
+        np_ = cache(lambda t_: ops.norm(grid, phi, t_))
         best = 0.0
         for form, s, k in cases:
             lhs = _battery_lhs(grid, part, s, k, f, g, phi)
@@ -696,16 +700,7 @@ def leibniz_battery(
 
 
 def _grid_meta(grid) -> Dict:
-    if isinstance(grid, TorusGrid):
-        return {"kind": "torus", "dim": grid.dim, "n": grid.n, "box": grid.box}
-    return {
-        "kind": "half",
-        "dim": grid.dim,
-        "n_t": grid.n_t,
-        "n_r": grid.n_r,
-        "depth": grid.depth,
-        "box": grid.box,
-    }
+    return {"kind": grid.kind, **asdict(grid)}
 
 
 def half_space_subestimate(
@@ -719,13 +714,13 @@ def half_space_subestimate(
     """
     if grid.dim != 2:
         raise ValueError("the sub-estimate battery runs on a 2-D half grid")
+    derivative = _operators(grid).derivative
     ss = np.random.SeedSequence([seed, 97])
     ratios = []
     for child in ss.spawn(trials):
         rng = np.random.default_rng(child)
         f = random_half_field(grid, rng)
-        df_t = tangential_derivative(grid, f, 0)
-        df_r = radial_derivative(grid, f)
+        df_t, df_r = derivative(f, 0), derivative(f, 1)
         lhs = (
             tangential_norm(grid, df_t, -0.5) ** 2
             + tangential_norm(grid, df_r, -0.5) ** 2

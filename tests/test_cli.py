@@ -222,6 +222,10 @@ def test_nonpositive_counts_are_rejected(capsys, argv):
         ["classify"],
         ["nosuchcommand"],
         [],
+        # --grid N gives the half grid N // 2 + 1 = 4 radial points, one too few
+        ["sobolev", "--suite", "T.i", "--grid", "6"],
+        ["sobolev", "--suite", "T.i", "--grid", "7"],
+        ["sobolev", "--suite", "subestimate", "--grid", "6"],
     ],
 )
 def test_rejected_command_lines_exit_1_with_one_line(capsys, argv):

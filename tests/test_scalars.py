@@ -133,15 +133,6 @@ def test_eval_matches_central_differences(chart2):
             assert abs(sym - fd) / scale <= 1e-6
 
 
-def test_eval_grad_agrees_with_symbolic(chart2):
-    e = parse_expr("(x1^2 + i*x1*x2)/(x2 + 3)", chart2)
-    p = [1.25, -0.5]
-    val, grad = e.eval_grad(p)
-    assert val == pytest.approx(e.eval(p), rel=1e-14)
-    for i in range(2):
-        assert grad[i] == pytest.approx(e.diff(i).eval(p), rel=1e-13)
-
-
 def test_chart_invariants():
     with pytest.raises(ValueError):
         Chart(0)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -321,6 +322,47 @@ def test_ck_norm_on_trig():
     assert ck_norm(grid, f, 0) == pytest.approx(1.0, rel=1e-12)
     assert ck_norm(grid, f, 1) == pytest.approx(2.0, rel=1e-12)
     assert ck_norm(grid, f, 3) == pytest.approx(8.0, rel=1e-12)
+    # mixed: sup |d_x^a d_y^b f| = 2^a 3^b, largest at (a, b) = (0, |alpha|)
+    grid = TorusGrid(2, 32)
+    x, y = np.meshgrid(*grid.axes(), indexing="ij")
+    f = (np.cos(2 * x) * np.cos(3 * y)).astype(complex)
+    for order, expected in enumerate((1.0, 3.0, 9.0, 27.0)):
+        assert ck_norm(grid, f, order) == pytest.approx(expected, rel=1e-12)
+
+
+def _ck_norm_reference(grid, f, order):
+    """C^k norm on a half grid with every d^alpha f built from f itself:
+    spectral d/dt along each tangential axis in turn, then d/dr."""
+    k = np.fft.fftfreq(grid.n_t, d=1.0 / grid.n_t) * (TWO_PI / grid.box)
+    worst = 0.0
+    for alpha in product(range(order + 1), repeat=grid.dim):
+        if sum(alpha) > order:
+            continue
+        g = f
+        for axis, p in enumerate(alpha[:-1]):
+            shape = [1] * grid.dim
+            shape[axis] = grid.n_t
+            for _ in range(p):
+                spec = np.fft.fft(g, axis=axis)
+                g = np.fft.ifft(spec * (1j * k).reshape(shape), axis=axis)
+        for _ in range(alpha[-1]):
+            g = radial_derivative(grid, g)
+        worst = max(worst, float(np.max(np.abs(g))))
+    return worst
+
+
+@pytest.mark.parametrize("grid", [HalfGrid(2, 32, 17), HalfGrid(3, 16, 9)])
+def test_half_grid_ck_norm_matches_reference_bit_for_bit(grid):
+    f = random_half_field(grid, np.random.default_rng(21))
+    for order in range(5):
+        assert ck_norm(grid, f, order) == _ck_norm_reference(grid, f, order)
+
+
+def test_half_grid_needs_five_radial_points():
+    # the one-sided radial stencil reads five nodes at each end
+    with pytest.raises(ValueError, match="n_r >= 5"):
+        HalfGrid(2, 16, 4)
+    assert radial_derivative(HalfGrid(2, 16, 5), np.ones((16, 5))).shape == (16, 5)
 
 
 def test_boundary_square():
