@@ -64,7 +64,6 @@ from .neumann import (
     AnnulusGrid,
     DiscreteForm,
     NeumannProblem,
-    assemble,
     basic_estimate_report,
     family_continuity,
     hodge_split,

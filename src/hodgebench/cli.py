@@ -439,6 +439,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ArithmeticError as err:
         sys.stderr.write(f"error: {type(err).__name__}: {err}\n")
         return 1
+    except MemoryError as err:
+        # numpy raises a private subclass; name the public type
+        sys.stderr.write(f"error: MemoryError: {err}\n")
+        return 1
     _write(report, args)
     return code
 

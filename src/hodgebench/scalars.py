@@ -28,7 +28,6 @@ __all__ = [
     "parse_expr",
     "const",
     "var",
-    "IM",
 ]
 
 
@@ -309,12 +308,6 @@ class Chart:
     def n_complex(self) -> int:
         return len(self.complex_pairs)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownVariableError(name) from None
-
 
 # ---------------------------------------------------------------------------
 # scalar expressions
@@ -568,10 +561,6 @@ def const(chart: Chart, value) -> ScalarExpr:
 
 def var(chart: Chart, i: int) -> ScalarExpr:
     return ScalarExpr.variable(chart, i)
-
-
-def IM(chart: Chart) -> ScalarExpr:
-    return ScalarExpr.constant(chart, 1j)
 
 
 # ---------------------------------------------------------------------------

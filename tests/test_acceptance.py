@@ -49,7 +49,6 @@ from hodgebench.neumann import (
     AnnulusGrid,
     DiscreteForm,
     NeumannProblem,
-    assemble,
     basic_estimate_report,
     family_continuity,
     hodge_split,
@@ -375,7 +374,7 @@ def test_criterion_8_leibniz_batteries():
 
 
 def test_criterion_9_hodge_identities():
-    problem = assemble(AnnulusGrid(0.5, 64, 64))
+    problem = NeumannProblem(AnnulusGrid(0.5, 64, 64))
     rng = np.random.default_rng(np.random.SeedSequence([2026, 9]))
     worst_id = worst_npi = worst_orth = 0.0
     for i in range(50):
@@ -415,7 +414,7 @@ def test_criterion_9_hodge_identities():
 
 
 def test_criterion_10_dbar_primitive():
-    problem = assemble(AnnulusGrid(0.5, 32, 64))
+    problem = NeumannProblem(AnnulusGrid(0.5, 32, 64))
     f = problem.sample(1, np.conj)
     u = solve_dbar(problem, f)
     oracle = solve_dbar_lstsq(problem, f)
@@ -426,7 +425,7 @@ def test_criterion_10_dbar_primitive():
     errs = []
     sizes = (24, 48, 96)
     for n_r in sizes:
-        prob = assemble(AnnulusGrid(0.5, 16, n_r))
+        prob = NeumannProblem(AnnulusGrid(0.5, 16, n_r))
         ok &= prob.harmonic_dim(1) == 0
         ff = prob.sample(1, np.conj)
         uu = solve_dbar(prob, ff)
@@ -444,7 +443,7 @@ def test_criterion_10_dbar_primitive():
 def test_criterion_11_basic_estimate_and_family():
     reports = []
     for n_r in (48, 96):
-        prob = assemble(AnnulusGrid(0.5, 16, n_r))
+        prob = NeumannProblem(AnnulusGrid(0.5, 16, n_r))
         reports.append(basic_estimate_report(prob, trials=20, seed=3))
     ok = True
     for key in ("C_E_vs_Q", "C_D_vs_E"):
@@ -452,7 +451,7 @@ def test_criterion_11_basic_estimate_and_family():
         ok &= math.isfinite(a) and a > 0
         ok &= abs(a - b) / a <= 0.2
     grid = AnnulusGrid(0.5, 16, 48)
-    base = assemble(grid)
+    base = NeumannProblem(grid)
     for eps in (0.1, 0.01, 0.001):
         prob = NeumannProblem(grid, eps=eps, profile=lambda r: np.ones_like(r))
         rng = np.random.default_rng(4)
@@ -472,7 +471,7 @@ def test_criterion_11_basic_estimate_and_family():
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
         return out
 
-    fam = family_continuity(assemble(grid), bump, [1e-1, 1e-2, 1e-3])
+    fam = family_continuity(NeumannProblem(grid), bump, [1e-1, 1e-2, 1e-3])
     ok &= fam["harmonic_dims_deg1"] == [0, 0, 0]
     d = fam["norm_diffs"]
     ok &= d[0] > d[1] > d[2] > 0

@@ -280,6 +280,14 @@ def test_arithmetic_errors_exit_1_with_one_line(tmp_path, capsys):
     )
 
 
+def test_memory_errors_exit_1_with_one_line(capsys):
+    # the mode table alone asks for 728 TiB, beyond any address space, so
+    # the allocation fails at once
+    assert main(["hodge", "--n-theta", "100000000000000", "--n-r", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
+
+
 def gallery_spec_text(name):
     from hodgebench.gallery import GALLERY
 

@@ -8,10 +8,9 @@ from hodgebench.neumann import (
     AnnulusGrid,
     DiscreteForm,
     NeumannProblem,
-    _diff_matrix,
     anchor_energy,
-    assemble,
     basic_estimate_report,
+    d_seminorm,
     dbar_report,
     family_continuity,
     hodge_split,
@@ -23,9 +22,20 @@ from hodgebench.neumann import (
 RHO0 = 0.5
 
 
+def _diff_matrix(n, h):
+    """Dense d/drho: centred inside, one-sided of 2nd order at the ends."""
+    D = np.zeros((n, n))
+    for k in range(1, n - 1):
+        D[k, k - 1] = -0.5 / h
+        D[k, k + 1] = 0.5 / h
+    D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+    D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
+    return D
+
+
 @pytest.fixture(scope="module")
 def problem():
-    return assemble(AnnulusGrid(RHO0, 32, 48))
+    return NeumannProblem(AnnulusGrid(RHO0, 32, 48))
 
 
 def dense(problem, apply, degree):
@@ -195,7 +205,7 @@ def test_p_on_zbar_exact(problem):
 def test_p_on_holomorphic_second_order():
     errs = []
     for n_r in (32, 64):
-        prob = assemble(AnnulusGrid(RHO0, 16, n_r))
+        prob = NeumannProblem(AnnulusGrid(RHO0, 16, n_r))
         f = prob.sample(0, lambda z: z**3)
         pf = prob.apply_P(f)
         errs.append(np.max(np.abs(pf.values)))
@@ -209,7 +219,7 @@ def test_integration_by_parts_defect_second_order():
     # formal-adjoint formula P*_f = -(d/drho + m/rho)/2
     defects = []
     for n_r in (32, 64):
-        prob = assemble(AnnulusGrid(RHO0, 16, n_r))
+        prob = NeumannProblem(AnnulusGrid(RHO0, 16, n_r))
         rho = prob.grid.rho()
         n = 2  # function mode; pairs with form mode 3
         u = np.exp(rho) * (1 + 0.3 * rho**2)
@@ -269,7 +279,7 @@ def test_degree0_kernel_residual_is_second_order():
     # the sampled holomorphic function z^3 is annihilated to O(h^2)
     resids = []
     for n_r in (32, 64):
-        prob = assemble(AnnulusGrid(RHO0, 16, n_r))
+        prob = NeumannProblem(AnnulusGrid(RHO0, 16, n_r))
         h = prob.sample(0, lambda z: z**3)
         resids.append(prob.norm(prob.apply_P(h)) / prob.norm(h))
     order = math.log2(resids[0] / resids[1])
@@ -279,7 +289,7 @@ def test_degree0_kernel_residual_is_second_order():
 def test_smallest_eigenvalue_refinement_stable():
     vals = []
     for n_r in (32, 64):
-        prob = assemble(AnnulusGrid(RHO0, 16, n_r))
+        prob = NeumannProblem(AnnulusGrid(RHO0, 16, n_r))
         vals.append(prob.smallest_positive_eigenvalue(1))
     assert abs(vals[1] - vals[0]) / vals[0] < 0.1
 
@@ -418,7 +428,7 @@ def test_solve_dbar_convergence_to_smooth_solution():
     errs = []
     sizes = (24, 48, 96)
     for n_r in sizes:
-        prob = assemble(AnnulusGrid(RHO0, 16, n_r))
+        prob = NeumannProblem(AnnulusGrid(RHO0, 16, n_r))
         f = prob.sample(1, np.conj)
         u = solve_dbar(prob, f)
         ref = prob.sample(0, exact_minimal_solution)
@@ -438,12 +448,46 @@ def test_solve_dbar_convergence_to_smooth_solution():
 def test_basic_estimate_finite_and_stable():
     reports = []
     for n_r in (32, 64):
-        prob = assemble(AnnulusGrid(RHO0, 16, n_r))
+        prob = NeumannProblem(AnnulusGrid(RHO0, 16, n_r))
         reports.append(basic_estimate_report(prob, trials=15, seed=2))
     for key in ("C_E_vs_Q", "C_D_vs_E"):
         a, b = reports[0][key], reports[1][key]
         assert math.isfinite(a) and a > 0
         assert abs(a - b) / a <= 0.2
+
+
+def per_mode_estimate_norms(problem, phi, s):
+    """anchor_energy and d_seminorm as loops over the modes against the
+    dense d/drho matrix."""
+    grid = problem.grid
+    rho, D = grid.rho(), _diff_matrix(grid.n_r, grid.h)
+    energy = a2 = b2 = 0.0
+    for i, (m0, m1) in enumerate(zip(problem.modes0, problem.modes1)):
+        ext = np.zeros(grid.n_r, dtype=complex)
+        if phi.degree == 1:
+            ext[1:-1] = phi.values[i]
+        else:
+            ext[:] = phi.values[i]
+        d_ext = D @ ext
+        dv = problem.scale * 0.5 * (d_ext - m1 * ext / rho)
+        energy += 2.0 * math.pi * float(np.sum(np.abs(dv) ** 2 * problem.w))
+        # the extended field takes the degree-0 modes and weights
+        a2 += (1.0 + m0 * m0) ** (s + 1.0) * float(np.sum(np.abs(ext) ** 2 * problem.w))
+        b2 += (1.0 + m0 * m0) ** s * float(np.sum(np.abs(d_ext) ** 2 * problem.w))
+    return energy, math.sqrt(2.0 * math.pi * (a2 + b2))
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_estimate_norms_match_per_mode_loops(degree):
+    grid = AnnulusGrid(RHO0, 16, 40)
+    rng = np.random.default_rng(12)
+    deformed = NeumannProblem(grid, eps=0.3, profile=bump_on(RHO0))
+    for prob in (NeumannProblem(grid), deformed):
+        phi = prob.random_form(degree, rng)
+        for s in (-0.5, 0.0, 1.5):
+            energy, dnorm = per_mode_estimate_norms(prob, phi, s)
+            assert anchor_energy(prob, phi) == pytest.approx(energy, rel=1e-12)
+            assert d_seminorm(prob, phi, s) == pytest.approx(dnorm, rel=1e-12)
 
 
 def test_basic_estimate_one_mode_oracle():
@@ -462,7 +506,7 @@ def test_basic_estimate_one_mode_oracle():
     exact_ratio = e2 / q2
 
     def discrete_ratio(n_r):
-        prob = assemble(AnnulusGrid(RHO0, 16, n_r))
+        prob = NeumannProblem(AnnulusGrid(RHO0, 16, n_r))
         rho_int = prob.grid.rho()[1:-1]
         idx = int(np.where(prob.modes1 == m)[0][0])
         vals = np.zeros((len(prob.modes1), n_r - 2), dtype=complex)
@@ -481,7 +525,7 @@ def test_basic_estimate_one_mode_oracle():
 
 def test_family_pure_rescaling_matches_spectral_oracle():
     grid = AnnulusGrid(RHO0, 16, 40)
-    base = assemble(grid)
+    base = NeumannProblem(grid)
     for eps in (0.1, 0.01):
         prob = NeumannProblem(grid, eps=eps, profile=lambda r: np.ones_like(r))
         rng = np.random.default_rng(1)
@@ -493,9 +537,22 @@ def test_family_pure_rescaling_matches_spectral_oracle():
         assert err <= 1e-8 * prob.norm(DiscreteForm(1, expected))
 
 
+@pytest.mark.parametrize("size", [16, 64])
+def test_family_constant_profile_matches_closed_form(size):
+    # the constant profile rescales S_1 by (1+eps)^2 exactly, so
+    # N_eps - N_0 = ((1+eps)^-2 - 1) N_0, whose norm is attained at lambda_min
+    grid = AnnulusGrid(RHO0, size, size)
+    base = NeumannProblem(grid)
+    lam_min = base.smallest_positive_eigenvalue(1)
+    for eps in (0.1, 0.01, 1e-3, -0.3):
+        prob = NeumannProblem(grid, eps=eps, profile=lambda r: np.ones_like(r))
+        exact = abs(1.0 - (1.0 + eps) ** -2) / lam_min
+        assert operator_norm_diff(prob, base) == pytest.approx(exact, rel=1e-10)
+
+
 def test_family_bump_profile_linear_slope():
     grid = AnnulusGrid(RHO0, 16, 40)
-    report = family_continuity(assemble(grid), bump_on(RHO0), [1e-1, 1e-2, 1e-3])
+    report = family_continuity(NeumannProblem(grid), bump_on(RHO0), [1e-1, 1e-2, 1e-3])
     assert report["harmonic_dims_deg1"] == [0, 0, 0]
     diffs = report["norm_diffs"]
     assert diffs[0] > diffs[1] > diffs[2] > 0
@@ -504,21 +561,21 @@ def test_family_bump_profile_linear_slope():
 
 def test_family_zero_deformation_is_exact():
     grid = AnnulusGrid(RHO0, 16, 32)
-    base = assemble(grid)
-    same = assemble(grid)
+    base = NeumannProblem(grid)
+    same = NeumannProblem(grid)
     assert operator_norm_diff(base, same) <= 1e-13
 
 
 def test_family_rejects_ellipticity_loss():
     grid = AnnulusGrid(RHO0, 16, 32)
     with pytest.raises(ValueError):
-        family_continuity(assemble(grid), lambda r: np.ones_like(r), [1.5])
+        family_continuity(NeumannProblem(grid), lambda r: np.ones_like(r), [1.5])
 
 
 def test_elliptic_regularity_trend():
     consts = []
     for n_r in (32, 64):
-        prob = assemble(AnnulusGrid(RHO0, 16, n_r))
+        prob = NeumannProblem(AnnulusGrid(RHO0, 16, n_r))
         rho = prob.grid.rho()
         s = np.sqrt(prob.w_int)
         D = _diff_matrix(n_r, prob.grid.h)
