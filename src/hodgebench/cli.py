@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, help=f"one of {SOBOLEV_SUITES}")
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--trials", type=_positive_int, default=8)
-    p.add_argument("--quad-order", type=int, default=32)
+    p.add_argument("--quad-order", type=_positive_int, default=32)
     p.set_defaults(fn=cmd_sobolev)
 
     p = sub.add_parser("hodge", help="discrete dbar-Neumann verification suite")

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cache
-from itertools import product
-from typing import Callable, ClassVar, Dict, Iterable, NamedTuple, Sequence
+from itertools import accumulate, product
+from typing import Callable, ClassVar, Dict, Iterable, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "random_torus_field",
     "random_half_field",
     "ck_norm",
+    "ck_norms",
     "INEQUALITY_IDS",
 ]
 
@@ -292,14 +293,15 @@ def _lattice(coords: Sequence[int], dim: int = 3) -> np.ndarray:
     return np.array(list(product(coords, repeat=dim)), dtype=float)
 
 
-def _half_power(base: np.ndarray, two_expo: float) -> np.ndarray:
-    """base ** (two_expo / 2) with fast paths for half-integer exponents."""
+def _half_power(base: np.ndarray, root: np.ndarray, two_expo: float) -> np.ndarray:
+    """base ** (two_expo / 2) with fast paths for half-integer exponents;
+    root is np.sqrt(base), taken once for the exponents +-1."""
     if two_expo == 0.0:
         return np.ones_like(base)
     if two_expo == 1.0:
-        return np.sqrt(base)
+        return root
     if two_expo == -1.0:
-        return 1.0 / np.sqrt(base)
+        return 1.0 / root
     if two_expo == 2.0:
         return base
     if two_expo == -2.0:
@@ -307,6 +309,49 @@ def _half_power(base: np.ndarray, two_expo: float) -> np.ndarray:
     if two_expo == -4.0:
         return 1.0 / (base * base)
     return base ** (two_expo / 2.0)
+
+
+# part iii quadrature: nodes per gemv, and distinct quadratic forms per
+# column block, so that the (nodes, block) temporaries stay in cache
+_NODE_CHUNK = 64
+_FORM_BLOCK = 4096
+
+
+def _form_integrals(
+    forms: np.ndarray, ks: Iterable[float], quad_order: int
+) -> Dict[float, np.ndarray]:
+    """Gauss-Legendre values of int_0^1 int_0^1 (1 + |xi + t a + t' b|^2)^{(k-2)/2}
+    dt dt' per k, for each column (|xi|^2, |a|^2, |b|^2, xi.a, xi.b, a.b)
+    of forms: one gemv per chunk of nodes and block of columns."""
+    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    nodes = 0.5 * (nodes + 1.0)
+    weights = 0.5 * weights
+    ti, tj = np.meshgrid(nodes, nodes, indexing="ij")
+    wij = np.outer(weights, weights).ravel()
+    ti, tj = ti.ravel(), tj.ravel()
+    integrals = {k: np.zeros(forms.shape[1]) for k in ks}
+    if not integrals:
+        return integrals
+    need_root = any(abs(k - 2.0) == 1.0 for k in integrals)
+    for lo in range(0, forms.shape[1], _FORM_BLOCK):
+        block = slice(lo, lo + _FORM_BLOCK)
+        c_xx, c_aa, c_bb, c_xa, c_xb, c_ab = forms[:, None, block]
+        for node in range(0, ti.size, _NODE_CHUNK):
+            t1 = ti[node : node + _NODE_CHUNK, None]
+            t2 = tj[node : node + _NODE_CHUNK, None]
+            base = 1.0 + (
+                c_xx
+                + t1 * t1 * c_aa
+                + t2 * t2 * c_bb
+                + 2.0 * t1 * c_xa
+                + 2.0 * t2 * c_xb
+                + 2.0 * t1 * t2 * c_ab
+            )
+            root = np.sqrt(base) if need_root else None
+            w = wij[node : node + _NODE_CHUNK]
+            for k, integral in integrals.items():
+                integral[block] += w @ _half_power(base, root, k - 2.0)
+    return integrals
 
 
 def kernel_lemma_check(
@@ -322,7 +367,11 @@ def kernel_lemma_check(
     The inequalities are proven, so any violation beyond 1e-12 relative
     slack indicates an implementation bug.  Part iii uses the constant
     |k| * max(1, |k-1|) from the lemma's Hessian bound and Gauss-Legendre
-    quadrature for the double integral.
+    quadrature for the double integral.  The integral depends on a triple
+    (xi, eta1, eta2) only through the quadratic form |xi + t a + t' b|^2, so
+    it is taken once per distinct form (about half of the default lattice's
+    triples), in fixed blocks of forms; k = 0 needs no integral, since its
+    constant, and so its RHS, is 0.
     """
     V = _lattice(coords)
     worst = 0.0
@@ -362,40 +411,36 @@ def kernel_lemma_check(
         E2 = np.tile(eta2, (len(V) * len(eta1), 1))
         a = E1 - E2
         b = E2 - X
-        c_xx = np.sum(X * X, -1)
-        c_aa = np.sum(a * a, -1)
-        c_bb = np.sum(b * b, -1)
-        c_xa = np.sum(X * a, -1)
-        c_xb = np.sum(X * b, -1)
-        c_ab = np.sum(a * b, -1)
-        nodes, weights = np.polynomial.legendre.leggauss(quad_order)
-        nodes = 0.5 * (nodes + 1.0)
-        weights = 0.5 * weights
-        ti, tj = np.meshgrid(nodes, nodes, indexing="ij")
-        wij = np.outer(weights, weights).ravel()
-        ti, tj = ti.ravel(), tj.ravel()
-        g_x = 1.0 + c_xx
+        coeffs = np.stack(
+            [
+                np.sum(X * X, -1),
+                np.sum(a * a, -1),
+                np.sum(b * b, -1),
+                np.sum(X * a, -1),
+                np.sum(X * b, -1),
+                np.sum(a * b, -1),
+            ]
+        )
+        g_x = 1.0 + coeffs[0]
         g_e1 = 1.0 + np.sum(E1 * E1, -1)
         g_e2 = 1.0 + np.sum(E2 * E2, -1)
         g_s = 1.0 + np.sum((X + E1 - E2) ** 2, -1)
         dist = np.sqrt(np.sum((X - E2) ** 2, -1) * np.sum((E1 - E2) ** 2, -1))
+        del X, E1, E2, a, b  # the quadrature reads only the coefficients
+        # the integral depends on a triple only through its six coefficients,
+        # sums of products of lattice coordinates and so exact: integrate
+        # over the distinct columns (one 48-byte key each) and scatter back
+        _, first, which = np.unique(
+            np.ascontiguousarray(coeffs.T).view(np.dtype((np.void, 48))).ravel(),
+            return_index=True,
+            return_inverse=True,
+        )
         ks = list(ks)
-        integrals = {k: np.zeros(len(X)) for k in ks}
-        chunk = 64
-        for lo in range(0, ti.size, chunk):
-            t1 = ti[lo : lo + chunk, None]
-            t2 = tj[lo : lo + chunk, None]
-            base = 1.0 + (
-                c_xx[None, :]
-                + t1 * t1 * c_aa[None, :]
-                + t2 * t2 * c_bb[None, :]
-                + 2.0 * t1 * c_xa[None, :]
-                + 2.0 * t2 * c_xb[None, :]
-                + 2.0 * t1 * t2 * c_ab[None, :]
-            )
-            w = wij[lo : lo + chunk]
-            for k in ks:
-                integrals[k] += w @ _half_power(base, k - 2.0)
+        consts = {k: abs(k) * max(1.0, abs(k - 1.0)) for k in ks}
+        # k = 0 has const = 0, so rhs = 0 whatever its integral: none is taken
+        live = [k for k in ks if consts[k]]
+        integrals = _form_integrals(coeffs[:, first], live, quad_order)
+        integrals = {k: v[which] for k, v in integrals.items()}
         for k in ks:
             lhs = np.abs(
                 g_x ** (k / 2.0)
@@ -403,8 +448,7 @@ def kernel_lemma_check(
                 - g_e2 ** (k / 2.0)
                 - g_s ** (k / 2.0)
             )
-            const = abs(k) * max(1.0, abs(k - 1.0))
-            rhs = const * dist * integrals[k]
+            rhs = consts[k] * dist * integrals.get(k, 0.0)
             ok = rhs > 0
             excess = np.zeros_like(lhs)
             excess[ok] = (lhs[ok] - rhs[ok]) / rhs[ok]
@@ -518,25 +562,33 @@ def random_half_field(grid: HalfGrid, rng: np.random.Generator) -> np.ndarray:
 # C^k norms
 
 
-def ck_norm(grid, f: np.ndarray, order: int) -> float:
-    """max over |alpha| <= order of sup |d^alpha f| (spectral derivatives on
-    periodic axes, 4th-order differences on the radial axis).
+def ck_norms(grid, f: np.ndarray, order: int) -> List[float]:
+    """The C^0, ..., C^order norms of f: entry j is the max over |alpha| <= j
+    of sup |d^alpha f| (spectral derivatives on periodic axes, 4th-order
+    differences on the radial axis).
 
-    A depth-first walk of the multi-index tree: d^alpha f is one derivative
+    One depth-first walk of the multi-index tree: d^alpha f is one derivative
     of its parent, alpha with its last nonzero entry lowered by one, so the
-    derivatives of every alpha are taken in increasing axis order."""
+    derivatives of every alpha are taken in increasing axis order.  The walk
+    keeps the maximum at each depth; the norms are their running maxima."""
     if order < 0:
         raise ValueError("order must be >= 0")
     derivative = _operators(grid).derivative
+    level = [0.0] * (order + 1)
 
-    def walk(g, first_axis, left):
-        worst = float(np.max(np.abs(g)))
-        if left:
+    def walk(g, first_axis, depth):
+        level[depth] = max(level[depth], float(np.max(np.abs(g))))
+        if depth < order:
             for axis in range(first_axis, grid.dim):
-                worst = max(worst, walk(derivative(g, axis), axis, left - 1))
-        return worst
+                walk(derivative(g, axis), axis, depth + 1)
 
-    return walk(f, 0, order)
+    walk(f, 0, 0)
+    return list(accumulate(level, max))
+
+
+def ck_norm(grid, f: np.ndarray, order: int) -> float:
+    """max over |alpha| <= order of sup |d^alpha f|; see ck_norms."""
+    return ck_norms(grid, f, order)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +670,20 @@ def _rhs(a, part, form, s, k, nf, ng, np_):
     raise ValueError(part)
 
 
+def _coeff_order(a, part, cases) -> int:
+    """The highest C^k order at which the right-hand sides of cases read the
+    norms of f and g."""
+    reads = [0.0]
+
+    def probe(t_):
+        reads.append(t_)
+        return 1.0
+
+    for form, s, k in cases:
+        _rhs(a, part, form, s, k, probe, probe, lambda t_: 1.0)
+    return math.ceil(max(reads))
+
+
 def _battery_lhs(grid, part, s, k, f, g, phi):
     norm = _operators(grid).norm
     if part == "i":
@@ -651,11 +717,16 @@ def leibniz_battery(
         raise TypeError("full-space batteries need a TorusGrid")
     a = 1.0 + grid.dim / 2.0
     ops = _operators(grid)
-    if tangential:
-        coeff_norm = lambda h, t_: ck_norm(grid, h, math.ceil(t_))
-    else:
-        coeff_norm = lambda h, t_: ops.norm(grid, h, t_)
     cases = _battery_cases(part)
+    if tangential:
+        order = _coeff_order(a, part, cases)  # one C^k walk per field
+
+        def coeff_norm(h):
+            levels = ck_norms(grid, h, order)
+            return lambda t_: levels[math.ceil(t_)]
+
+    else:
+        coeff_norm = lambda h: cache(lambda t_: ops.norm(grid, h, t_))
     trial_ratios = []
     case_ratios: Dict[str, float] = {}
     ss = np.random.SeedSequence([seed, INEQUALITY_IDS.index(inequality)])
@@ -665,8 +736,8 @@ def leibniz_battery(
         f = ops.random_field(grid, rng)
         phi = ops.random_field(grid, rng)
         g = ops.random_field(grid, rng) if part == "iv" else None
-        nf = cache(lambda t_: coeff_norm(f, t_))
-        ng = cache(lambda t_: coeff_norm(g, t_))
+        nf = coeff_norm(f)
+        ng = coeff_norm(g) if part == "iv" else None
         np_ = cache(lambda t_: ops.norm(grid, phi, t_))
         best = 0.0
         for form, s, k in cases:

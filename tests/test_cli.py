@@ -205,6 +205,7 @@ def test_classify_poisson_locus_fraction(capsys):
         ["levi", "--spec", "poisson_c4", "--max-points", "0"],
         ["sobolev", "--suite", "A.ii", "--trials", "0"],
         ["hodge", "--trials", "-1"],
+        ["sobolev", "--suite", "kernel.iii", "--quad-order", "0"],
     ],
 )
 def test_nonpositive_counts_are_rejected(capsys, argv):
@@ -226,6 +227,8 @@ def test_nonpositive_counts_are_rejected(capsys, argv):
         ["sobolev", "--suite", "T.i", "--grid", "6"],
         ["sobolev", "--suite", "T.i", "--grid", "7"],
         ["sobolev", "--suite", "subestimate", "--grid", "6"],
+        ["sobolev", "--suite", "kernel.iii", "--quad-order", "0"],
+        ["sobolev", "--suite", "kernel.iii", "--quad-order", "-3"],
     ],
 )
 def test_rejected_command_lines_exit_1_with_one_line(capsys, argv):

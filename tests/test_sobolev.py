@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgebench.cli import dumps
 from hodgebench.sobolev import (
@@ -12,6 +13,7 @@ from hodgebench.sobolev import (
     TorusGrid,
     boundary_square,
     ck_norm,
+    ck_norms,
     commutator,
     d_norm,
     double_commutator,
@@ -167,6 +169,108 @@ def test_kernel_lemma_full_lattice():
     for part in ("i", "ii", "iii"):
         out = kernel_lemma_check(part)
         assert out["max_violation"] <= 1e-12, (part, out)
+
+
+def _kernel_iii_reference(ks, coords, quad_order, stride):
+    """Part iii of the kernel lemma as one quadrature over every triple of
+    the lattice, each (nodes, triples) chunk at full width."""
+
+    def half_power(base, two_expo):
+        if two_expo == 0.0:
+            return np.ones_like(base)
+        if two_expo == 1.0:
+            return np.sqrt(base)
+        if two_expo == -1.0:
+            return 1.0 / np.sqrt(base)
+        if two_expo == 2.0:
+            return base
+        if two_expo == -2.0:
+            return 1.0 / base
+        if two_expo == -4.0:
+            return 1.0 / (base * base)
+        return base ** (two_expo / 2.0)
+
+    V = np.array(list(product(coords, repeat=3)), dtype=float)
+    eta1 = V[::stride]
+    eta2 = V[::stride]
+    X = np.repeat(V, len(eta1) * len(eta2), axis=0)
+    E1 = np.tile(np.repeat(eta1, len(eta2), axis=0), (len(V), 1))
+    E2 = np.tile(eta2, (len(V) * len(eta1), 1))
+    a = E1 - E2
+    b = E2 - X
+    c_xx = np.sum(X * X, -1)
+    c_aa = np.sum(a * a, -1)
+    c_bb = np.sum(b * b, -1)
+    c_xa = np.sum(X * a, -1)
+    c_xb = np.sum(X * b, -1)
+    c_ab = np.sum(a * b, -1)
+    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    nodes = 0.5 * (nodes + 1.0)
+    weights = 0.5 * weights
+    ti, tj = np.meshgrid(nodes, nodes, indexing="ij")
+    wij = np.outer(weights, weights).ravel()
+    ti, tj = ti.ravel(), tj.ravel()
+    g_x = 1.0 + c_xx
+    g_e1 = 1.0 + np.sum(E1 * E1, -1)
+    g_e2 = 1.0 + np.sum(E2 * E2, -1)
+    g_s = 1.0 + np.sum((X + E1 - E2) ** 2, -1)
+    dist = np.sqrt(np.sum((X - E2) ** 2, -1) * np.sum((E1 - E2) ** 2, -1))
+    integrals = {k: np.zeros(len(X)) for k in ks}
+    for lo in range(0, ti.size, 64):
+        t1 = ti[lo : lo + 64, None]
+        t2 = tj[lo : lo + 64, None]
+        base = 1.0 + (
+            c_xx[None, :]
+            + t1 * t1 * c_aa[None, :]
+            + t2 * t2 * c_bb[None, :]
+            + 2.0 * t1 * c_xa[None, :]
+            + 2.0 * t2 * c_xb[None, :]
+            + 2.0 * t1 * t2 * c_ab[None, :]
+        )
+        w = wij[lo : lo + 64]
+        for k in ks:
+            integrals[k] += w @ half_power(base, k - 2.0)
+    worst = 0.0
+    count = 0
+    for k in ks:
+        lhs = np.abs(
+            g_x ** (k / 2.0) + g_e1 ** (k / 2.0) - g_e2 ** (k / 2.0) - g_s ** (k / 2.0)
+        )
+        rhs = abs(k) * max(1.0, abs(k - 1.0)) * dist * integrals[k]
+        ok = rhs > 0
+        excess = np.zeros_like(lhs)
+        excess[ok] = (lhs[ok] - rhs[ok]) / rhs[ok]
+        excess[~ok] = lhs[~ok]
+        worst = max(worst, float(np.max(excess)))
+        count += lhs.size
+    return {"max_violation": worst, "tuples": count}
+
+
+DEFAULT_KS = (-2.0, -0.5, 0.0, 1.0, 2.0, 3.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ks=st.lists(st.sampled_from(DEFAULT_KS), min_size=1, max_size=6, unique=True),
+    coords=st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True),
+    quad_order=st.integers(2, 12),
+    stride=st.integers(1, 5),
+)
+def test_kernel_iii_over_distinct_forms_matches_whole_lattice(
+    ks, coords, quad_order, stride
+):
+    out = kernel_lemma_check(
+        "iii", ks=ks, coords=coords, quad_order=quad_order, stride=stride
+    )
+    ref = _kernel_iii_reference(ks, coords, quad_order, stride)
+    assert out["tuples"] == ref["tuples"]
+    assert abs(out["max_violation"] - ref["max_violation"]) <= 1e-15
+
+
+def test_kernel_iii_at_k0_takes_no_integral():
+    # k = 0: the constant |k| max(1, |k - 1|) vanishes and so does the LHS
+    out = kernel_lemma_check("iii", ks=(0.0,))
+    assert out == {"max_violation": 0.0, "tuples": 125 * 25 * 25}
 
 
 def test_kernel_lemma_rejects_unknown_part():
@@ -356,6 +460,8 @@ def test_half_grid_ck_norm_matches_reference_bit_for_bit(grid):
     f = random_half_field(grid, np.random.default_rng(21))
     for order in range(5):
         assert ck_norm(grid, f, order) == _ck_norm_reference(grid, f, order)
+    levels = ck_norms(grid, f, 4)
+    assert levels == [_ck_norm_reference(grid, f, j) for j in range(5)]
 
 
 def test_half_grid_needs_five_radial_points():
