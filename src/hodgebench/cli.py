@@ -205,15 +205,12 @@ def cmd_levi(args) -> Tuple[Dict, int]:
     spec = load_spec(args.spec, args.seed)
     alg = spec.build_algebroid()
     bd = spec.build_boundary()
-    classes = None
     if args.point:
         points = [_parse_point(p) for p in args.point]
     else:
         candidates = spec.sample_points()
         classes = classify_points(alg, bd, candidates)
-        picked = [i for i, c in enumerate(classes) if not c.elliptic][: args.max_points]
-        points = [candidates[i] for i in picked]
-        classes = [classes[i] for i in picked]
+        points = [p for p, c in zip(candidates, classes) if not c.elliptic][: args.max_points]
         if not points:
             report = {
                 "command": "levi",
@@ -223,7 +220,7 @@ def cmd_levi(args) -> Tuple[Dict, int]:
             }
             return report, 0
     table = []
-    for p, rep in zip(points, levi_forms_generic(alg, bd, points, classes)):
+    for p, rep in zip(points, levi_forms_generic(alg, bd, points)):
         table.append(
             {
                 "point": [float(x) for x in p],
@@ -248,6 +245,8 @@ def cmd_convexity(args) -> Tuple[Dict, int]:
     if args.samples is not None:
         spec.samples = args.samples
     alg = spec.build_algebroid()
+    if args.require_q is not None and not 0 <= args.require_q <= alg.rank:
+        raise ValueError(f"--require-q must be in 0..{alg.rank} (the rank), got {args.require_q}")
     bd = spec.build_boundary()
     points = spec.sample_points()
     verdict = q_convex_set(alg, bd, points)
@@ -433,7 +432,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         report, code = args.fn(args)
-    except (UsageError, SpecError, ValueError, KeyError, RuntimeError) as err:
+        _write(report, args)
+    except (UsageError, SpecError, ValueError, KeyError, RuntimeError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
     except ArithmeticError as err:
@@ -443,7 +443,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # numpy raises a private subclass; name the public type
         sys.stderr.write(f"error: MemoryError: {err}\n")
         return 1
-    _write(report, args)
     return code
 
 

@@ -10,7 +10,9 @@ three routes that share the dr(nu)=1 normalization:
 * complex-hessian -- the Wirtinger Hessian of r restricted to the CR kernel;
 * poisson-blocks  -- the three block formulas of the holomorphic Poisson case.
 
-All symbolic work is exact; numbers appear only at point evaluation.
+Classification and the generic-route Levi forms over many points share one
+walk, one anchor evaluation and one SVD per point.  All symbolic work is
+exact; numbers appear only at point evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtri
 
-from .algebroids import AlgebroidSpec, ellipticity_margins, sigma_contract
+from .algebroids import AlgebroidSpec, sigma_contract
 from .calculus import VectorFieldExpr, lie_bracket
 from .scalars import PointBatch, ScalarExpr, const, eval_table
 
@@ -103,15 +105,6 @@ def _off_boundary(val) -> ValueError:
     return ValueError(f"point is not on the boundary (r = {complex(val)})")
 
 
-def _batches(points, dim: int) -> List[PointBatch]:
-    X = np.asarray(points, dtype=float)
-    if X.size == 0:
-        X = X.reshape(0, dim)
-    if X.ndim != 2 or X.shape[1] != dim:
-        raise ValueError("point dimension mismatch")
-    return [PointBatch(X[s : s + _BLOCK]) for s in range(0, len(X), _BLOCK)]
-
-
 @dataclass(frozen=True)
 class Classification:
     elliptic: bool
@@ -159,19 +152,26 @@ class ConvexityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# classification
+# classification, and the one walk over boundary samples
 
 
-def _intersection_bases(A: np.ndarray, rel_tol: float) -> List[np.ndarray]:
-    """Orthonormal bases of col(A_i) cap col(conj(A_i)) in C^m for an
-    (N, m, l) stack of anchor matrices.
+def _anchor_svd(A: np.ndarray, rel_tol: float):
+    """Ellipticity flags and orthonormal bases of col(A_i) cap col(conj(A_i))
+    in C^m for an (N, m, l) stack of anchor matrices.
 
-    The SVDs are taken over the stack (the second one per group of equal
-    null-space size); LAPACK sees the same matrices as it would one by one.
+    Both come from one stacked SVD of [A, -conj(A)]: it is [A, conj(A)]
+    times the unitary diag(1, -1), so its m-th relative singular value is
+    the margin of is_elliptic_at.  The bases take a second SVD per group of
+    equal null-space size; LAPACK sees the same matrices as it would one by
+    one.
     """
     n, m, l = A.shape
-    bases = [np.zeros((m, 0))] * n
     _, s, vh = np.linalg.svd(np.concatenate([A, -A.conj()], axis=2))
+    flags = np.zeros(n, dtype=bool)
+    if s.shape[1] >= m:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            flags = (s[:, m - 1] / s[:, 0] >= rel_tol) & (s[:, 0] != 0)
+    bases = [np.zeros((m, 0))] * n
     null = np.ones((n, vh.shape[1]), dtype=bool)
     null[:, : s.shape[1]] = s <= rel_tol * s[:, :1]
     groups: Dict[int, list] = {}
@@ -184,7 +184,73 @@ def _intersection_bases(A: np.ndarray, rel_tol: float) -> List[np.ndarray]:
         q, s2, _ = np.linalg.svd(np.stack([v for _, v in members]), full_matrices=False)
         for g, (i, _) in enumerate(members):
             bases[i] = q[g][:, s2[g] > rel_tol * max(s2[g, 0], 1e-300)]
-    return bases
+    return flags, bases
+
+
+def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None):
+    """Each point's Classification, in order; with ``levi``, each point's
+    LeviReport instead (generic route at non-elliptic points, no form at
+    elliptic ones).
+
+    Per block of points, r, the anchors and dr are evaluated once and the
+    stacked anchors take one SVD; the Levi route's expressions are evaluated
+    at the block's non-elliptic points only.  Each point is checked for its
+    boundary residual, then ellipticity, then |dr| degeneracy; the first
+    failing point's ValueError is raised after the points before it are
+    yielded.  Past an off-boundary point only r is evaluated.
+    """
+    X = np.asarray(points, dtype=float)
+    if X.size == 0:
+        X = X.reshape(0, alg.chart.dim)
+    if X.ndim != 2 or X.shape[1] != alg.chart.dim:
+        raise ValueError("point dimension mismatch")
+    route = None
+    for start in range(0, len(X), _BLOCK):
+        batch = PointBatch(X[start : start + _BLOCK])
+        r_vals = bd.r.eval_many(batch)
+        off = np.flatnonzero(~(np.abs(r_vals) <= bd.boundary_tol))
+        error = _off_boundary(r_vals[off[0]]) if off.size else None
+        classes: List[Classification] = []
+        if off.size:
+            batch = PointBatch(batch.points[: off[0]])
+        if len(batch):
+            A = alg.anchor_matrices(batch)
+            G = bd.grad_values(batch)
+            flags, bases = _anchor_svd(A, bd.rank_tol)
+            for i in range(len(batch)):
+                g_norm = np.linalg.norm(G[i])
+                if not flags[i] or g_norm <= bd.rank_tol:
+                    error = ValueError(_DEGENERATE if flags[i] else _NOT_ELLIPTIC)
+                    break
+                if bases[i].shape[1] == 0:
+                    classes.append(Classification(False, 0.0))
+                    continue
+                # max over unit v in the intersection of |dr(v)| / |dr|
+                pairing = bases[i].conj().T @ G[i].conj()
+                margin = float(np.linalg.norm(pairing) / g_norm)
+                classes.append(Classification(margin >= bd.rank_tol, margin))
+        idx = [i for i, c in enumerate(classes) if levi and not c.elliptic]
+        if idx:
+            route = route or _GenericRoute(alg, bd)
+            # the (N, l, m) layout the per-point Levi code has always seen
+            rows = A.transpose(0, 2, 1)[idx]
+            pairings = _dr_pairings(alg, G[idx], rows.transpose(0, 2, 1))
+            dA, P, dP = route.values(PointBatch(batch.points[idx]))
+        j = 0
+        for i, cls in enumerate(classes):
+            if not levi:
+                yield cls
+                continue
+            point = points[start + i]
+            if cls.elliptic:
+                yield LeviReport(tuple(point), cls, None, None, "none")
+                continue
+            frame = _with_rows(_frame_at(pairings[j], rows[j].T, bd.rank_tol), cr_rows)
+            B = route.evaluate(frame, rows[j], dA[j], P[j], dP[j])
+            yield _finish_report(point, cls, B, "generic", bd.eig_zero_tol)
+            j += 1
+        if error is not None:
+            raise error
 
 
 def classify_point(
@@ -202,49 +268,7 @@ def classify_points(
 
     Raises what classify_point raises at the first point that fails a check.
     """
-    classes, error = _classify(alg, bd, points)
-    if error is not None:
-        raise error
-    return classes
-
-
-def _classify(alg, bd, points):
-    """Classifications up to the first point failing a check, and its error.
-
-    Each point is checked for its boundary residual, then ellipticity, then
-    |dr| degeneracy.  Returns the classifications of the points before the
-    first failure and the ValueError for it (None if every point passes).
-    Past an off-boundary point only r is evaluated.
-    """
-    classes: List[Classification] = []
-    for batch in _batches(points, alg.chart.dim):
-        r_vals = bd.r.eval_many(batch)
-        off = np.flatnonzero(~(np.abs(r_vals) <= bd.boundary_tol))
-        if off.size:
-            batch = PointBatch(batch.points[: off[0]])
-        if len(batch):
-            A = alg.anchor_matrices(batch)
-            flags, _ = ellipticity_margins(A, bd.rank_tol)
-            G = bd.grad_values(batch)
-            bases = _intersection_bases(A, bd.rank_tol)
-            for i in range(len(batch)):
-                if not flags[i]:
-                    return classes, ValueError(_NOT_ELLIPTIC)
-                g = G[i]
-                g_norm = np.linalg.norm(g)
-                if g_norm <= bd.rank_tol:
-                    return classes, ValueError(_DEGENERATE)
-                basis = bases[i]
-                if basis.shape[1] == 0:
-                    classes.append(Classification(False, 0.0))
-                    continue
-                # max over unit v in the intersection of |dr(v)| / |dr|
-                pairing = basis.conj().T @ g.conj()
-                margin = float(np.linalg.norm(pairing) / g_norm)
-                classes.append(Classification(margin >= bd.rank_tol, margin))
-        if off.size:
-            return classes, _off_boundary(r_vals[off[0]])
-    return classes, None
+    return list(_walk(alg, bd, points))
 
 
 # ---------------------------------------------------------------------------
@@ -459,20 +483,6 @@ class _GenericRoute:
         return B
 
 
-def _route_cache(alg: AlgebroidSpec, bd: BoundaryData) -> _GenericRoute:
-    # cached on the boundary data; the held algebroid reference keeps id()
-    # keys valid for the cache's lifetime
-    cache = getattr(bd, "_generic_routes", None)
-    if cache is None:
-        cache = {}
-        bd._generic_routes = cache
-    entry = cache.get(id(alg))
-    if entry is None or entry[0] is not alg:
-        entry = (alg, _GenericRoute(alg, bd))
-        cache[id(alg)] = entry
-    return entry[1]
-
-
 def levi_form_generic(
     alg: AlgebroidSpec,
     bd: BoundaryData,
@@ -487,9 +497,11 @@ def levi_form_generic(
     CR basis (constant coefficients against the original frame) so different
     routes can share a basis.
     """
-    cls = classify_point(alg, bd, point)
     if not exact:
-        return _levi_reports(alg, bd, [point], [cls], cr_rows)[0]
+        rep = next(_walk(alg, bd, [point], levi=True, cr_rows=cr_rows))
+        _require_non_elliptic(rep.classification)
+        return rep
+    cls = classify_point(alg, bd, point)
     _require_non_elliptic(cls)
     frame = _with_rows(adapted_frame(alg, bd, point), cr_rows)
     fields, transverse = adapted_sections(alg, bd, frame)
@@ -498,24 +510,16 @@ def levi_form_generic(
 
 
 def levi_forms_generic(
-    alg: AlgebroidSpec,
-    bd: BoundaryData,
-    points,
-    classifications: Optional[Sequence[Classification]] = None,
+    alg: AlgebroidSpec, bd: BoundaryData, points
 ) -> List[LeviReport]:
-    """levi_form_generic (fast route) at each point, batched.
+    """levi_form_generic (fast route) at each point, from one walk.
 
-    ``classifications`` are classify_points' results at the same points;
-    passing them skips classifying again.  Raises what the per-point loop
-    raises at the first point that fails.
+    Raises what the per-point loop raises at the first point that fails.
     """
-    error = None
-    if classifications is None:
-        classifications, error = _classify(alg, bd, points)
-        points = points[: len(classifications)]
-    reports = _levi_reports(alg, bd, points, classifications)
-    if error is not None:
-        raise error
+    reports = []
+    for rep in _walk(alg, bd, points, levi=True):
+        _require_non_elliptic(rep.classification)
+        reports.append(rep)
     return reports
 
 
@@ -531,28 +535,6 @@ def _with_rows(frame: AdaptedFrame, cr_rows) -> AdaptedFrame:
     if cr_rows is None:
         return frame
     return AdaptedFrame(frame.pivot, np.asarray(cr_rows, dtype=complex), frame.transverse_scale)
-
-
-def _levi_reports(alg, bd, points, classes, cr_rows=None) -> List[LeviReport]:
-    """Generic-route reports at classified points, in order.
-
-    Expression values are evaluated per block of points; the frame, the
-    bracket matrix and its signature are then computed point by point.
-    """
-    route = _route_cache(alg, bd)
-    reports: List[LeviReport] = []
-    for batch in _batches(points, alg.chart.dim):
-        A = alg.anchor_matrices(batch)
-        pairings = _dr_pairings(alg, bd.grad_values(batch), A)
-        anchor_rows = A.transpose(0, 2, 1)
-        dA, P, dP = route.values(batch)
-        for i in range(len(batch)):
-            point, cls = points[len(reports)], classes[len(reports)]
-            _require_non_elliptic(cls)
-            frame = _with_rows(_frame_at(pairings[i], A[i], bd.rank_tol), cr_rows)
-            B = route.evaluate(frame, anchor_rows[i], dA[i], P[i], dP[i])
-            reports.append(_finish_report(point, cls, B, "generic", bd.eig_zero_tol))
-    return reports
 
 
 def _finish_report(point, cls, B, route, eig_zero_tol) -> LeviReport:
@@ -762,22 +744,7 @@ def q_convex_set(
     elliptic samples pass unconditionally.  The verdict is certified on the
     sample only.
     """
-    classes, error = _classify(alg, bd, samples)
-    non_elliptic = [i for i, c in enumerate(classes) if not c.elliptic]
-    levi = iter(
-        _levi_reports(
-            alg,
-            bd,
-            [samples[i] for i in non_elliptic],
-            [classes[i] for i in non_elliptic],
-        )
-    )
-    reports = [
-        LeviReport(tuple(p), c, None, None, "none") if c.elliptic else next(levi)
-        for p, c in zip(samples, classes)
-    ]
-    if error is not None:
-        raise error
+    reports = tuple(_walk(alg, bd, samples, levi=True))
     l = alg.rank
     q_set = set()
     witnesses: Dict[int, int] = {}
@@ -792,7 +759,7 @@ def q_convex_set(
                 break
         if ok:
             q_set.add(q)
-    return ConvexityVerdict(frozenset(q_set), l, tuple(reports), witnesses)
+    return ConvexityVerdict(frozenset(q_set), l, reports, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,8 @@ def parse_specfile(text: str) -> SpecFile:
 def _validate(spec: SpecFile):
     if spec.samples < 1:
         raise SpecError("[boundary] samples must be >= 1")
+    if spec.sampler in ("poisson_locus", "sphere_plus_locus") and spec.chart_dim < 4:
+        raise SpecError(f"sampler {spec.sampler!r} needs chart dim >= 4, got {spec.chart_dim}")
     chart = spec.chart()
     parse_expr(spec.r_text, chart)  # raises with position on bad input
     for key, text in spec.entries.items():

@@ -238,6 +238,39 @@ def test_rejected_command_lines_exit_1_with_one_line(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_unreadable_spec_and_unwritable_out_exit_1_with_one_line(tmp_path, capsys):
+    for argv in (
+        ["classify", "--spec", str(tmp_path)],  # a directory, not a spec file
+        ["dsq", "--spec", "tangent_sphere", "--out", str(tmp_path / "missing" / "r.json")],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q", ["3", "-1"])
+def test_require_q_outside_0_to_rank_is_rejected(capsys, q):
+    # ball_c2_dbar has rank 2, so the q-set can only hold degrees 0..2
+    assert main(["convexity", "--spec", "ball_c2_dbar", "--require-q", q]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --require-q must be in 0..2 (the rank), got {q}\n"
+
+
+@pytest.mark.parametrize("sampler", ["poisson_locus", "sphere_plus_locus"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_locus_samplers_need_dim_4(tmp_path, capsys, sampler, dim):
+    text = gallery_spec_text("tangent_sphere").replace("dim = 3", f"dim = {dim}")
+    text = text.replace("sampler = sphere", f"sampler = {sampler}")
+    path = tmp_path / "low.spec"
+    path.write_text(text)
+    assert main(["classify", "--spec", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sampler {sampler!r} needs chart dim >= 4, got {dim}\n"
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hodge", "--help"])

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgebench.algebroids import (
+    AlgebroidSpec,
+    ellipticity_margins,
+    is_elliptic_at,
     make_antiholomorphic,
     make_graph_bivector,
     make_graph_two_form,
@@ -12,7 +16,7 @@ from hodgebench.algebroids import (
 )
 from hodgebench.calculus import FormExpr, VectorFieldExpr
 from hodgebench import levi
-from hodgebench.gallery import gallery_spec
+from hodgebench.gallery import gallery_names, gallery_spec
 from hodgebench.levi import (
     AdaptedFrame,
     BoundaryData,
@@ -235,6 +239,74 @@ def test_batched_errors_are_those_of_the_first_bad_point(monkeypatch):
         with pytest.raises(ValueError) as err:
             levi_forms_generic(alg, bd, points)
         assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the one walk: one anchor evaluation and one stacked SVD per point
+
+
+def test_walk_ellipticity_flags_match_margins_on_gallery_samples():
+    for name in gallery_names():
+        spec = gallery_spec(name)
+        alg, bd = spec.build_algebroid(), spec.build_boundary()
+        points = spec.sample_points()
+        A = alg.anchor_matrices(points)
+        flags, _ = levi._anchor_svd(A, bd.rank_tol)
+        assert np.array_equal(flags, ellipticity_margins(A, bd.rank_tol)[0]), name
+        for i in (0, len(points) // 2, len(points) - 1):
+            assert flags[i] == is_elliptic_at(alg, points[i], bd.rank_tol)[0], name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_walk_ellipticity_flags_match_margins_on_drawn_anchor_stacks(data):
+    # Gaussian-integer entries of modulus <= 3*sqrt(2) (repeats are scaled by
+    # units) keep the m-th relative singular value of a full-rank 4 x 8
+    # [A, conj A] above 24^-4, as det(M M^H) is a positive integer, and put
+    # that of a rank-deficient one at rounding level: both decades from 1e-8
+    n = data.draw(st.integers(1, 4), label="points")
+    m = data.draw(st.integers(1, 4), label="m")
+    l = data.draw(st.integers(1, 4), label="l")  # 2l < m for l = 1, m >= 3
+    parts = st.lists(st.integers(-3, 3), min_size=n * m * l, max_size=n * m * l)
+    A = np.array(data.draw(parts), dtype=float) + 1j * np.array(data.draw(parts))
+    A = A.reshape(n, m, l)
+    for i in range(n):
+        for j in range(l):
+            edit = data.draw(st.sampled_from(["keep", "zero", "repeat"]))
+            if edit == "zero":
+                A[i, :, j] = 0
+            elif edit == "repeat":
+                A[i, :, j] = data.draw(st.sampled_from([1, -1, 1j])) * A[i, :, j - 1]
+    flags, bases = levi._anchor_svd(A, 1e-8)
+    assert np.array_equal(flags, ellipticity_margins(A, 1e-8)[0])
+    assert [b.shape[0] for b in bases] == [m] * n
+
+
+def test_walk_evaluates_anchors_once_and_takes_one_stacked_svd_per_point(monkeypatch):
+    spec = gallery_spec("annulus_c3_dbar")
+    alg, bd = spec.build_algebroid(), spec.build_boundary()
+    points = spec.sample_points()
+    stacked = (alg.chart.dim, 2 * alg.rank)  # [A, +-conj A] at a point
+    counts = {"anchor rows": 0, "stacked svds": 0}
+    anchor_matrices, svd = AlgebroidSpec.anchor_matrices, np.linalg.svd
+
+    def counted_anchor_matrices(self, batch):
+        counts["anchor rows"] += len(batch)
+        return anchor_matrices(self, batch)
+
+    def counted_svd(a, *args, **kwargs):
+        if np.shape(a)[-2:] == stacked:
+            counts["stacked svds"] += int(np.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebroidSpec, "anchor_matrices", counted_anchor_matrices)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    verdict = q_convex_set(alg, bd, points)
+    assert all(rep.signature is not None for rep in verdict.reports)
+    assert counts == {"anchor rows": len(points), "stacked svds": len(points)}
+    counts.update({"anchor rows": 0, "stacked svds": 0})
+    classify_points(alg, bd, points)
+    assert counts == {"anchor rows": len(points), "stacked svds": len(points)}
 
 
 # ---------------------------------------------------------------------------
