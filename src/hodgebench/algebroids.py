@@ -4,7 +4,11 @@ An AlgebroidSpec packages a frame's worth of anchor fields plus optional
 structure functions c^k_ij with [w_i, w_j] = sum_k c^k_ij w_k.  Constructors
 cover the tangent algebroid, the antiholomorphic bundle of a complex chart,
 Dirac graphs of two-forms and bivectors, and holomorphic Poisson structures.
-The Chevalley-Eilenberg differential and the d^2 residual probe are exact.
+The structure functions of the bivector graphs and holomorphic Poisson
+structures are the Koszul bracket of exact forms in closed form (Courant,
+Dirac manifolds, Trans. AMS 319, 1990); the frame expansion of the Courant
+bracket is their test oracle.  The Chevalley-Eilenberg differential and the
+d^2 residual probe are exact.
 """
 
 from __future__ import annotations
@@ -17,11 +21,10 @@ import numpy as np
 
 from .calculus import (
     FormExpr,
-    GeneralizedSection,
     VectorFieldExpr,
     coordinate_field,
-    courant_bracket,
     insertion_sign,
+    interior,
     normalized_coeffs,
     wedge_table,
     wirtinger,
@@ -41,8 +44,6 @@ __all__ = [
     "is_elliptic_at",
     "ellipticity_margins",
     "jacobiator",
-    "antiholomorphic_component",
-    "dz_form",
     "bivector_contract",
 ]
 
@@ -73,11 +74,10 @@ class AlgebroidSpec:
         """c^k_ij with the antisymmetry c^k_ij = -c^k_ji built in."""
         if self.structure is None:
             raise ValueError(f"algebroid {self.name!r} has no structure functions")
-        if i == j:
+        row = self.structure.get((i, j) if i < j else (j, i))
+        if i == j or row is None:
             return const(self.chart, 0)
-        if i < j:
-            return self.structure.get((i, j), _ZERO_ROW(self))[k]
-        return -self.structure.get((j, i), _ZERO_ROW(self))[k]
+        return row[k] if i < j else -row[k]
 
     def frame_bracket(self, i: int, j: int) -> "list[ScalarExpr]":
         return [self.structure_coeff(i, j, k) for k in range(self.rank)]
@@ -93,10 +93,6 @@ class AlgebroidSpec:
         memory layout the per-point numeric code has always seen.
         """
         return eval_table([a.components for a in self.anchors], points).transpose(0, 2, 1)
-
-
-def _ZERO_ROW(alg):
-    return [const(alg.chart, 0)] * alg.rank
 
 
 # ---------------------------------------------------------------------------
@@ -150,43 +146,31 @@ def make_graph_bivector(
 ) -> AlgebroidSpec:
     """The Dirac graph of a bivector, with complement TM.
 
-    Frame sections are w_i = dx^i + pi(dx^i); the structure functions are
-    the frame expansion of the Courant bracket, which along the complement
-    TM is read off the covector component.
+    Frame sections are w_i = dx^i + pi(dx^i).  The structure functions are
+    the Koszul bracket of exact forms in closed form, twisted by H:
+    c^k_ij = d_k pi^{ij} - H(pi(dx^i), pi(dx^j), d_k).  The frame expansion
+    of the Courant bracket along the complement TM is the test oracle.
     """
     for (i, j) in pi:
         if not 0 <= i < j < chart.dim:
             raise ValueError("bivector table must be indexed by i < j")
+    if H is not None and H.degree != 3:
+        raise ValueError("twisting form must have degree 3")
     m = chart.dim
-    dx = [
-        FormExpr.from_table(chart, 1, {(i,): const(chart, 1)}) for i in range(m)
-    ]
     unit = [
         [const(chart, 1) if i == j else const(chart, 0) for j in range(m)]
         for i in range(m)
     ]
     anchors = tuple(bivector_contract(chart, pi, unit[i]) for i in range(m))
-    sections = [GeneralizedSection(anchors[i], dx[i]) for i in range(m)]
     structure = {}
     for i, j in combinations(range(m), 2):
-        br = courant_bracket(sections[i], sections[j], H)
-        structure[(i, j)] = [br.covector.coeff((k,)) for k in range(m)]
+        row = [anchors[i].components[j].diff(k) for k in range(m)]
+        if H is not None and not H.is_zero:
+            twist = interior(anchors[j], interior(anchors[i], H))
+            row = [c - twist.coeff((k,)) for k, c in enumerate(row)]
+        structure[(i, j)] = row
     meta = {"kind": "graph_bivector", "pi": pi, "H": H}
     return AlgebroidSpec(chart, m, anchors, structure, name, meta=meta)
-
-
-def antiholomorphic_component(Y: VectorFieldExpr, k: int) -> ScalarExpr:
-    """dzbar^k(Y) for a chart with complex pairing (k is 1-based)."""
-    re_i, im_i = Y.chart.complex_pairs[k - 1]
-    return Y.components[re_i] - const(Y.chart, 1j) * Y.components[im_i]
-
-
-def dz_form(chart: Chart, k: int, anti: bool = False) -> FormExpr:
-    """dz^k (or dzbar^k) as a degree-1 FormExpr (k is 1-based)."""
-    re_i, im_i = chart.complex_pairs[k - 1]
-    one = const(chart, 1)
-    im = const(chart, -1j) if anti else const(chart, 1j)
-    return FormExpr.from_table(chart, 1, {(re_i,): one, (im_i,): im})
 
 
 def sigma_contract(chart: Chart, sigma: dict, alpha: Sequence[ScalarExpr]):
@@ -210,8 +194,11 @@ def make_holomorphic_poisson(
     """L = T^{0,1} + graph(sigma) for a holomorphic bivector sigma.
 
     Frame: u_i = d/dzbar^i for i <= n, then s_k = sigma(dz^k) + dz^k for
-    k <= n.  Structure functions come from untwisted Courant brackets of the
-    frame sections, expanded along the conjugate complement.
+    k <= n.  The only nonzero brackets are [s_i, s_j] = d sigma^{ij} =
+    sum_a (d sigma^{ij}/dz^a) s_a, the Koszul bracket of dz^i and dz^j in
+    closed form; the table holds one row per sigma entry, and missing pairs
+    read as zero.  The frame expansion of the untwisted Courant bracket
+    along the conjugate complement is the test oracle.
     """
     chart = Chart.complex_chart(n)
     for (i, j), c in sigma.items():
@@ -223,35 +210,21 @@ def make_holomorphic_poisson(
                 raise ValueError(
                     f"sigma entry ({i},{j}) is not holomorphic (dzbar^{k + 1} fails)"
                 )
-    zero1 = FormExpr.zero(chart, 1)
     unit_alpha = [
         [const(chart, 1) if i == k else const(chart, 0) for i in range(n)]
         for k in range(n)
     ]
-    sections = []
-    for i in range(n):
-        sections.append(
-            GeneralizedSection(wirtinger(chart, i + 1, anti=True), zero1)
-        )
-    for k in range(n):
-        sections.append(
-            GeneralizedSection(
-                sigma_contract(chart, sigma, unit_alpha[k]), dz_form(chart, k + 1)
-            )
-        )
-    anchors = tuple(s.vector for s in sections)
-    structure = {}
-    rank = 2 * n
-    for i, j in combinations(range(rank), 2):
-        br = courant_bracket(sections[i], sections[j])
-        row = []
-        for a in range(n):  # coefficients of u_a: the (0,1) vector part
-            row.append(antiholomorphic_component(br.vector, a + 1))
-        for a in range(n):  # coefficients of s_a: the dz^a part of the covector
-            row.append(br.covector.apply(wirtinger(chart, a + 1, anti=False)))
-        structure[(i, j)] = row
+    anchors = tuple(wirtinger(chart, i + 1, anti=True) for i in range(n)) + tuple(
+        sigma_contract(chart, sigma, unit_alpha[k]) for k in range(n)
+    )
+    zeros = [const(chart, 0)] * n
+    structure = {
+        (n + i - 1, n + j - 1): zeros
+        + [wirtinger(chart, a + 1, anti=False).apply(c) for a in range(n)]
+        for (i, j), c in sigma.items()
+    }
     meta = {"kind": "holomorphic_poisson", "sigma": sigma, "n": n}
-    return AlgebroidSpec(chart, rank, anchors, structure, name, meta=meta)
+    return AlgebroidSpec(chart, 2 * n, anchors, structure, name, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Names resolve through the CLI's --spec flag before file paths are tried.
 Specs are stored as spec-file text so the gallery also exercises the
-parser; construction is cached because the Poisson structure functions are
-moderately expensive to derive symbolically.
+parser; construction is cached, so a session parses and builds each entry
+once.
 """
 
 from __future__ import annotations

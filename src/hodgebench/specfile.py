@@ -20,7 +20,7 @@ from .algebroids import (
     make_holomorphic_poisson,
     make_tangent,
 )
-from .calculus import FormExpr
+from .calculus import FormExpr, VectorFieldExpr
 from .levi import BoundaryData, sphere_lattice
 from .scalars import Chart, parse_expr
 
@@ -95,38 +95,20 @@ class SpecFile:
         raise SpecError(f"unsupported algebroid kind {self.kind!r}")
 
     def _build_custom(self, chart: Chart) -> AlgebroidSpec:
-        from .calculus import VectorFieldExpr
-
-        anchor_keys = sorted(
-            (k for k in self.entries if k.startswith("anchor_")),
-            key=lambda k: int(k.split("_")[1]),
+        # _validate has checked the numbering and every component count
+        rank = sum(key.startswith("anchor_") for key in self.entries)
+        anchors = tuple(
+            VectorFieldExpr(chart, _parse_components(self.entries[f"anchor_{i}"], chart))
+            for i in range(1, rank + 1)
         )
-        if not anchor_keys:
-            raise SpecError("custom algebroids need anchor_<i> entries")
-        rank = len(anchor_keys)
-        anchors = []
-        for idx, key in enumerate(anchor_keys, start=1):
-            if key != f"anchor_{idx}":
-                raise SpecError("anchor entries must be numbered 1..rank")
-            comps = [c.strip() for c in self.entries[key].split(";")]
-            if len(comps) != chart.dim:
-                raise SpecError(
-                    f"{key} needs {chart.dim} ';'-separated components"
-                )
-            anchors.append(
-                VectorFieldExpr(chart, tuple(parse_expr(c, chart) for c in comps))
-            )
         structure = None
         struct_keys = [k for k in self.entries if k.startswith("structure_")]
         if struct_keys:
-            structure = {}
-            for key in struct_keys:
-                i, j = _pair(key)
-                comps = [c.strip() for c in self.entries[key].split(";")]
-                if len(comps) != rank:
-                    raise SpecError(f"{key} needs {rank} ';'-separated coefficients")
-                structure[(i - 1, j - 1)] = [parse_expr(c, chart) for c in comps]
-        return AlgebroidSpec(chart, rank, tuple(anchors), structure, name="custom")
+            structure = {
+                tuple(i - 1 for i in _pair(key)): _parse_components(self.entries[key], chart)
+                for key in struct_keys
+            }
+        return AlgebroidSpec(chart, rank, anchors, structure, name="custom")
 
     def build_boundary(self) -> BoundaryData:
         chart = self.chart()
@@ -165,6 +147,11 @@ def _locus_circle(dim: int, count: int) -> List[List[float]]:
         p[3] = math.sin(theta)
         pts.append(p)
     return pts
+
+
+def _parse_components(text: str, chart: Chart) -> tuple:
+    """The ';'-separated expressions of an anchor_ or structure_ entry."""
+    return tuple(parse_expr(c.strip(), chart) for c in text.split(";"))
 
 
 def _pair(key: str) -> Tuple[int, int]:
@@ -246,19 +233,26 @@ def _validate(spec: SpecFile):
         raise SpecError(f"sampler {spec.sampler!r} needs chart dim >= 4, got {spec.chart_dim}")
     chart = spec.chart()
     parse_expr(spec.r_text, chart)  # raises with position on bad input
+    anchor_keys = {key for key in spec.entries if key.startswith("anchor_")}
+    rank = len(anchor_keys)
+    if spec.kind == "custom":
+        if not rank:
+            raise SpecError("custom algebroids need anchor_<i> entries")
+        if anchor_keys != {f"anchor_{i}" for i in range(1, rank + 1)}:
+            raise SpecError("anchor entries must be numbered 1..rank")
     for key, text in spec.entries.items():
-        if key.startswith(("anchor_", "structure_")):
-            comps = text.split(";")
-            for comp in comps:
-                parse_expr(comp.strip(), chart)
-            if key.startswith("anchor_") and len(comps) != chart.dim:
-                raise SpecError(
-                    f"{key} needs {chart.dim} ';'-separated components"
-                )
+        if key.startswith("anchor_"):
+            if len(_parse_components(text, chart)) != chart.dim:
+                raise SpecError(f"{key} needs {chart.dim} ';'-separated components")
             continue
-        parse_expr(text, chart)
+        if key.startswith("structure_"):
+            if len(_parse_components(text, chart)) != rank:
+                raise SpecError(f"{key} needs {rank} ';'-separated coefficients")
+            upper = rank
+        else:
+            parse_expr(text, chart)
+            upper = chart.n_complex if spec.kind == "holomorphic_poisson" else spec.chart_dim
         i, j = _pair(key)
-        upper = chart.n_complex if spec.kind == "holomorphic_poisson" else spec.chart_dim
         if not 1 <= i < j <= upper:
             raise SpecError(f"table key {key!r} out of range (need 1 <= i < j <= {upper})")
     if spec.kind in ("antiholomorphic", "holomorphic_poisson"):
@@ -298,8 +292,8 @@ def format_specfile(spec: SpecFile) -> str:
     lines += [
         "",
         "[options]",
-        f"rank_tol = {spec.rank_tol:g}",
-        f"eig_zero_tol = {spec.eig_zero_tol:g}",
+        f"rank_tol = {spec.rank_tol!r}",
+        f"eig_zero_tol = {spec.eig_zero_tol!r}",
         f"seed = {spec.seed}",
         "",
     ]

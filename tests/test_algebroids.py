@@ -1,10 +1,13 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgebench.algebroids import (
     AlgebroidForm,
+    bivector_contract,
     ce_differential,
     d_squared_residual,
     is_elliptic_at,
@@ -14,8 +17,17 @@ from hodgebench.algebroids import (
     make_graph_two_form,
     make_holomorphic_poisson,
     make_tangent,
+    sigma_contract,
 )
-from hodgebench.calculus import FormExpr, coordinate_field, lie_bracket, wirtinger
+from hodgebench.calculus import (
+    FormExpr,
+    GeneralizedSection,
+    coordinate_field,
+    courant_bracket,
+    lie_bracket,
+    wirtinger,
+)
+from hodgebench.gallery import gallery_spec
 from hodgebench.scalars import Chart, const, parse_expr, var
 
 
@@ -192,10 +204,14 @@ def test_ce_differential_requires_structure():
 
 def test_anchored_bracket_compatibility():
     # rho([w_i,w_j]) = [rho(w_i), rho(w_j)] for the built-in Lie algebroids
+    so3 = Chart.real(3)
+    lie_poisson = {(0, 1): var(so3, 2), (0, 2): -var(so3, 1), (1, 2): var(so3, 0)}
     for alg in (
         make_tangent(Chart.real(3)),
         make_antiholomorphic(2),
         make_holomorphic_poisson(2, {(1, 2): parse_expr("z1", Chart.complex_chart(2))}),
+        gallery_spec("poisson_c4").build_algebroid(),
+        make_graph_bivector(so3, lie_poisson),
     ):
         for i in range(alg.rank):
             for j in range(i + 1, alg.rank):
@@ -222,3 +238,214 @@ def test_elliptic_margin_frame_change_invariance():
     alg2 = AlgebroidSpec(chart, 2, mixed, {})
     flag2, _ = is_elliptic_at(alg2, point)
     assert flag == flag2 == True  # noqa: E712
+
+
+# ---------------------------------------------------------------------------
+# closed-form structure functions against the Courant-bracket frame expansion
+
+
+def courant_structure_holomorphic_poisson(n, sigma):
+    """{(i, j): row} from untwisted Courant brackets of the frame sections
+    u_i = d/dzbar^i + 0 and s_k = sigma(dz^k) + dz^k, expanded along the
+    conjugate complement: the (0,1) vector part gives the u-coefficients,
+    the dz part of the covector the s-coefficients."""
+    chart = Chart.complex_chart(n)
+
+    def dz(k):
+        re_i, im_i = chart.complex_pairs[k - 1]
+        return FormExpr.from_table(
+            chart, 1, {(re_i,): const(chart, 1), (im_i,): const(chart, 1j)}
+        )
+
+    def dzbar_component(Y, k):
+        re_i, im_i = chart.complex_pairs[k - 1]
+        return Y.components[re_i] - const(chart, 1j) * Y.components[im_i]
+
+    unit_alpha = [
+        [const(chart, 1) if i == k else const(chart, 0) for i in range(n)]
+        for k in range(n)
+    ]
+    sections = [
+        GeneralizedSection(wirtinger(chart, i + 1, anti=True), FormExpr.zero(chart, 1))
+        for i in range(n)
+    ] + [
+        GeneralizedSection(sigma_contract(chart, sigma, unit_alpha[k]), dz(k + 1))
+        for k in range(n)
+    ]
+    structure = {}
+    for i, j in combinations(range(2 * n), 2):
+        br = courant_bracket(sections[i], sections[j])
+        structure[(i, j)] = [dzbar_component(br.vector, a + 1) for a in range(n)] + [
+            br.covector.apply(wirtinger(chart, a + 1, anti=False)) for a in range(n)
+        ]
+    return structure
+
+
+def courant_structure_graph_bivector(chart, pi, H=None):
+    """{(i, j): row} from Courant brackets (twisted by H) of the frame
+    sections w_i = pi(dx^i) + dx^i, read off the covector component."""
+    m = chart.dim
+    unit = [
+        [const(chart, 1) if i == j else const(chart, 0) for j in range(m)]
+        for i in range(m)
+    ]
+    sections = [
+        GeneralizedSection(
+            bivector_contract(chart, pi, unit[i]),
+            FormExpr.from_table(chart, 1, {(i,): const(chart, 1)}),
+        )
+        for i in range(m)
+    ]
+    structure = {}
+    for i, j in combinations(range(m), 2):
+        br = courant_bracket(sections[i], sections[j], H)
+        structure[(i, j)] = [br.covector.coeff((k,)) for k in range(m)]
+    return structure
+
+
+def assert_terms_equal(alg, oracle):
+    """Every c^k_ij equals the oracle's term for term: the same monomials in
+    the same dict order with equal coefficients, numerator and denominator."""
+    for (i, j), row in oracle.items():
+        for k, expected in enumerate(row):
+            got = alg.structure_coeff(i, j, k)
+            assert list(got.num.items()) == list(expected.num.items()), (i, j, k)
+            assert list(got.den.items()) == list(expected.den.items()), (i, j, k)
+
+
+@pytest.mark.parametrize("name", ["poisson_c4", "poisson_c6", "graph_bivector_demo"])
+def test_gallery_structure_equals_courant_expansion(name):
+    alg = gallery_spec(name).build_algebroid()
+    meta = alg.meta
+    if meta["kind"] == "holomorphic_poisson":
+        oracle = courant_structure_holomorphic_poisson(meta["n"], meta["sigma"])
+    else:
+        oracle = courant_structure_graph_bivector(alg.chart, meta["pi"], meta["H"])
+    assert len(oracle) == alg.rank * (alg.rank - 1) // 2
+    assert_terms_equal(alg, oracle)
+
+
+def _gaussian_rational(draw):
+    re = draw(st.integers(-4, 4))
+    im = draw(st.integers(-4, 4))
+    den = draw(st.integers(1, 5))
+    return f"({re} + {im}*i)/{den}"
+
+
+def _polynomial_text(draw, names, max_terms=3, max_exp=2):
+    terms = []
+    for _ in range(draw(st.integers(1, max_terms))):
+        factors = [_gaussian_rational(draw)]
+        for name in names:
+            e = draw(st.integers(0, max_exp))
+            if e:
+                factors.append(f"{name}^{e}")
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_holomorphic_poisson_structure_equals_courant_expansion(data):
+    # includes non-Poisson tables: no Jacobi condition is imposed on sigma
+    n = data.draw(st.integers(2, 4))
+    chart = Chart.complex_chart(n)
+    names = [f"z{k + 1}" for k in range(n)]
+    pairs = data.draw(
+        st.lists(
+            st.sampled_from(list(combinations(range(1, n + 1), 2))),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    sigma = {
+        pair: parse_expr(_polynomial_text(data.draw, names), chart) for pair in pairs
+    }
+    alg = make_holomorphic_poisson(n, sigma)
+    assert_terms_equal(alg, courant_structure_holomorphic_poisson(n, sigma))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), st.booleans())
+def test_graph_bivector_structure_equals_courant_expansion(data, twisted):
+    m = data.draw(st.integers(3, 4))
+    chart = Chart.real(m)
+    names = list(chart.names)
+    pairs = data.draw(
+        st.lists(
+            st.sampled_from(list(combinations(range(m), 2))),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    pi = {pair: parse_expr(_polynomial_text(data.draw, names), chart) for pair in pairs}
+    H = None
+    if twisted:
+        triples = data.draw(
+            st.lists(
+                st.sampled_from(list(combinations(range(m), 3))),
+                min_size=1,
+                max_size=4,
+                unique=True,
+            )
+        )
+        H = FormExpr.from_table(
+            chart,
+            3,
+            {t: parse_expr(_polynomial_text(data.draw, names), chart) for t in triples},
+        )
+    alg = make_graph_bivector(chart, pi, H)
+    assert_terms_equal(alg, courant_structure_graph_bivector(chart, pi, H))
+
+
+def _fixed_points(dim):
+    base = [0.3, -0.7, 0.5, 0.1, -0.2, 0.6, 0.9, -0.4, 0.25, -0.35]
+    return [[base[(k + s) % len(base)] for k in range(dim)] for s in range(3)]
+
+
+@pytest.mark.parametrize(
+    "n, table, bits",
+    [
+        (
+            3,
+            {(1, 2): "z1*z3 + z2^2/5 - i*z3^2", (1, 3): "z2/3 + z1*z2", (2, 3): "z2*z3 - i*z1^2"},
+            "0x1.3986fdfe15600p+1",
+        ),
+        (
+            3,
+            {(1, 2): "z2^2 + i*z3", (1, 3): "2*z1", (2, 3): "z1*z3"},
+            "0x1.efc660f05e7a1p+1",
+        ),
+        (
+            4,
+            {(1, 2): "z3", (3, 4): "z1*z2", (1, 4): "1/2 + z4"},
+            "0x1.7c9244a4fb68cp+0",
+        ),
+    ],
+)
+def test_non_poisson_residual_bits_pinned(n, table, bits):
+    # eval sums terms in dict order, so these bits can move if a structure
+    # function's term order does (the first table's do, by one ulp, when
+    # every row is reversed)
+    chart = Chart.complex_chart(n)
+    sigma = {pair: parse_expr(text, chart) for pair, text in table.items()}
+    alg = make_holomorphic_poisson(n, sigma)
+    assert d_squared_residual(alg, _fixed_points(2 * n)).hex() == bits
+
+
+def test_twisted_bivector_residual_bits_pinned():
+    chart = Chart.real(4)
+    pi = {
+        (0, 1): parse_expr("1", chart),
+        (2, 3): parse_expr("1 + x1^2/3", chart),
+        (1, 3): parse_expr("x3", chart),
+    }
+    H = FormExpr.from_table(
+        chart,
+        3,
+        {(0, 1, 2): parse_expr("x2 - x4/7", chart), (1, 2, 3): parse_expr("1/3", chart)},
+    )
+    alg = make_graph_bivector(chart, pi, H)
+    assert d_squared_residual(alg, _fixed_points(4)).hex() == "0x1.f12a547964d83p+0"

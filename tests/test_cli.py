@@ -271,6 +271,31 @@ def test_locus_samplers_need_dim_4(tmp_path, capsys, sampler, dim):
     assert captured.err == f"error: sampler {sampler!r} needs chart dim >= 4, got {dim}\n"
 
 
+@pytest.mark.parametrize("key", ["structure_2_1", "structure_1_5"])
+def test_custom_structure_keys_out_of_range_exit_1(tmp_path, capsys, key):
+    # a rank-2 custom spec: the key used to be dropped and d^2 computed without it
+    text = CUSTOM_RANK_2.replace("structure_1_2", key)
+    path = tmp_path / "custom.spec"
+    path.write_text(text)
+    assert main(["dsq", "--spec", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: table key {key!r} out of range (need 1 <= i < j <= 2)\n"
+    )
+
+
+def test_spec_hash_tells_tolerances_apart(tmp_path, capsys):
+    hashes = set()
+    for tol in ("1.2345678e-8", "1.2345679e-8"):
+        path = tmp_path / f"tol{tol}.spec"
+        path.write_text(CUSTOM_RANK_2 + f"\n[options]\nrank_tol = {tol}\n")
+        code, out = run_cli(capsys, "dsq", "--spec", str(path))
+        assert code == 0
+        hashes.add(json.loads(out)["meta"]["spec_hash"])
+    assert len(hashes) == 2
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hodge", "--help"])
@@ -328,3 +353,19 @@ def gallery_spec_text(name):
     from hodgebench.gallery import GALLERY
 
     return GALLERY[name]
+
+
+CUSTOM_RANK_2 = """
+[chart]
+dim = 2
+
+[boundary]
+r = "x1^2 + x2^2 - 1"
+samples = 8
+
+[algebroid]
+kind = custom
+anchor_1 = "1; 0"
+anchor_2 = "0; x1"
+structure_1_2 = "0; 1"
+"""

@@ -1,0 +1,101 @@
+"""Source hygiene of the package, checked with the standard-library ast.
+
+Every name a module lists in ``__all__`` is defined in it, and no module
+imports a name it never uses.  The package ``__init__`` is the exception to
+the second rule: its imports are the package namespace, so each of them
+must instead be public (in ``__all__``) in the module it comes from.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hodgebench"
+MODULES = sorted(p for p in PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _all_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    return None
+
+
+def _top_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(_bound(alias) for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(
+                    n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+                )
+    return names
+
+
+def _bound(alias):
+    return alias.asname or alias.name.split(".")[0]
+
+
+def _imports(tree):
+    """(bound name, line) of every import outside ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield _bound(alias), node.lineno
+
+
+def _used_names(tree):
+    """Names read anywhere, string annotations ("list[ScalarExpr]") included."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _used_names(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+def test_package_has_modules():
+    assert PACKAGE / "__init__.py" in MODULES and len(MODULES) > 5
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_are_defined(path):
+    tree = _tree(path)
+    names = _all_names(tree)
+    if names is None:
+        return
+    missing = sorted(set(names) - _top_level_names(tree))
+    assert not missing, f"{path.name}: __all__ names not defined: {missing}"
+    assert len(names) == len(set(names)), f"{path.name}: __all__ repeats a name"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = _used_names(tree) | set(_all_names(tree) or ())
+    unused = [(name, line) for name, line in _imports(tree) if name not in used]
+    assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def test_package_namespace_imports_public_names():
+    for node in _tree(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            public = _all_names(_tree(PACKAGE / f"{node.module}.py")) or []
+            private = [a.name for a in node.names if a.name not in public]
+            assert not private, f"__init__ imports non-public {node.module} names {private}"
