@@ -12,7 +12,10 @@ three routes that share the dr(nu)=1 normalization:
 
 Classification and the generic-route Levi forms over many points share one
 walk, one anchor evaluation and one SVD per point.  All symbolic work is
-exact; numbers appear only at point evaluation.
+exact; numbers appear only at point evaluation.  The boundary samplers take
+the normal quantile from a port of Cephes ndtri (Moshier, Cephes
+Mathematical Library, 1989), bit-equal to scipy.special.ndtri on the
+samplers' inputs, so the package imports numpy alone.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .algebroids import AlgebroidSpec, sigma_contract
 from .calculus import VectorFieldExpr, lie_bracket
@@ -817,8 +819,61 @@ def _kronecker_alpha(dim: int) -> np.ndarray:
     return np.array([(1.0 / phi) ** (i + 1) % 1.0 for i in range(dim)])
 
 
+# Cephes ndtri.c: the rational approximations of the normal quantile on
+# |y - 1/2| <= 1/2 - exp(-2) (P0/Q0) and on the tail 2 <= sqrt(-2 log y) < 8
+# (P1/Q1); Q0 and Q1 omit their leading coefficient 1
+_S2PI = 2.50662827463100050242e0
+_EXPM2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+
+
+def _polevl(x: np.ndarray, coef: Tuple[float, ...], monic: bool = False) -> np.ndarray:
+    """Horner's rule as Cephes polevl (monic=False) and p1evl (monic=True)."""
+    ans = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    # math.log is the C library's log, as in Cephes; numpy's vectorised log
+    # differs from it in the last bit on some inputs
+    return np.array(list(map(math.log, x.tolist())))
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of y0 in [1e-12, 1 - 1e-12], bit for bit
+    Cephes ndtri.  Cephes' third branch, sqrt(-2 log y) >= 8, needs
+    y < exp(-32) ~ 1.3e-14 and so cannot run on this range; it is left out."""
+    upper = y0 > 1.0 - _EXPM2
+    y = np.where(upper, 1.0 - y0, y0)
+    out = np.empty_like(y)
+    mid = y > _EXPM2
+    ym = y[mid] - 0.5
+    y2 = ym * ym
+    out[mid] = (ym + ym * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0, monic=True))) * _S2PI
+    tail = ~mid
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    z = 1.0 / x
+    x = (x - _libm_log(x) / x) - z * _polevl(z, _P1) / _polevl(z, _Q1, monic=True)
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
 def sphere_lattice(dim: int, count: int, radius: float = 1.0) -> np.ndarray:
-    """Deterministic Fibonacci-type lattice on the sphere |x| = radius in R^dim."""
+    """Deterministic Fibonacci-type lattice on the sphere |x| = radius in R^dim:
+    a Kronecker sequence in the unit cube, mapped to Gaussian coordinates by
+    the Cephes ndtri port and normalised."""
     if dim < 2:
         raise ValueError("sphere needs dim >= 2")
     if dim == 2:
@@ -829,6 +884,6 @@ def sphere_lattice(dim: int, count: int, radius: float = 1.0) -> np.ndarray:
     ks = np.arange(1, count + 1).reshape(-1, 1)
     u = (0.5 + ks * alpha.reshape(1, -1)) % 1.0
     u = np.clip(u, 1e-12, 1 - 1e-12)
-    z = ndtri(u)
+    z = _ndtri(u)
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return radius * z

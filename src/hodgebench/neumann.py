@@ -20,9 +20,13 @@ Per mode, P is a three-point stencil, so box_1 = P P*_w and box_0 = P*_w P
 are pentadiagonal.  Operators are stored as banded arrays stacked over all
 modes and applied as stencils to all modes at once; the Neumann operator is
 a banded Cholesky solve (see NeumannProblem).  Eigenvalues come from banded
-eigensolvers, on demand.  The deformation norm ||N_a - N_b|| is one Lanczos
-eigenvalue of the block-diagonal difference over all modes.  scipy.linalg
-and scipy.sparse.linalg are imported inside the functions that use them, to
+eigensolvers, on demand; the largest one, which sets the harmonic cut, is
+solved only on the modes whose Gershgorin bound could exceed it.  The
+deformation norm ||N_a - N_b|| is one Lanczos eigenvalue of the
+block-diagonal difference over all modes.  The independent oracle for
+solve_dbar is dense: the minimal-norm solution of P u = f per mode by a
+QR factorisation of P^T, batched over blocks of modes.  scipy.linalg and
+scipy.sparse.linalg are imported inside the functions that use them, to
 keep them out of the package import.
 """
 
@@ -157,9 +161,7 @@ class NeumannProblem:
 
             n = self.S1.shape[2]
             bands = [self.S1[:, i, :] for i in range(self.S1.shape[1])]
-            lam_max = max(
-                eigvals_banded(b, select="i", select_range=(n - 1, n - 1))[0] for b in bands
-            )
+            lam_max = _largest_eigenvalue(self.S1)
             cut = self.harmonic_tol * lam_max
             counts = np.zeros(len(bands), dtype=int)
             lowest = np.empty(len(bands))
@@ -211,7 +213,7 @@ class NeumannProblem:
 
     def dense_P(self) -> np.ndarray:
         """P of every mode as a dense (n_modes, n_r - 2, n_r) stack, built on
-        demand for the least-squares oracle and the degree-0 kernel."""
+        demand for the degree-0 kernel."""
         n_int = self.grid.n_r - 2
         out = np.zeros((len(self.modes0), n_int, self.grid.n_r))
         k = np.arange(n_int)
@@ -320,6 +322,37 @@ class NeumannProblem:
         return DiscreteForm(degree, vals)
 
 
+def _largest_eigenvalue(S1: np.ndarray) -> float:
+    """The largest eigenvalue over all modes of an upper-banded pentadiagonal
+    stack (band row, mode, node), as the maximum of the per-mode banded
+    solves, with most of them skipped.
+
+    Modes are solved in descending order of their Gershgorin bound (the
+    largest diagonal entry plus its row's absolute off-diagonal sum), up to
+    the first bound at or below the largest eigenvalue found so far: no
+    later mode can exceed it, so the maximum is the same to the bit.  The
+    bounds are widened by 1e-10 relative, far above the rounding of a
+    backward-stable eigensolver.
+    """
+    from scipy.linalg import eigvals_banded
+
+    a = np.abs(S1)
+    n = S1.shape[2]
+    # row j: S[j, j-1] and S[j, j-2] sit in column j of band rows 1 and 0,
+    # S[j, j+1] and S[j, j+2] in columns j + 1 and j + 2
+    rows = S1[2] + a[1] + a[0]
+    rows[:, :-1] += a[1, :, 1:]
+    rows[:, :-2] += a[0, :, 2:]
+    bound = rows.max(axis=1) * (1.0 + 1e-10)
+    lam_max = -np.inf
+    for i in np.argsort(-bound, kind="stable"):
+        if bound[i] <= lam_max:
+            break
+        lam = eigvals_banded(S1[:, i, :], select="i", select_range=(n - 1, n - 1))[0]
+        lam_max = max(lam_max, lam)
+    return lam_max
+
+
 # ---------------------------------------------------------------------------
 # solving dbar
 
@@ -337,14 +370,37 @@ def solve_dbar(problem: NeumannProblem, f: DiscreteForm) -> DiscreteForm:
     return problem.apply_P_star(problem.apply_N(f))
 
 
+# modes per batched QR in solve_dbar_lstsq: bounds the oracle's dense memory
+_QR_BLOCK = 8
+
+
 def solve_dbar_lstsq(problem: NeumannProblem, f: DiscreteForm) -> DiscreteForm:
-    """Independent oracle: per-mode dense minimal-norm least squares."""
+    """Independent oracle: the dense minimal-norm solution of P u = f per
+    mode, by QR (Golub & Van Loan, Matrix Computations, 5.6).
+
+    In the sqrt(w)-weighted frame B = P W^{-1/2} has full row rank; with
+    B^T = QR the minimal-norm solution of B y = f is y = Q z, R^T z = f, and
+    u = W^{-1/2} y.  Modes go in blocks of _QR_BLOCK, each block's B^T built
+    from the stencil diagonals; the real and imaginary parts of f are two
+    right-hand sides of the real factors.
+    """
+    from scipy.linalg import solve_triangular
+
     s0 = np.sqrt(problem.w)
-    out = np.zeros((len(problem.modes0), problem.grid.n_r), dtype=complex)
-    for i, P in enumerate(problem.dense_P()):
-        B = P / s0[None, :]
-        y, *_ = np.linalg.lstsq(B, f.values[i], rcond=None)
-        out[i] = y / s0
+    n_r = problem.grid.n_r
+    k = np.arange(n_r - 2)
+    out = np.empty((len(problem.modes0), n_r), dtype=complex)
+    for start in range(0, len(problem.modes0), _QR_BLOCK):
+        block = slice(start, start + _QR_BLOCK)
+        bt = np.zeros((len(problem.modes0[block]), n_r, n_r - 2))
+        bt[:, k, k] = problem.p_lo[block] / s0[:-2]
+        bt[:, k + 1, k] = problem.p_mid[block] / s0[1:-1]
+        bt[:, k + 2, k] = problem.p_up[block] / s0[2:]
+        q, r = np.linalg.qr(bt)
+        rhs = f.values[block]
+        z = solve_triangular(r, np.stack([rhs.real, rhs.imag], axis=-1), trans="T")
+        y = q @ z
+        out[block] = (y[..., 0] + 1j * y[..., 1]) / s0
     return DiscreteForm(0, out)
 
 

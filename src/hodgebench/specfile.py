@@ -37,6 +37,14 @@ ALGEBROID_KINDS = (
 
 SAMPLER_KINDS = ("sphere", "two_spheres", "poisson_locus", "sphere_plus_locus")
 
+# the [algebroid] table prefixes each kind reads; the other kinds take none
+KIND_PREFIXES: Dict[str, Tuple[str, ...]] = {
+    "holomorphic_poisson": ("sigma_",),
+    "graph_bivector": ("pi_",),
+    "graph_two_form": ("omega_",),
+    "custom": ("anchor_", "structure_"),
+}
+
 
 class SpecError(ValueError):
     pass
@@ -202,7 +210,7 @@ def parse_specfile(text: str) -> SpecFile:
     entries = {
         k: _unquote(v)
         for k, v in alg_sec.items()
-        if k.startswith(("sigma_", "pi_", "omega_", "anchor_", "structure_"))
+        if k.startswith(sum(KIND_PREFIXES.values(), ()))
     }
     opt = sections.get("options", {})
     spec = SpecFile(
@@ -233,6 +241,11 @@ def _validate(spec: SpecFile):
         raise SpecError(f"sampler {spec.sampler!r} needs chart dim >= 4, got {spec.chart_dim}")
     chart = spec.chart()
     parse_expr(spec.r_text, chart)  # raises with position on bad input
+    prefixes = KIND_PREFIXES.get(spec.kind, ())
+    for key in spec.entries:
+        if not key.startswith(prefixes):
+            takes = f"only {'/'.join(prefixes)} entries" if prefixes else "no table entries"
+            raise SpecError(f"kind {spec.kind!r} takes {takes}, got {key!r}")
     anchor_keys = {key for key in spec.entries if key.startswith("anchor_")}
     rank = len(anchor_keys)
     if spec.kind == "custom":

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from hodgebench.cli import dumps, load_spec, main
 from hodgebench.gallery import gallery_names, gallery_spec
 from hodgebench.specfile import SpecError, format_specfile, parse_specfile
+
+SPECS = Path(__file__).resolve().parent / "specs"
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +232,9 @@ def test_nonpositive_counts_are_rejected(capsys, argv):
         ["sobolev", "--suite", "subestimate", "--grid", "6"],
         ["sobolev", "--suite", "kernel.iii", "--quad-order", "0"],
         ["sobolev", "--suite", "kernel.iii", "--quad-order", "-3"],
+        # an [algebroid] table entry with another kind's prefix
+        ["dsq", "--spec", str(SPECS / "holomorphic_poisson_with_pi_entry.spec")],
+        ["dsq", "--spec", str(SPECS / "antiholomorphic_with_sigma_entry.spec")],
     ],
 )
 def test_rejected_command_lines_exit_1_with_one_line(capsys, argv):

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigvals_banded
 
 from hodgebench.neumann import (
     AnnulusGrid,
     DiscreteForm,
     NeumannProblem,
+    _largest_eigenvalue,
     anchor_energy,
     basic_estimate_report,
     d_seminorm,
@@ -611,3 +615,87 @@ def test_dbar_report_smoke():
     assert out["identity_residual"] <= 1e-8
     assert out["hodge_orthogonality"] <= 1e-8
     assert out["solve_dbar_vs_lstsq"] <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the dense solve_dbar oracle and the harmonic cut, against the per-mode
+# computations they replaced
+
+
+def lstsq_reference(problem, f):
+    """Per-mode dense minimal-norm least squares over the whole dense P stack."""
+    s0 = np.sqrt(problem.w)
+    out = np.zeros((len(problem.modes0), problem.grid.n_r), dtype=complex)
+    for i, P in enumerate(problem.dense_P()):
+        y, *_ = np.linalg.lstsq(P / s0[None, :], f.values[i], rcond=None)
+        out[i] = y / s0
+    return out
+
+
+# (n_theta, n_r): the ranges of test_banded_matches_dense_reference, and the
+# two grids of the labs workload
+GRIDS = st.one_of(
+    st.tuples(st.sampled_from([4, 6, 8, 10, 12, 14, 16]), st.integers(16, 40)),
+    st.sampled_from([(64, 64), (128, 128)]),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    rho0=st.floats(0.1, 0.9, exclude_max=True),
+    size=GRIDS,
+    eps=st.floats(-0.5, 0.5),
+    profile=st.sampled_from(sorted(PROFILES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qr_oracle_matches_per_mode_lstsq(rho0, size, eps, profile, seed):
+    prob = NeumannProblem(AnnulusGrid(rho0, *size), eps=eps, profile=PROFILES[profile](rho0))
+    f = prob.random_form(1, np.random.default_rng(seed))
+    got, want = solve_dbar_lstsq(prob, f).values, lstsq_reference(prob, f)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_qr_oracle_peak_memory_at_most_the_per_mode_reference():
+    prob = NeumannProblem(AnnulusGrid(RHO0, 128, 128))
+    f = prob.sample(1, np.conj)
+    peaks = []
+    for solve in (solve_dbar_lstsq, lstsq_reference):
+        tracemalloc.start()
+        solve(prob, f)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
+
+
+def per_mode_lambda_max(S1):
+    n = S1.shape[2]
+    return max(
+        eigvals_banded(S1[:, i, :], select="i", select_range=(n - 1, n - 1))[0]
+        for i in range(S1.shape[1])
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rho0=st.floats(0.1, 0.9, exclude_max=True),
+    size=GRIDS,
+    eps=st.floats(-0.5, 0.5),
+    profile=st.sampled_from(sorted(PROFILES)),
+)
+def test_gershgorin_largest_eigenvalue_is_the_per_mode_maximum(rho0, size, eps, profile):
+    S1 = NeumannProblem(AnnulusGrid(rho0, *size), eps=eps, profile=PROFILES[profile](rho0)).S1
+    assert _largest_eigenvalue(S1) == per_mode_lambda_max(S1)
+
+
+@pytest.mark.parametrize("size", [64, 128, 256])
+def test_gershgorin_skips_most_modes(monkeypatch, size):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigvals_banded(*args, **kwargs)
+
+    S1 = NeumannProblem(AnnulusGrid(RHO0, size, size)).S1
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", counting)
+    _largest_eigenvalue(S1)
+    assert 0 < len(calls) <= size // 8
