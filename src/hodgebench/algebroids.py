@@ -8,7 +8,9 @@ The structure functions of the bivector graphs and holomorphic Poisson
 structures are the Koszul bracket of exact forms in closed form (Courant,
 Dirac manifolds, Trans. AMS 319, 1990); the frame expansion of the Courant
 bracket is their test oracle.  The Chevalley-Eilenberg differential and the
-d^2 residual probe are exact.
+d^2 residual probe are exact; the differential reads only the stored
+structure rows, and AlgebroidForm shares FormExpr's coefficient table and
+sign rule: calculus.CoeffTable and calculus.insertion_sign.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .calculus import (
+    CoeffTable,
     FormExpr,
     VectorFieldExpr,
     coordinate_field,
     insertion_sign,
     interior,
     normalized_coeffs,
-    wedge_table,
     wirtinger,
 )
 from .scalars import Chart, ScalarExpr, const, eval_table
@@ -232,10 +234,12 @@ def make_holomorphic_poisson(
 
 
 @dataclass(frozen=True)
-class AlgebroidForm:
+class AlgebroidForm(CoeffTable):
     alg: AlgebroidSpec
     degree: int
     coeffs: tuple  # ((increasing frame-index tuple, ScalarExpr), ...)
+
+    _base, _base_name = "alg", "algebroid"
 
     def __post_init__(self):
         if not 0 <= self.degree <= self.alg.rank:
@@ -245,6 +249,10 @@ class AlgebroidForm:
             "coeffs",
             normalized_coeffs(self.coeffs, self.degree, self.alg.rank, "frame"),
         )
+
+    @property
+    def chart(self) -> Chart:
+        return self.alg.chart
 
     @staticmethod
     def zero(alg: AlgebroidSpec, degree: int) -> "AlgebroidForm":
@@ -258,40 +266,6 @@ class AlgebroidForm:
     def dual_frame(alg: AlgebroidSpec, i: int) -> "AlgebroidForm":
         return AlgebroidForm(alg, 1, (((i,), const(alg.chart, 1)),))
 
-    def table(self) -> Dict[tuple, ScalarExpr]:
-        return dict(self.coeffs)
-
-    def coeff(self, idx) -> ScalarExpr:
-        for stored, c in self.coeffs:
-            if stored == tuple(idx):
-                return c
-        return const(self.alg.chart, 0)
-
-    def __add__(self, other: "AlgebroidForm") -> "AlgebroidForm":
-        if other.alg is not self.alg and other.alg != self.alg:
-            raise ValueError("algebroid mismatch")
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return AlgebroidForm(self.alg, self.degree, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return self + other.scale(const(self.alg.chart, -1))
-
-    def scale(self, f) -> "AlgebroidForm":
-        return AlgebroidForm(
-            self.alg, self.degree, tuple((i, f * c) for i, c in self.coeffs)
-        )
-
-    def wedge(self, other: "AlgebroidForm") -> "AlgebroidForm":
-        table = wedge_table(self.alg.chart, self.coeffs, other.coeffs)
-        return AlgebroidForm(
-            self.alg, self.degree + other.degree, tuple(table.items())
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def max_abs_at(self, point) -> float:
         return max((abs(c.eval(point)) for _, c in self.coeffs), default=0.0)
 
@@ -301,6 +275,9 @@ def ce_differential(alg: AlgebroidSpec, phi: AlgebroidForm) -> AlgebroidForm:
 
     (d phi)(w_{k0},..,w_{kq}) = sum_a (-1)^a rho(w_{ka}).phi(..hat a..)
                               + sum_{a<b} (-1)^{a+b} phi([w_{ka},w_{kb}], ..)
+
+    K is increasing, so the pair (K[a], K[b]) is a key of the structure
+    table as stored; a pair without a row brackets to zero and is skipped.
     """
     if not alg.has_structure:
         raise ValueError("structure functions are required for ce_differential")
@@ -310,33 +287,34 @@ def ce_differential(alg: AlgebroidSpec, phi: AlgebroidForm) -> AlgebroidForm:
         raise ValueError("form does not belong to this algebroid")
     if phi.degree >= alg.rank:
         raise ValueError("degree overflow for this rank")
-    chart = alg.chart
     q = phi.degree
     table: Dict[tuple, ScalarExpr] = {}
     phi_table = phi.table()
-    zero = const(chart, 0)
+    zero = const(alg.chart, 0)
     for K in combinations(range(alg.rank), q + 1):
         acc = zero
         for a in range(q + 1):
-            rest = K[:a] + K[a + 1 :]
-            c = phi_table.get(rest)
+            c = phi_table.get(K[:a] + K[a + 1 :])
             if c is not None:
-                acc = acc + const(chart, (-1) ** a) * alg.anchors[K[a]].apply(c)
+                term = alg.anchors[K[a]].apply(c)
+                acc = acc - term if a % 2 else acc + term
         for a in range(q + 1):
             for b in range(a + 1, q + 1):
-                rest = tuple(x for t, x in enumerate(K) if t not in (a, b))
+                row = alg.structure.get((K[a], K[b]))
+                if row is None:
+                    continue
+                rest = K[:a] + K[a + 1 : b] + K[b + 1 :]
                 sign_ab = (-1) ** (a + b)
-                for k in range(alg.rank):
+                for k, sc in enumerate(row):
+                    if sc.is_zero:
+                        continue
                     ins, merged = insertion_sign(k, rest)
                     if ins == 0:
                         continue
                     c = phi_table.get(merged)
                     if c is None:
                         continue
-                    sc = alg.structure_coeff(K[a], K[b], k)
-                    if sc.is_zero:
-                        continue
-                    acc = acc + const(chart, sign_ab * ins) * sc * c
+                    acc = acc + sc * c if sign_ab * ins > 0 else acc - sc * c
         if not acc.is_zero:
             table[K] = acc
     return AlgebroidForm(alg, q + 1, tuple(table.items()))

@@ -4,11 +4,15 @@ Vector fields are coefficient tuples against the coordinate frame, forms are
 antisymmetric coefficient tables indexed by strictly increasing index tuples
 (degree capped at 3, which is all the Courant bracket with a twisting 3-form
 needs).  Everything is exact: coefficients are ScalarExpr values.
+
+One sign rule, insertion_sign (folded over a tuple by wedge_sign), signs the
+exterior derivative, the wedge and the alternating minors; one coefficient
+table, CoeffTable, serves FormExpr and algebroids.AlgebroidForm alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Dict, Optional, Tuple
 
@@ -43,6 +47,22 @@ def insertion_sign(j: int, idx: Tuple[int, ...]):
     while pos < len(idx) and idx[pos] < j:
         pos += 1
     return (-1) ** pos, idx[:pos] + (j,) + idx[pos:]
+
+
+def wedge_sign(idx, into=()):
+    """Sign and increasing tuple of e^idx[0] ^ ... ^ e^idx[-1] ^ e^into, for an
+    increasing tuple ``into``, or None on a repeated index.
+
+    The indices of idx are inserted from the right by insertion_sign, so the
+    sign of a permutation perm is wedge_sign(perm)[0].
+    """
+    sign = 1
+    for j in reversed(idx):
+        s, into = insertion_sign(j, into)
+        if into is None:
+            return None
+        sign *= s
+    return sign, into
 
 
 @dataclass(frozen=True)
@@ -162,8 +182,68 @@ def normalized_coeffs(coeffs, degree: int, bound: int, what: str) -> tuple:
     return tuple((idx, c) for idx, c in sorted(table.items()) if not c.is_zero)
 
 
+class CoeffTable:
+    """Arithmetic of an antisymmetric coefficient table, shared by FormExpr
+    and algebroids.AlgebroidForm: frozen dataclasses with ``degree``,
+    ``coeffs`` and a ``chart``, whose operands must share the field named by
+    ``_base``.  Results come from dataclasses.replace, so each subclass's
+    __post_init__ keeps its own degree bound."""
+
+    _base, _base_name = "chart", "chart"
+
+    def table(self) -> Dict[tuple, ScalarExpr]:
+        return dict(self.coeffs)
+
+    def coeff(self, idx) -> ScalarExpr:
+        idx = tuple(idx)
+        for stored, c in self.coeffs:
+            if stored == idx:
+                return c
+        return const(self.chart, 0)
+
+    def _same_base(self, other):
+        mine, theirs = getattr(self, self._base), getattr(other, self._base)
+        if theirs is not mine and theirs != mine:
+            raise ValueError(f"{self._base_name} mismatch")
+
+    def __add__(self, other):
+        self._same_base(other)
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch")
+        return replace(self, coeffs=self.coeffs + other.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return replace(self, coeffs=tuple((i, -c) for i, c in self.coeffs))
+
+    def scale(self, f):
+        return replace(self, coeffs=tuple((i, f * c) for i, c in self.coeffs))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def wedge(self, other):
+        """The wedge product; a degree past the subclass's bound raises."""
+        self._same_base(other)
+        table: Dict[tuple, ScalarExpr] = {}
+        for ia, ca in self.coeffs:
+            for ib, cb in other.coeffs:
+                merged = wedge_sign(ia, ib)
+                if merged is None:
+                    continue
+                sign, idx = merged
+                term = const(self.chart, sign) * ca * cb
+                table[idx] = table.get(idx, const(self.chart, 0)) + term
+        return replace(
+            self, degree=self.degree + other.degree, coeffs=tuple(table.items())
+        )
+
+
 @dataclass(frozen=True)
-class FormExpr:
+class FormExpr(CoeffTable):
     chart: Chart
     degree: int
     coeffs: tuple  # tuple of (increasing index tuple, ScalarExpr)
@@ -185,41 +265,8 @@ class FormExpr:
     def from_table(chart: Chart, degree: int, table) -> "FormExpr":
         return FormExpr(chart, degree, tuple(table.items()))
 
-    def table(self) -> Dict[tuple, ScalarExpr]:
-        return dict(self.coeffs)
-
-    def coeff(self, idx) -> ScalarExpr:
-        idx = tuple(idx)
-        for stored, c in self.coeffs:
-            if stored == idx:
-                return c
-        return const(self.chart, 0)
-
-    def __add__(self, other: "FormExpr") -> "FormExpr":
-        _same_chart(self, other)
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return FormExpr(self.chart, self.degree, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "FormExpr") -> "FormExpr":
-        return self + (-other)
-
-    def __neg__(self):
-        return FormExpr(
-            self.chart, self.degree, tuple((i, -c) for i, c in self.coeffs)
-        )
-
-    def scale(self, f) -> "FormExpr":
-        return FormExpr(self.chart, self.degree, tuple((i, f * c) for i, c in self.coeffs))
-
     def conj(self) -> "FormExpr":
-        return FormExpr(
-            self.chart, self.degree, tuple((i, c.conj()) for i, c in self.coeffs)
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return replace(self, coeffs=tuple((i, c.conj()) for i, c in self.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, FormExpr):
@@ -244,22 +291,12 @@ def _alternating_minor(fields, idx):
         return const(chart, 1)
     # determinant of the component minor, expanded over permutations (p <= 3)
     total = const(chart, 0)
-    for perm in permutations(range(len(idx))):
-        sign = _perm_sign(perm)
-        term = const(chart, sign)
-        for row, col in enumerate(perm):
-            term = term * fields[row].components[idx[col]]
+    for perm in permutations(idx):
+        term = const(chart, wedge_sign(perm)[0])
+        for row, j in enumerate(perm):
+            term = term * fields[row].components[j]
         total = total + term
     return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
 
 
 def exterior_derivative(eta: FormExpr) -> FormExpr:
@@ -304,34 +341,7 @@ def wedge(alpha: FormExpr, beta: FormExpr) -> FormExpr:
     _same_chart(alpha, beta)
     if alpha.degree + beta.degree > MAX_FORM_DEGREE:
         raise ValueError("degree overflow beyond 3")
-    table = wedge_table(alpha.chart, alpha.coeffs, beta.coeffs)
-    return FormExpr.from_table(alpha.chart, alpha.degree + beta.degree, table)
-
-
-def wedge_table(chart: Chart, a_coeffs, b_coeffs) -> Dict[tuple, ScalarExpr]:
-    """Coefficient table of the wedge of two antisymmetric tables."""
-    table: Dict[tuple, ScalarExpr] = {}
-    for ia, ca in a_coeffs:
-        for ib, cb in b_coeffs:
-            merged = _merge_sign(ia, ib)
-            if merged is None:
-                continue
-            sign, idx = merged
-            term = const(chart, sign) * ca * cb
-            table[idx] = table.get(idx, const(chart, 0)) + term
-    return table
-
-
-def _merge_sign(ia, ib):
-    combined = list(ia) + list(ib)
-    if len(set(combined)) != len(combined):
-        return None
-    sign = 1
-    for a in range(len(combined)):
-        for b in range(a + 1, len(combined)):
-            if combined[a] > combined[b]:
-                sign = -sign
-    return sign, tuple(sorted(combined))
+    return alpha.wedge(beta)
 
 
 @dataclass(frozen=True)

@@ -456,17 +456,24 @@ def tangential_mode_norm(problem: NeumannProblem, phi: DiscreteForm, s: float) -
     tangential frequencies."""
     modes = problem.modes1 if phi.degree == 1 else problem.modes0
     w = problem.w_int if phi.degree == 1 else problem.w
-    per_mode = np.sum(np.abs(phi.values) ** 2 * w, axis=1)
+    return _mode_norm(phi.values, modes, w, s)
+
+
+def _mode_norm(values, modes, w, s: float) -> float:
+    """The mode-weighted norm of per-mode rows of values."""
+    per_mode = np.sum(np.abs(values) ** 2 * w, axis=1)
     total = float(np.sum((1.0 + modes * modes) ** s * per_mode))
     return math.sqrt(2.0 * math.pi * total)
 
 
 def d_seminorm(problem: NeumannProblem, phi: DiscreteForm, s: float) -> float:
-    """||D phi||_{boundary,s}^2 = ||phi||_{d,s+1}^2 + ||d_rho phi||_{d,s}^2."""
-    ext = _on_all_nodes(problem, phi)
-    # the extended field takes the degree-0 weights
-    a = tangential_mode_norm(problem, DiscreteForm(0, ext), s + 1.0)
-    b = tangential_mode_norm(problem, DiscreteForm(0, _d_rho(ext, problem.grid.h)), s)
+    """||D phi||_{boundary,s}^2 = ||phi||_{d,s+1}^2 + ||d_rho phi||_{d,s}^2,
+    both over phi's own angular modes.  d_rho of a degree-1 field is taken
+    on its extension by zero boundary values, so it lives on every node."""
+    modes = problem.modes1 if phi.degree == 1 else problem.modes0
+    a = tangential_mode_norm(problem, phi, s + 1.0)
+    d_ext = _d_rho(_on_all_nodes(problem, phi), problem.grid.h)
+    b = _mode_norm(d_ext, modes, problem.w, s)
     return math.sqrt(a * a + b * b)
 
 

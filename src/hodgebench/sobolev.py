@@ -690,16 +690,17 @@ def _coeff_order(a, part, cases) -> int:
     return math.ceil(max(reads))
 
 
-def _battery_lhs(grid, part, s, k, f, g, phi):
-    norm = _operators(grid).norm
+def _battery_field(grid, part, k, f, g, phi):
+    """The field whose H^s norm is the left-hand side of a part-``part``
+    case; it depends on k but not on s."""
     if part == "i":
-        return norm(grid, f * phi, s)
+        return f * phi
     if part == "ii":
-        return norm(grid, commutator(grid, k, f, phi), s)
+        return commutator(grid, k, f, phi)
     if part == "iii":
-        return norm(grid, double_commutator(grid, k, f, phi), s)
+        return double_commutator(grid, k, f, phi)
     if part == "iv":
-        return norm(grid, nested_commutator(grid, k, f, g, phi), s)
+        return nested_commutator(grid, k, f, g, phi)
     raise ValueError(part)
 
 
@@ -745,9 +746,10 @@ def leibniz_battery(
         nf = coeff_norm(f)
         ng = coeff_norm(g) if part == "iv" else None
         np_ = cache(lambda t_: ops.norm(grid, phi, t_))
+        field = cache(lambda k_: _battery_field(grid, part, k_, f, g, phi))
         best = 0.0
         for form, s, k in cases:
-            lhs = _battery_lhs(grid, part, s, k, f, g, phi)
+            lhs = ops.norm(grid, field(k), s)
             rhs = _rhs(a, part, form, s, k, nf, ng, np_)
             ratio = lhs / rhs if rhs > 0 else math.inf
             key = f"{form}:s={s}:k={k}"

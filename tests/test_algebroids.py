@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hodgebench.algebroids import (
     AlgebroidForm,
+    AlgebroidSpec,
     bivector_contract,
     ce_differential,
     d_squared_residual,
@@ -24,10 +25,11 @@ from hodgebench.calculus import (
     GeneralizedSection,
     coordinate_field,
     courant_bracket,
+    insertion_sign,
     lie_bracket,
     wirtinger,
 )
-from hodgebench.gallery import gallery_spec
+from hodgebench.gallery import GALLERY, gallery_spec
 from hodgebench.scalars import Chart, const, parse_expr, var
 
 
@@ -449,3 +451,143 @@ def test_twisted_bivector_residual_bits_pinned():
     )
     alg = make_graph_bivector(chart, pi, H)
     assert d_squared_residual(alg, _fixed_points(4)).hex() == "0x1.f12a547964d83p+0"
+
+
+# ---------------------------------------------------------------------------
+# ce_differential over the stored structure rows against the full pair loop
+
+
+def ce_differential_oracle(alg, phi):
+    """The CE differential as a loop over every (K, a < b, k), reading each
+    c^k_ij through structure_coeff and multiplying each term by its sign."""
+    chart = alg.chart
+    q = phi.degree
+    table = {}
+    phi_table = phi.table()
+    zero = const(chart, 0)
+    for K in combinations(range(alg.rank), q + 1):
+        acc = zero
+        for a in range(q + 1):
+            rest = K[:a] + K[a + 1 :]
+            c = phi_table.get(rest)
+            if c is not None:
+                acc = acc + const(chart, (-1) ** a) * alg.anchors[K[a]].apply(c)
+        for a in range(q + 1):
+            for b in range(a + 1, q + 1):
+                rest = tuple(x for t, x in enumerate(K) if t not in (a, b))
+                sign_ab = (-1) ** (a + b)
+                for k in range(alg.rank):
+                    ins, merged = insertion_sign(k, rest)
+                    if ins == 0:
+                        continue
+                    c = phi_table.get(merged)
+                    if c is None:
+                        continue
+                    sc = alg.structure_coeff(K[a], K[b], k)
+                    if sc.is_zero:
+                        continue
+                    acc = acc + const(chart, sign_ab * ins) * sc * c
+        if not acc.is_zero:
+            table[K] = acc
+    return AlgebroidForm(alg, q + 1, tuple(table.items()))
+
+
+def assert_forms_term_equal(got, expected):
+    """The same index tuples in the same order, and every coefficient with the
+    same monomials in the same dict order, numerator and denominator."""
+    assert got.degree == expected.degree
+    assert [idx for idx, _ in got.coeffs] == [idx for idx, _ in expected.coeffs]
+    for (idx, g), (_, e) in zip(got.coeffs, expected.coeffs):
+        assert list(g.num.items()) == list(e.num.items()), idx
+        assert list(g.den.items()) == list(e.den.items()), idx
+
+
+def default_probes(alg):
+    """d_squared_residual's probes: the coordinate functions, and the dual
+    frame one-forms when the rank allows a degree-3 result."""
+    probes = [AlgebroidForm.from_function(alg, var(alg.chart, i)) for i in range(alg.chart.dim)]
+    if alg.rank >= 3:
+        probes += [AlgebroidForm.dual_frame(alg, i) for i in range(alg.rank)]
+    return probes
+
+
+def assert_ce_matches_oracle(alg, probes):
+    for phi in probes:
+        d_phi = ce_differential(alg, phi)
+        oracle = ce_differential_oracle(alg, phi)
+        assert_forms_term_equal(d_phi, oracle)
+        if d_phi.degree < alg.rank:
+            assert_forms_term_equal(
+                ce_differential(alg, d_phi), ce_differential_oracle(alg, oracle)
+            )
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_ce_differential_equals_pair_loop_on_gallery(name):
+    alg = gallery_spec(name).build_algebroid()
+    rng = random.Random(name)
+    # one mixed 2-form besides the probes, so rows meet several coefficients
+    pairs = list(combinations(range(alg.rank), 2))
+    mixed = AlgebroidForm(
+        alg,
+        2,
+        tuple(
+            (pair, var(alg.chart, rng.randrange(alg.chart.dim)) + const(alg.chart, k + 1))
+            for k, pair in enumerate(rng.sample(pairs, min(4, len(pairs))))
+        ),
+    )
+    probes = default_probes(alg) + ([mixed] if alg.rank > 2 else [])
+    assert_ce_matches_oracle(alg, probes)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_ce_differential_equals_pair_loop_on_drawn_sigma(data):
+    n = data.draw(st.integers(2, 3))
+    chart = Chart.complex_chart(n)
+    names = [f"z{k + 1}" for k in range(n)]
+    pairs = data.draw(
+        st.lists(
+            st.sampled_from(list(combinations(range(1, n + 1), 2))),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    sigma = {pair: parse_expr(_polynomial_text(data.draw, names), chart) for pair in pairs}
+    alg = make_holomorphic_poisson(n, sigma)
+    assert_ce_matches_oracle(alg, default_probes(alg))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data(), st.booleans())
+def test_ce_differential_equals_pair_loop_on_drawn_pi(data, twisted):
+    m = data.draw(st.integers(3, 4))
+    chart = Chart.real(m)
+    names = list(chart.names)
+    pairs = data.draw(
+        st.lists(
+            st.sampled_from(list(combinations(range(m), 2))),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    pi = {pair: parse_expr(_polynomial_text(data.draw, names), chart) for pair in pairs}
+    H = None
+    if twisted:
+        H = FormExpr.from_table(
+            chart, 3, {(0, 1, 2): parse_expr(_polynomial_text(data.draw, names), chart)}
+        )
+    alg = make_graph_bivector(chart, pi, H)
+    assert_ce_matches_oracle(alg, default_probes(alg))
+
+
+def test_d_squared_residual_never_reads_structure_coeff(monkeypatch):
+    alg = gallery_spec("poisson_c6").build_algebroid()
+
+    def refuse(self, i, j, k):
+        raise AssertionError("ce_differential read c^k_ij through structure_coeff")
+
+    monkeypatch.setattr(AlgebroidSpec, "structure_coeff", refuse)
+    assert d_squared_residual(alg, sphere_points(alg.chart.dim, 2)) == 0.0

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -13,6 +14,7 @@ from hodgebench.calculus import (
     lie_bracket,
     lie_derivative,
     wedge,
+    wedge_sign,
     wirtinger,
 )
 from hodgebench.scalars import Chart, const, parse_expr, var
@@ -236,3 +238,34 @@ def test_graph_of_two_form_identity():
     rng = random.Random(31)
     for _ in range(5):
         assert graph_identity_residual(chart, rng).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the one sign rule
+
+
+def inversion_sign(seq):
+    """(-1)^(number of inversions), counted pair by pair."""
+    inversions = sum(
+        1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b]
+    )
+    return (-1) ** inversions
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_wedge_sign_is_the_inversion_parity(n):
+    for perm in permutations(range(n)):
+        assert wedge_sign(perm) == (inversion_sign(perm), tuple(range(n)))
+    # e^ia ^ e^ib for every split of 0..n-1 into two increasing tuples
+    for k in range(n + 1):
+        for ia in combinations(range(n), k):
+            ib = tuple(j for j in range(n) if j not in ia)
+            assert wedge_sign(ia, ib) == (inversion_sign(ia + ib), tuple(range(n)))
+
+
+def test_wedge_sign_rejects_a_repeated_index():
+    assert wedge_sign((1, 1)) is None
+    assert wedge_sign((3, 0, 3)) is None
+    assert wedge_sign((2,), (0, 2, 4)) is None
+    assert wedge_sign((0, 4), (1, 4)) is None
+    assert wedge_sign((), (1, 3)) == (1, (1, 3))

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigvals_banded
 
+from hodgebench import neumann
 from hodgebench.neumann import (
     AnnulusGrid,
     DiscreteForm,
@@ -21,6 +22,7 @@ from hodgebench.neumann import (
     operator_norm_diff,
     solve_dbar,
     solve_dbar_lstsq,
+    tangential_mode_norm,
 )
 
 RHO0 = 0.5
@@ -475,9 +477,10 @@ def per_mode_estimate_norms(problem, phi, s):
         d_ext = D @ ext
         dv = problem.scale * 0.5 * (d_ext - m1 * ext / rho)
         energy += 2.0 * math.pi * float(np.sum(np.abs(dv) ** 2 * problem.w))
-        # the extended field takes the degree-0 modes and weights
-        a2 += (1.0 + m0 * m0) ** (s + 1.0) * float(np.sum(np.abs(ext) ** 2 * problem.w))
-        b2 += (1.0 + m0 * m0) ** s * float(np.sum(np.abs(d_ext) ** 2 * problem.w))
+        # the extended field keeps the field's own modes, with the all-node weights
+        m = m1 if phi.degree == 1 else m0
+        a2 += (1.0 + m * m) ** (s + 1.0) * float(np.sum(np.abs(ext) ** 2 * problem.w))
+        b2 += (1.0 + m * m) ** s * float(np.sum(np.abs(d_ext) ** 2 * problem.w))
     return energy, math.sqrt(2.0 * math.pi * (a2 + b2))
 
 
@@ -492,6 +495,19 @@ def test_estimate_norms_match_per_mode_loops(degree):
             energy, dnorm = per_mode_estimate_norms(prob, phi, s)
             assert anchor_energy(prob, phi) == pytest.approx(energy, rel=1e-12)
             assert d_seminorm(prob, phi, s) == pytest.approx(dnorm, rel=1e-12)
+
+
+def test_d_seminorm_weights_a_degree1_field_by_its_own_modes(monkeypatch):
+    # with d/drho switched off, d_seminorm is its ||phi||_{boundary,s+1} part
+    # alone; for a degree-1 field that part weights mode i by modes1[i], as
+    # tangential_mode_norm does (at s = -1/2 the degree-0 modes gave 16.906
+    # against 16.882)
+    prob = NeumannProblem(AnnulusGrid(RHO0, 16, 32))
+    phi = prob.random_form(1, np.random.default_rng(0))
+    monkeypatch.setattr(neumann, "_d_rho", lambda u, h: np.zeros_like(u))
+    for s in (-0.5, 0.0, 1.5):
+        expected = tangential_mode_norm(prob, phi, s + 1.0)
+        assert d_seminorm(prob, phi, s) == pytest.approx(expected, rel=1e-12)
 
 
 def test_basic_estimate_one_mode_oracle():
