@@ -14,7 +14,9 @@ stderr.  Reports are deterministic given the spec and seed; floats carry
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import math
 import sys
 from pathlib import Path
@@ -119,7 +121,10 @@ def _csv_rows(report: Dict) -> List[List[str]]:
 
 def _write(report: Dict, args) -> None:
     if args.format == "csv":
-        text = "\n".join(",".join(row) for row in _csv_rows(report)) + "\n"
+        # cells are JSON texts, quoted where they hold commas or quotes
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(_csv_rows(report))
+        text = buf.getvalue()
     else:
         text = dumps(report) + "\n"
     if args.out:

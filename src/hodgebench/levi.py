@@ -11,7 +11,9 @@ three routes that share the dr(nu)=1 normalization:
 * poisson-blocks  -- the three block formulas of the holomorphic Poisson case.
 
 Classification and the generic-route Levi forms over many points share one
-walk, one anchor evaluation and one SVD per point.  All symbolic work is
+walk, one anchor evaluation and one SVD per point; the Levi tail, from
+adapted frame to signature, is stacked over a block's non-elliptic points
+and serves the one-point functions as a stack of one.  All symbolic work is
 exact; numbers appear only at point evaluation.  The boundary samplers take
 the normal quantile from a port of Cephes ndtri (Moshier, Cephes
 Mathematical Library, 1989), bit-equal to scipy.special.ndtri on the
@@ -21,7 +23,7 @@ samplers' inputs, so the package imports numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -195,10 +197,10 @@ def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None
     elliptic ones).
 
     Per block of points, r, the anchors and dr are evaluated once and the
-    stacked anchors take one SVD; the Levi route's expressions are evaluated
-    at the block's non-elliptic points only.  Each point is checked for its
-    boundary residual, then ellipticity, then |dr| degeneracy; the first
-    failing point's ValueError is raised after the points before it are
+    stacked anchors take one SVD; the Levi forms are computed as one stack
+    over the block's non-elliptic points.  Each point is checked for its
+    boundary residual, ellipticity, |dr| degeneracy, then its Levi form; the
+    first failing point's error is raised after the points before it are
     yielded.  Past an off-boundary point only r is evaluated.
     """
     X = np.asarray(points, dtype=float)
@@ -234,23 +236,22 @@ def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None
         idx = [i for i, c in enumerate(classes) if levi and not c.elliptic]
         if idx:
             route = route or _GenericRoute(alg, bd)
-            # the (N, l, m) layout the per-point Levi code has always seen
-            rows = A.transpose(0, 2, 1)[idx]
-            pairings = _dr_pairings(alg, G[idx], rows.transpose(0, 2, 1))
             dA, P, dP = route.values(PointBatch(batch.points[idx]))
+            B, form_error = route.forms(A.transpose(0, 2, 1)[idx], dA, P, dP, cr_rows)
+            at, cls_at = [tuple(points[start + i]) for i in idx], [classes[i] for i in idx]
+            reports, finish_error = _finish(at, cls_at, B, bd.eig_zero_tol)
+            levi_error = finish_error or form_error
         j = 0
         for i, cls in enumerate(classes):
             if not levi:
                 yield cls
-                continue
-            point = points[start + i]
-            if cls.elliptic:
-                yield LeviReport(tuple(point), cls, None, None, "none")
-                continue
-            frame = _with_rows(_frame_at(pairings[j], rows[j].T, bd.rank_tol), cr_rows)
-            B = route.evaluate(frame, rows[j], dA[j], P[j], dP[j])
-            yield _finish_report(point, cls, B, "generic", bd.eig_zero_tol)
-            j += 1
+            elif cls.elliptic:
+                yield LeviReport(tuple(points[start + i]), cls, None, None, "none")
+            elif j < len(reports):
+                yield reports[j]
+                j += 1
+            else:
+                raise levi_error
         if error is not None:
             raise error
 
@@ -280,48 +281,38 @@ def classify_points(
 def adapted_frame(alg: AlgebroidSpec, bd: BoundaryData, point) -> AdaptedFrame:
     bd.check_on_boundary(point)
     batch = PointBatch([point])
-    A = alg.anchor_matrices(batch)
-    pairings = _dr_pairings(alg, bd.grad_values(batch), A)
-    return _frame_at(pairings[0], A[0], bd.rank_tol)
+    P = eval_table([dr_pairing_expr(alg, bd, j) for j in range(alg.rank)], batch)
+    A = alg.anchor_matrices(batch).transpose(0, 2, 1)
+    pivots, rows, _, error = _adapted_frames(P, A, bd.rank_tol)
+    if error:
+        raise error
+    return AdaptedFrame(int(pivots[0]), rows[0], 1.0 / P[0, pivots[0]])
 
 
-def _frame_at(pairings: np.ndarray, A: np.ndarray, rank_tol: float) -> AdaptedFrame:
-    """The adapted frame from the pairings dr(rho(w_j)) and anchors A at a point."""
-    l = len(pairings)
-    pivot = int(np.argmax(np.abs(pairings)))
-    top = abs(pairings[pivot])
-    scale_ref = max(float(np.linalg.norm(A)), 1.0)
-    if top <= rank_tol * scale_ref:
-        raise ValueError(
-            "all frame anchors are tangent at the point (ellipticity violated)"
-        )
-    rows = []
-    for i in range(l):
-        if i == pivot:
-            continue
-        row = np.zeros(l, dtype=complex)
-        row[i] = 1.0
-        rows.append(row)
-    return AdaptedFrame(pivot, np.array(rows), 1.0 / pairings[pivot])
+def _adapted_frames(P: np.ndarray, A: np.ndarray, rank_tol: float, cr_rows=None):
+    """Pivots (N,) and CR rows (N, k, l) of the adapted frames at N points
+    with pairings P (N, l) = dr(rho(w_j)) and anchor rows A (N, l, m): the
+    pivot has the largest pairing, the CR rows are the other unit rows or
+    cr_rows.  Also the number of points before the first whose anchors are
+    all tangent, and that point's error (None if there is none)."""
+    n, l = P.shape
+    pivots = np.argmax(np.abs(P), axis=1)
+    top = np.abs(P[np.arange(n), pivots])
+    ok = _leading(top <= rank_tol * np.maximum(np.linalg.norm(A, axis=(1, 2)), 1.0))
+    error = None if ok == n else ValueError(
+        "all frame anchors are tangent at the point (ellipticity violated)"
+    )
+    if cr_rows is None:
+        others = np.arange(l) != pivots[:, None]
+        rows = np.broadcast_to(np.eye(l, dtype=complex), (n, l, l))[others]
+        return pivots, rows.reshape(n, l - 1, l), ok, error
+    rows = np.asarray(cr_rows, dtype=complex)
+    return pivots, np.broadcast_to(rows, (n, *rows.shape)), ok, error
 
 
-def _dr_pairings(alg, G: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """(N, l) pairings dr(rho(w_j)) from the gradient and anchor stacks.
-
-    Sums sum_t dr_t * rho(w_j)^t over the nonzero anchor components, with
-    complex products spelled out as CPython computes them.
-    """
-    n, m, l = A.shape
-    re, im = np.zeros((n, l)), np.zeros((n, l))
-    for j in range(l):
-        for t in range(m):
-            if not alg.anchors[j].components[t].is_zero:
-                gr, gi, ar, ai = G[:, t].real, G[:, t].imag, A[:, t, j].real, A[:, t, j].imag
-                re[:, j] += gr * ar - gi * ai
-                im[:, j] += gr * ai + gi * ar
-    out = np.empty((n, l), dtype=complex)
-    out.real, out.imag = re, im
-    return out
+def _leading(bad: np.ndarray) -> int:
+    """The number of stacked points before the first flagged one."""
+    return int(np.argmax(bad)) if bad.any() else len(bad)
 
 
 def dr_pairing_expr(alg: AlgebroidSpec, bd: BoundaryData, j: int) -> ScalarExpr:
@@ -367,24 +358,27 @@ def mu_component(
     span: np.ndarray, g: np.ndarray, value: np.ndarray, rel_tol: float = 1e-8
 ) -> complex:
     """Coefficient of g in value modulo span, via orthogonal projection."""
-    return _mu_functional(span, g, rel_tol)(value)
+    u, u_g, _, error = _mu_functionals(span[None], g[None], rel_tol)
+    if error:
+        raise error
+    return complex(np.vdot(u[0], value) / u_g[0])
 
 
-def _mu_functional(span: np.ndarray, g: np.ndarray, rel_tol: float):
-    """value -> mu_component(span, g, value), projecting span out once."""
-    if span.shape[1]:
+def _mu_functionals(span: np.ndarray, g: np.ndarray, rel_tol: float):
+    """u (N, m) and vdot(u, g) (N,), mu_component(span, g, value) being
+    vdot(u, value) / vdot(u, g), for spans (N, m, s) and generators g (N, m);
+    also the points before the first g in its span, and that one's error."""
+    u = g
+    if span.shape[2]:
         q, s, _ = np.linalg.svd(span, full_matrices=False)
-        if s.size and s[0] > 0:
-            q = q[:, s > rel_tol * s[0]]
-        u = g - q @ (q.conj().T @ g)
-    else:
-        u = g
-    if np.linalg.norm(u) <= rel_tol * np.linalg.norm(g):
-        raise ClassificationInconsistency(
-            "mu generator lies in the CR span; the point classifies as elliptic"
-        )
-    u_g = np.vdot(u, g)
-    return lambda value: complex(np.vdot(u, value) / u_g)
+        # a zero span keeps every column, as its rank is unknown
+        q = q * ((s > rel_tol * s[:, :1]) | (s[:, :1] <= 0))[:, None, :]
+        u = g - (q @ (q.conj().transpose(0, 2, 1) @ g[..., None]))[..., 0]
+    ok = _leading(np.linalg.norm(u, axis=1) <= rel_tol * np.linalg.norm(g, axis=1))
+    error = None if ok == len(g) else ClassificationInconsistency(
+        "mu generator lies in the CR span; the point classifies as elliptic"
+    )
+    return u, np.einsum("nm,nm->n", u.conj(), g), ok, error
 
 
 def levi_from_cr_fields(
@@ -428,61 +422,58 @@ def levi_from_cr_fields(
 # generic route (cached symbolic jacobians, exact chain rule at the point)
 
 
+def _jacobian(exprs: Sequence[ScalarExpr], chart) -> List[List[ScalarExpr]]:
+    """[[d e / d x_t for each t] for each e]; the vanishing entries, nearly all
+    of an anchor jacobian, are one shared zero."""
+    zero = const(chart, 0)
+    return [
+        [zero if (d := e.diff(t)).is_zero else d for t in range(chart.dim)] for e in exprs
+    ]
+
+
 class _GenericRoute:
     def __init__(self, alg: AlgebroidSpec, bd: BoundaryData):
-        self.alg = alg
         self.bd = bd
-        chart = alg.chart
         self.P = [dr_pairing_expr(alg, bd, j) for j in range(alg.rank)]
-        self.dP = [
-            [p.diff(t) for t in range(chart.dim)] for p in self.P
-        ]
-        self.dA = [
-            [
-                [alg.anchors[j].components[k].diff(t) for t in range(chart.dim)]
-                for k in range(chart.dim)
-            ]
-            for j in range(alg.rank)
-        ]
+        self.dP = _jacobian(self.P, alg.chart)
+        self.dA = [_jacobian(a.components, alg.chart) for a in alg.anchors]
 
     def values(self, batch: PointBatch):
-        """evaluate's dA, P and dP at every point of a batch, stacked."""
+        """forms' dA, P and dP at every point of a batch, stacked."""
         return (
             eval_table(self.dA, batch),
             eval_table(self.P, batch),
             eval_table(self.dP, batch),
         )
 
-    def evaluate(self, frame: AdaptedFrame, A, dA, P, dP):
-        """Levi matrix at a point from the anchor values A (l, m), their
-        jacobians dA (l, m_comp, m_dir), P (l,) and dP (l, m) there."""
-        m = A.shape[1]
-        piv = frame.pivot
-        rows = frame.cr_rows
-        k = rows.shape[0]
-        # tangency-corrected section values and jacobians
-        v = np.zeros((k, m), dtype=complex)
-        dv = np.zeros((k, m, m), dtype=complex)
-        for i in range(k):
-            num = rows[i] @ P  # sum_j c_ij P_j at the point
-            dnum = rows[i] @ dP
-            q = num / P[piv]
-            dq = (dnum * P[piv] - num * dP[piv]) / P[piv] ** 2
-            v[i] = rows[i] @ A - q * A[piv]
-            dv[i] = np.tensordot(rows[i], dA, axes=(0, 0)) - q * dA[piv]
-            dv[i] -= np.outer(A[piv], dq)
-        t_val = complex(frame.transverse_scale) * A[piv]
-        g = 1j * (t_val.conj() - t_val)
-        B = np.zeros((k, k), dtype=complex)
-        if not k:
-            return B
-        mu = _mu_functional(np.vstack([v, v.conj()]).T, g, self.bd.rank_tol)
-        for i in range(k):
-            for j in range(k):
-                # -i [v_i, conj(v_j)] at the point
-                br = v[i] @ dv[j].conj().T - v[j].conj() @ dv[i].T
-                B[i, j] = mu(-1j * br)
-        return B
+    def forms(self, A, dA, P, dP, cr_rows=None):
+        """Levi matrices (N', k, k) from the anchor rows A (N, l, m), their
+        jacobians dA (N, l, m_comp, m_dir), P (N, l) and dP (N, l, m) at N
+        points, N' counting those before the first with a flat frame or mu
+        generator in the CR span; that point's error (or None) comes too."""
+        pivots, rows, n, error = _adapted_frames(P, A, self.bd.rank_tol, cr_rows)
+        rows = rows[:n]
+        piv = (np.arange(n), pivots[:n])
+        P_piv = P[piv][:, None, None]
+        # tangency-corrected section values v (n, k, m) and jacobians dv
+        num, dnum = rows @ P[:n, :, None], rows @ dP[:n]
+        q = num / P_piv
+        # np.power, not ** 2: an array's ** 2 is numpy's vectorised square, which
+        # rounds differently
+        dq = (dnum * P_piv - num * dP[piv][:, None]) / np.power(P_piv, 2)
+        v = rows @ A[:n] - q * A[piv][:, None]
+        dv = np.einsum("nkl,nlab->nkab", rows, dA[:n]) - q[..., None] * dA[piv][:, None]
+        dv -= A[piv][:, None, :, None] * dq[:, :, None]
+        t = (1.0 / P[piv])[:, None] * A[piv]
+        g = 1j * (t.conj() - t)
+        span = np.concatenate([v, v.conj()], axis=1).transpose(0, 2, 1)
+        # span holds the points before the first flat frame: a mu failure comes first
+        u, u_g, n, mu_error = _mu_functionals(span, g, self.bd.rank_tol)
+        # [v_i, conj(v_j)] = conj(S_ij) - S_ji, S_ij^a = sum_b conj(v_i^b) d_b v_j^a
+        S = np.einsum("nib,njab->nija", v[:n].conj(), dv[:n])
+        br = S.conj() - S.transpose(0, 2, 1, 3)
+        B = -1j * np.einsum("na,nija->nij", u[:n].conj(), br)
+        return B / u_g[:n, None, None], mu_error or error
 
 
 def levi_form_generic(
@@ -505,10 +496,15 @@ def levi_form_generic(
         return rep
     cls = classify_point(alg, bd, point)
     _require_non_elliptic(cls)
-    frame = _with_rows(adapted_frame(alg, bd, point), cr_rows)
+    frame = adapted_frame(alg, bd, point)
+    if cr_rows is not None:
+        frame = replace(frame, cr_rows=np.asarray(cr_rows, dtype=complex))
     fields, transverse = adapted_sections(alg, bd, frame)
     B = levi_from_cr_fields(bd, fields, transverse, point)
-    return _finish_report(point, cls, B, "generic", bd.eig_zero_tol)
+    reports, error = _finish([tuple(point)], [cls], B[None], bd.eig_zero_tol)
+    if error:
+        raise error
+    return reports[0]
 
 
 def levi_forms_generic(
@@ -533,22 +529,20 @@ def _require_non_elliptic(cls: Classification):
         )
 
 
-def _with_rows(frame: AdaptedFrame, cr_rows) -> AdaptedFrame:
-    if cr_rows is None:
-        return frame
-    return AdaptedFrame(frame.pivot, np.asarray(cr_rows, dtype=complex), frame.transverse_scale)
-
-
-def _finish_report(point, cls, B, route, eig_zero_tol) -> LeviReport:
-    scale = np.linalg.norm(B)
-    defect = float(np.linalg.norm(B - B.conj().T) / scale) if scale > 0 else 0.0
-    if scale > 0 and defect > 1e-6:
-        raise ClassificationInconsistency(
-            f"Levi matrix is not Hermitian (relative defect {defect:.3e})"
-        )
-    B = 0.5 * (B + B.conj().T)
-    sig = eigen_signature(B, eig_zero_tol)
-    return LeviReport(tuple(point), cls, B, sig, route, defect)
+def _finish(points, classes, B: np.ndarray, eig_zero_tol: float):
+    """Generic-route LeviReports (Hermitian part, relative Hermitian defect,
+    signature) from Levi matrices B (N, k, k), up to the first whose defect
+    exceeds 1e-6, and that point's error (None if there is none)."""
+    scale = np.linalg.norm(B, axis=(1, 2))
+    defect = np.linalg.norm(B - B.conj().transpose(0, 2, 1), axis=(1, 2))
+    defect = np.divide(defect, scale, out=np.zeros_like(scale), where=scale > 0)
+    n = _leading(defect > 1e-6)
+    error = None if n == len(B) else ClassificationInconsistency(
+        f"Levi matrix is not Hermitian (relative defect {defect[n]:.3e})"
+    )
+    H = 0.5 * (B[:n] + B[:n].conj().transpose(0, 2, 1))
+    done = zip(points, classes, H, _signatures(H, eig_zero_tol), defect[:n].tolist())
+    return [LeviReport(p, c, h, sig, "generic", d) for p, c, h, sig, d in done], error
 
 
 # ---------------------------------------------------------------------------
@@ -716,17 +710,16 @@ def eigen_signature(
     H: np.ndarray, eig_zero_tol: float = 1e-8
 ) -> Tuple[int, int, int]:
     """(n_pos, n_neg, n_zero) with |lambda| <= tol * spectral radius zero."""
-    H = np.asarray(H)
-    if H.size == 0:
-        return (0, 0, 0)
+    return _signatures(np.asarray(H)[None], eig_zero_tol)[0]
+
+
+def _signatures(H: np.ndarray, eig_zero_tol: float) -> List[Tuple[int, int, int]]:
+    """eigen_signature of each matrix in an (N, k, k) Hermitian stack."""
     evals = np.linalg.eigvalsh(H)
-    radius = max(np.abs(evals).max(), 0.0)
-    if radius == 0:
-        return (0, 0, len(evals))
-    cut = eig_zero_tol * radius
-    n_pos = int(np.sum(evals > cut))
-    n_neg = int(np.sum(evals < -cut))
-    return (n_pos, n_neg, len(evals) - n_pos - n_neg)
+    cut = eig_zero_tol * np.abs(evals).max(axis=1, initial=0.0)[:, None]
+    n_pos, n_neg = (evals > cut).sum(axis=1), (evals < -cut).sum(axis=1)
+    k = H.shape[2]
+    return [(int(a), int(b), k - int(a) - int(b)) for a, b in zip(n_pos, n_neg)]
 
 
 def _passes_q(signature, rank, q) -> bool:

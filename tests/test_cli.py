@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -187,6 +189,28 @@ def test_csv_output(tmp_path, capsys):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0].split(",")[:2] == ["point", "classification"]
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--spec", "poisson_c4", "--samples", "8"],
+        ["levi", "--spec", "poisson_c4", "--max-points", "2"],
+        ["hodge", "--n-theta", "16", "--n-r", "16", "--trials", "2", "--spectra"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_rows_have_the_header_width_and_json_cells(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) > 1 and all(len(row) == len(header) for row in rows)
+    # a per-point table holds JSON in every cell; a key/value list, in its values
+    cells = [row[1:] if header == ["key", "value"] else row for row in rows]
+    assert any("[" in cell for row in cells for cell in row)  # list-valued cells
+    for row in cells:
+        for cell in row:
+            json.loads(cell)
 
 
 def test_classify_poisson_locus_fraction(capsys):

@@ -10,9 +10,13 @@ along another route with other rounding.  Instead:
 * every residual field stays within its acceptance-criterion tolerance
   (criteria 9 and 10 in tests/test_acceptance.py).
 
-Regenerate after a deliberate, justified change with
+After a deliberate, justified change, refresh the file with
 
     PYTHONPATH=src python tests/test_hodge_reference.py --write
+
+which replaces only the fields that break these rules and keeps the rest
+as stored: residuals, and values within 1e-9, differ from machine to
+machine, and rewriting them would move fields the change did not touch.
 """
 
 import io
@@ -39,6 +43,11 @@ RESIDUAL_TOL = {
     "solve_dbar_vs_lstsq": 1e-8,
     "solve_dbar_residual": 1e-8,
 }
+# the spectral and estimate values; every other field is held to equality
+APPROX = {
+    "smallest_eig_deg1", "C_E_vs_Q", "C_D_vs_E", "median_E_vs_Q", "median_D_vs_E",
+    "norm_diffs", "fitted_slope",
+}
 REL = 1e-9
 
 
@@ -50,36 +59,57 @@ def run(argv):
     return json.loads(out.getvalue())["result"]
 
 
+def passes(key, got, ref):
+    if key in RESIDUAL_TOL:
+        return got <= RESIDUAL_TOL[key]
+    if key in APPROX:
+        return got == pytest.approx(ref, rel=REL)
+    return got == ref
+
+
+def refresh(got, ref, path=()):
+    """(ref with every field that breaks the rules against the fresh result
+    got replaced by got's, the paths of those fields).  A field on one side
+    only breaks them."""
+    if not (isinstance(got, dict) and isinstance(ref, dict)):
+        return (ref, []) if passes(path[-1], got, ref) else (got, [path])
+    merged, broken = {}, [path + (k,) for k in ref if k not in got]
+    for k, v in got.items():
+        merged[k], sub = refresh(v, ref[k], path + (k,)) if k in ref else (v, [path + (k,)])
+        broken += sub
+    return merged, broken
+
+
+def stored():
+    return {" ".join(e["argv"]): e["result"] for e in json.loads(REFERENCE.read_text())}
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_hodge_matches_reference(argv):
-    ref = {" ".join(e["argv"]): e["result"] for e in json.loads(REFERENCE.read_text())}
-    ref = ref[" ".join(argv)]
-    got = run(argv)
-    assert set(got) == set(ref)
-    for key in ("grid", "seed", "trials", "harmonic_dim_deg1"):
-        assert got[key] == ref[key], key
-    assert got["smallest_eig_deg1"] == pytest.approx(ref["smallest_eig_deg1"], rel=REL)
-    est, est_ref = got["basic_estimate"], ref["basic_estimate"]
-    assert set(est) == set(est_ref)
-    for key, value in est_ref.items():
-        if isinstance(value, int):
-            assert est[key] == value, key
-        else:
-            assert est[key] == pytest.approx(value, rel=REL), key
-    fam, fam_ref = got["family_rescaling"], ref["family_rescaling"]
-    assert set(fam) == set(fam_ref)
-    assert fam["eps"] == fam_ref["eps"]
-    assert fam["harmonic_dims_deg1"] == fam_ref["harmonic_dims_deg1"]
-    assert fam["max_profile"] == fam_ref["max_profile"]
-    assert fam["norm_diffs"] == pytest.approx(fam_ref["norm_diffs"], rel=REL)
-    assert fam["fitted_slope"] == pytest.approx(fam_ref["fitted_slope"], rel=REL)
-    for key, tol in RESIDUAL_TOL.items():
-        assert got[key] <= tol, key
+    _, broken = refresh(run(argv), stored()[" ".join(argv)])
+    assert broken == []
+
+
+def test_refresh_replaces_only_the_fields_that_break_the_rules():
+    ref = {"grid": {"n_r": 64}, "smallest_eig_deg1": 2.0, "n_pi_residual": 5e-17,
+           "norm_diffs": [0.1, 0.01], "fitted_slope": 1.0, "gone": 1}
+    got = {"grid": {"n_r": 64}, "smallest_eig_deg1": 2.0 * (1 + 1e-12),
+           "n_pi_residual": 6e-16, "norm_diffs": [0.1, 0.02], "fitted_slope": 1.0, "new": 2}
+    merged, broken = refresh(got, ref)
+    assert broken == [("gone",), ("norm_diffs",), ("new",)]
+    assert merged == {"grid": {"n_r": 64}, "smallest_eig_deg1": 2.0, "n_pi_residual": 5e-17,
+                      "norm_diffs": [0.1, 0.02], "fitted_slope": 1.0, "new": 2}
+    _, broken = refresh({**got, "n_pi_residual": 1e-9}, ref)
+    assert ("n_pi_residual",) in broken
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
+    old = stored() if REFERENCE.exists() else {}
+    entries = []
+    for argv in COMMANDS:
+        got, key = run(argv), " ".join(argv)
+        entries.append({"argv": argv, "result": refresh(got, old[key])[0] if key in old else got})
     REFERENCE.parent.mkdir(exist_ok=True)
-    entries = [{"argv": argv, "result": run(argv)} for argv in COMMANDS]
     REFERENCE.write_text(json.dumps(entries, indent=1) + "\n")
