@@ -82,6 +82,8 @@ def _emit(obj, out: List[str]):
             out.append(": ")
             _emit(v, out)
         out.append("}")
+    elif isinstance(obj, (list, tuple)) and _finite_floats(obj):
+        out.append("[" + ", ".join(map("{:.17g}".format, obj)) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
@@ -93,6 +95,13 @@ def _emit(obj, out: List[str]):
         _emit(obj.tolist(), out)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _finite_floats(xs) -> bool:
+    """Whether every element is a finite Python float (not a subclass such as
+    np.float64): _emit writes such a list in one join, with the bytes it
+    writes element by element."""
+    return all(type(x) is float for x in xs) and all(map(math.isfinite, xs))
 
 
 def dumps(obj) -> str:

@@ -2,22 +2,31 @@
 
 Classification follows the intersection criterion: a boundary point is
 elliptic exactly when rho(L_x) meets conj(rho(L_x)) in a direction that is
-transverse to the boundary.  At non-elliptic points the Levi form is the
-mu-valued Hermitian bracket form -i[rho(u), conj(rho(v))], computed here by
-three routes that share the dr(nu)=1 normalization:
+transverse to the boundary.  It runs in real arithmetic: for anchors A
+(m x l) and the unitary U = [[I, iI], [-I, iI]] / sqrt(2),
+
+    [A, -conj(A)] U = sqrt(2) [Re A, -Im A],
+
+so ellipticity is read off the real m x 2l stack [Re A, -Im A], and its real
+null vectors (a, b) give the real vectors Im A a + Re A b, which span
+W = rho(L) cap R^m; W's complexification is rho(L) cap conj(rho(L)).  At
+non-elliptic points the Levi form is the mu-valued Hermitian bracket form
+-i[rho(u), conj(rho(v))], computed here by three routes that share the
+dr(nu)=1 normalization:
 
 * generic       -- adapted frame, exact brackets, quotient projection;
 * complex-hessian -- the Wirtinger Hessian of r restricted to the CR kernel;
 * poisson-blocks  -- the three block formulas of the holomorphic Poisson case.
 
 Classification and the generic-route Levi forms over many points share one
-walk, one anchor evaluation and one SVD per point; the Levi tail, from
-adapted frame to signature, is stacked over a block's non-elliptic points
-and serves the one-point functions as a stack of one.  All symbolic work is
-exact; numbers appear only at point evaluation.  The boundary samplers take
-the normal quantile from a port of Cephes ndtri (Moshier, Cephes
-Mathematical Library, 1989), bit-equal to scipy.special.ndtri on the
-samplers' inputs, so the package imports numpy alone.
+walk and one anchor evaluation per point.  The classification, from anchors
+to margins, and the Levi tail, from adapted frame to signature, are stacked
+over a block of points; the one-point functions call them with a stack of
+one.  All symbolic work is exact; numbers appear only at point evaluation.
+The boundary samplers take the normal quantile from a port of Cephes ndtri
+(Moshier, Cephes Mathematical Library, 1989), bit-equal to
+scipy.special.ndtri on the samplers' inputs, so the package imports numpy
+alone.
 """
 
 from __future__ import annotations
@@ -160,35 +169,27 @@ class ConvexityVerdict:
 
 
 def _anchor_svd(A: np.ndarray, rel_tol: float):
-    """Ellipticity flags and orthonormal bases of col(A_i) cap col(conj(A_i))
-    in C^m for an (N, m, l) stack of anchor matrices.
+    """Ellipticity flags (N,), orthogonal Q (N, m, m) and masks keep (N, m)
+    for an (N, m, l) stack of anchors A: Q's kept columns are an orthonormal
+    basis of W = rho(L) cap R^m, the others one of its complement.
 
-    Both come from one stacked SVD of [A, -conj(A)]: it is [A, conj(A)]
-    times the unitary diag(1, -1), so its m-th relative singular value is
-    the margin of is_elliptic_at.  The bases take a second SVD per group of
-    equal null-space size; LAPACK sees the same matrices as it would one by
-    one.
+    M = [Re A, -Im A] is [A, conj(A)] times a unitary over sqrt(2) (see the
+    module docstring), so its rank at the cut rel_tol times its largest
+    singular value, the anchors' scale, is m where is_elliptic_at passes, up
+    to rounding at the cut.  One SVD of the vectors Im A a + Re A b over the
+    null rows (a, b) of M's V gives Q, keeping a direction above the same
+    cut: the vectors' own largest singular value is rounding noise where
+    W = 0 but ker A is not.
     """
     n, m, l = A.shape
-    _, s, vh = np.linalg.svd(np.concatenate([A, -A.conj()], axis=2))
-    flags = np.zeros(n, dtype=bool)
-    if s.shape[1] >= m:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            flags = (s[:, m - 1] / s[:, 0] >= rel_tol) & (s[:, 0] != 0)
-    bases = [np.zeros((m, 0))] * n
-    null = np.ones((n, vh.shape[1]), dtype=bool)
-    null[:, : s.shape[1]] = s <= rel_tol * s[:, :1]
-    groups: Dict[int, list] = {}
-    for i in range(n):
-        if s[i, 0] == 0 or not null[i].any():
-            continue
-        vecs = A[i] @ vh[i].conj().T[:, np.flatnonzero(null[i])][:l]
-        groups.setdefault(vecs.shape[1], []).append((i, vecs))
-    for members in groups.values():
-        q, s2, _ = np.linalg.svd(np.stack([v for _, v in members]), full_matrices=False)
-        for g, (i, _) in enumerate(members):
-            bases[i] = q[g][:, s2[g] > rel_tol * max(s2[g, 0], 1e-300)]
-    return flags, bases
+    _, s, vh = np.linalg.svd(np.concatenate([A.real, -A.imag], axis=2))
+    cut = rel_tol * s[:, :1]
+    rank = (s > cut).sum(axis=1)
+    # s descends, so the null rows of each V are those past its rank; the
+    # stack of them starts at the least rank
+    V = (vh * (np.arange(2 * l) >= rank[:, None])[..., None])[:, rank.min() :]
+    q, s2, _ = np.linalg.svd(np.concatenate([A.imag, A.real], axis=2) @ V.transpose(0, 2, 1))
+    return rank >= m, q, np.pad(s2 > cut, ((0, 0), (0, m - s2.shape[1])))
 
 
 def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None):
@@ -196,8 +197,9 @@ def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None
     LeviReport instead (generic route at non-elliptic points, no form at
     elliptic ones).
 
-    Per block of points, r, the anchors and dr are evaluated once and the
-    stacked anchors take one SVD; the Levi forms are computed as one stack
+    Per block of points, r, the anchors and dr are evaluated once, the
+    stacked anchors give the flags and bases of _anchor_svd, and one
+    contraction gives every margin; the Levi forms are computed as one stack
     over the block's non-elliptic points.  Each point is checked for its
     boundary residual, ellipticity, |dr| degeneracy, then its Levi form; the
     first failing point's error is raised after the points before it are
@@ -214,27 +216,24 @@ def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None
         r_vals = bd.r.eval_many(batch)
         off = np.flatnonzero(~(np.abs(r_vals) <= bd.boundary_tol))
         error = _off_boundary(r_vals[off[0]]) if off.size else None
-        classes: List[Classification] = []
+        margins = np.zeros(0)
         if off.size:
             batch = PointBatch(batch.points[: off[0]])
         if len(batch):
             A = alg.anchor_matrices(batch)
             G = bd.grad_values(batch)
-            flags, bases = _anchor_svd(A, bd.rank_tol)
-            for i in range(len(batch)):
-                g_norm = np.linalg.norm(G[i])
-                if not flags[i] or g_norm <= bd.rank_tol:
-                    error = ValueError(_DEGENERATE if flags[i] else _NOT_ELLIPTIC)
-                    break
-                if bases[i].shape[1] == 0:
-                    classes.append(Classification(False, 0.0))
-                    continue
-                # max over unit v in the intersection of |dr(v)| / |dr|
-                pairing = bases[i].conj().T @ G[i].conj()
-                margin = float(np.linalg.norm(pairing) / g_norm)
-                classes.append(Classification(margin >= bd.rank_tol, margin))
-        idx = [i for i, c in enumerate(classes) if levi and not c.elliptic]
-        if idx:
+            flags, Q, keep = _anchor_svd(A, bd.rank_tol)
+            g_norm = np.linalg.norm(G, axis=1)
+            n = _leading(~flags | (g_norm <= bd.rank_tol))
+            if n < len(batch):
+                error = ValueError(_DEGENERATE if flags[n] else _NOT_ELLIPTIC)
+            # max over unit v in W of |dr(v)| / |dr|, as |Q^T dr| is |dr|; the
+            # sums over an outer axis add elementwise, whatever the alignment
+            pairing = (Q[:n] * G[:n, :, None].conj()).sum(axis=1)
+            margins = np.linalg.norm(pairing * keep[:n], axis=1) / np.linalg.norm(pairing, axis=1)
+        classes = [Classification(m >= bd.rank_tol, m) for m in margins.tolist()]
+        idx = np.flatnonzero(margins < bd.rank_tol) if levi else []
+        if len(idx):
             route = route or _GenericRoute(alg, bd)
             dA, P, dP = route.values(PointBatch(batch.points[idx]))
             B, form_error = route.forms(A.transpose(0, 2, 1)[idx], dA, P, dP, cr_rows)

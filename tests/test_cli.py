@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hodgebench import cli
 from hodgebench.cli import dumps, load_spec, main
 from hodgebench.gallery import gallery_names, gallery_spec
 from hodgebench.specfile import SpecError, format_specfile, parse_specfile
@@ -52,6 +55,26 @@ def test_dumps_17_digits():
     text = dumps({"x": 1.0 / 3.0})
     assert text == '{"x": 0.33333333333333331}'
     assert json.loads(text)["x"] == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize(
+    "xs, joined",
+    [
+        ([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0], True),
+        ((2.5e-308, -1e300, 1.0 / 3.0), True),
+        ([], True),
+        ([1.0, 2, 3.5], False),  # mixed int/float
+        ([1.0, np.float64(0.1), -0.0], False),
+        ([0.5, math.nan], False),
+        ([math.inf, 1.0, -math.inf], False),
+    ],
+)
+def test_dumps_writes_a_float_list_as_each_float(xs, joined):
+    # a list of finite Python floats is written in one join; the others
+    # element by element; both give the bytes of writing each element alone
+    assert cli._finite_floats(xs) is joined
+    assert dumps(xs) == "[" + ", ".join(dumps(x) for x in xs) + "]"
+    assert dumps({"a": [xs]}) == '{"a": [' + dumps(xs) + "]}"
 
 
 # ---------------------------------------------------------------------------

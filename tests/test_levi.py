@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ from hodgebench.levi import (
     q_convex_set,
     sphere_lattice,
 )
-from hodgebench.scalars import Chart, const, parse_expr
+from hodgebench.scalars import Chart, PointBatch, const, parse_expr
+from hodgebench.specfile import parse_specfile
 
 
 def ball_boundary(chart):
@@ -118,9 +120,11 @@ def test_classify_requires_elliptic_algebroid():
 # The reference is the per-point classification and generic-route Levi tail
 # on ScalarExpr.eval, as they were before batching and stacking: one frame,
 # one bracket and one mu-projection per point and entry.  The batched routes
-# must reproduce the classifications and signatures exactly.  The Levi
-# matrices are bit-equal on the Poisson specs; elsewhere the stacked
-# contractions round differently, within 1e-14 relative.
+# must reproduce the labels and signatures exactly.  The margins come from
+# real arithmetic in the batched classification, from complex arithmetic in
+# the reference, and agree within 1e-15.  The Levi matrices are bit-equal on
+# the Poisson specs; elsewhere the stacked contractions round differently,
+# within 1e-14 relative.
 
 EXACT_LEVI = ("poisson_c4", "poisson_c6")
 
@@ -246,6 +250,11 @@ def reference_levi(alg, bd, point):
     return reference_finish(B, bd.eig_zero_tol)
 
 
+def assert_classes_match(got, want, name=None):
+    assert [c.elliptic for c in got] == [c.elliptic for c in want], name
+    assert all(abs(a.margin - b.margin) <= 1e-15 for a, b in zip(got, want)), name
+
+
 def assert_levi_matches_reference(rep, ref, name):
     H, signature, _ = ref
     assert rep.signature == signature, name
@@ -265,17 +274,16 @@ def test_batched_routes_match_per_point_reference(monkeypatch):
         alg, bd = spec.build_algebroid(), spec.build_boundary()
         points = spec.sample_points()
         want = [reference_classify(alg, bd, p) for p in points]
-        got = classify_points(alg, bd, points)
-        assert [(c.elliptic, c.margin) for c in got] == [(c.elliptic, c.margin) for c in want]
-        assert classify_point(alg, bd, points[-1]) == want[-1]
+        assert_classes_match(classify_points(alg, bd, points), want, name)
+        assert_classes_match([classify_point(alg, bd, points[-1])], want[-1:], name)
         non_elliptic = [p for p, c in zip(points, want) if not c.elliptic]
         refs = {tuple(p): reference_levi(alg, bd, p) for p in non_elliptic}
         assert refs or name in ("tangent_sphere", "symplectic_gc"), name
         for rep, p in zip(levi_forms_generic(alg, bd, non_elliptic[:9]), non_elliptic):
             assert_levi_matches_reference(rep, refs[tuple(p)], name)
         verdict = q_convex_set(alg, bd, points)
+        assert_classes_match([rep.classification for rep in verdict.reports], want, name)
         for rep, p, c in zip(verdict.reports, points, want):
-            assert rep.classification == c
             if not c.elliptic:
                 assert_levi_matches_reference(rep, refs[tuple(p)], name)
 
@@ -389,8 +397,8 @@ def first_error(fn, points):
     raise AssertionError("no point fails")
 
 
-def test_batched_errors_are_those_of_the_first_bad_point(monkeypatch):
-    monkeypatch.setattr(levi, "_BLOCK", 3)
+def failing_walks():
+    """(algebroid, boundary, points) whose walks stop at a bad point."""
     chart = Chart.real(2)
     circle = [[math.cos(t), math.sin(t)] for t in np.linspace(0.1, 6.0, 8)]
     off = [0.2, 0.3]
@@ -398,7 +406,7 @@ def test_batched_errors_are_those_of_the_first_bad_point(monkeypatch):
     round_r, flat_r = ball_boundary(chart), BoundaryData(
         parse_expr("(x1^2 + x2^2 - 1)^2", chart)  # dr vanishes on the circle
     )
-    cases = [
+    return [
         (tangent, round_r, circle[:5] + [off] + circle[5:]),
         (zero_anchors, round_r, circle[:4] + [off]),
         (zero_anchors, round_r, [off] + circle),
@@ -406,7 +414,11 @@ def test_batched_errors_are_those_of_the_first_bad_point(monkeypatch):
         (tangent, flat_r, [off] + circle),
         (zero_anchors, flat_r, circle),
     ]
-    for alg, bd, points in cases:
+
+
+def test_batched_errors_are_those_of_the_first_bad_point(monkeypatch):
+    monkeypatch.setattr(levi, "_BLOCK", 3)
+    for alg, bd, points in failing_walks():
         message = first_error(lambda p: reference_classify(alg, bd, p), points)
         for batched in (classify_points, q_convex_set):
             with pytest.raises(ValueError) as err:
@@ -419,19 +431,118 @@ def test_batched_errors_are_those_of_the_first_bad_point(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the one walk: one anchor evaluation and one stacked SVD per point
+# the one walk: one anchor evaluation and one real classification per point
+#
+# The oracle is the walk's classification as it was in complex arithmetic:
+# one stacked SVD of [A, -conj A], a second SVD per group of points with equal
+# null-space size, cut at its own largest singular value, and a loop over the
+# points.
+
+
+def reference_anchor_svd(A, rel_tol):
+    """Ellipticity flags, bases of col(A_i) cap col(conj(A_i)) and the scale
+    of each second SVD (its largest singular value, 0 where it has none)."""
+    n, m, l = A.shape
+    _, s, vh = np.linalg.svd(np.concatenate([A, -A.conj()], axis=2))
+    flags = np.zeros(n, dtype=bool)
+    if s.shape[1] >= m:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            flags = (s[:, m - 1] / s[:, 0] >= rel_tol) & (s[:, 0] != 0)
+    bases, scales = [np.zeros((m, 0))] * n, np.zeros(n)
+    null = np.ones((n, vh.shape[1]), dtype=bool)
+    null[:, : s.shape[1]] = s <= rel_tol * s[:, :1]
+    groups = {}
+    for i in range(n):
+        if s[i, 0] == 0 or not null[i].any():
+            continue
+        vecs = A[i] @ vh[i].conj().T[:, np.flatnonzero(null[i])][:l]
+        groups.setdefault(vecs.shape[1], []).append((i, vecs))
+    for members in groups.values():
+        q, s2, _ = np.linalg.svd(np.stack([v for _, v in members]), full_matrices=False)
+        for g, (i, _) in enumerate(members):
+            bases[i] = q[g][:, s2[g] > rel_tol * max(s2[g, 0], 1e-300)]
+            scales[i] = s2[g, 0]
+    return flags, bases, scales
+
+
+def reference_walk_classes(alg, bd, points):
+    """The Classifications before the first failing point, block by block as
+    the walk takes them, and that point's error (None if there is none)."""
+    X = np.asarray(points, dtype=float)
+    classes = []
+    for start in range(0, len(X), levi._BLOCK):
+        batch = PointBatch(X[start : start + levi._BLOCK])
+        r_vals = bd.r.eval_many(batch)
+        off = np.flatnonzero(~(np.abs(r_vals) <= bd.boundary_tol))
+        if off.size:
+            error = ValueError(f"point is not on the boundary (r = {complex(r_vals[off[0]])})")
+            batch = PointBatch(batch.points[: off[0]])
+        A, G = alg.anchor_matrices(batch), bd.grad_values(batch)
+        flags, bases, _ = reference_anchor_svd(A, bd.rank_tol) if len(batch) else ([], [], [])
+        for i in range(len(batch)):
+            g_norm = np.linalg.norm(G[i])
+            if not flags[i] or g_norm <= bd.rank_tol:
+                return classes, ValueError(
+                    levi._DEGENERATE if flags[i] else levi._NOT_ELLIPTIC
+                )
+            if bases[i].shape[1] == 0:
+                classes.append(Classification(False, 0.0))
+                continue
+            pairing = bases[i].conj().T @ G[i].conj()
+            margin = float(np.linalg.norm(pairing) / g_norm)
+            classes.append(Classification(margin >= bd.rank_tol, margin))
+        if off.size:
+            return classes, error
+    return classes, None
+
+
+def walk_classes(alg, bd, points):
+    """The walk's Classifications before it raises, and what it raises."""
+    classes = []
+    try:
+        for cls in levi._walk(alg, bd, points):
+            classes.append(cls)
+    except ValueError as err:
+        return classes, err
+    return classes, None
+
+
+def gallery_build(name):
+    spec = gallery_spec(name)
+    return spec.build_algebroid(), spec.build_boundary()
+
+
+def test_real_classification_matches_the_complex_oracle(monkeypatch):
+    walks = [(*gallery_build(name), gallery_spec(name).sample_points()) for name in gallery_names()]
+    for block in (7, 256):
+        monkeypatch.setattr(levi, "_BLOCK", block)
+        for alg, bd, points in walks + failing_walks():
+            got, error = walk_classes(alg, bd, points)
+            want, want_error = reference_walk_classes(alg, bd, points)
+            assert [c.label for c in got] == [c.label for c in want]
+            assert_classes_match(got, want)
+            assert str(error) == str(want_error) and type(error) is type(want_error)
+        for alg, bd, points in walks:
+            A = alg.anchor_matrices(points)
+            flags, _, _ = levi._anchor_svd(A, bd.rank_tol)
+            assert np.array_equal(flags, reference_anchor_svd(A, bd.rank_tol)[0])
 
 
 def test_walk_ellipticity_flags_match_margins_on_gallery_samples():
     for name in gallery_names():
-        spec = gallery_spec(name)
-        alg, bd = spec.build_algebroid(), spec.build_boundary()
-        points = spec.sample_points()
+        alg, bd = gallery_build(name)
+        points = gallery_spec(name).sample_points()
         A = alg.anchor_matrices(points)
-        flags, _ = levi._anchor_svd(A, bd.rank_tol)
+        flags, _, _ = levi._anchor_svd(A, bd.rank_tol)
         assert np.array_equal(flags, ellipticity_margins(A, bd.rank_tol)[0]), name
         for i in (0, len(points) // 2, len(points) - 1):
             assert flags[i] == is_elliptic_at(alg, points[i], bd.rank_tol)[0], name
+
+
+def intersection_dims(A):
+    """dim rho(L) cap conj(rho(L)) = 2 rank A - rank [A, conj A], stacked."""
+    rank = np.linalg.matrix_rank
+    return 2 * rank(A) - rank(np.concatenate([A, A.conj()], axis=2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -454,17 +565,78 @@ def test_walk_ellipticity_flags_match_margins_on_drawn_anchor_stacks(data):
                 A[i, :, j] = 0
             elif edit == "repeat":
                 A[i, :, j] = data.draw(st.sampled_from([1, -1, 1j])) * A[i, :, j - 1]
-    flags, bases = levi._anchor_svd(A, 1e-8)
+    flags, Q, keep = levi._anchor_svd(A, 1e-8)
     assert np.array_equal(flags, ellipticity_margins(A, 1e-8)[0])
-    assert [b.shape[0] for b in bases] == [m] * n
+    assert Q.shape == (n, m, m) and keep.shape == (n, m)
+    assert np.abs(Q.transpose(0, 2, 1) @ Q - np.eye(m)).max() <= 1e-14
+    dims = keep.sum(axis=1)
+    assert np.array_equal(dims, intersection_dims(A))
+    # where the oracle's own cut sits above the anchors' rounding level, the
+    # dimensions agree; below it the oracle keeps noise as a basis
+    _, bases, scales = reference_anchor_svd(A, 1e-8)
+    top = np.linalg.svd(A, compute_uv=False)[:, 0]
+    real = scales > 1e-8 * top
+    assert np.array_equal(dims[real], np.array([b.shape[1] for b in bases])[real])
 
 
-def test_walk_evaluates_anchors_once_and_takes_one_stacked_svd_per_point(monkeypatch):
+def offset_copy(a, shift):
+    """a's values in a C-ordered array that starts shift float64s into its
+    buffer, as a view in a's axis order."""
+    order = np.argsort(a.strides)[::-1]
+    t = a.transpose(order)
+    buf = np.zeros(2 * t.size + shift + 1)[shift:][: 2 * t.size].view(complex)
+    out = buf.reshape(t.shape)
+    out[...] = t
+    return out.transpose(np.argsort(order))
+
+
+def test_classification_does_not_depend_on_operand_alignment(monkeypatch):
+    anchor_matrices, grad_values = AlgebroidSpec.anchor_matrices, BoundaryData.grad_values
+    for name in ("poisson_c4", "poisson_c6", "ball_c2_dbar", "tangent_sphere"):
+        alg, bd = gallery_build(name)
+        points = gallery_spec(name).sample_points()[:300]
+        want = classify_points(alg, bd, points)
+        assert want
+        for shift in range(1, 8):  # 8-byte steps through a 64-byte line
+            monkeypatch.setattr(
+                AlgebroidSpec, "anchor_matrices",
+                lambda self, batch: offset_copy(anchor_matrices(self, batch), shift),
+            )
+            monkeypatch.setattr(
+                BoundaryData, "grad_values",
+                lambda self, batch: offset_copy(grad_values(self, batch), shift),
+            )
+            got = classify_points(alg, bd, points)
+            assert [(c.elliptic, c.margin) for c in got] == [
+                (c.elliptic, c.margin) for c in want
+            ], (name, shift)
+        monkeypatch.undo()
+
+
+def test_classification_of_a_poisson_structure_vanishing_on_a_hyperplane():
+    # sigma = z1 d/dz1 ^ d/dz2 vanishes on {z1 = 0}: there rho(L) = T^{0,1}
+    # meets its conjugate in 0, although ker A is not 0
+    text = (Path(__file__).parent / "specs" / "holomorphic_poisson_vanishing_on_z1_zero.spec")
+    spec = parse_specfile(text.read_text())
+    alg, bd = spec.build_algebroid(), spec.build_boundary()
+    circle = [[0.0, 0.0, math.cos(t), math.sin(t)] for t in np.linspace(0.0, 6.2, 40)]
+    for points in (circle, spec.sample_points()):
+        classes = classify_points(alg, bd, points)
+        oracle = [gc_ellipticity_via_bivector(alg, bd, p) for p in points]
+        assert [c.elliptic for c in classes] == [c.elliptic for c in oracle]
+    assert all(c.label == "NonElliptic" and c.margin == 0.0 for c in classify_points(alg, bd, circle))
+    A = alg.anchor_matrices(circle)
+    _, _, keep = levi._anchor_svd(A, bd.rank_tol)
+    assert np.array_equal(keep.sum(axis=1), intersection_dims(A))
+    assert not keep.any()
+
+
+def test_walk_evaluates_anchors_once_and_classifies_without_complex_svds(monkeypatch):
     spec = gallery_spec("annulus_c3_dbar")
     alg, bd = spec.build_algebroid(), spec.build_boundary()
     points = spec.sample_points()
     stacked = (alg.chart.dim, 2 * alg.rank)  # [A, +-conj A] at a point
-    counts = {"anchor rows": 0, "stacked svds": 0}
+    counts = {"anchor rows": 0, "complex svds": 0, "complex stacked svds": 0}
     anchor_matrices, svd = AlgebroidSpec.anchor_matrices, np.linalg.svd
 
     def counted_anchor_matrices(self, batch):
@@ -472,18 +644,20 @@ def test_walk_evaluates_anchors_once_and_takes_one_stacked_svd_per_point(monkeyp
         return anchor_matrices(self, batch)
 
     def counted_svd(a, *args, **kwargs):
-        if np.shape(a)[-2:] == stacked:
-            counts["stacked svds"] += int(np.prod(np.shape(a)[:-2]))
+        if np.iscomplexobj(a):
+            counts["complex svds"] += 1
+            counts["complex stacked svds"] += np.shape(a)[-2:] == stacked
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(AlgebroidSpec, "anchor_matrices", counted_anchor_matrices)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    classify_points(alg, bd, points)
+    assert counts == {"anchor rows": len(points), "complex svds": 0, "complex stacked svds": 0}
+    counts.update({"anchor rows": 0, "complex svds": 0})
     verdict = q_convex_set(alg, bd, points)
     assert all(rep.signature is not None for rep in verdict.reports)
-    assert counts == {"anchor rows": len(points), "stacked svds": len(points)}
-    counts.update({"anchor rows": 0, "stacked svds": 0})
-    classify_points(alg, bd, points)
-    assert counts == {"anchor rows": len(points), "stacked svds": len(points)}
+    # the Levi tail's mu-projection is the only complex SVD left
+    assert counts["anchor rows"] == len(points) and counts["complex stacked svds"] == 0
 
 
 # ---------------------------------------------------------------------------
