@@ -266,9 +266,6 @@ class AlgebroidForm(CoeffTable):
     def dual_frame(alg: AlgebroidSpec, i: int) -> "AlgebroidForm":
         return AlgebroidForm(alg, 1, (((i,), const(alg.chart, 1)),))
 
-    def max_abs_at(self, point) -> float:
-        return max((abs(c.eval(point)) for _, c in self.coeffs), default=0.0)
-
 
 def ce_differential(alg: AlgebroidSpec, phi: AlgebroidForm) -> AlgebroidForm:
     """Chevalley-Eilenberg differential in the frame presentation.
@@ -342,10 +339,9 @@ def d_squared_residual(
     worst = 0.0
     for probe in probes:
         dd = ce_differential(alg, ce_differential(alg, probe))
-        if dd.is_zero:
-            continue
-        for p in sample_points:
-            worst = max(worst, dd.max_abs_at(p))
+        if not dd.is_zero:
+            values = eval_table([c for _, c in dd.coeffs], sample_points)
+            worst = max(worst, float(np.abs(values).max(initial=0.0)))
     return worst
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Dict, Optional, Tuple
 
-from .scalars import Chart, ScalarExpr, const
+from .scalars import Chart, ScalarExpr, const, eval_table
 
 __all__ = [
     "VectorFieldExpr",
@@ -111,7 +111,7 @@ class VectorFieldExpr:
         return out
 
     def eval(self, point) -> "list[complex]":
-        return [c.eval(point) for c in self.components]
+        return eval_table(self.components, [point])[0].tolist()
 
     @property
     def is_zero(self) -> bool:

@@ -395,26 +395,19 @@ def levi_from_cr_fields(
     supplied to exercise quotient-independence.
     """
     k = len(cr_fields)
-    vals = [np.array(f.eval(point)) for f in cr_fields]
-    t_val = np.array(transverse.eval(point))
+    brackets = [lie_bracket(f, h.conj()).components for f in cr_fields for h in cr_fields]
+    table = [f.components for f in cr_fields] + [transverse.components] + brackets
+    V = eval_table(table, [point])[0]
+    t_val = V[k]
     g = 1j * (t_val.conj() - t_val)
-    span = (
-        np.array(vals + [v.conj() for v in vals]).T
-        if k
-        else np.zeros((len(t_val), 0))
-    )
-    B = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            br = lie_bracket(cr_fields[i], cr_fields[j].conj())
-            cval = -1j * np.array(br.eval(point))
-            if projector is not None:
-                B[i, j] = complex(
-                    np.dot(projector, cval) / np.dot(projector, g)
-                )
-            else:
-                B[i, j] = mu_component(span, g, cval, bd.rank_tol)
-    return B
+    if projector is None:
+        span = np.concatenate([V[:k], V[:k].conj()]).T
+        u, _, _, error = _mu_functionals(span[None], g[None], bd.rank_tol)
+        if error:
+            raise error
+        projector = u[0].conj()
+    cval = -1j * V[k + 1 :].reshape(k, k, len(t_val))
+    return (cval @ projector) / (projector @ g)
 
 
 # ---------------------------------------------------------------------------
@@ -548,34 +541,26 @@ def _finish(points, classes, B: np.ndarray, eig_zero_tol: float):
 # complex-Hessian route
 
 
+def _pair_indices(chart):
+    """The real and the imaginary index of each complex coordinate, as arrays."""
+    return np.array(chart.complex_pairs, dtype=int).reshape(-1, 2).T
+
+
 def wirtinger_hessian(bd: BoundaryData, point) -> np.ndarray:
     """H_ij = d^2 r / dz^i dzbar^j at the point (chart must be paired)."""
-    chart = bd.chart
-    n = chart.n_complex
-    H = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        ri, ii = chart.complex_pairs[i]
-        for j in range(n):
-            rj, ij = chart.complex_pairs[j]
-            # d/dz^i = (d_ri - i d_ii)/2 applied to d r/dzbar^j = (d_rj + i d_ij) r /2
-            h = 0.25 * (
-                bd.hess[ri][rj].eval(point)
-                + 1j * bd.hess[ri][ij].eval(point)
-                - 1j * bd.hess[ii][rj].eval(point)
-                + bd.hess[ii][ij].eval(point)
-            )
-            H[i, j] = h
-    return H
+    re, im = _pair_indices(bd.chart)
+    D = eval_table(bd.hess, [point])[0]
+    # d/dz^i = (d_re - i d_im)/2 applied to dr/dzbar^j = (d_re + i d_im) r / 2
+    return 0.25 * (
+        D[np.ix_(re, re)] + 1j * D[np.ix_(re, im)] - 1j * D[np.ix_(im, re)] + D[np.ix_(im, im)]
+    )
 
 
 def antiholomorphic_gradient(bd: BoundaryData, point) -> np.ndarray:
     """(dr/dzbar^1 .. dr/dzbar^n) at the point."""
-    chart = bd.chart
-    out = []
-    for k in range(chart.n_complex):
-        ri, ii = chart.complex_pairs[k]
-        out.append(0.5 * (bd.grad[ri].eval(point) + 1j * bd.grad[ii].eval(point)))
-    return np.array(out)
+    re, im = _pair_indices(bd.chart)
+    g = bd.grad_values([point])[0]
+    return 0.5 * (g[re] + 1j * g[im])
 
 
 def cr_kernel_basis(bd: BoundaryData, point) -> np.ndarray:
@@ -608,12 +593,7 @@ def levi_form_complex_hessian(
 
 def _hessian_form(H: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """L(u_a, u_b) = sum H_ij conj(u_b^i) u_a^j over the rows u of basis."""
-    k = basis.shape[0]
-    B = np.zeros((k, k), dtype=complex)
-    for a in range(k):
-        for b in range(k):
-            B[a, b] = np.einsum("ij,i,j->", H, basis[b].conj(), basis[a])
-    return B
+    return basis @ H.T @ basis.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +628,12 @@ def levi_form_poisson(
     if n == 0:
         raise ValueError("poisson route needs a chart with complex pairing")
     X_r = _hamiltonian_of_r(bd, sigma)
-    x_val = np.array(X_r.eval(point))
+    unit = [[const(chart, int(i == j)) for i in range(n)] for j in range(n)]
+    # X_r, then the sigma(dz^j), as real-chart components
+    fields = [X_r] + [sigma_contract(chart, sigma, alpha) for alpha in unit]
+    V = eval_table([f.components for f in fields], [point])[0]
     g = bd.grad_at(point)
-    if np.linalg.norm(x_val) > bd.rank_tol * max(np.linalg.norm(g), 1.0):
+    if np.linalg.norm(V[0]) > bd.rank_tol * max(np.linalg.norm(g), 1.0):
         raise ValueError(
             "X_r does not vanish at the point; the point is elliptic"
         )
@@ -659,45 +642,20 @@ def levi_form_poisson(
     basis = np.asarray(cr_t_basis, dtype=complex)
     k = basis.shape[0]
     H = wirtinger_hessian(bd, point)
-    size = k + n
-    B = np.zeros((size, size), dtype=complex)
-    B[:k, :k] = _hessian_form(H, basis)  # T-block
-    # sigma values sig(dz^j) as holomorphic component matrices
-    unit = [
-        [const(chart, 1) if i == j else const(chart, 0) for i in range(n)]
-        for j in range(n)
-    ]
-    sig_vals = np.zeros((n, n), dtype=complex)  # sig_vals[j][a] = (sigma dz^j)^{z^a}
-    for j in range(n):
-        vec = sigma_contract(chart, sigma, unit[j])
-        for a in range(n):
-            ri, ii = chart.complex_pairs[a]
-            sig_vals[j, a] = (
-                vec.components[ri].eval(point)
-                + 1j * vec.components[ii].eval(point)
-            )
+    re, im = _pair_indices(chart)
+    S = V[1:, re] + 1j * V[1:, im]  # S[j, a] = (sigma dz^j)^{z^a}
+    # dXr[a, j] = d(X_r^{z^a}) / dz^j from the real jacobian of X_r
+    J = eval_table(_jacobian(X_r.components, chart), [point])[0]
+    J = J[re] + 1j * J[im]
+    dXr = 0.5 * (J[:, re] - 1j * J[:, im])
     # cross block: L(alpha, u) = alpha([X_r, conj(u)]); for the constant
-    # extension of conj(u), [X_r, C] = -(grad_C X_r) at a zero of X_r.
-    dXr = np.zeros((n, n), dtype=complex)  # dXr[k][j] = d(X_r^{z^k})/d z^j
-    for kk in range(n):
-        ri, ii = chart.complex_pairs[kk]
-        comp = X_r.components[ri] + const(chart, 1j) * X_r.components[ii]
-        for j in range(n):
-            rj, ij = chart.complex_pairs[j]
-            d = 0.5 * (comp.diff(rj).eval(point) - 1j * comp.diff(ij).eval(point))
-            dXr[kk, j] = d
-    for a in range(k):
-        ubar = basis[a].conj()  # holomorphic components of conj(u_a)
-        bracket = -dXr @ ubar  # [X_r, conj(u_a)] in dz components
-        for j in range(n):
-            B[k + j, a] = bracket[j]
-            B[a, k + j] = np.conj(bracket[j])
-    # sigma-sigma block: L(alpha, beta) = H(sigma alpha, conj(sigma beta))
-    for i in range(n):
-        for j in range(n):
-            B[k + i, k + j] = np.einsum(
-                "ab,a,b->", H, sig_vals[i], sig_vals[j].conj()
-            )
+    # extension of conj(u), [X_r, C] = -(grad_C X_r) at a zero of X_r
+    cross = -dXr @ basis.conj().T
+    B = np.block([
+        [_hessian_form(H, basis), cross.conj().T],  # T-block
+        # sigma-sigma block: L(alpha, beta) = H(sigma alpha, conj(sigma beta))
+        [cross, S @ H @ S.conj().T],
+    ])
     return B, basis
 
 
@@ -779,12 +737,9 @@ def gc_ellipticity_via_bivector(
         return Classification(False, 0.0)
     if kind == "graph_two_form":
         omega = alg.meta["omega"]
-        m = alg.chart.dim
-        W = np.zeros((m, m), dtype=complex)
-        for (i, j), c in omega.table().items():
-            W[i, j] = c.eval(point)
-            W[j, i] = -W[i, j]
-        W = W.imag  # pi_J = (Im omega)^{-1} for graph(B + i omega)
+        m = range(alg.chart.dim)
+        W = eval_table([[omega.coeff((i, j)) for j in m] for i in m], [point])[0]
+        W = (W - W.T).imag  # pi_J = (Im omega)^{-1} for graph(B + i omega)
         try:
             v = np.linalg.solve(W, g.real)
         except np.linalg.LinAlgError:

@@ -406,8 +406,12 @@ def solve_dbar_lstsq(problem: NeumannProblem, f: DiscreteForm) -> DiscreteForm:
 
 def hodge_split(problem: NeumannProblem, phi: DiscreteForm):
     """Orthogonal decomposition phi = harmonic + P(...) + P*(...)."""
+    return _hodge_split(problem, phi, problem.apply_N(phi))
+
+
+def _hodge_split(problem: NeumannProblem, phi: DiscreteForm, n_phi: DiscreteForm):
+    """hodge_split from phi and its N phi."""
     harm = problem.apply_pi(phi)
-    n_phi = problem.apply_N(phi)
     if phi.degree == 1:
         im_p = problem.apply_P(problem.apply_P_star(n_phi))
         im_p_star = DiscreteForm(1, np.zeros_like(phi.values))
@@ -600,7 +604,7 @@ def dbar_report(
         phi = problem.random_form(deg, rng)
         n_phi = problem.apply_N(phi)
         lhs = problem.apply_box(n_phi)
-        harm, im_p, im_ps = hodge_split(problem, phi)
+        harm, im_p, im_ps = _hodge_split(problem, phi, n_phi)
         resid = lhs.values + harm.values - phi.values
         worst_identity = max(
             worst_identity,

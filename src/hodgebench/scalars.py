@@ -7,6 +7,11 @@ Gaussian-rational coefficients.  Because the chart variables are real,
 conjugation acts on coefficients only, so every expression built from
 {+, -, *, /, integer powers, conj, i} normalizes into this class and
 equality of normalized expressions is decidable (by cross-multiplication).
+
+Numbers appear only at point evaluation, and there is one evaluator for it:
+eval_many over a PointBatch of real points, with eval its batch of one and
+eval_table its form for a table of expressions.  Its reference, a
+term-by-term interpreter, lives in the tests.
 """
 
 from __future__ import annotations
@@ -178,26 +183,17 @@ def _poly_divides(num: dict, den: dict):
     return quo
 
 
-def _poly_eval(p: dict, point: Sequence[complex]) -> complex:
-    total = 0j
-    for mono, c in p.items():
-        term = c.to_complex()
-        for x, e in zip(point, mono):
-            if e:
-                term *= x**e
-        total += term
-    return total
-
-
 # ---------------------------------------------------------------------------
-# batched evaluation
+# evaluation
 #
 # A lowered polynomial is a list of terms (re, im, ((var, exp), ...)) in dict
-# order.  Evaluating it over a batch repeats _poly_eval's float operations
-# elementwise: powers by libm pow, each complex product spelled out the way
-# CPython's complex type computes it, terms summed in the same order.  (NumPy's
-# own complex multiply and array power round differently.)  So eval_many
-# equals eval bit for bit, signed zeros included.
+# order.  Evaluating it over a batch repeats, elementwise, the float
+# operations of summing the terms with Python complex numbers: powers by libm
+# pow, each complex product spelled out the way CPython's complex type
+# computes it, terms summed in dict order.  (NumPy's own complex multiply and
+# array power round differently.)  The tests keep that term-by-term
+# interpreter as the reference and check the evaluator against it bit for
+# bit, signed zeros included.
 
 
 def _lower(p: dict) -> list:
@@ -211,12 +207,19 @@ def _lower(p: dict) -> list:
 class PointBatch:
     """An (N, m) batch of real points and the coordinate powers taken on it.
 
-    Each power is computed once, with Python float ``**`` as in
-    ScalarExpr.eval, and shared by every expression evaluated on the batch.
+    Each power is computed once, with Python float ``**``, and shared by
+    every expression evaluated on the batch.  Chart points are real: complex
+    input is taken by its real part when every imaginary part is zero and
+    refused otherwise.
     """
 
     def __init__(self, points):
-        X = np.asarray(points, dtype=float)
+        X = np.asarray(points)
+        if np.iscomplexobj(X):
+            if np.any(X.imag != 0):
+                raise ValueError("chart points are real")
+            X = X.real
+        X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("a point batch must be an (N, m) array")
         self.points = X
@@ -459,19 +462,15 @@ class ScalarExpr:
     def __hash__(self):
         raise TypeError("ScalarExpr is unhashable")
 
-    def eval(self, point: Sequence[complex]) -> complex:
-        if len(point) != self.chart.dim:
-            raise ValueError("point dimension mismatch")
-        den = _poly_eval(self.den, point)
-        if den == 0:
-            raise ZeroDivisionError("expression denominator vanishes at the point")
-        return _poly_eval(self.num, point) / den
+    def eval(self, point: Sequence[float]) -> complex:
+        """The value at one real point: eval_many on a batch of one."""
+        return complex(self.eval_many(PointBatch([point]))[0])
 
     def eval_many(self, points) -> np.ndarray:
-        """eval at every row of an (N, m) array of real points or a PointBatch.
+        """Values at every row of an (N, m) array of real points or a PointBatch.
 
-        Equal to eval row by row bit for bit; the expression is lowered to
-        float terms on first use and the lowered form is kept on it.
+        The expression is lowered to float terms on first use and the
+        lowered form is kept on it.
         """
         batch = points if isinstance(points, PointBatch) else PointBatch(points)
         if batch.points.shape[1] != self.chart.dim:
@@ -548,6 +547,9 @@ def eval_table(table, points) -> np.ndarray:
     """
     batch = points if isinstance(points, PointBatch) else PointBatch(points)
     table = np.array(table, dtype=object)
+    # zero entries are not evaluated, so the dimension is checked here
+    if table.size and batch.points.shape[1] != table.flat[0].chart.dim:
+        raise ValueError("point dimension mismatch")
     out = np.zeros((len(batch), table.size), dtype=complex)
     for idx, expr in enumerate(table.flat):
         if not expr.is_zero:

@@ -16,7 +16,7 @@ from hodgebench.algebroids import (
     make_holomorphic_poisson,
     make_tangent,
 )
-from hodgebench.calculus import FormExpr, VectorFieldExpr
+from hodgebench.calculus import FormExpr, VectorFieldExpr, wirtinger
 from hodgebench import levi
 from hodgebench.gallery import gallery_names, gallery_spec
 from hodgebench.levi import (
@@ -37,6 +37,7 @@ from hodgebench.levi import (
     levi_from_cr_fields,
     q_convex_set,
     sphere_lattice,
+    wirtinger_hessian,
 )
 from hodgebench.scalars import Chart, PointBatch, const, parse_expr
 from hodgebench.specfile import parse_specfile
@@ -758,6 +759,25 @@ def test_generic_vs_hessian_route_agree():
     rep = levi_form_generic(alg, bd, point, cr_rows=basis)
     assert np.allclose(rep.levi, B_h, atol=1e-8)
     assert rep.signature == eigen_signature(B_h)
+
+
+def test_hessian_route_on_a_chart_with_non_consecutive_pairs():
+    # z1 = x1 + i x3, z2 = x2 + i x4: the routes index by the pairing
+    chart = Chart(4, complex_pairs=((0, 2), (1, 3)))
+    anchors = tuple(wirtinger(chart, k, anti=True) for k in (1, 2))
+    alg = AlgebroidSpec(chart, 2, anchors, {}, "antiholomorphic_13_24")
+    bd = ball_boundary(chart)
+    for p in sphere_lattice(4, 5):
+        p = list(p)
+        basis = cr_kernel_basis(bd, p)
+        B_h = levi_form_complex_hessian(bd, p, basis)
+        rep = levi_form_generic(alg, bd, p, cr_rows=basis)
+        assert np.linalg.norm(rep.levi - B_h) <= 1e-8 * max(np.linalg.norm(B_h), 1.0)
+        assert rep.signature == eigen_signature(B_h, bd.eig_zero_tol)
+    # a Hessian that is not the identity in any pairing
+    mixed = BoundaryData(parse_expr("z1*zb2 + zb1*z2 + 2*z2*zb2", chart))
+    H = wirtinger_hessian(mixed, [0.3, -0.1, 0.7, 0.2])
+    assert np.allclose(H, [[0.0, 1.0], [1.0, 2.0]], atol=1e-14)
 
 
 def test_generic_fast_path_agrees_with_exact_brackets():

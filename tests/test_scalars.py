@@ -146,14 +146,37 @@ def test_chart_invariants():
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation: eval_many against eval, bit for bit
+# evaluation: eval_many and eval against the term-by-term interpreter, bit for bit
 
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from hodgebench.scalars import CNum, ScalarExpr
+from hodgebench.scalars import CNum, PointBatch, ScalarExpr, eval_table
+
+
+def _poly_eval(p, point):
+    total = 0j
+    for mono, c in p.items():
+        term = c.to_complex()
+        for x, e in zip(point, mono):
+            if e:
+                term *= x**e
+        total += term
+    return total
+
+
+def reference_eval(expr, point):
+    """The value at one point, summed term by term in Python complex numbers:
+    the reference the lowered evaluator must match bit for bit."""
+    if len(point) != expr.chart.dim:
+        raise ValueError("point dimension mismatch")
+    den = _poly_eval(expr.den, point)
+    if den == 0:
+        raise ZeroDivisionError("expression denominator vanishes at the point")
+    return _poly_eval(expr.num, point) / den
+
 
 small = st.integers(-9, 9)
 coefficients = st.builds(
@@ -182,13 +205,14 @@ def test_eval_many_equals_eval_bytes(data):
     expr = ScalarExpr(chart, num, den)
     rows = data.draw(points(dim))
     try:
-        want = np.array([expr.eval(p) for p in rows], dtype=complex)
+        want = np.array([reference_eval(expr, p) for p in rows], dtype=complex)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
             expr.eval_many(np.array(rows))
         return
     got = expr.eval_many(np.array(rows))
     assert got.tobytes() == want.tobytes()
+    assert np.array([expr.eval(p) for p in rows]).tobytes() == want.tobytes()
     # sample points reach eval as numpy scalars; the values must not change
     assert np.array([expr.eval(list(p)) for p in np.array(rows)]).tobytes() == want.tobytes()
 
@@ -200,10 +224,13 @@ def test_eval_many_equals_eval_bytes_past_overflow():
     rows = [[1e120, 1e120, 1.0], [-1e120, 1e100, 0.0], [1e150, -1e150, 2.0], [1.0, 2.0, 3.0]]
     for text in ("(1+i)*x1^2*x2^2*x3", "i*x1^2*x2^2 + x3", "x1^2*x2^2*x3 / (x3 + 2*i)"):
         expr = parse_expr(text, chart)
-        want = np.array([expr.eval(p) for p in rows])
+        want = np.array([reference_eval(expr, p) for p in rows])
         assert np.isnan(want).any()
         assert expr.eval_many(np.array(rows)).tobytes() == want.tobytes()
+        assert np.array([expr.eval(p) for p in rows]).tobytes() == want.tobytes()
     too_big = parse_expr("x1^3", chart)
+    with pytest.raises(OverflowError):
+        reference_eval(too_big, rows[0])
     with pytest.raises(OverflowError):
         too_big.eval(rows[0])
     with pytest.raises(OverflowError):
@@ -222,6 +249,33 @@ def test_vanishing_denominator_raises_on_both_paths(data):
     rows = data.draw(points(dim, min_size=0))
     bad = [float(root)] + data.draw(st.lists(coordinates, min_size=dim - 1, max_size=dim - 1))
     with pytest.raises(ZeroDivisionError):
+        reference_eval(expr, bad)
+    with pytest.raises(ZeroDivisionError):
         expr.eval(bad)
     with pytest.raises(ZeroDivisionError):
         expr.eval_many(np.array(rows + [bad]))
+
+
+def test_chart_points_are_real():
+    # complex-typed points with zero imaginary parts evaluate as their real
+    # parts; a nonzero imaginary part is refused, as chart points are real
+    chart = Chart.real(3)
+    expr = parse_expr("(x1^2*x2 - i*x3) / (x2^2 + 1)", chart)
+    rows = np.array([[0.3, -1.2, 0.0], [-0.0, 2.5, 1.0 / 3.0], [1e-3, 0.5, -7.0]])
+    want = expr.eval_many(rows)
+    assert want.tobytes() == np.array([reference_eval(expr, p) for p in rows]).tobytes()
+    as_complex = [list(map(complex, p)) for p in rows]
+    assert expr.eval_many(np.array(as_complex)).tobytes() == want.tobytes()
+    assert expr.eval_many(as_complex).tobytes() == want.tobytes()
+    assert np.array([expr.eval(p) for p in as_complex]).tobytes() == want.tobytes()
+    bad = [0.3, -1.2 + 1e-300j, 0.0]
+    for call in (lambda: PointBatch([bad]), lambda: expr.eval(bad), lambda: expr.eval_many([bad])):
+        with pytest.raises(ValueError, match="chart points are real"):
+            call()
+
+
+def test_eval_table_checks_the_point_dimension_of_zero_entries():
+    chart = Chart.real(2)
+    for table in ([const(chart, 0)], [[var(chart, 0), const(chart, 0)]]):
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            eval_table(table, [[1.0, 2.0, 3.0]])
