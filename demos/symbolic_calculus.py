@@ -8,19 +8,17 @@ literal zero expression.
 
 import random
 
-from hodgebench import (
-    Chart,
+from hodgebench.calculus import (
+    FormExpr,
     GeneralizedSection,
     VectorFieldExpr,
     courant_bracket,
     exterior_derivative,
     interior,
     lie_bracket,
-    parse_expr,
     wirtinger,
 )
-from hodgebench.calculus import FormExpr
-from hodgebench.scalars import const, var
+from hodgebench.scalars import Chart, const, parse_expr, var
 
 print("== parsing and evaluation ==")
 chart = Chart.real(2)

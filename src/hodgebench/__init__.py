@@ -15,57 +15,3 @@ Modules by task:
 """
 
 __version__ = "0.1.0"
-
-from .scalars import Chart, ScalarExpr, parse_expr
-from .calculus import (
-    FormExpr,
-    GeneralizedSection,
-    VectorFieldExpr,
-    courant_bracket,
-    exterior_derivative,
-    interior,
-    lie_bracket,
-    lie_derivative,
-    wirtinger,
-)
-from .algebroids import (
-    AlgebroidForm,
-    AlgebroidSpec,
-    ce_differential,
-    d_squared_residual,
-    is_elliptic_at,
-    make_antiholomorphic,
-    make_graph_bivector,
-    make_graph_two_form,
-    make_holomorphic_poisson,
-    make_tangent,
-)
-from .levi import (
-    BoundaryData,
-    LeviReport,
-    classify_point,
-    eigen_signature,
-    gc_ellipticity_via_bivector,
-    levi_form_complex_hessian,
-    levi_form_generic,
-    levi_form_poisson,
-    q_convex_set,
-    sphere_lattice,
-)
-from .sobolev import (
-    HalfGrid,
-    TorusGrid,
-    kernel_lemma_check,
-    lambda_full,
-    lambda_tangential,
-    leibniz_battery,
-)
-from .neumann import (
-    AnnulusGrid,
-    DiscreteForm,
-    NeumannProblem,
-    basic_estimate_report,
-    family_continuity,
-    hodge_split,
-    solve_dbar,
-)

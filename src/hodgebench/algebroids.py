@@ -110,7 +110,8 @@ def make_tangent(chart: Chart, name: str = "tangent") -> AlgebroidSpec:
 def make_antiholomorphic(n: int, name: str = "antiholomorphic") -> AlgebroidSpec:
     chart = Chart.complex_chart(n)
     anchors = tuple(wirtinger(chart, k + 1, anti=True) for k in range(n))
-    return AlgebroidSpec(chart, n, anchors, {}, name)
+    meta = {"kind": "antiholomorphic"}
+    return AlgebroidSpec(chart, n, anchors, {}, name, meta=meta)
 
 
 def make_graph_two_form(
@@ -255,10 +256,6 @@ class AlgebroidForm(CoeffTable):
         return self.alg.chart
 
     @staticmethod
-    def zero(alg: AlgebroidSpec, degree: int) -> "AlgebroidForm":
-        return AlgebroidForm(alg, degree, ())
-
-    @staticmethod
     def from_function(alg: AlgebroidSpec, f: ScalarExpr) -> "AlgebroidForm":
         return AlgebroidForm(alg, 0, (((), f),))
 
@@ -318,24 +315,19 @@ def ce_differential(alg: AlgebroidSpec, phi: AlgebroidForm) -> AlgebroidForm:
 
 
 def d_squared_residual(
-    alg: AlgebroidSpec,
-    sample_points: Sequence[Sequence[complex]],
-    probes: Optional[Sequence[AlgebroidForm]] = None,
+    alg: AlgebroidSpec, sample_points: Sequence[Sequence[complex]]
 ) -> float:
     """Max |coefficient| of d_L(d_L probe) over probes and sample points.
 
-    Default probes: the coordinate functions, plus the dual frame one-forms
+    The probes are the coordinate functions, plus the dual frame one-forms
     when the rank allows a degree-3 result.
     """
-    if probes is None:
-        probes = [
-            AlgebroidForm.from_function(alg, ScalarExpr.variable(alg.chart, i))
-            for i in range(alg.chart.dim)
-        ]
-        if alg.rank >= 3:
-            probes = list(probes) + [
-                AlgebroidForm.dual_frame(alg, i) for i in range(alg.rank)
-            ]
+    probes = [
+        AlgebroidForm.from_function(alg, ScalarExpr.variable(alg.chart, i))
+        for i in range(alg.chart.dim)
+    ]
+    if alg.rank >= 3:
+        probes += [AlgebroidForm.dual_frame(alg, i) for i in range(alg.rank)]
     worst = 0.0
     for probe in probes:
         dd = ce_differential(alg, ce_differential(alg, probe))

@@ -184,12 +184,8 @@ def cmd_classify(args) -> Tuple[Dict, int]:
     margins = [c.margin for c in results]
     n_elliptic = sum(1 for c in results if c.elliptic)
     table = [
-        {
-            "point": [float(x) for x in p],
-            "classification": c.label,
-            "margin": c.margin,
-        }
-        for p, c in zip(points, results)
+        {"point": p, "classification": c.label, "margin": c.margin}
+        for p, c in zip(points.tolist(), results)
     ]
     report = {
         "command": "classify",
@@ -224,8 +220,8 @@ def cmd_levi(args) -> Tuple[Dict, int]:
     else:
         candidates = spec.sample_points()
         classes = classify_points(alg, bd, candidates)
-        points = [p for p, c in zip(candidates, classes) if not c.elliptic][: args.max_points]
-        if not points:
+        points = candidates[[not c.elliptic for c in classes]][: args.max_points]
+        if not len(points):
             report = {
                 "command": "levi",
                 "meta": _meta(spec, spec.seed),
@@ -233,19 +229,18 @@ def cmd_levi(args) -> Tuple[Dict, int]:
                 "points": [],
             }
             return report, 0
-    table = []
-    for p, rep in zip(points, levi_forms_generic(alg, bd, points)):
-        table.append(
-            {
-                "point": [float(x) for x in p],
-                "classification": rep.classification.label,
-                "margin": rep.classification.margin,
-                "signature": list(rep.signature),
-                "hermitian_defect": rep.hermitian_defect,
-                "levi_matrix": rep.levi,
-                "route": rep.route,
-            }
-        )
+    table = [
+        {
+            "point": rep.point,
+            "classification": rep.classification.label,
+            "margin": rep.classification.margin,
+            "signature": list(rep.signature),
+            "hermitian_defect": rep.hermitian_defect,
+            "levi_matrix": rep.levi,
+            "route": rep.route,
+        }
+        for rep in levi_forms_generic(alg, bd, points)
+    ]
     report = {
         "command": "levi",
         "meta": _meta(spec, spec.seed),
@@ -268,7 +263,7 @@ def cmd_convexity(args) -> Tuple[Dict, int]:
     for q, idx in sorted(verdict.witnesses.items()):
         rep = verdict.reports[idx]
         witnesses[str(q)] = {
-            "point": [float(x) for x in rep.point],
+            "point": rep.point,
             "signature": list(rep.signature),
         }
     n_nonelliptic = sum(1 for r in verdict.reports if r.signature is not None)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,7 +59,6 @@ __all__ = [
     "q_convex_set",
     "gc_ellipticity_via_bivector",
     "sphere_lattice",
-    "mu_component",
     "levi_from_cr_fields",
     "cr_kernel_basis",
 ]
@@ -85,10 +85,12 @@ class BoundaryData:
         self.eig_zero_tol = eig_zero_tol
         self.boundary_tol = boundary_tol
         self.grad = [r.diff(i) for i in range(self.chart.dim)]
-        self.hess = [
-            [self.grad[i].diff(j) for j in range(self.chart.dim)]
-            for i in range(self.chart.dim)
-        ]
+
+    @cached_property
+    def hess(self) -> List[List[ScalarExpr]]:
+        """The second derivatives of r, built on first read: only the
+        Hessian and Poisson routes read them."""
+        return [[g.diff(j) for j in range(self.chart.dim)] for g in self.grad]
 
     def grad_at(self, point) -> np.ndarray:
         g = self.grad_values([point])[0]
@@ -160,9 +162,6 @@ class ConvexityVerdict:
     witnesses: dict  # q -> index of a sampled point witnessing failure
     sample_note: str = "certified on the sample only"
 
-    def passes(self, q: int) -> bool:
-        return q in self.q_set
-
 
 # ---------------------------------------------------------------------------
 # classification, and the one walk over boundary samples
@@ -203,7 +202,8 @@ def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None
     over the block's non-elliptic points.  Each point is checked for its
     boundary residual, ellipticity, |dr| degeneracy, then its Levi form; the
     first failing point's error is raised after the points before it are
-    yielded.  Past an off-boundary point only r is evaluated.
+    yielded.  Past an off-boundary point only r is evaluated.  A report's
+    point is its row of the points, as a tuple of Python floats.
     """
     X = np.asarray(points, dtype=float)
     if X.size == 0:
@@ -232,12 +232,13 @@ def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None
             pairing = (Q[:n] * G[:n, :, None].conj()).sum(axis=1)
             margins = np.linalg.norm(pairing * keep[:n], axis=1) / np.linalg.norm(pairing, axis=1)
         classes = [Classification(m >= bd.rank_tol, m) for m in margins.tolist()]
+        rows = X[start : start + len(classes)].tolist()
         idx = np.flatnonzero(margins < bd.rank_tol) if levi else []
         if len(idx):
             route = route or _GenericRoute(alg, bd)
             dA, P, dP = route.values(PointBatch(batch.points[idx]))
             B, form_error = route.forms(A.transpose(0, 2, 1)[idx], dA, P, dP, cr_rows)
-            at, cls_at = [tuple(points[start + i]) for i in idx], [classes[i] for i in idx]
+            at, cls_at = [tuple(rows[i]) for i in idx], [classes[i] for i in idx]
             reports, finish_error = _finish(at, cls_at, B, bd.eig_zero_tol)
             levi_error = finish_error or form_error
         j = 0
@@ -245,7 +246,7 @@ def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None
             if not levi:
                 yield cls
             elif cls.elliptic:
-                yield LeviReport(tuple(points[start + i]), cls, None, None, "none")
+                yield LeviReport(tuple(rows[i]), cls, None, None, "none")
             elif j < len(reports):
                 yield reports[j]
                 j += 1
@@ -353,20 +354,11 @@ def adapted_sections(alg: AlgebroidSpec, bd: BoundaryData, frame: AdaptedFrame):
 # the mu-projection
 
 
-def mu_component(
-    span: np.ndarray, g: np.ndarray, value: np.ndarray, rel_tol: float = 1e-8
-) -> complex:
-    """Coefficient of g in value modulo span, via orthogonal projection."""
-    u, u_g, _, error = _mu_functionals(span[None], g[None], rel_tol)
-    if error:
-        raise error
-    return complex(np.vdot(u[0], value) / u_g[0])
-
-
 def _mu_functionals(span: np.ndarray, g: np.ndarray, rel_tol: float):
-    """u (N, m) and vdot(u, g) (N,), mu_component(span, g, value) being
-    vdot(u, value) / vdot(u, g), for spans (N, m, s) and generators g (N, m);
-    also the points before the first g in its span, and that one's error."""
+    """u (N, m) and vdot(u, g) (N,) for spans (N, m, s) and generators g
+    (N, m): the coefficient of g in a value modulo the span, by orthogonal
+    projection, is vdot(u, value) / vdot(u, g).  Also the points before the
+    first g in its span, and that one's error."""
     u = g
     if span.shape[2]:
         q, s, _ = np.linalg.svd(span, full_matrices=False)
@@ -493,7 +485,8 @@ def levi_form_generic(
         frame = replace(frame, cr_rows=np.asarray(cr_rows, dtype=complex))
     fields, transverse = adapted_sections(alg, bd, frame)
     B = levi_from_cr_fields(bd, fields, transverse, point)
-    reports, error = _finish([tuple(point)], [cls], B[None], bd.eig_zero_tol)
+    at = tuple(np.asarray(point, dtype=float).tolist())
+    reports, error = _finish([at], [cls], B[None], bd.eig_zero_tol)
     if error:
         raise error
     return reports[0]
@@ -731,9 +724,7 @@ def gc_ellipticity_via_bivector(
     kind = alg.meta.get("kind")
     g = bd.grad_at(point)
     gn = np.linalg.norm(g)
-    if kind == "antiholomorphic" or (
-        kind is None and alg.name.startswith("antiholomorphic")
-    ):
+    if kind == "antiholomorphic":
         return Classification(False, 0.0)
     if kind == "graph_two_form":
         omega = alg.meta["omega"]

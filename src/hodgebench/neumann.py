@@ -93,9 +93,6 @@ class DiscreteForm:
     degree: int
     values: np.ndarray  # (n_modes, n_r) for degree 0, (n_modes, n_r - 2) for 1
 
-    def copy(self) -> "DiscreteForm":
-        return DiscreteForm(self.degree, self.values.copy())
-
 
 class NeumannProblem:
     """Banded operators of the annulus problem, stacked over all angular modes.

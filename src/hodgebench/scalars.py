@@ -92,7 +92,6 @@ class CNum:
 
 C_ZERO = CNum(Fraction(0), Fraction(0))
 C_ONE = CNum(Fraction(1), Fraction(0))
-C_I = CNum(Fraction(0), Fraction(1))
 
 
 # ---------------------------------------------------------------------------

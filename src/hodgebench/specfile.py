@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from .algebroids import (
     AlgebroidSpec,
@@ -125,35 +127,33 @@ class SpecFile:
             r, rank_tol=self.rank_tol, eig_zero_tol=self.eig_zero_tol
         )
 
-    def sample_points(self) -> List[List[float]]:
+    def sample_points(self) -> np.ndarray:
+        """The (N, dim) float64 boundary sample of the spec's sampler."""
         dim = self.chart_dim
         if self.sampler == "sphere":
-            return [list(p) for p in sphere_lattice(dim, self.samples)]
+            return sphere_lattice(dim, self.samples)
         if self.sampler == "two_spheres":
             half = self.samples // 2
-            pts = [list(p) for p in sphere_lattice(dim, half)]
-            pts += [
-                list(p)
-                for p in sphere_lattice(dim, self.samples - half, radius=self.inner_radius)
-            ]
-            return pts
+            return np.concatenate([
+                sphere_lattice(dim, half),
+                sphere_lattice(dim, self.samples - half, radius=self.inner_radius),
+            ])
         if self.sampler == "poisson_locus":
             return _locus_circle(dim, self.samples)
         if self.sampler == "sphere_plus_locus":
-            pts = [list(p) for p in sphere_lattice(dim, self.samples)]
-            return pts + _locus_circle(dim, self.locus_samples)
+            return np.concatenate([
+                sphere_lattice(dim, self.samples), _locus_circle(dim, self.locus_samples)
+            ])
         raise SpecError(f"unsupported sampler {self.sampler!r}")
 
 
-def _locus_circle(dim: int, count: int) -> List[List[float]]:
+def _locus_circle(dim: int, count: int) -> np.ndarray:
     # the non-elliptic circle {x = z = w = 0, |y| = 1} of the Poisson gallery
-    pts = []
+    pts = np.zeros((count, dim))
     for k in range(count):
         theta = 2.0 * math.pi * ((k * 0.6180339887498949) % 1.0)
-        p = [0.0] * dim
-        p[2] = math.cos(theta)
-        p[3] = math.sin(theta)
-        pts.append(p)
+        pts[k, 2] = math.cos(theta)
+        pts[k, 3] = math.sin(theta)
     return pts
 
 

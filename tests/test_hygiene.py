@@ -1,9 +1,7 @@
 """Source hygiene of the package, checked with the standard-library ast.
 
 Every name a module lists in ``__all__`` is defined in it, and no module
-imports a name it never uses.  The package ``__init__`` is the exception to
-the second rule: its imports are the package namespace, so each of them
-must instead be public (in ``__all__``) in the module it comes from.
+imports a name it never uses.
 """
 
 import ast
@@ -83,19 +81,9 @@ def test_all_names_are_defined(path):
     assert len(names) == len(set(names)), f"{path.name}: __all__ repeats a name"
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = _tree(path)
     used = _used_names(tree) | set(_all_names(tree) or ())
     unused = [(name, line) for name, line in _imports(tree) if name not in used]
     assert not unused, f"{path.name}: imported but never used: {unused}"
-
-
-def test_package_namespace_imports_public_names():
-    for node in _tree(PACKAGE / "__init__.py").body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            public = _all_names(_tree(PACKAGE / f"{node.module}.py")) or []
-            private = [a.name for a in node.names if a.name not in public]
-            assert not private, f"__init__ imports non-public {node.module} names {private}"

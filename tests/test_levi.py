@@ -323,6 +323,33 @@ def test_one_point_levi_form_is_the_same_point_inside_a_walk():
             assert np.array_equal(one.levi, rep.levi), name
 
 
+def assert_python_float_point(point, row):
+    assert type(point) is tuple and all(type(x) is float for x in point)
+    assert np.array(point).tobytes() == np.asarray(row, dtype=float).tobytes()
+
+
+def test_report_points_are_tuples_of_python_floats_for_any_input():
+    # ball_c2_dbar's reports carry Levi forms, tangent_sphere's are elliptic
+    for name in ("ball_c2_dbar", "tangent_sphere"):
+        spec = gallery_spec(name)
+        spec.samples = 12
+        alg, bd = spec.build_algebroid(), spec.build_boundary()
+        array = spec.sample_points()
+        for points in (array, array.tolist()):
+            reports = q_convex_set(alg, bd, points).reports
+            assert len(reports) == len(array)
+            for rep, row in zip(reports, array):
+                assert_python_float_point(rep.point, row)
+    alg, bd = gallery_build("ball_c2_dbar")
+    array = gallery_spec("ball_c2_dbar").sample_points()[:3]
+    for points in (array, array.tolist()):
+        for rep, row in zip(levi_forms_generic(alg, bd, points), array, strict=True):
+            assert_python_float_point(rep.point, row)
+        for exact in (False, True):
+            rep = levi_form_generic(alg, bd, points[0], exact=exact)
+            assert_python_float_point(rep.point, array[0])
+
+
 def walk_until_error(alg, bd, points, cr_rows=None):
     """The reports a Levi walk yields before it raises, and what it raises."""
     yielded = []
@@ -992,10 +1019,11 @@ def test_gc_routes():
     bd = ball_boundary(chart)
     for p in sphere_lattice(2, 10):
         assert gc_ellipticity_via_bivector(alg, bd, list(p)).elliptic
-    # complex type: pi_J = 0, non-elliptic everywhere
-    anti = make_antiholomorphic(2)
-    bd4 = ball_boundary(anti.chart)
-    assert not gc_ellipticity_via_bivector(anti, bd4, [1.0, 0, 0, 0]).elliptic
+    # complex type: pi_J = 0, non-elliptic everywhere, whatever the name
+    for anti in (make_antiholomorphic(2), make_antiholomorphic(2, name="dbar")):
+        bd4 = ball_boundary(anti.chart)
+        cls = gc_ellipticity_via_bivector(anti, bd4, [1.0, 0, 0, 0])
+        assert cls == Classification(False, 0.0)
     # holomorphic Poisson: agrees with classify_point on random samples
     alg_p = poisson_c4()
     bd8 = ball_boundary(alg_p.chart)

@@ -1,11 +1,19 @@
+import math
 import re
 
+import numpy as np
 import pytest
 
 from hodgebench.algebroids import ce_differential, AlgebroidForm
-from hodgebench.levi import classify_point
+from hodgebench.gallery import gallery_spec
+from hodgebench.levi import classify_point, sphere_lattice
 from hodgebench.scalars import var
-from hodgebench.specfile import SpecError, format_specfile, parse_specfile
+from hodgebench.specfile import (
+    SAMPLER_KINDS,
+    SpecError,
+    format_specfile,
+    parse_specfile,
+)
 
 CUSTOM = """
 [chart]
@@ -63,6 +71,32 @@ def test_sampler_counts():
     pts = spec.sample_points()
     assert len(pts) == 16
     assert all(abs(p[0] ** 2 + p[1] ** 2 - 1) < 1e-12 for p in pts)
+
+
+def locus_rows(dim, count):
+    """The Poisson gallery's circle {x = z = w = 0, |y| = 1}, row by row."""
+    rows = []
+    for k in range(count):
+        theta = 2.0 * math.pi * ((k * 0.6180339887498949) % 1.0)
+        rows.append([0.0, 0.0, math.cos(theta), math.sin(theta)] + [0.0] * (dim - 4))
+    return np.array(rows).reshape(count, dim)
+
+
+@pytest.mark.parametrize("sampler", SAMPLER_KINDS)
+def test_samples_are_one_float_array_of_the_sampler_pieces(sampler):
+    spec = gallery_spec("poisson_c4")  # dim 8
+    spec.sampler, spec.samples, spec.locus_samples, spec.inner_radius = sampler, 37, 5, 0.25
+    lattice = sphere_lattice(8, 37)
+    want = {
+        "sphere": lattice,
+        "two_spheres": np.concatenate([sphere_lattice(8, 18), sphere_lattice(8, 19, radius=0.25)]),
+        "poisson_locus": locus_rows(8, 37),
+        "sphere_plus_locus": np.concatenate([lattice, locus_rows(8, 5)]),
+    }[sampler]
+    pts = spec.sample_points()
+    assert type(pts) is np.ndarray and pts.dtype == np.float64
+    assert pts.shape == want.shape and pts.flags.c_contiguous
+    assert pts.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
