@@ -131,14 +131,25 @@ def make_graph_two_form(
     return AlgebroidSpec(chart, chart.dim, anchors, {}, name, meta=meta)
 
 
+def _contract(chart: Chart, table: dict, covector, size: int, base: int) -> list:
+    """out^j = sum_i a_i t^{ij}, t antisymmetric, from its i<j entries keyed from base."""
+    out = [const(chart, 0) for _ in range(size)]
+    for (i, j), c in table.items():
+        i, j = i - base, j - base
+        out[j] = out[j] + covector[i] * c
+        out[i] = out[i] - covector[j] * c
+    return out
+
+
+def _unit(chart: Chart, size: int, i: int) -> list:
+    """The i-th unit covector of length size, as constants."""
+    return [const(chart, 1) if k == i else const(chart, 0) for k in range(size)]
+
+
 def bivector_contract(chart: Chart, pi: dict, covector: Sequence[ScalarExpr]):
     """pi(xi) for a bivector table {(i,j): ScalarExpr, i<j}: sum rule
     pi(xi)^j = sum_i xi_i pi^{ij} with the full antisymmetric table."""
-    comps = [const(chart, 0) for _ in range(chart.dim)]
-    for (i, j), c in pi.items():
-        comps[j] = comps[j] + covector[i] * c
-        comps[i] = comps[i] - covector[j] * c
-    return VectorFieldExpr(chart, tuple(comps))
+    return VectorFieldExpr(chart, tuple(_contract(chart, pi, covector, chart.dim, 0)))
 
 
 def make_graph_bivector(
@@ -160,11 +171,7 @@ def make_graph_bivector(
     if H is not None and H.degree != 3:
         raise ValueError("twisting form must have degree 3")
     m = chart.dim
-    unit = [
-        [const(chart, 1) if i == j else const(chart, 0) for j in range(m)]
-        for i in range(m)
-    ]
-    anchors = tuple(bivector_contract(chart, pi, unit[i]) for i in range(m))
+    anchors = tuple(bivector_contract(chart, pi, _unit(chart, m, i)) for i in range(m))
     structure = {}
     for i, j in combinations(range(m), 2):
         row = [anchors[i].components[j].diff(k) for k in range(m)]
@@ -180,10 +187,7 @@ def sigma_contract(chart: Chart, sigma: dict, alpha: Sequence[ScalarExpr]):
     """sigma(alpha) in T^{1,0} for a holomorphic bivector table
     {(i,j): ScalarExpr, 1-based i<j} and alpha given by dz-components."""
     n = chart.n_complex
-    out_z = [const(chart, 0) for _ in range(n)]
-    for (i, j), c in sigma.items():
-        out_z[j - 1] = out_z[j - 1] + alpha[i - 1] * c
-        out_z[i - 1] = out_z[i - 1] - alpha[j - 1] * c
+    out_z = _contract(chart, sigma, alpha, n, 1)
     total = VectorFieldExpr.zero(chart)
     for k in range(n):
         if not out_z[k].is_zero:
@@ -213,12 +217,8 @@ def make_holomorphic_poisson(
                 raise ValueError(
                     f"sigma entry ({i},{j}) is not holomorphic (dzbar^{k + 1} fails)"
                 )
-    unit_alpha = [
-        [const(chart, 1) if i == k else const(chart, 0) for i in range(n)]
-        for k in range(n)
-    ]
     anchors = tuple(wirtinger(chart, i + 1, anti=True) for i in range(n)) + tuple(
-        sigma_contract(chart, sigma, unit_alpha[k]) for k in range(n)
+        sigma_contract(chart, sigma, _unit(chart, n, k)) for k in range(n)
     )
     zeros = [const(chart, 0)] * n
     structure = {

@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .algebroids import d_squared_residual
+from .algebroids import AlgebroidSpec, d_squared_residual
 from .gallery import GALLERY, gallery_names
-from .levi import classify_points, levi_forms_generic, q_convex_set
+from .levi import BoundaryData, classify_points, levi_forms_generic, q_convex_set
 from .neumann import dbar_report
 from .sobolev import (
     HalfGrid,
@@ -161,6 +161,14 @@ def load_spec(ref: str, seed: Optional[int] = None) -> SpecFile:
     return spec
 
 
+def _spec_inputs(args) -> Tuple[SpecFile, AlgebroidSpec, BoundaryData]:
+    """The --spec file (with --seed and --samples applied), its algebroid and boundary."""
+    spec = load_spec(args.spec, args.seed)
+    if getattr(args, "samples", None) is not None:
+        spec.samples = args.samples
+    return spec, spec.build_algebroid(), spec.build_boundary()
+
+
 def _meta(spec: Optional[SpecFile], seed: int) -> Dict:
     meta = {"tool_version": __version__, "seed": seed}
     if spec is not None:
@@ -174,11 +182,7 @@ def _meta(spec: Optional[SpecFile], seed: int) -> Dict:
 
 
 def cmd_classify(args) -> Tuple[Dict, int]:
-    spec = load_spec(args.spec, args.seed)
-    if args.samples is not None:
-        spec.samples = args.samples
-    alg = spec.build_algebroid()
-    bd = spec.build_boundary()
+    spec, alg, bd = _spec_inputs(args)
     points = spec.sample_points()
     results = classify_points(alg, bd, points)
     margins = [c.margin for c in results]
@@ -212,9 +216,8 @@ def _parse_point(text: str) -> List[float]:
 
 
 def cmd_levi(args) -> Tuple[Dict, int]:
-    spec = load_spec(args.spec, args.seed)
-    alg = spec.build_algebroid()
-    bd = spec.build_boundary()
+    spec, alg, bd = _spec_inputs(args)
+    report = {"command": "levi", "meta": _meta(spec, spec.seed)}
     if args.point:
         points = [_parse_point(p) for p in args.point]
     else:
@@ -222,14 +225,8 @@ def cmd_levi(args) -> Tuple[Dict, int]:
         classes = classify_points(alg, bd, candidates)
         points = candidates[[not c.elliptic for c in classes]][: args.max_points]
         if not len(points):
-            report = {
-                "command": "levi",
-                "meta": _meta(spec, spec.seed),
-                "note": "no non-elliptic points among the samples",
-                "points": [],
-            }
-            return report, 0
-    table = [
+            report["note"] = "no non-elliptic points among the samples"
+    report["points"] = [
         {
             "point": rep.point,
             "classification": rep.classification.label,
@@ -241,22 +238,13 @@ def cmd_levi(args) -> Tuple[Dict, int]:
         }
         for rep in levi_forms_generic(alg, bd, points)
     ]
-    report = {
-        "command": "levi",
-        "meta": _meta(spec, spec.seed),
-        "points": table,
-    }
     return report, 0
 
 
 def cmd_convexity(args) -> Tuple[Dict, int]:
-    spec = load_spec(args.spec, args.seed)
-    if args.samples is not None:
-        spec.samples = args.samples
-    alg = spec.build_algebroid()
+    spec, alg, bd = _spec_inputs(args)
     if args.require_q is not None and not 0 <= args.require_q <= alg.rank:
         raise ValueError(f"--require-q must be in 0..{alg.rank} (the rank), got {args.require_q}")
-    bd = spec.build_boundary()
     points = spec.sample_points()
     verdict = q_convex_set(alg, bd, points)
     witnesses = {}
@@ -277,15 +265,11 @@ def cmd_convexity(args) -> Tuple[Dict, int]:
         "witnesses": witnesses,
         "note": verdict.sample_note,
     }
-    code = 0
-    if args.require_q is not None and args.require_q not in verdict.q_set:
-        report["require_q"] = args.require_q
-        report["require_q_attained"] = False
-        code = 2
-    elif args.require_q is not None:
-        report["require_q"] = args.require_q
-        report["require_q_attained"] = True
-    return report, code
+    if args.require_q is not None:
+        attained = args.require_q in verdict.q_set
+        report.update(require_q=args.require_q, require_q_attained=attained)
+        return report, 0 if attained else 2
+    return report, 0
 
 
 def cmd_dsq(args) -> Tuple[Dict, int]:
@@ -309,23 +293,21 @@ def cmd_sobolev(args) -> Tuple[Dict, int]:
     if suite not in SOBOLEV_SUITES:
         raise SpecError(f"unknown suite {suite!r}; choose from {SOBOLEV_SUITES}")
     seed = args.seed or 0
+    code = 0
     if suite.startswith("kernel."):
         part = suite.split(".")[1]
         result = kernel_lemma_check(part, quad_order=args.quad_order)
         result["pass"] = result["max_violation"] <= 1e-12
         code = 0 if result["pass"] else 2
-    elif suite == "subestimate":
-        grid = HalfGrid(2, args.grid, args.grid // 2 + 1)
-        result = half_space_subestimate(grid, trials=args.trials, seed=seed)
-        code = 0
-    elif suite.startswith("T."):
-        grid = HalfGrid(2, args.grid, args.grid // 2 + 1)
-        result = leibniz_battery(suite, grid, trials=args.trials, seed=seed)
-        code = 0
-    else:
+    elif suite.startswith("A."):
         grid = TorusGrid(2, args.grid)
         result = leibniz_battery(suite, grid, trials=args.trials, seed=seed)
-        code = 0
+    else:
+        grid = HalfGrid(2, args.grid, args.grid // 2 + 1)
+        if suite == "subestimate":
+            result = half_space_subestimate(grid, trials=args.trials, seed=seed)
+        else:
+            result = leibniz_battery(suite, grid, trials=args.trials, seed=seed)
     report = {
         "command": "sobolev",
         "meta": _meta(None, seed),

@@ -72,18 +72,11 @@ class BoundaryData:
     """A defining function r (negative inside, zero on the boundary) plus
     the tolerances used by classification and signature counting."""
 
-    def __init__(
-        self,
-        r: ScalarExpr,
-        rank_tol: float = 1e-8,
-        eig_zero_tol: float = 1e-8,
-        boundary_tol: float = 1e-8,
-    ):
+    def __init__(self, r: ScalarExpr, rank_tol: float = 1e-8, eig_zero_tol: float = 1e-8):
         self.r = r
         self.chart = r.chart
         self.rank_tol = rank_tol
         self.eig_zero_tol = eig_zero_tol
-        self.boundary_tol = boundary_tol
         self.grad = [r.diff(i) for i in range(self.chart.dim)]
 
     @cached_property
@@ -104,7 +97,7 @@ class BoundaryData:
 
     def check_on_boundary(self, point):
         val = self.r.eval(point)
-        if not abs(val) <= self.boundary_tol:
+        if not abs(val) <= _BOUNDARY_TOL:
             raise _off_boundary(val)
 
 
@@ -114,6 +107,9 @@ _DEGENERATE = "defining function is degenerate at the point (|dr| ~ 0)"
 # Points are evaluated in blocks of this many, which bounds the memory of the
 # stacked per-point arrays (anchors, jacobians) whatever the sample count.
 _BLOCK = 256
+
+# A point is on the boundary when |r| is at most this.
+_BOUNDARY_TOL = 1e-8
 
 
 def _off_boundary(val) -> ValueError:
@@ -214,7 +210,7 @@ def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None
     for start in range(0, len(X), _BLOCK):
         batch = PointBatch(X[start : start + _BLOCK])
         r_vals = bd.r.eval_many(batch)
-        off = np.flatnonzero(~(np.abs(r_vals) <= bd.boundary_tol))
+        off = np.flatnonzero(~(np.abs(r_vals) <= _BOUNDARY_TOL))
         error = _off_boundary(r_vals[off[0]]) if off.size else None
         margins = np.zeros(0)
         if off.size:

@@ -123,13 +123,12 @@ class NeumannProblem:
         self.modes0 = grid.modes0()
         self.modes1 = grid.modes1()
         # row i of P (radial node i+1) is the interior row of
-        # (scale/2) (D - n/rho): p_lo u[i] + p_mid u[i+1] + p_up u[i+2]
+        # (scale/2) (D - n/rho): p_lo u[i] + p_mid u[i+1] + p_up u[i+2];
+        # p_lo and p_up do not depend on the mode, so they are (n_r - 2,) rows
         half = 0.5 * scale[1:-1]
-        n_int = grid.n_r - 2
-        ones = np.ones((len(self.modes0), n_int))
-        self.p_lo = ones * (-0.5 / grid.h * half)
+        self.p_lo = -0.5 / grid.h * half
         self.p_mid = half * -(self.modes0[:, None] * (1.0 / rho[1:-1]))
-        self.p_up = ones * (0.5 / grid.h * half)
+        self.p_up = 0.5 / grid.h * half
         # S_1 in upper-banded form, axes (band row, mode, node): row 2 is the
         # diagonal, rows 1 and 0 the first and second superdiagonals.  The
         # slots LAPACK leaves unused at the start of each mode are zero, so
@@ -137,12 +136,12 @@ class NeumannProblem:
         v = 1.0 / self.w
         lo, mid, up = self.p_lo, self.p_mid, self.p_up
         s = np.sqrt(self.w_int)
-        band = np.zeros((3, len(self.modes0), n_int))
+        band = np.zeros((3, len(self.modes0), grid.n_r - 2))
         band[2] = (lo**2 * v[:-2] + mid**2 * v[1:-1] + up**2 * v[2:]) * s * s
         band[1, :, 1:] = (
-            mid[:, :-1] * lo[:, 1:] * v[1:-2] + up[:, :-1] * mid[:, 1:] * v[2:-1]
+            mid[:, :-1] * lo[1:] * v[1:-2] + up[:-1] * mid[:, 1:] * v[2:-1]
         ) * (s[:-1] * s[1:])
-        band[0, :, 2:] = up[:, :-2] * lo[:, 2:] * v[2:-2] * (s[:-2] * s[2:])
+        band[0, :, 2:] = up[:-2] * lo[2:] * v[2:-2] * (s[:-2] * s[2:])
         self.S1 = band
         self._low: Optional[Tuple[np.ndarray, float]] = None
         self._chol: Optional[np.ndarray] = None
@@ -390,9 +389,9 @@ def solve_dbar_lstsq(problem: NeumannProblem, f: DiscreteForm) -> DiscreteForm:
     for start in range(0, len(problem.modes0), _QR_BLOCK):
         block = slice(start, start + _QR_BLOCK)
         bt = np.zeros((len(problem.modes0[block]), n_r, n_r - 2))
-        bt[:, k, k] = problem.p_lo[block] / s0[:-2]
+        bt[:, k, k] = problem.p_lo / s0[:-2]
         bt[:, k + 1, k] = problem.p_mid[block] / s0[1:-1]
-        bt[:, k + 2, k] = problem.p_up[block] / s0[2:]
+        bt[:, k + 2, k] = problem.p_up / s0[2:]
         q, r = np.linalg.qr(bt)
         rhs = f.values[block]
         z = solve_triangular(r, np.stack([rhs.real, rhs.imag], axis=-1), trans="T")
@@ -425,11 +424,7 @@ def _hodge_split(problem: NeumannProblem, phi: DiscreteForm, n_phi: DiscreteForm
 def _d_rho(u: np.ndarray, h: float) -> np.ndarray:
     """d/drho of every mode's row: centred differences inside, one-sided of
     2nd order at the two ends."""
-    out = np.empty_like(u)
-    out[:, 1:-1] = (u[:, 2:] - u[:, :-2]) * (0.5 / h)
-    out[:, 0] = (-1.5 * u[:, 0] + 2.0 * u[:, 1] - 0.5 * u[:, 2]) / h
-    out[:, -1] = (0.5 * u[:, -3] - 2.0 * u[:, -2] + 1.5 * u[:, -1]) / h
-    return out
+    return np.gradient(u, h, axis=1, edge_order=2)
 
 
 def _on_all_nodes(problem: NeumannProblem, phi: DiscreteForm) -> np.ndarray:
@@ -609,11 +604,7 @@ def dbar_report(
         )
         npi = problem.apply_N(harm)
         pin = problem.apply_pi(n_phi)
-        worst_npi = max(
-            worst_npi,
-            problem.norm(DiscreteForm(deg, npi.values)),
-            problem.norm(DiscreteForm(deg, pin.values)),
-        )
+        worst_npi = max(worst_npi, problem.norm(npi), problem.norm(pin))
         pieces = [harm, im_p, im_ps]
         total = harm.values + im_p.values + im_ps.values
         worst_ortho = max(

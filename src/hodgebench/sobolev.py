@@ -46,7 +46,6 @@ __all__ = [
     "half_space_subestimate",
     "random_torus_field",
     "random_half_field",
-    "ck_norm",
     "ck_norms",
     "INEQUALITY_IDS",
 ]
@@ -60,23 +59,26 @@ def _wavenumbers(n: int, box: float) -> np.ndarray:
     return fftfreq(n, d=1.0 / n) * (TWO_PI / box)
 
 
+def _along(v: np.ndarray, axis: int, dims: int) -> np.ndarray:
+    """The 1-D array v laid along one axis of a dims-dimensional grid."""
+    shape = [1] * dims
+    shape[axis] = v.size
+    return v.reshape(shape)
+
+
 def _freq_square(n: int, box: float, dims: int) -> np.ndarray:
     """|xi|^2 on the frequency grid of a dims-torus with n points per axis."""
     base = _wavenumbers(n, box)
     out = np.zeros((n,) * dims)
     for axis in range(dims):
-        shape = [1] * dims
-        shape[axis] = n
-        out = out + (base**2).reshape(shape)
+        out = out + _along(base**2, axis, dims)
     return out
 
 
 def _spectral_derivative(phi: np.ndarray, axis: int, k: np.ndarray) -> np.ndarray:
     """d/dx along one periodic axis whose wavenumbers are k."""
-    shape = [1] * phi.ndim
-    shape[axis] = k.size
     spec = fft(phi, axis=axis)
-    return ifft(spec * (1j * k).reshape(shape), axis=axis)
+    return ifft(spec * _along(1j * k, axis, phi.ndim), axis=axis)
 
 
 @dataclass(frozen=True)
@@ -360,6 +362,16 @@ def _form_integrals(
     return integrals
 
 
+def _excess(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """The largest relative excess (lhs - rhs) / rhs; where rhs = 0 the lemma
+    forces lhs = 0 (as at xi = eta), so lhs itself is the excess there."""
+    ok = rhs > 0
+    excess = np.zeros_like(lhs)
+    excess[ok] = (lhs[ok] - rhs[ok]) / rhs[ok]
+    excess[~ok] = lhs[~ok]
+    return float(np.max(excess))
+
+
 def kernel_lemma_check(
     part: str,
     ks: Iterable[float] = (-2.0, -0.5, 0.0, 1.0, 2.0, 3.0),
@@ -380,32 +392,26 @@ def kernel_lemma_check(
     constant, and so its RHS, is 0.
     """
     V = _lattice(coords)
+    xi = V[:, None, :]  # the (xi, eta) pairs of parts i and ii
+    eta = V[None, :, :]
     worst = 0.0
     count = 0
     if part == "i":
-        xi = V[:, None, :]
-        eta = V[None, :, :]
         q = (1.0 + np.sum(xi**2, -1)) / (1.0 + np.sum(eta**2, -1))
         d2 = 1.0 + np.sum((xi - eta) ** 2, -1)
         for k in ks:
             lhs = q**k
             rhs = 2.0 ** abs(k) * d2 ** abs(k)
-            worst = max(worst, float(np.max((lhs - rhs) / rhs)))
+            worst = max(worst, _excess(lhs, rhs))
             count += lhs.size
     elif part == "ii":
-        xi = V[:, None, :]
-        eta = V[None, :, :]
         s_xi = 1.0 + np.sum(xi**2, -1)
         s_eta = 1.0 + np.sum(eta**2, -1)
         dist = np.sqrt(np.sum((xi - eta) ** 2, -1))
         for k in ks:
             lhs = np.abs(s_xi ** (k / 2.0) - s_eta ** (k / 2.0))
             rhs = abs(k) * dist * (s_xi ** ((k - 1) / 2.0) + s_eta ** ((k - 1) / 2.0))
-            ok = rhs > 0
-            excess = np.zeros_like(lhs)
-            excess[ok] = (lhs[ok] - rhs[ok]) / rhs[ok]
-            excess[~ok] = lhs[~ok]  # rhs = 0 forces lhs = 0 (xi = eta)
-            worst = max(worst, float(np.max(excess)))
+            worst = max(worst, _excess(lhs, rhs))
             count += lhs.size
     elif part == "iii":
         eta1 = V[::stride]
@@ -455,11 +461,7 @@ def kernel_lemma_check(
                 - g_s ** (k / 2.0)
             )
             rhs = consts[k] * dist * integrals.get(k, 0.0)
-            ok = rhs > 0
-            excess = np.zeros_like(lhs)
-            excess[ok] = (lhs[ok] - rhs[ok]) / rhs[ok]
-            excess[~ok] = lhs[~ok]
-            worst = max(worst, float(np.max(excess)))
+            worst = max(worst, _excess(lhs, rhs))
             count += lhs.size
     else:
         raise ValueError("part must be one of 'i', 'ii', 'iii'")
@@ -502,9 +504,7 @@ def _reference_coeffs(rng: Generator, dim: int) -> np.ndarray:
     freq = fftfreq(n, d=1.0 / n)
     low = np.ones(shape, dtype=bool)
     for axis in range(dim):
-        s = [1] * dim
-        s[axis] = n
-        low &= np.abs(freq).reshape(s) <= n // 5
+        low &= _along(np.abs(freq), axis, dim) <= n // 5
     count = int(np.sum(low))
     vals = rng.normal(size=count) + 1j * rng.normal(size=count)
     spec[low] = vals
@@ -512,15 +512,11 @@ def _reference_coeffs(rng: Generator, dim: int) -> np.ndarray:
     x = np.arange(n) * (TWO_PI / n)
     window = np.ones(shape)
     for axis in range(dim):
-        s = [1] * dim
-        s[axis] = n
-        window = window * _bump((x - math.pi) / (math.pi / 2)).reshape(s)
+        window = window * _along(_bump((x - math.pi) / (math.pi / 2)), axis, dim)
     coeffs = fftn(raw * window) / raw.size
     keep = np.ones(shape, dtype=bool)
     for axis in range(dim):
-        s = [1] * dim
-        s[axis] = n
-        keep &= np.abs(freq).reshape(s) < _BAND
+        keep &= _along(np.abs(freq), axis, dim) < _BAND
     coeffs[~keep] = 0.0
     peak = np.max(np.abs(raw * window))
     return coeffs / max(peak, 1e-300)
@@ -558,9 +554,7 @@ def random_half_field(grid: HalfGrid, rng: Generator) -> np.ndarray:
         tang = _synthesize(coeffs, grid.n_t, t_dim)
         u = 2.0 * (r + R) / R - 1.0
         poly = chebval(u, rng.normal(size=4))
-        out = out + tang[..., np.newaxis] * (poly * window)[np.newaxis, ...].reshape(
-            (1,) * t_dim + (grid.n_r,)
-        )
+        out = out + tang[..., np.newaxis] * _along(poly * window, t_dim, grid.dim)
     return out
 
 
@@ -590,11 +584,6 @@ def ck_norms(grid, f: np.ndarray, order: int) -> List[float]:
 
     walk(f, 0, 0)
     return list(accumulate(level, max))
-
-
-def ck_norm(grid, f: np.ndarray, order: int) -> float:
-    """max over |alpha| <= order of sup |d^alpha f|; see ck_norms."""
-    return ck_norms(grid, f, order)[-1]
 
 
 # ---------------------------------------------------------------------------

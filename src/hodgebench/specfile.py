@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -81,24 +82,15 @@ class SpecFile:
             return make_tangent(chart, name="tangent")
         if self.kind == "antiholomorphic":
             return make_antiholomorphic(self.n, name="antiholomorphic")
+        parse = partial(parse_expr, chart=chart)
         if self.kind == "holomorphic_poisson":
-            sigma = {
-                _pair(key): parse_expr(text, chart)
-                for key, text in self.entries.items()
-            }
+            sigma = _table(self.entries, parse, 0)
             return make_holomorphic_poisson(self.n, sigma, name="holomorphic_poisson")
         if self.kind == "graph_bivector":
-            pi = {
-                tuple(i - 1 for i in _pair(key)): parse_expr(text, chart)
-                for key, text in self.entries.items()
-            }
+            pi = _table(self.entries, parse, 1)
             return make_graph_bivector(chart, pi, name="graph_bivector")
         if self.kind == "graph_two_form":
-            table = {
-                tuple(i - 1 for i in _pair(key)): parse_expr(text, chart)
-                for key, text in self.entries.items()
-            }
-            omega = FormExpr.from_table(chart, 2, table)
+            omega = FormExpr.from_table(chart, 2, _table(self.entries, parse, 1))
             return make_graph_two_form(omega, name="graph_two_form")
         if self.kind == "custom":
             return self._build_custom(chart)
@@ -111,14 +103,9 @@ class SpecFile:
             VectorFieldExpr(chart, _parse_components(self.entries[f"anchor_{i}"], chart))
             for i in range(1, rank + 1)
         )
-        structure = None
-        struct_keys = [k for k in self.entries if k.startswith("structure_")]
-        if struct_keys:
-            structure = {
-                tuple(i - 1 for i in _pair(key)): _parse_components(self.entries[key], chart)
-                for key in struct_keys
-            }
-        return AlgebroidSpec(chart, rank, anchors, structure, name="custom")
+        rows = {k: v for k, v in self.entries.items() if k.startswith("structure_")}
+        structure = _table(rows, partial(_parse_components, chart=chart), 1)
+        return AlgebroidSpec(chart, rank, anchors, structure or None, name="custom")
 
     def build_boundary(self) -> BoundaryData:
         chart = self.chart()
@@ -160,6 +147,11 @@ def _locus_circle(dim: int, count: int) -> np.ndarray:
 def _parse_components(text: str, chart: Chart) -> tuple:
     """The ';'-separated expressions of an anchor_ or structure_ entry."""
     return tuple(parse_expr(c.strip(), chart) for c in text.split(";"))
+
+
+def _table(entries: Dict[str, str], parse: Callable[[str], object], base: int) -> Dict:
+    """{(i - base, j - base): parse(text)} over prefix_i_j table entries."""
+    return {tuple(i - base for i in _pair(key)): parse(text) for key, text in entries.items()}
 
 
 def _pair(key: str) -> Tuple[int, int]:
@@ -237,6 +229,16 @@ def parse_specfile(text: str) -> SpecFile:
 def _validate(spec: SpecFile):
     if spec.samples < 1:
         raise SpecError("[boundary] samples must be >= 1")
+    if spec.sampler == "sphere_plus_locus" and spec.locus_samples < 0:
+        raise SpecError(f"[boundary] locus_samples must be >= 0, got {spec.locus_samples}")
+    if spec.sampler == "two_spheres" and not 0 < spec.inner_radius < math.inf:
+        raise SpecError(
+            f"[boundary] inner_radius must be finite and > 0, got {spec.inner_radius!r}"
+        )
+    for key in ("rank_tol", "eig_zero_tol"):
+        tol = getattr(spec, key)
+        if not 0 < tol < 1:  # also rejects nan and inf
+            raise SpecError(f"[options] {key} must be finite with 0 < {key} < 1, got {tol!r}")
     if spec.sampler in ("poisson_locus", "sphere_plus_locus") and spec.chart_dim < 4:
         raise SpecError(f"sampler {spec.sampler!r} needs chart dim >= 4, got {spec.chart_dim}")
     chart = spec.chart()

@@ -149,7 +149,7 @@ def reference_intersection_basis(A, rel_tol):
 
 def reference_classify(alg, bd, point):
     val = bd.r.eval(point)
-    if abs(val) > bd.boundary_tol:
+    if abs(val) > levi._BOUNDARY_TOL:
         raise ValueError(f"point is not on the boundary (r = {val})")
     A = np.array([a.eval(point) for a in alg.anchors], dtype=complex).T
     svals = np.linalg.svd(np.hstack([A, A.conj()]), compute_uv=False)
@@ -501,7 +501,7 @@ def reference_walk_classes(alg, bd, points):
     for start in range(0, len(X), levi._BLOCK):
         batch = PointBatch(X[start : start + levi._BLOCK])
         r_vals = bd.r.eval_many(batch)
-        off = np.flatnonzero(~(np.abs(r_vals) <= bd.boundary_tol))
+        off = np.flatnonzero(~(np.abs(r_vals) <= levi._BOUNDARY_TOL))
         if off.size:
             error = ValueError(f"point is not on the boundary (r = {complex(r_vals[off[0]])})")
             batch = PointBatch(batch.points[: off[0]])

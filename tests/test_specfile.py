@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hodgebench.algebroids import ce_differential, AlgebroidForm
-from hodgebench.gallery import gallery_spec
+from hodgebench.cli import main
+from hodgebench.gallery import GALLERY, gallery_spec
 from hodgebench.levi import classify_point, sphere_lattice
 from hodgebench.scalars import var
 from hodgebench.specfile import (
@@ -122,3 +123,45 @@ def test_tolerances_round_trip_to_the_bit():
     assert format_specfile(near) != format_specfile(spec)
     # the gallery's default tolerance keeps its text, so report digests stay
     assert "rank_tol = 1e-08\n" in format_specfile(parse_specfile(CUSTOM))
+
+
+def _cli_error(tmp_path, capsys, text, *argv):
+    """The stderr of a workbench command on spec text that must exit 1."""
+    path = tmp_path / "bad.spec"
+    path.write_text(text)
+    assert main([*argv, "--spec", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("rank_tol", v) for v in ("0", "-1", "-0.5", "1", "nan", "inf")]
+    + [("eig_zero_tol", v) for v in ("0", "-1", "1.5", "nan", "inf", "-inf")],
+)
+def test_tolerances_outside_the_unit_interval_are_rejected_by_name(tmp_path, capsys, key, value):
+    # a bad tolerance would flip the ellipticity or q-convexity verdicts silently
+    text = GALLERY["poisson_c4"] + f"\n[options]\n{key} = {value}\n"
+    err = _cli_error(tmp_path, capsys, text, "convexity")
+    assert err.startswith(f"error: [options] {key} must be finite with 0 < {key} < 1")
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [("poisson_c4", "locus_samples", "-3")]
+    + [("annulus_c3_dbar", "inner_radius", v) for v in ("-1", "0", "nan", "1e400", "-inf")],
+)
+def test_sampler_settings_are_checked_at_parse(tmp_path, capsys, name, key, value):
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", GALLERY[name], flags=re.M)
+    assert f"{key} = {value}\n" in text
+    err = _cli_error(tmp_path, capsys, text, "classify", "--samples", "8")
+    assert err.startswith(f"error: [boundary] {key} must be")
+
+
+def test_sampler_settings_that_are_not_read_are_not_checked():
+    text = GALLERY["poisson_c4"].replace("sampler = sphere_plus_locus", "sampler = sphere")
+    text = text.replace("locus_samples = 20", "locus_samples = -3\ninner_radius = -1")
+    spec = parse_specfile(text)
+    assert (spec.locus_samples, spec.inner_radius) == (-3, -1.0)
+    assert spec.sample_points().shape == (1000, 8)
