@@ -20,14 +20,13 @@ Per mode, P is a three-point stencil, so box_1 = P P*_w and box_0 = P*_w P
 are pentadiagonal.  Operators are stored as banded arrays stacked over all
 modes and applied as stencils to all modes at once; the Neumann operator is
 a banded Cholesky solve (see NeumannProblem).  Eigenvalues come from banded
-eigensolvers, on demand; the largest one, which sets the harmonic cut, is
-solved only on the modes whose Gershgorin bound could exceed it.  The
-deformation norm ||N_a - N_b|| is one Lanczos eigenvalue of the
-block-diagonal difference over all modes.  The independent oracle for
-solve_dbar is dense: the minimal-norm solution of P u = f per mode by a
-QR factorisation of P^T, batched over blocks of modes.  scipy.linalg and
-scipy.sparse.linalg are imported inside the functions that use them, to
-keep them out of the package import.
+eigensolvers, on demand, and only on the modes whose Gershgorin bounds
+could reach the largest eigenvalue (which sets the harmonic cut) or the
+smallest one above the cut.  The deformation norm ||N_a - N_b|| comes from
+one Lanczos process per mode, all modes in lockstep.  The independent
+oracle for solve_dbar is the minimal-norm solution of P u = f by a Givens
+QR of the band of P^T, all modes at once.  scipy.linalg is imported inside
+the functions that use it, to keep it out of the package import.
 """
 
 from __future__ import annotations
@@ -50,6 +49,11 @@ __all__ = [
 ]
 
 
+# the most nodes n_theta * n_r, 16 times 256 x 256; checked before any array
+# exists, since an overcommitted allocation succeeds and is killed later
+_MAX_NODES = 2**20
+
+
 @dataclass(frozen=True)
 class AnnulusGrid:
     rho0: float = 0.5
@@ -63,6 +67,9 @@ class AnnulusGrid:
             raise ValueError("need at least 16 radial points")
         if self.n_theta < 4 or self.n_theta % 2:
             raise ValueError("n_theta must be even and >= 4")
+        if self.n_theta * self.n_r > _MAX_NODES:
+            raise MemoryError(f"annulus grid of {self.n_theta} x {self.n_r} nodes "
+                              f"exceeds the limit of {_MAX_NODES} nodes")
 
     @property
     def h(self) -> float:
@@ -151,26 +158,29 @@ class NeumannProblem:
     def _low_spectrum(self) -> Tuple[np.ndarray, float]:
         """Per mode, the number of eigenvalues of box_1 at or below the
         harmonic cut harmonic_tol * (largest eigenvalue); and the smallest
-        eigenvalue above the cut over all modes."""
+        eigenvalue above the cut over all modes, solved in ascending order of
+        the lower Gershgorin bounds up to the first one above both the cut
+        and the minimum so far (no later mode can count or lower it)."""
         if self._low is None:
             from scipy.linalg import eigvals_banded
 
             n = self.S1.shape[2]
-            bands = [self.S1[:, i, :] for i in range(self.S1.shape[1])]
             lam_max = _largest_eigenvalue(self.S1)
             cut = self.harmonic_tol * lam_max
-            counts = np.zeros(len(bands), dtype=int)
-            lowest = np.empty(len(bands))
-            for i, b in enumerate(bands):
-                lowest[i] = eigvals_banded(b, select="i", select_range=(0, 0))[0]
-                if lowest[i] <= cut:
+            lower = _gershgorin(self.S1)[0]
+            counts = np.zeros(len(lower), dtype=int)
+            lowest = np.inf
+            for i in np.argsort(lower, kind="stable"):
+                if lower[i] > max(cut, lowest):
+                    break
+                b = self.S1[:, i, :]
+                lam = eigvals_banded(b, select="i", select_range=(0, 0))[0]
+                if lam <= cut:
                     k = len(eigvals_banded(b, select="v", select_range=(-lam_max, cut)))
                     counts[i] = k
-                    lowest[i] = (
-                        eigvals_banded(b, select="i", select_range=(k, k))[0]
-                        if k < n else np.inf
-                    )
-            self._low = (counts, float(lowest.min()))
+                    lam = eigvals_banded(b, select="i", select_range=(k, k))[0] if k < n else np.inf
+                lowest = min(lowest, lam)
+            self._low = (counts, float(lowest))
         return self._low
 
     def harmonic_dim(self, degree: int) -> int:
@@ -318,28 +328,35 @@ class NeumannProblem:
         return DiscreteForm(degree, vals)
 
 
+def _gershgorin(S1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per mode of an upper-banded pentadiagonal stack (band row, mode,
+    node), the lower and upper Gershgorin bounds of its eigenvalues, widened
+    by 1e-10 of the upper one (at least the mode's 2-norm): far above the
+    rounding of a backward-stable eigensolver."""
+    a = np.abs(S1)
+    # row j: S[j, j-1] and S[j, j-2] sit in column j of band rows 1 and 0,
+    # S[j, j+1] and S[j, j+2] in columns j + 1 and j + 2
+    off = a[1] + a[0]
+    off[:, :-1] += a[1, :, 1:]
+    off[:, :-2] += a[0, :, 2:]
+    upper = (S1[2] + off).max(axis=1)
+    lower = (S1[2] - off).min(axis=1) - 1e-10 * upper
+    return lower, upper * (1.0 + 1e-10)
+
+
 def _largest_eigenvalue(S1: np.ndarray) -> float:
     """The largest eigenvalue over all modes of an upper-banded pentadiagonal
     stack (band row, mode, node), as the maximum of the per-mode banded
     solves, with most of them skipped.
 
-    Modes are solved in descending order of their Gershgorin bound (the
-    largest diagonal entry plus its row's absolute off-diagonal sum), up to
-    the first bound at or below the largest eigenvalue found so far: no
-    later mode can exceed it, so the maximum is the same to the bit.  The
-    bounds are widened by 1e-10 relative, far above the rounding of a
-    backward-stable eigensolver.
+    Modes are solved in descending order of their upper Gershgorin bound,
+    up to the first bound at or below the largest eigenvalue found so far:
+    no later mode can exceed it, so the maximum is the same to the bit.
     """
     from scipy.linalg import eigvals_banded
 
-    a = np.abs(S1)
     n = S1.shape[2]
-    # row j: S[j, j-1] and S[j, j-2] sit in column j of band rows 1 and 0,
-    # S[j, j+1] and S[j, j+2] in columns j + 1 and j + 2
-    rows = S1[2] + a[1] + a[0]
-    rows[:, :-1] += a[1, :, 1:]
-    rows[:, :-2] += a[0, :, 2:]
-    bound = rows.max(axis=1) * (1.0 + 1e-10)
+    bound = _gershgorin(S1)[1]
     lam_max = -np.inf
     for i in np.argsort(-bound, kind="stable"):
         if bound[i] <= lam_max:
@@ -366,38 +383,44 @@ def solve_dbar(problem: NeumannProblem, f: DiscreteForm) -> DiscreteForm:
     return problem.apply_P_star(problem.apply_N(f))
 
 
-# modes per batched QR in solve_dbar_lstsq: bounds the oracle's dense memory
-_QR_BLOCK = 8
-
-
 def solve_dbar_lstsq(problem: NeumannProblem, f: DiscreteForm) -> DiscreteForm:
-    """Independent oracle: the dense minimal-norm solution of P u = f per
-    mode, by QR (Golub & Van Loan, Matrix Computations, 5.6).
+    """Independent oracle: the minimal-norm solution of P u = f per mode, by
+    a Givens QR of the band of P^T on all modes at once (Golub & Van Loan,
+    Matrix Computations, 5.2); it reads neither S_1 nor its factors.
 
     In the sqrt(w)-weighted frame B = P W^{-1/2} has full row rank; with
-    B^T = QR the minimal-norm solution of B y = f is y = Q z, R^T z = f, and
-    u = W^{-1/2} y.  Modes go in blocks of _QR_BLOCK, each block's B^T built
-    from the stencil diagonals; the real and imaginary parts of f are two
-    right-hand sides of the real factors.
-    """
-    from scipy.linalg import solve_triangular
-
+    B^T = QR the minimal-norm solution of B y = f is y = Q [z; 0; 0],
+    R^T z = f, and u = W^{-1/2} y.  Row j of B^T (columns j - 2 .. j) is
+    merged into R by rotations against its rows j - 2 and j - 1, and what
+    is left becomes row j of R, which keeps two superdiagonals."""
     s0 = np.sqrt(problem.w)
-    n_r = problem.grid.n_r
-    k = np.arange(n_r - 2)
-    out = np.empty((len(problem.modes0), n_r), dtype=complex)
-    for start in range(0, len(problem.modes0), _QR_BLOCK):
-        block = slice(start, start + _QR_BLOCK)
-        bt = np.zeros((len(problem.modes0[block]), n_r, n_r - 2))
-        bt[:, k, k] = problem.p_lo / s0[:-2]
-        bt[:, k + 1, k] = problem.p_mid[block] / s0[1:-1]
-        bt[:, k + 2, k] = problem.p_up / s0[2:]
-        q, r = np.linalg.qr(bt)
-        rhs = f.values[block]
-        z = solve_triangular(r, np.stack([rhs.real, rhs.imag], axis=-1), trans="T")
-        y = q @ z
-        out[block] = (y[..., 0] + 1j * y[..., 1]) / s0
-    return DiscreteForm(0, out)
+    n_r, n_modes = problem.grid.n_r, len(problem.modes0)
+    n = n_r - 2
+    # row j of B^T in columns j - 2 .. j + 1, and R[r, d] = R[r, r + d]
+    rows = np.zeros((n_r, 4, n_modes))
+    rows[2:, 0] = (problem.p_up / s0[2:])[:, None]
+    rows[1:-1, 1] = problem.p_mid.T / s0[1:-1, None]
+    rows[:-2, 2] = (problem.p_lo / s0[:-2])[:, None]
+    R = np.zeros((n, 3, n_modes))
+    rotations = []
+    for j, x in enumerate(rows):
+        for d, r in ((0, j - 2), (1, j - 1)):
+            if 0 <= r < n:
+                rho = np.hypot(R[r, 0], x[d])
+                c, s = R[r, 0] / rho, x[d] / rho
+                R[r], x[d : d + 3] = c * R[r] + s * x[d : d + 3], c * x[d : d + 3] - s * R[r]
+                rotations.append((r, j, c, s))
+        if j < n:
+            R[j, :2] = x[2:]
+    # R^T z = f; the last two rows of z are still zero here, so the wrapped
+    # indices at i < 2 add nothing
+    z = np.zeros((n_r, n_modes), dtype=complex)
+    for i, fi in enumerate(f.values.T):
+        z[i] = (fi - R[i - 1, 1] * z[i - 1] - R[i - 2, 2] * z[i - 2]) / R[i, 0]
+    # y = Q [z; 0; 0]: the transposed rotations in reverse order
+    for r, j, c, s in reversed(rotations):
+        z[r], z[j] = c * z[r] - s * z[j], s * z[r] + c * z[j]
+    return DiscreteForm(0, z.T / s0)
 
 
 def hodge_split(problem: NeumannProblem, phi: DiscreteForm):
@@ -511,26 +534,43 @@ def operator_norm_diff(problem_a: NeumannProblem, problem_b: NeumannProblem) -> 
     """|| N_a - N_b ||_2 in the weighted metric, over all modes at once.
 
     In the sqrt(w)-symmetrised frame N_1 is S_1^{-1}, block diagonal over the
-    modes, so the difference is symmetric and its norm is its largest
-    absolute eigenvalue: one Lanczos run (ARPACK) whose matvec is a banded
-    Cholesky solve with each problem's factors.  ARPACK refuses the zero
-    operator, which equal S_1 bands give exactly.
+    modes, so the difference D is symmetric and its norm is its largest
+    absolute eigenvalue.  Each mode runs its own Lanczos process on its
+    block, with full reorthogonalisation, all in lockstep: a banded Cholesky
+    solve with each problem's factors is one step of every mode.  It stops
+    when no Ritz value theta of any mode can reach (|theta| + residual)
+    beyond the largest |theta| by more than rounding, or when the Krylov
+    spaces fill the blocks.  Equal S_1 bands give exactly 0.
     """
     from scipy.linalg import cho_solve_banded
-    from scipy.sparse.linalg import LinearOperator, eigsh
 
     # the factors raise on a degree-1 harmonic obstruction, as N itself does
     fa, fb = problem_a._factors(), problem_b._factors()
     if np.array_equal(problem_a.S1, problem_b.S1):
         return 0.0
-    n = fa.shape[1]
-
-    def diff(x: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((fa, False), x) - cho_solve_banded((fb, False), x)
-
-    op = LinearOperator((n, n), matvec=diff, dtype=float)
-    lam = eigsh(op, k=1, which="LM", v0=np.ones(n), tol=0, return_eigenvectors=False)
-    return float(abs(lam[0]))
+    n_modes, n = problem_a.S1.shape[1:]
+    # the basis, axes (step, mode, node), grown by doubling up to n steps
+    V = np.empty((min(n, 16), n_modes, n))
+    V[0] = 1.0 / math.sqrt(n)
+    alpha, beta = np.zeros((2, n_modes, n))
+    for k in range(1, n + 1):
+        x = V[k - 1].reshape(-1)
+        w = (cho_solve_banded((fa, False), x) - cho_solve_banded((fb, False), x)).reshape(n_modes, n)
+        alpha[:, k - 1] = np.einsum("mn,mn->m", V[k - 1], w)
+        for _ in range(2):
+            w -= np.einsum("km,kmn->mn", np.einsum("kmn,mn->km", V[:k], w), V[:k])
+        beta[:, k - 1] = np.linalg.norm(w, axis=1)
+        # each mode's tridiagonal; eigh reads its lower triangle
+        T = alpha[:, :k, None] * np.eye(k)
+        T[:, 1:, :-1] += beta[:, : k - 1, None] * np.eye(k - 1)
+        theta, U = np.linalg.eigh(T)
+        top = np.abs(theta).max()
+        reach = np.abs(theta) + beta[:, k - 1, None] * np.abs(U[:, -1, :])
+        if k == n or reach.max() <= top * (1.0 + 1e-14):
+            return float(top)
+        if k == len(V):
+            V = np.concatenate([V, np.empty((min(k, n - k), n_modes, n))])
+        V[k] = w / np.where(beta[:, k - 1] > 0, beta[:, k - 1], 1.0)[:, None]
 
 
 def family_continuity(

@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import accumulate, product
-from typing import Callable, ClassVar, Dict, Iterable, List, NamedTuple, Sequence
+from typing import Callable, ClassVar, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 # numpy loads these submodules on first use; importing them here keeps that
@@ -746,7 +746,7 @@ def leibniz_battery(
             best = max(best, ratio)
         trial_ratios.append(best)
     arr = np.array(trial_ratios)
-    qs = np.quantile(arr, [0.0, 0.25, 0.5, 0.75, 1.0])
+    qs = _order_stats(arr, [0.0, 0.25, 0.5, 0.75, 1.0])[0]
     return {
         "inequality": inequality,
         "grid": _grid_meta(grid),
@@ -765,6 +765,26 @@ def leibniz_battery(
             sorted(case_ratios.items(), key=lambda kv: -kv[1])[:5]
         ),
     }
+
+
+def _order_stats(values: np.ndarray, qs: Sequence[float]) -> Tuple[np.ndarray, float]:
+    """np.quantile(values, qs) (method "linear") and np.median(values) of
+    non-NaN values, bit for bit as numpy 2.4 computes them, from one sort:
+    numpy's own routines import numpy.ma on their first call."""
+    s = np.sort(values)
+    n = len(s)
+    v = (n - 1) * np.asarray(qs, dtype=float)
+    lo = np.floor(v)
+    hi = lo + 1
+    # past the last index both neighbours are the last value
+    lo[v >= n - 1] = hi[v >= n - 1] = -1
+    t = v - lo
+    a, b = s[lo.astype(np.intp)], s[hi.astype(np.intp)]
+    diff = b - a
+    # numpy's _lerp: from the upper neighbour once t >= 1/2
+    quantiles = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+    median = s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
+    return quantiles, float(median)
 
 
 def _grid_meta(grid) -> Dict:
@@ -805,7 +825,7 @@ def half_space_subestimate(
         "max_ratio": float(arr.max()),
         "quantiles": {
             "min": float(arr.min()),
-            "median": float(np.median(arr)),
+            "median": _order_stats(arr, [])[1],
             "max": float(arr.max()),
         },
     }

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -395,11 +399,32 @@ def test_arithmetic_errors_exit_1_with_one_line(tmp_path, capsys):
 
 
 def test_memory_errors_exit_1_with_one_line(capsys):
-    # the mode table alone asks for 728 TiB, beyond any address space, so
-    # the allocation fails at once
+    # far beyond the annulus grid's node limit, refused before any array
     assert main(["hodge", "--n-theta", "100000000000000", "--n-r", "16"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
+
+
+def test_oversized_hodge_grid_is_refused_before_it_allocates():
+    # an overcommitted allocation of this grid succeeds and the process is
+    # killed later; the grid is refused by its node count instead.  The
+    # subprocess runs under a 1 GiB address-space limit, so that a grid that
+    # did allocate fails there with numpy's message rather than touching
+    # the machine's memory
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgebench.cli", "hodge", "--n-theta", "4",
+         "--n-r", str(10**8), "--trials", "1"],
+        capture_output=True, text=True, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: MemoryError: annulus grid of 4 x 100000000 nodes exceeds the "
+        "limit of 1048576 nodes\n"
+    )
 
 
 def gallery_spec_text(name):

@@ -113,3 +113,27 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert [main(argv) for argv in runs] == [0, 0, 0, 0]
 """
     assert scipy_modules(loaded_modules(script)) == []
+
+
+def test_hodge_loads_scipy_linalg_and_not_scipy_sparse():
+    script = """
+import contextlib, io
+from hodgebench.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["hodge", "--n-theta", "16", "--n-r", "32", "--trials", "2"]) == 0
+"""
+    modules = scipy_modules(loaded_modules(script))
+    assert "scipy.linalg" in modules
+    assert [m for m in modules if m.startswith("scipy.sparse")] == []
+
+
+def test_battery_summaries_do_not_load_numpy_ma():
+    # np.quantile and np.median import numpy.ma on their first call
+    script = """
+import contextlib, io
+from hodgebench.cli import main
+runs = [["sobolev", "--suite", "A.i"], ["sobolev", "--suite", "subestimate", "--trials", "3"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert [main(argv) for argv in runs] == [0, 0]
+"""
+    assert "numpy.ma" not in loaded_modules(script)

@@ -711,7 +711,107 @@ def test_gershgorin_skips_most_modes(monkeypatch, size):
         calls.append(1)
         return eigvals_banded(*args, **kwargs)
 
-    S1 = NeumannProblem(AnnulusGrid(RHO0, size, size)).S1
+    prob = NeumannProblem(AnnulusGrid(RHO0, size, size))
     monkeypatch.setattr(scipy.linalg, "eigvals_banded", counting)
-    _largest_eigenvalue(S1)
+    _largest_eigenvalue(prob.S1)
     assert 0 < len(calls) <= size // 8
+    # the harmonic cut: the largest eigenvalue again, then the lower bounds
+    calls.clear()
+    prob._low_spectrum()
+    assert 0 < len(calls) <= 32
+
+
+# ---------------------------------------------------------------------------
+# the pruned harmonic cut, the Givens oracle and the per-mode Lanczos norm,
+# against the all-mode and dense computations they replaced
+
+
+def all_mode_low_spectrum(problem):
+    """The harmonic cut's per-mode counts and the smallest eigenvalue above
+    it, from banded solves on every mode."""
+    S1 = problem.S1
+    n = S1.shape[2]
+    lam_max = per_mode_lambda_max(S1)
+    cut = problem.harmonic_tol * lam_max
+    counts, lowest = [], []
+    for i in range(S1.shape[1]):
+        b = S1[:, i, :]
+        low = eigvals_banded(b, select="i", select_range=(0, 0))[0]
+        k = 0
+        if low <= cut:
+            k = len(eigvals_banded(b, select="v", select_range=(-lam_max, cut)))
+            low = eigvals_banded(b, select="i", select_range=(k, k))[0] if k < n else np.inf
+        counts.append(k)
+        lowest.append(low)
+    return counts, float(min(lowest))
+
+
+@pytest.mark.parametrize(
+    "size, eps, harmonic_tol",
+    [((16, 16), 0.0, 1e-8), ((64, 64), 0.0, 1e-8), ((32, 40), 0.3, 1e-8), ((8, 24), 0.0, 0.05)],
+)
+def test_pruned_low_spectrum_equals_the_all_mode_loop(size, eps, harmonic_tol):
+    prob = NeumannProblem(
+        AnnulusGrid(RHO0, *size), eps=eps, profile=bump_on(RHO0), harmonic_tol=harmonic_tol
+    )
+    counts, lowest = prob._low_spectrum()
+    want_counts, want_lowest = all_mode_low_spectrum(prob)
+    assert counts.tolist() == want_counts
+    assert lowest == want_lowest
+    # the raised cut puts eigenvalues under it, so the counts are exercised
+    assert (sum(want_counts) > 0) == (harmonic_tol == 0.05)
+
+
+def dense_qr_minimal_norm(problem, f):
+    """Per mode, y = Q z with B^T = QR (np.linalg.qr) and R^T z = f, for the
+    dense B = P W^{-1/2}; returns u = W^{-1/2} y."""
+    s0 = np.sqrt(problem.w)
+    out = np.zeros((len(problem.modes0), problem.grid.n_r), dtype=complex)
+    for i, P in enumerate(problem.dense_P()):
+        q, r = np.linalg.qr((P / s0[None, :]).T)
+        z = scipy.linalg.solve_triangular(r, f.values[i], trans="T")
+        out[i] = (q @ z) / s0
+    return out
+
+
+@pytest.mark.parametrize("rho0", [0.1, 0.9])
+def test_givens_oracle_matches_dense_qr_without_the_factors(monkeypatch, rho0):
+    prob = NeumannProblem(AnnulusGrid(rho0, 64, 64), eps=0.3, profile=bump_on(rho0))
+    fields = [prob.sample(1, np.conj), prob.random_form(1, np.random.default_rng(4))]
+
+    def refuse(self):
+        raise AssertionError("the oracle read the Cholesky factors")
+
+    # the oracle must not lean on the route it checks
+    monkeypatch.setattr(NeumannProblem, "_factors", refuse)
+    for f in fields:
+        got, want = solve_dbar_lstsq(prob, f).values, dense_qr_minimal_norm(prob, f)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def dense_S1(S1, i):
+    """Mode i of an upper-banded pentadiagonal stack as a dense matrix."""
+    S = np.diag(S1[2, i]) + np.diag(S1[1, i, 1:], 1) + np.diag(S1[0, i, 2:], 2)
+    return S + np.triu(S, 1).T
+
+
+def eigvalsh_norm_diff(a, b):
+    """max over modes of |eigvalsh(S_a^-1 - S_b^-1)|, the difference taken as
+    S_a^-1 (S_b - S_a) S_b^-1 so that it keeps its digits at small eps."""
+    worst = 0.0
+    for i in range(a.S1.shape[1]):
+        Sa, Sb = dense_S1(a.S1, i), dense_S1(b.S1, i)
+        D = np.linalg.solve(Sa, np.linalg.solve(Sb, (Sb - Sa).T).T)
+        worst = max(worst, float(np.abs(np.linalg.eigvalsh(0.5 * (D + D.T))).max()))
+    return worst
+
+
+@pytest.mark.parametrize("size", [32, 64])
+def test_lanczos_norm_diff_matches_per_mode_eigvalsh(size):
+    grid = AnnulusGrid(RHO0, size, size)
+    base = NeumannProblem(grid)
+    for eps in (0.3, 0.1, -0.3):
+        prob = NeumannProblem(grid, eps=eps, profile=bump_on(RHO0))
+        assert operator_norm_diff(prob, base) == pytest.approx(
+            eigvalsh_norm_diff(prob, base), rel=1e-12
+        )

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hodgebench.cli import dumps
 from hodgebench.sobolev import (
     INEQUALITY_IDS,
+    _order_stats,
     HalfGrid,
     TorusGrid,
     boundary_square,
@@ -475,3 +476,26 @@ def test_boundary_square():
     phi = np.zeros(grid.shape, dtype=complex)
     phi[..., -1] = 2.0
     assert boundary_square(grid, phi) == pytest.approx(4.0 * TWO_PI, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# battery summaries
+
+
+# signed zeros compare equal, so sort and partition may order them either
+# way; they are folded into +0.0
+VALUES = st.lists(
+    st.floats(allow_nan=False).map(lambda x: x + 0.0), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=VALUES, qs=st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_order_stats_match_numpy_bit_for_bit(values, qs):
+    arr = np.array(values)
+    qs = qs + [0.0, 0.25, 0.5, 0.75, 1.0]
+    with np.errstate(all="ignore"):
+        got_q, got_median = _order_stats(arr, qs)
+        want_q, want_median = np.quantile(arr, qs), np.median(arr)
+    assert got_q.tobytes() == want_q.tobytes()
+    assert np.float64(got_median).tobytes() == np.float64(want_median).tobytes()
