@@ -123,10 +123,7 @@ def l2_inner(grid: TorusGrid, phi: np.ndarray, psi: np.ndarray) -> complex:
 
 
 def sobolev_norm(grid: TorusGrid, phi: np.ndarray, s: float = 0.0) -> float:
-    coeffs = fftn(phi) / phi.size
-    weight = (1.0 + grid.freq_square()) ** s
-    total = np.sum(weight * np.abs(coeffs) ** 2) * grid.box**grid.dim
-    return float(np.sqrt(total))
+    return _norms(grid, phi)(s)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +187,24 @@ def lambda_tangential(grid: HalfGrid, phi: np.ndarray, s: float) -> np.ndarray:
 
 
 def tangential_norm(grid: HalfGrid, phi: np.ndarray, s: float = 0.0) -> float:
-    spec = fftn(phi, axes=_t_axes(grid)) / (grid.n_t ** (grid.dim - 1))
-    weight = (1.0 + grid.tangential_freq_square()) ** s
-    per_slice = weight * np.abs(spec) ** 2
-    radial = np.sum(per_slice, axis=tuple(range(grid.dim - 1)))
-    total = np.sum(radial * grid.r_weights()) * grid.box ** (grid.dim - 1)
-    return float(np.sqrt(total))
+    return _norms(grid, phi)(s)
+
+
+def _norms(grid, phi: np.ndarray) -> Callable[[float], float]:
+    """s -> ||phi||_s from one |fftn(phi) / N|^2 and one 1 + |xi|^2: the
+    full-space H^s norm on a TorusGrid, the tangential one (trapezoid rule in
+    r) on a HalfGrid; each s adds one power and one weighted sum."""
+    if isinstance(grid, TorusGrid):
+        power = np.abs(fftn(phi) / phi.size) ** 2
+        weight = 1.0 + grid.freq_square()
+        total = lambda w: np.sum(w * power) * grid.box**grid.dim
+    else:
+        axes = _t_axes(grid)
+        power = np.abs(fftn(phi, axes=axes) / (grid.n_t ** (grid.dim - 1))) ** 2
+        weight = 1.0 + grid.tangential_freq_square()
+        r_weights, box = grid.r_weights(), grid.box ** (grid.dim - 1)
+        total = lambda w: np.sum(np.sum(w * power, axis=axes) * r_weights) * box
+    return cache(lambda s: float(np.sqrt(total(weight**s))))
 
 
 def half_inner(grid: HalfGrid, phi: np.ndarray, psi: np.ndarray) -> complex:
@@ -248,7 +257,6 @@ def d_norm(grid: HalfGrid, phi: np.ndarray, s: float) -> float:
 
 class _Operators(NamedTuple):
     lam: Callable  # (grid, phi, s) -> Lambda^s phi
-    norm: Callable  # (grid, phi, s) -> ||phi||_s
     random_field: Callable  # (grid, rng) -> battery field
     derivative: Callable  # (phi, axis) -> d phi / dx_axis
 
@@ -256,11 +264,11 @@ class _Operators(NamedTuple):
 def _operators(grid) -> _Operators:
     """The operators of a grid: full-space ones, spectral on every axis, for
     a TorusGrid; tangential ones, with the 4th-order stencil on the radial
-    (last) axis, for a HalfGrid.  The one place the two grid kinds part."""
+    (last) axis, for a HalfGrid.  The norms part the same way in _norms."""
     if isinstance(grid, TorusGrid):
         k = _wavenumbers(grid.n, grid.box)
         derivative = lambda phi, axis: _spectral_derivative(phi, axis, k)
-        return _Operators(lambda_full, sobolev_norm, random_torus_field, derivative)
+        return _Operators(lambda_full, random_torus_field, derivative)
     k = _wavenumbers(grid.n_t, grid.box)
 
     def derivative(phi, axis):
@@ -268,7 +276,7 @@ def _operators(grid) -> _Operators:
             return radial_derivative(grid, phi)
         return _spectral_derivative(phi, axis, k)
 
-    return _Operators(lambda_tangential, tangential_norm, random_half_field, derivative)
+    return _Operators(lambda_tangential, random_half_field, derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -301,64 +309,58 @@ def _lattice(coords: Sequence[int], dim: int = 3) -> np.ndarray:
     return np.array(list(product(coords, repeat=dim)), dtype=float)
 
 
-def _half_power(base: np.ndarray, root: np.ndarray, two_expo: float) -> np.ndarray:
-    """base ** (two_expo / 2) with fast paths for half-integer exponents;
-    root is np.sqrt(base), taken once for the exponents +-1."""
-    if two_expo == 0.0:
-        return np.ones_like(base)
-    if two_expo == 1.0:
-        return root
-    if two_expo == -1.0:
-        return 1.0 / root
-    if two_expo == 2.0:
-        return base
-    if two_expo == -2.0:
-        return 1.0 / base
-    if two_expo == -4.0:
-        return 1.0 / (base * base)
-    return base ** (two_expo / 2.0)
+# part iii quadrature: distinct quadratic forms per column block, so that the
+# (nodes, block) temporaries stay in cache
+_FORM_BLOCK = 1024
 
-
-# part iii quadrature: nodes per gemv, and distinct quadratic forms per
-# column block, so that the (nodes, block) temporaries stay in cache
-_NODE_CHUNK = 64
-_FORM_BLOCK = 4096
+# the integrand base ** ((k - 2) / 2) from root = sqrt(base) and inv = 1 / base,
+# written to out where it is a new array
+_INTEGRANDS = {
+    -2.0: lambda root, inv, out: np.multiply(inv, inv, out=out),
+    -0.5: lambda root, inv, out: np.divide(inv, np.sqrt(root, out=out), out=out),
+    0.0: lambda root, inv, out: inv,
+    1.0: lambda root, inv, out: np.multiply(root, inv, out=out),
+    3.0: lambda root, inv, out: root,
+}
 
 
 def _form_integrals(
     forms: np.ndarray, ks: Iterable[float], quad_order: int
 ) -> Dict[float, np.ndarray]:
     """Gauss-Legendre values of int_0^1 int_0^1 (1 + |xi + t a + t' b|^2)^{(k-2)/2}
-    dt dt' per k, for each column (|xi|^2, |a|^2, |b|^2, xi.a, xi.b, a.b)
-    of forms: one gemv per chunk of nodes and block of columns."""
+    dt dt' per k, for each column (|xi|^2, |a|^2, |b|^2, xi.a, xi.b, a.b) of
+    forms.  Separable in t: per node t, base is formed at all nodes t' at once,
+    the t' terms taken once per block; one sqrt and one reciprocal of base give
+    the integrands, summed as w_t (w @ integrand); k = 2 is the weights' sum."""
     nodes, weights = leggauss(quad_order)
-    nodes = 0.5 * (nodes + 1.0)
-    weights = 0.5 * weights
-    ti, tj = np.meshgrid(nodes, nodes, indexing="ij")
-    wij = np.outer(weights, weights).ravel()
-    ti, tj = ti.ravel(), tj.ravel()
-    integrals = {k: np.zeros(forms.shape[1]) for k in ks}
-    if not integrals:
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    t2 = nodes[:, None]
+    n = forms.shape[1]
+    integrals = {k: np.full(n, weights.sum() ** 2 if k == 2.0 else 0.0) for k in ks}
+    powers = [k for k in integrals if k != 2.0]
+    if not powers:
         return integrals
-    need_root = any(abs(k - 2.0) == 1.0 for k in integrals)
-    for lo in range(0, forms.shape[1], _FORM_BLOCK):
+    for lo in range(0, n, _FORM_BLOCK):
         block = slice(lo, lo + _FORM_BLOCK)
-        c_xx, c_aa, c_bb, c_xa, c_xb, c_ab = forms[:, None, block]
-        for node in range(0, ti.size, _NODE_CHUNK):
-            t1 = ti[node : node + _NODE_CHUNK, None]
-            t2 = tj[node : node + _NODE_CHUNK, None]
-            base = 1.0 + (
-                c_xx
-                + t1 * t1 * c_aa
-                + t2 * t2 * c_bb
-                + 2.0 * t1 * c_xa
-                + 2.0 * t2 * c_xb
-                + 2.0 * t1 * t2 * c_ab
-            )
-            root = np.sqrt(base) if need_root else None
-            w = wij[node : node + _NODE_CHUNK]
-            for k, integral in integrals.items():
-                integral[block] += w @ _half_power(base, root, k - 2.0)
+        c_xx, c_aa, c_bb, c_xa, c_xb, c_ab = forms[:, block]
+        t2bb, t2xb = t2 * t2 * c_bb, 2.0 * t2 * c_xb
+        base, root, inv, out = np.empty((4,) + t2bb.shape)  # reused for every t
+        for t1, w1 in zip(nodes, weights):
+            # 1 + (|xi|^2 + t^2|a|^2 + t'^2|b|^2 + 2t xi.a + 2t' xi.b + 2tt' a.b) in
+            # this order: the terms cancel, so another order moves base by their ulps
+            np.add(c_xx + t1 * t1 * c_aa, t2bb, out=base)
+            base += 2.0 * t1 * c_xa
+            base += t2xb
+            base += np.multiply(2.0 * t1 * t2, c_ab, out=out)
+            np.add(1.0, base, out=base)
+            np.sqrt(base, out=root)
+            np.divide(1.0, base, out=inv)
+            for k in powers:
+                if k in _INTEGRANDS:
+                    integrand = _INTEGRANDS[k](root, inv, out)
+                else:
+                    integrand = np.power(base, (k - 2.0) / 2.0, out=out)
+                integrals[k][block] += w1 * (weights @ integrand)
     return integrals
 
 
@@ -722,7 +724,7 @@ def leibniz_battery(
             return lambda t_: levels[math.ceil(t_)]
 
     else:
-        coeff_norm = lambda h: cache(lambda t_: ops.norm(grid, h, t_))
+        coeff_norm = lambda h: _norms(grid, h)
     trial_ratios = []
     case_ratios: Dict[str, float] = {}
     ss = SeedSequence([seed, INEQUALITY_IDS.index(inequality)])
@@ -734,11 +736,12 @@ def leibniz_battery(
         g = ops.random_field(grid, rng) if part == "iv" else None
         nf = coeff_norm(f)
         ng = coeff_norm(g) if part == "iv" else None
-        np_ = cache(lambda t_: ops.norm(grid, phi, t_))
-        field = cache(lambda k_: _battery_field(grid, part, k_, f, g, phi))
+        np_ = _norms(grid, phi)
+        # each k's field has one spectrum, read at every s
+        field_norms = cache(lambda k_: _norms(grid, _battery_field(grid, part, k_, f, g, phi)))
         best = 0.0
         for form, s, k in cases:
-            lhs = ops.norm(grid, field(k), s)
+            lhs = field_norms(k)(s)
             rhs = _rhs(a, part, form, s, k, nf, ng, np_)
             ratio = lhs / rhs if rhs > 0 else math.inf
             key = f"{form}:s={s}:k={k}"
@@ -809,10 +812,7 @@ def half_space_subestimate(
         rng = default_rng(child)
         f = random_half_field(grid, rng)
         df_t, df_r = derivative(f, 0), derivative(f, 1)
-        lhs = (
-            tangential_norm(grid, df_t, -0.5) ** 2
-            + tangential_norm(grid, df_r, -0.5) ** 2
-        )
+        lhs = tangential_norm(grid, df_t, -0.5) ** 2 + tangential_norm(grid, df_r, -0.5) ** 2
         v1 = 0.5 * (df_t + 1j * df_r)
         rhs = tangential_norm(grid, v1, -0.5) ** 2 + boundary_square(grid, f)
         ratios.append(lhs / rhs)

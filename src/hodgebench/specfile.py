@@ -156,7 +156,7 @@ def _table(entries: Dict[str, str], parse: Callable[[str], object], base: int) -
 
 def _pair(key: str) -> Tuple[int, int]:
     parts = key.split("_")
-    if len(parts) != 3:
+    if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
         raise SpecError(f"bad table key {key!r} (expected prefix_i_j)")
     return int(parts[1]), int(parts[2])
 
@@ -188,7 +188,7 @@ def parse_specfile(text: str) -> SpecFile:
     chart_sec = sections["chart"]
     if "dim" not in chart_sec:
         raise SpecError("[chart] needs dim")
-    dim = int(chart_sec["dim"])
+    dim = _number(sections, "chart", "dim", int, None)
     complex_pairs = chart_sec.get("complex", "false").lower() in ("1", "true", "yes")
     if complex_pairs and dim % 2:
         raise SpecError("complex charts need even dimension")
@@ -204,26 +204,36 @@ def parse_specfile(text: str) -> SpecFile:
         for k, v in alg_sec.items()
         if k.startswith(sum(KIND_PREFIXES.values(), ()))
     }
-    opt = sections.get("options", {})
     spec = SpecFile(
         chart_dim=dim,
         complex_pairs=complex_pairs,
         r_text=_unquote(bd_sec["r"]),
         sampler=bd_sec.get("sampler", "sphere"),
-        samples=int(bd_sec.get("samples", "1000")),
-        locus_samples=int(bd_sec.get("locus_samples", "20")),
-        inner_radius=float(bd_sec.get("inner_radius", "0.5")),
+        samples=_number(sections, "boundary", "samples", int, "1000"),
+        locus_samples=_number(sections, "boundary", "locus_samples", int, "20"),
+        inner_radius=_number(sections, "boundary", "inner_radius", float, "0.5"),
         kind=kind,
-        n=int(alg_sec.get("n", str(dim // 2))),
+        n=_number(sections, "algebroid", "n", int, str(dim // 2)),
         entries=entries,
-        rank_tol=float(opt.get("rank_tol", "1e-8")),
-        eig_zero_tol=float(opt.get("eig_zero_tol", "1e-8")),
-        seed=int(opt.get("seed", "0")),
+        rank_tol=_number(sections, "options", "rank_tol", float, "1e-8"),
+        eig_zero_tol=_number(sections, "options", "eig_zero_tol", float, "1e-8"),
+        seed=_number(sections, "options", "seed", int, "0"),
     )
     if spec.sampler not in SAMPLER_KINDS:
         raise SpecError(f"unknown sampler {spec.sampler!r}")
     _validate(spec)
     return spec
+
+
+def _number(sections: Dict[str, Dict[str, str]], section: str, key: str, convert, default):
+    """[section] key read by int or float (default when absent); a SpecError
+    naming the section and the key when it is not such a number."""
+    text = sections.get(section, {}).get(key, default)
+    try:
+        return convert(text)
+    except ValueError:
+        what = "an integer" if convert is int else "a number"
+        raise SpecError(f"[{section}] {key} must be {what}, got {text!r}") from None
 
 
 def _validate(spec: SpecFile):

@@ -4,11 +4,14 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hodgebench.cli import dumps
+from hodgebench import sobolev
+from hodgebench.cli import dumps, main
 from hodgebench.sobolev import (
     INEQUALITY_IDS,
+    _form_integrals,
+    _norms,
     _order_stats,
     HalfGrid,
     TorusGrid,
@@ -94,6 +97,72 @@ def test_duality_pairing():
 
 # ---------------------------------------------------------------------------
 # tangential operators
+
+
+def reference_sobolev_norm(grid, phi, s):
+    """The full-space H^s norm from its own spectrum, as sobolev_norm was
+    written before the norms shared one."""
+    coeffs = np.fft.fftn(phi) / phi.size
+    weight = (1.0 + grid.freq_square()) ** s
+    total = np.sum(weight * np.abs(coeffs) ** 2) * grid.box**grid.dim
+    return float(np.sqrt(total))
+
+
+def reference_tangential_norm(grid, phi, s):
+    """The tangential H^s norm from its own spectrum, as tangential_norm was
+    written before the norms shared one."""
+    spec = np.fft.fftn(phi, axes=tuple(range(grid.dim - 1))) / (grid.n_t ** (grid.dim - 1))
+    weight = (1.0 + grid.tangential_freq_square()) ** s
+    per_slice = weight * np.abs(spec) ** 2
+    radial = np.sum(per_slice, axis=tuple(range(grid.dim - 1)))
+    total = np.sum(radial * grid.r_weights()) * grid.box ** (grid.dim - 1)
+    return float(np.sqrt(total))
+
+
+NORM_ORDERS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.5)
+NORM_GRIDS = [TorusGrid(2, 32), TorusGrid(3, 16), HalfGrid(2, 32, 17), HalfGrid(3, 16, 9)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    which=st.integers(0, len(NORM_GRIDS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    battery=st.booleans(),
+)
+def test_norms_from_one_spectrum_equal_the_per_call_norms_bit_for_bit(which, seed, battery):
+    grid = NORM_GRIDS[which]
+    rng = np.random.default_rng(seed)
+    if not battery:
+        phi = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    elif isinstance(grid, TorusGrid):
+        phi = random_torus_field(grid, rng)
+    else:
+        phi = random_half_field(grid, rng)
+    if isinstance(grid, TorusGrid):
+        public, reference = sobolev_norm, reference_sobolev_norm
+    else:
+        public, reference = tangential_norm, reference_tangential_norm
+    norms = _norms(grid, phi)
+    for s in NORM_ORDERS:
+        want = reference(grid, phi, s)
+        assert public(grid, phi, s) == want
+        assert norms(s) == want
+
+
+def test_a_battery_takes_one_spectrum_per_field(monkeypatch, capsys):
+    # per trial: one per random field, six per double commutator (three k),
+    # and one per norm of f, of phi and of each k's field: 8 * 25 = 200
+    calls = []
+    fftn = sobolev.fftn
+
+    def counting_fftn(*args, **kwargs):
+        calls.append(args[0].shape)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(sobolev, "fftn", counting_fftn)
+    assert main(["sobolev", "--suite", "A.iii", "--seed", "7250"]) == 0
+    assert capsys.readouterr().out
+    assert len(calls) <= 200
 
 
 def test_tangential_identity_cases():
@@ -247,6 +316,66 @@ def _kernel_iii_reference(ks, coords, quad_order, stride):
 
 
 DEFAULT_KS = (-2.0, -0.5, 0.0, 1.0, 2.0, 3.0)
+
+
+def reference_form_integrals(forms, ks, quad_order):
+    """The part iii integrals with base built from all six coefficients at
+    every node and raised to (k - 2) / 2 there, 64 nodes per gemv."""
+    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    nodes = 0.5 * (nodes + 1.0)
+    weights = 0.5 * weights
+    ti, tj = np.meshgrid(nodes, nodes, indexing="ij")
+    wij = np.outer(weights, weights).ravel()
+    ti, tj = ti.ravel(), tj.ravel()
+    c_xx, c_aa, c_bb, c_xa, c_xb, c_ab = forms[:, None, :]
+    integrals = {k: np.zeros(forms.shape[1]) for k in ks}
+    for lo in range(0, ti.size, 64):
+        t1 = ti[lo : lo + 64, None]
+        t2 = tj[lo : lo + 64, None]
+        base = 1.0 + (
+            c_xx
+            + t1 * t1 * c_aa
+            + t2 * t2 * c_bb
+            + 2.0 * t1 * c_xa
+            + 2.0 * t2 * c_xb
+            + 2.0 * t1 * t2 * c_ab
+        )
+        for k in ks:
+            integrals[k] += wij[lo : lo + 64] @ base ** ((k - 2.0) / 2.0)
+    return integrals
+
+
+def lattice_forms(coords, stride):
+    """The distinct (|xi|^2, |a|^2, |b|^2, xi.a, xi.b, a.b) columns of the
+    part iii triples of a lattice, as kernel_lemma_check builds them."""
+    V = np.array(list(product(coords, repeat=3)), dtype=float)
+    eta = V[::stride]
+    X = np.repeat(V, len(eta) ** 2, axis=0)
+    E1 = np.tile(np.repeat(eta, len(eta), axis=0), (len(V), 1))
+    E2 = np.tile(eta, (len(V) * len(eta), 1))
+    a, b = E1 - E2, E2 - X
+    pairs = [(X, X), (a, a), (b, b), (X, a), (X, b), (a, b)]
+    forms = np.stack([np.sum(u * v, -1) for u, v in pairs])
+    return np.unique(forms, axis=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coords=st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True),
+    stride=st.integers(1, 5),
+    quad_order=st.integers(1, 12),
+)
+@example(coords=[-4, -2, 0, 1, 3], stride=5, quad_order=8)  # kernel_lemma_check's lattice
+def test_form_integrals_match_the_per_node_integrand(coords, stride, quad_order):
+    # 0.7 takes the general power; k = 2 is the weights' sum, with no gemv
+    ks = DEFAULT_KS + (0.7,)
+    forms = lattice_forms(coords, stride)
+    got = _form_integrals(forms, ks, quad_order)
+    want = reference_form_integrals(forms, ks, quad_order)
+    for k in ks:
+        assert np.max(np.abs(got[k] - want[k]) / want[k]) <= 1e-14, k
+    weights = 0.5 * np.polynomial.legendre.leggauss(quad_order)[1]
+    assert np.all(got[2.0] == weights.sum() ** 2)
 
 
 @settings(max_examples=30, deadline=None)

@@ -159,6 +159,39 @@ def test_sampler_settings_are_checked_at_parse(tmp_path, capsys, name, key, valu
     assert err.startswith(f"error: [boundary] {key} must be")
 
 
+@pytest.mark.parametrize(
+    "name, section, key, value",
+    [
+        ("poisson_c4", "chart", "dim", "eight"),
+        ("poisson_c4", "boundary", "samples", "ten"),
+        ("poisson_c4", "boundary", "samples", "1e3"),
+        ("poisson_c4", "boundary", "locus_samples", "twenty"),
+        ("annulus_c3_dbar", "boundary", "inner_radius", "half"),
+        ("poisson_c4", "algebroid", "n", "4.0"),
+        ("poisson_c4", "options", "rank_tol", "small"),
+        ("poisson_c4", "options", "eig_zero_tol", "1e-8x"),
+        ("poisson_c4", "options", "seed", "random"),
+    ],
+)
+def test_numbers_that_do_not_parse_are_rejected_by_name(
+    tmp_path, capsys, name, section, key, value
+):
+    text = GALLERY[name]
+    if section == "options":
+        text += f"\n[options]\n{key} = {value}\n"
+    else:
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+    assert f"{key} = {value}\n" in text
+    err = _cli_error(tmp_path, capsys, text, "classify", "--samples", "8")
+    assert f"[{section}] {key} must be " in err and repr(value) in err
+
+
+def test_table_keys_that_are_not_numbered_are_rejected():
+    text = CUSTOM.replace("structure_1_2", "structure_1_b")
+    with pytest.raises(SpecError, match=re.escape("bad table key 'structure_1_b'")):
+        parse_specfile(text)
+
+
 def test_sampler_settings_that_are_not_read_are_not_checked():
     text = GALLERY["poisson_c4"].replace("sampler = sphere_plus_locus", "sampler = sphere")
     text = text.replace("locus_samples = 20", "locus_samples = -3\ninner_radius = -1")
