@@ -32,14 +32,18 @@ alg, bd = build_cached("ball_c2_dbar")
 point = [1.0, 0.0, 0.0, 0.0]
 rep = levi_form_generic(alg, bd, point)
 print(f"  generic route at {point}: matrix {rep.levi.real.round(10)}, signature {rep.signature}")
-basis = cr_kernel_basis(bd, point)
-B = levi_form_complex_hessian(bd, point, basis)
+basis = cr_kernel_basis(bd, [point])
+B = levi_form_complex_hessian(bd, [point], basis)[0]
 print(f"  Hessian route agrees entrywise: {np.allclose(rep.levi, B, atol=1e-10)}")
+# the oracles take whole samples: one stacked call over every sampled point
+pts = gallery_spec("ball_c2_dbar").sample_points()
+B_all = levi_form_complex_hessian(bd, pts, cr_kernel_basis(bd, pts))
+print(f"  Hessian route over {len(pts)} samples: max |L - 1| = {np.abs(B_all - 1).max():.1e}")
 
 print("\n== holomorphic Poisson on C^4 (sigma = x dx^dy + dz^dw) ==")
 alg, bd = build_cached("poisson_c4")
 locus_point = [0, 0, 1.0, 0, 0, 0, 0, 0]  # x = z = w = 0, |y| = 1
-B, cr_basis = levi_form_poisson(bd, alg.meta["sigma"], locus_point)
+B = levi_form_poisson(bd, alg.meta["sigma"], [locus_point])[0][0]
 print(f"  block matrix is 7x7, signature {eigen_signature(B)} (expect (5,1,1))")
 evals = np.linalg.eigvalsh(B)
 print(f"  eigenvalues: {np.round(evals, 6)}")

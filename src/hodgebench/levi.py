@@ -22,7 +22,9 @@ Classification and the generic-route Levi forms over many points share one
 walk and one anchor evaluation per point.  The classification, from anchors
 to margins, and the Levi tail, from adapted frame to signature, are stacked
 over a block of points; the one-point functions call them with a stack of
-one.  All symbolic work is exact; numbers appear only at point evaluation.
+one.  The Hessian, Poisson-block and GC oracles take (N, m) stacks of points.
+Every route checks points by one rule (|r| <= _BOUNDARY_TOL, then |dr| >
+rank_tol).  All symbolic work is exact; numbers appear only at point evaluation.
 The boundary samplers take the normal quantile from a port of Cephes ndtri
 (Moshier, Cephes Mathematical Library, 1989), bit-equal to
 scipy.special.ndtri on the samplers' inputs, so the package imports numpy
@@ -85,20 +87,9 @@ class BoundaryData:
         Hessian and Poisson routes read them."""
         return [[g.diff(j) for j in range(self.chart.dim)] for g in self.grad]
 
-    def grad_at(self, point) -> np.ndarray:
-        g = self.grad_values([point])[0]
-        if np.linalg.norm(g) <= self.rank_tol:
-            raise ValueError(_DEGENERATE)
-        return g
-
     def grad_values(self, points) -> np.ndarray:
         """(N, m) gradient of r over a batch of points."""
         return eval_table(self.grad, points)
-
-    def check_on_boundary(self, point):
-        val = self.r.eval(point)
-        if not abs(val) <= _BOUNDARY_TOL:
-            raise _off_boundary(val)
 
 
 _NOT_ELLIPTIC = "algebroid is not elliptic at the point"
@@ -112,8 +103,29 @@ _BLOCK = 256
 _BOUNDARY_TOL = 1e-8
 
 
-def _off_boundary(val) -> ValueError:
-    return ValueError(f"point is not on the boundary (r = {complex(val)})")
+def _on_boundary(bd: BoundaryData, batch: PointBatch):
+    """The points of a batch before the first off the boundary, dr at them
+    (n, m), the mask of those with |dr| <= rank_tol, and the error of the
+    point off the boundary (None if there is none)."""
+    r_vals = bd.r.eval_many(batch)
+    n = _leading(~(np.abs(r_vals) <= _BOUNDARY_TOL))
+    error = None
+    if n < len(batch):
+        error = ValueError(f"point is not on the boundary (r = {complex(r_vals[n])})")
+        batch = PointBatch(batch.points[:n])
+    G = bd.grad_values(batch)
+    return batch, G, np.linalg.norm(G, axis=1) <= bd.rank_tol, error
+
+
+def _boundary_batch(bd: BoundaryData, points):
+    """The points as a PointBatch and dr at them (N, m); raises the first
+    failing point's error, off the boundary or |dr| degenerate."""
+    batch, G, degenerate, error = _on_boundary(bd, PointBatch(points))
+    if degenerate.any():
+        raise ValueError(_DEGENERATE)
+    if error:
+        raise error
+    return batch, G
 
 
 @dataclass(frozen=True)
@@ -208,19 +220,12 @@ def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None
         raise ValueError("point dimension mismatch")
     route = None
     for start in range(0, len(X), _BLOCK):
-        batch = PointBatch(X[start : start + _BLOCK])
-        r_vals = bd.r.eval_many(batch)
-        off = np.flatnonzero(~(np.abs(r_vals) <= _BOUNDARY_TOL))
-        error = _off_boundary(r_vals[off[0]]) if off.size else None
+        batch, G, degenerate, error = _on_boundary(bd, PointBatch(X[start : start + _BLOCK]))
         margins = np.zeros(0)
-        if off.size:
-            batch = PointBatch(batch.points[: off[0]])
         if len(batch):
             A = alg.anchor_matrices(batch)
-            G = bd.grad_values(batch)
             flags, Q, keep = _anchor_svd(A, bd.rank_tol)
-            g_norm = np.linalg.norm(G, axis=1)
-            n = _leading(~flags | (g_norm <= bd.rank_tol))
+            n = _leading(~flags | degenerate)
             if n < len(batch):
                 error = ValueError(_DEGENERATE if flags[n] else _NOT_ELLIPTIC)
             # max over unit v in W of |dr(v)| / |dr|, as |Q^T dr| is |dr|; the
@@ -275,8 +280,7 @@ def classify_points(
 
 
 def adapted_frame(alg: AlgebroidSpec, bd: BoundaryData, point) -> AdaptedFrame:
-    bd.check_on_boundary(point)
-    batch = PointBatch([point])
+    batch, _ = _boundary_batch(bd, [point])
     P = eval_table([dr_pairing_expr(alg, bd, j) for j in range(alg.rank)], batch)
     A = alg.anchor_matrices(batch).transpose(0, 2, 1)
     pivots, rows, _, error = _adapted_frames(P, A, bd.rank_tol)
@@ -322,11 +326,13 @@ def dr_pairing_expr(alg: AlgebroidSpec, bd: BoundaryData, j: int) -> ScalarExpr:
 
 
 def adapted_sections(alg: AlgebroidSpec, bd: BoundaryData, frame: AdaptedFrame):
-    """Symbolic tangency-corrected CR fields and the transverse field.
+    """Symbolic CR fields, tangent to every level set of r, and the
+    transverse field; used by the exact (slow) route and by independence tests.
 
-    Used by the exact (slow) route and by independence tests; the i-th CR
-    section is sum_j row[i][j] w_j minus the pivot correction, so its anchor
-    annihilates dr identically.
+    With P_j = dr(rho(w_j)), the i-th CR field is P_piv sum_j row[i][j] w_j -
+    (sum_j row[i][j] P_j) w_piv, polynomial for polynomial anchors and r.  It
+    is P_piv times the tangency-corrected section, so its Levi form is
+    |P_piv|^2 theirs: the other bracket terms lie in the CR span.
     """
     chart = alg.chart
     P = [dr_pairing_expr(alg, bd, j) for j in range(alg.rank)]
@@ -338,10 +344,10 @@ def adapted_sections(alg: AlgebroidSpec, bd: BoundaryData, frame: AdaptedFrame):
         for j, cj in enumerate(row):
             if cj == 0:
                 continue
-            vec = vec + alg.anchors[j].scale(const(chart, complex(cj)))
-            pair = pair + const(chart, complex(cj)) * P[j]
-        corrected = vec - alg.anchors[piv].scale(pair / P[piv])
-        cr_fields.append(corrected)
+            c = const(chart, complex(cj))
+            vec = vec + alg.anchors[j].scale(c)
+            pair = pair + c * P[j]
+        cr_fields.append(vec.scale(P[piv]) - alg.anchors[piv].scale(pair))
     transverse = alg.anchors[piv].scale(const(chart, complex(frame.transverse_scale)))
     return cr_fields, transverse
 
@@ -480,7 +486,8 @@ def levi_form_generic(
     if cr_rows is not None:
         frame = replace(frame, cr_rows=np.asarray(cr_rows, dtype=complex))
     fields, transverse = adapted_sections(alg, bd, frame)
-    B = levi_from_cr_fields(bd, fields, transverse, point)
+    # the fields are P_piv = 1 / transverse_scale times the CR sections
+    B = abs(frame.transverse_scale) ** 2 * levi_from_cr_fields(bd, fields, transverse, point)
     at = tuple(np.asarray(point, dtype=float).tolist())
     reports, error = _finish([at], [cls], B[None], bd.eig_zero_tol)
     if error:
@@ -535,54 +542,51 @@ def _pair_indices(chart):
     return np.array(chart.complex_pairs, dtype=int).reshape(-1, 2).T
 
 
-def wirtinger_hessian(bd: BoundaryData, point) -> np.ndarray:
-    """H_ij = d^2 r / dz^i dzbar^j at the point (chart must be paired)."""
+def _dbar(bd: BoundaryData, G: np.ndarray) -> np.ndarray:
+    """dr/dzbar^j (N, n) from the real gradients G (N, m)."""
     re, im = _pair_indices(bd.chart)
-    D = eval_table(bd.hess, [point])[0]
+    return 0.5 * (G[:, re] + 1j * G[:, im])
+
+
+def wirtinger_hessian(bd: BoundaryData, points) -> np.ndarray:
+    """H_ij = d^2 r / dz^i dzbar^j (N, n, n) at N points of a paired chart."""
+    re, im = _pair_indices(bd.chart)
+    D = eval_table(bd.hess, points)
+    rr, ri, ir, ii = (D[:, a[:, None], b] for a in (re, im) for b in (re, im))
     # d/dz^i = (d_re - i d_im)/2 applied to dr/dzbar^j = (d_re + i d_im) r / 2
-    return 0.25 * (
-        D[np.ix_(re, re)] + 1j * D[np.ix_(re, im)] - 1j * D[np.ix_(im, re)] + D[np.ix_(im, im)]
-    )
+    return 0.25 * (rr + 1j * ri - 1j * ir + ii)
 
 
-def antiholomorphic_gradient(bd: BoundaryData, point) -> np.ndarray:
-    """(dr/dzbar^1 .. dr/dzbar^n) at the point."""
-    re, im = _pair_indices(bd.chart)
-    g = bd.grad_values([point])[0]
-    return 0.5 * (g[re] + 1j * g[im])
+def cr_kernel_basis(bd: BoundaryData, points) -> np.ndarray:
+    """Orthonormal bases (N, n-1, n), as rows, of {u in T^{0,1} : sum u^i
+    dr/dzbar^i = 0} at each point, from one stacked SVD."""
+    vh = np.linalg.svd(_dbar(bd, bd.grad_values(points))[:, None, :])[2]
+    return vh[:, 1:].conj()
 
 
-def cr_kernel_basis(bd: BoundaryData, point) -> np.ndarray:
-    """Orthonormal basis (rows) of {u in T^{0,1} : sum u^i dr/dzbar^i = 0}."""
-    w = antiholomorphic_gradient(bd, point)
-    _, s, vh = np.linalg.svd(w.reshape(1, -1))
-    return vh.conj().T[:, 1:].T
+def levi_form_complex_hessian(bd: BoundaryData, points, cr_basis: np.ndarray) -> np.ndarray:
+    """Hessian route for L = T^{0,1}: L(u,v) = sum H_ij conj(v^i) u^j on CR,
+    (N, k, k) at N boundary points.
 
-
-def levi_form_complex_hessian(
-    bd: BoundaryData, point, cr_basis: np.ndarray
-) -> np.ndarray:
-    """Hessian route for L = T^{0,1}: L(u,v) = sum H_ij conj(v^i) u^j on CR.
-
-    Rows of cr_basis are antiholomorphic component vectors; they must lie in
-    the CR kernel at the point.  The result carries the dr(nu)=1
-    normalization of the given r.
+    The rows of cr_basis (N, k, n), or of one (k, n) basis for every point,
+    are antiholomorphic component vectors; they must lie in the CR kernel at
+    their point.  The result carries the dr(nu)=1 normalization of the given r.
     """
-    bd.check_on_boundary(point)
+    batch, G = _boundary_batch(bd, points)
     if not bd.chart.complex_pairs:
         raise ValueError("complex-Hessian route needs a chart with complex pairing")
     basis = np.asarray(cr_basis, dtype=complex)
-    w = antiholomorphic_gradient(bd, point)
-    residual = np.abs(basis @ w)
-    scale = np.linalg.norm(w) * max(np.linalg.norm(basis, axis=1).max(), 1e-300)
-    if residual.max() > 1e-8 * max(scale, 1e-300):
+    w = _dbar(bd, G)
+    residual = np.abs(basis @ w[..., None])[..., 0].max(axis=-1, initial=0.0)
+    scale = np.linalg.norm(w, axis=1) * np.linalg.norm(basis, axis=-1).max(axis=-1, initial=1e-300)
+    if np.any(residual > 1e-8 * np.maximum(scale, 1e-300)):
         raise ValueError("cr_basis is not contained in the CR kernel")
-    return _hessian_form(wirtinger_hessian(bd, point), basis)
+    return _hessian_form(wirtinger_hessian(bd, batch), basis)
 
 
 def _hessian_form(H: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """L(u_a, u_b) = sum H_ij conj(u_b^i) u_a^j over the rows u of basis."""
-    return basis @ H.T @ basis.conj().T
+    return basis @ H.swapaxes(-1, -2) @ basis.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -600,18 +604,16 @@ def _hamiltonian_of_r(bd: BoundaryData, sigma: dict):
 
 
 def levi_form_poisson(
-    bd: BoundaryData,
-    sigma: dict,
-    point,
-    cr_t_basis: Optional[np.ndarray] = None,
+    bd: BoundaryData, sigma: dict, points, cr_t_basis: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Block Levi matrix for L = T^{0,1} + graph(sigma) at a non-elliptic point.
+    """Block Levi matrices (N, K, K) for L = T^{0,1} + graph(sigma) at N
+    non-elliptic points, and the cr_t_basis used (cr_kernel_basis if None).
 
-    Returns (matrix, cr_t_basis); the basis ordering is (CR cap T^{0,1}
-    directions, then dz^1..dz^n).  Requires X_r = sigma(dr^{1,0}) to vanish
-    at the point, which is the non-ellipticity condition.
+    The basis ordering is (CR cap T^{0,1} directions, then dz^1..dz^n).
+    Requires X_r = sigma(dr^{1,0}) to vanish at each point, which is the
+    non-ellipticity condition.
     """
-    bd.check_on_boundary(point)
+    batch, G = _boundary_batch(bd, points)
     chart = bd.chart
     n = chart.n_complex
     if n == 0:
@@ -620,30 +622,27 @@ def levi_form_poisson(
     unit = [[const(chart, int(i == j)) for i in range(n)] for j in range(n)]
     # X_r, then the sigma(dz^j), as real-chart components
     fields = [X_r] + [sigma_contract(chart, sigma, alpha) for alpha in unit]
-    V = eval_table([f.components for f in fields], [point])[0]
-    g = bd.grad_at(point)
-    if np.linalg.norm(V[0]) > bd.rank_tol * max(np.linalg.norm(g), 1.0):
-        raise ValueError(
-            "X_r does not vanish at the point; the point is elliptic"
-        )
+    V = eval_table([f.components for f in fields], batch)
+    x_norm = np.linalg.norm(V[:, 0], axis=1)
+    if np.any(x_norm > bd.rank_tol * np.maximum(np.linalg.norm(G, axis=1), 1.0)):
+        raise ValueError("X_r does not vanish at the point; the point is elliptic")
     if cr_t_basis is None:
-        cr_t_basis = cr_kernel_basis(bd, point)
+        cr_t_basis = cr_kernel_basis(bd, batch)
     basis = np.asarray(cr_t_basis, dtype=complex)
-    k = basis.shape[0]
-    H = wirtinger_hessian(bd, point)
+    H = wirtinger_hessian(bd, batch)
     re, im = _pair_indices(chart)
-    S = V[1:, re] + 1j * V[1:, im]  # S[j, a] = (sigma dz^j)^{z^a}
-    # dXr[a, j] = d(X_r^{z^a}) / dz^j from the real jacobian of X_r
-    J = eval_table(_jacobian(X_r.components, chart), [point])[0]
-    J = J[re] + 1j * J[im]
-    dXr = 0.5 * (J[:, re] - 1j * J[:, im])
+    S = V[:, 1:, re] + 1j * V[:, 1:, im]  # S[:, j, a] = (sigma dz^j)^{z^a}
+    # dXr[:, a, j] = d(X_r^{z^a}) / dz^j from the real jacobian of X_r
+    J = eval_table(_jacobian(X_r.components, chart), batch)
+    J = J[:, re] + 1j * J[:, im]
+    dXr = 0.5 * (J[:, :, re] - 1j * J[:, :, im])
     # cross block: L(alpha, u) = alpha([X_r, conj(u)]); for the constant
     # extension of conj(u), [X_r, C] = -(grad_C X_r) at a zero of X_r
-    cross = -dXr @ basis.conj().T
+    cross = -dXr @ basis.conj().swapaxes(-1, -2)
     B = np.block([
-        [_hessian_form(H, basis), cross.conj().T],  # T-block
+        [_hessian_form(H, basis), cross.conj().swapaxes(-1, -2)],  # T-block
         # sigma-sigma block: L(alpha, beta) = H(sigma alpha, conj(sigma beta))
-        [cross, S @ H @ S.conj().T],
+        [cross, S @ H @ S.conj().swapaxes(-1, -2)],
     ])
     return B, basis
 
@@ -708,37 +707,35 @@ def q_convex_set(
 
 
 def gc_ellipticity_via_bivector(
-    alg: AlgebroidSpec, bd: BoundaryData, point
-) -> Classification:
-    """Classification through pi_J: non-elliptic iff pi_J(dr) degenerates.
+    alg: AlgebroidSpec, bd: BoundaryData, points
+) -> List[Classification]:
+    """Classification through pi_J at each point: non-elliptic iff pi_J(dr)
+    degenerates.
 
     Supported spec kinds: graph_two_form with invertible imaginary part
     (symplectic type, pi_J = omega^{-1}), antiholomorphic (complex type,
     pi_J = 0), and holomorphic_poisson (pi_J(dr) tracks X_r).
     """
-    bd.check_on_boundary(point)
+    batch, G = _boundary_batch(bd, points)
     kind = alg.meta.get("kind")
-    g = bd.grad_at(point)
-    gn = np.linalg.norm(g)
     if kind == "antiholomorphic":
-        return Classification(False, 0.0)
+        return [Classification(False, 0.0)] * len(batch)
     if kind == "graph_two_form":
         omega = alg.meta["omega"]
         m = range(alg.chart.dim)
-        W = eval_table([[omega.coeff((i, j)) for j in m] for i in m], [point])[0]
-        W = (W - W.T).imag  # pi_J = (Im omega)^{-1} for graph(B + i omega)
+        W = eval_table([[omega.coeff((i, j)) for j in m] for i in m], batch)
+        W = (W - W.swapaxes(1, 2)).imag  # pi_J = (Im omega)^{-1} for graph(B + i omega)
         try:
-            v = np.linalg.solve(W, g.real)
+            pi_dr = np.linalg.solve(W, G.real[..., None])[..., 0]
         except np.linalg.LinAlgError:
             raise ValueError("two-form spec is not of generalized-complex type")
-        margin = float(np.linalg.norm(v) / gn)
-        return Classification(margin >= bd.rank_tol, margin)
-    if kind == "holomorphic_poisson":
-        xv = np.array(_hamiltonian_of_r(bd, alg.meta["sigma"]).eval(point))
+    elif kind == "holomorphic_poisson":
+        xv = eval_table(_hamiltonian_of_r(bd, alg.meta["sigma"]).components, batch)
         pi_dr = 2j * (xv - np.conj(xv))  # 2i X_r + conj(2i X_r), a real vector
-        margin = float(np.linalg.norm(pi_dr) / gn)
-        return Classification(margin >= bd.rank_tol, margin)
-    raise ValueError("spec is not of generalized-complex type")
+    else:
+        raise ValueError("spec is not of generalized-complex type")
+    margins = np.linalg.norm(pi_dr, axis=1) / np.linalg.norm(G, axis=1)
+    return [Classification(m >= bd.rank_tol, m) for m in margins.tolist()]
 
 
 # ---------------------------------------------------------------------------

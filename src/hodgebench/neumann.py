@@ -37,6 +37,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .sobolev import _order_stats
+
 __all__ = [
     "AnnulusGrid",
     "DiscreteForm",
@@ -521,8 +523,8 @@ def basic_estimate_report(
         "seed": seed,
         "C_E_vs_Q": float(np.max(e_vs_q)),
         "C_D_vs_E": float(np.max(d_vs_e)),
-        "median_E_vs_Q": float(np.median(e_vs_q)),
-        "median_D_vs_E": float(np.median(d_vs_e)),
+        "median_E_vs_Q": _order_stats(np.array(e_vs_q), [])[1],
+        "median_D_vs_E": _order_stats(np.array(d_vs_e), [])[1],
     }
 
 

@@ -395,9 +395,9 @@ class ScalarExpr:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return ScalarExpr(
-            self.chart, _poly_mul(self.num, o.num), _poly_mul(self.den, o.den)
-        )
+        # unit denominators multiply to the unit, with the same num
+        den = None if self.is_polynomial and o.is_polynomial else _poly_mul(self.den, o.den)
+        return ScalarExpr(self.chart, _poly_mul(self.num, o.num), den)
 
     __rmul__ = __mul__
 
@@ -405,9 +405,8 @@ class ScalarExpr:
         o = self._coerce(other)
         if not o.num:
             raise ZeroDivisionError("division by the zero expression")
-        return ScalarExpr(
-            self.chart, _poly_mul(self.num, o.den), _poly_mul(self.den, o.num)
-        )
+        num = self.num if o.is_polynomial else _poly_mul(self.num, o.den)
+        return ScalarExpr(self.chart, num, _poly_mul(self.den, o.num))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

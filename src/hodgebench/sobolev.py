@@ -291,8 +291,9 @@ def commutator(grid, k: float, f: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def double_commutator(grid, k: float, f: np.ndarray, phi: np.ndarray) -> np.ndarray:
     lam = _operators(grid).lam
-    inner = commutator(grid, k, f, phi)
-    return lam(grid, inner, k) - commutator(grid, k, f, lam(grid, phi, k))
+    lam_phi = lam(grid, phi, k)  # for the inner and the outer commutator
+    inner = lam(grid, f * phi, k) - f * lam_phi
+    return lam(grid, inner, k) - (lam(grid, f * lam_phi, k) - f * lam(grid, lam_phi, k))
 
 
 def nested_commutator(

@@ -105,7 +105,7 @@ def test_criterion_1_poisson_levi_signature():
     ok = True
     for p in locus_points(4, 20):
         rep = levi_form_generic(alg, bd, p)
-        B, _ = levi_form_poisson(bd, sigma4, p)
+        B = levi_form_poisson(bd, sigma4, [p])[0][0]
         sig_p = eigen_signature(B, bd.eig_zero_tol)
         ok &= rep.signature == (5, 1, 1) and sig_p == (5, 1, 1)
     elapsed = time.perf_counter() - t0
@@ -123,7 +123,7 @@ def test_criterion_1_poisson_levi_signature():
     )
     for p in locus_points(6, 20):
         rep = levi_form_generic(alg6, bd6, p)
-        B, _ = levi_form_poisson(bd6, sigma6, p)
+        B = levi_form_poisson(bd6, sigma6, [p])[0][0]
         ok &= rep.signature == (9, 1, 1)
         ok &= eigen_signature(B, bd6.eig_zero_tol) == (9, 1, 1)
     report(
@@ -155,8 +155,8 @@ def test_criterion_3_ball_and_annulus():
         verdict = q_convex_set(alg, bd, pts)
         ok &= verdict.q_set >= set(range(1, n + 1))
         for p in pts[:25]:
-            basis = cr_kernel_basis(bd, p)
-            B = levi_form_complex_hessian(bd, p, basis)
+            basis = cr_kernel_basis(bd, [p])
+            B = levi_form_complex_hessian(bd, [p], basis)[0]
             ok &= np.linalg.norm(B - np.eye(n - 1)) <= 1e-8
     alg_a, bd_a = build_cached("annulus_c3_dbar")
     pts = [list(p) for p in sphere_lattice(6, 75)]
@@ -193,8 +193,8 @@ def test_criterion_5_route_agreement():
         if name.startswith("annulus"):
             pts += [list(p) for p in sphere_lattice(2 * n, 6, radius=0.5)]
         for p in pts:
-            basis = cr_kernel_basis(bd, p)
-            B_h = levi_form_complex_hessian(bd, p, basis)
+            basis = cr_kernel_basis(bd, [p])[0]
+            B_h = levi_form_complex_hessian(bd, [p], basis)[0]
             rep = levi_form_generic(alg, bd, p, cr_rows=basis)
             ok &= np.linalg.norm(rep.levi - B_h) <= 1e-8 * max(
                 np.linalg.norm(B_h), 1.0
@@ -205,7 +205,7 @@ def test_criterion_5_route_agreement():
         alg, bd = build_cached(name)
         sigma = alg.meta["sigma"]
         for p in locus_points(n, 5):
-            B_p, basis = levi_form_poisson(bd, sigma, p)
+            B_p, basis = (a[0] for a in levi_form_poisson(bd, sigma, [p]))
             rows = np.zeros((2 * n - 1, 2 * n), dtype=complex)
             k = basis.shape[0]
             rows[:k, :n] = basis

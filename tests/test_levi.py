@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from hodgebench.levi import (
     sphere_lattice,
     wirtinger_hessian,
 )
-from hodgebench.scalars import Chart, PointBatch, const, parse_expr
+from hodgebench.scalars import Chart, PointBatch, const, eval_table, parse_expr
 from hodgebench.specfile import parse_specfile
 
 
@@ -650,7 +651,7 @@ def test_classification_of_a_poisson_structure_vanishing_on_a_hyperplane():
     circle = [[0.0, 0.0, math.cos(t), math.sin(t)] for t in np.linspace(0.0, 6.2, 40)]
     for points in (circle, spec.sample_points()):
         classes = classify_points(alg, bd, points)
-        oracle = [gc_ellipticity_via_bivector(alg, bd, p) for p in points]
+        oracle = gc_ellipticity_via_bivector(alg, bd, points)
         assert [c.elliptic for c in classes] == [c.elliptic for c in oracle]
     assert all(c.label == "NonElliptic" and c.margin == 0.0 for c in classify_points(alg, bd, circle))
     A = alg.anchor_matrices(circle)
@@ -741,15 +742,15 @@ def test_ball_hessian_route_identity_and_flat_boundary():
     alg = make_antiholomorphic(3)
     bd = ball_boundary(alg.chart)
     point = list(sphere_lattice(6, 7)[3])
-    basis = cr_kernel_basis(bd, point)
-    B = levi_form_complex_hessian(bd, point, basis)
+    basis = cr_kernel_basis(bd, [point])
+    B = levi_form_complex_hessian(bd, [point], basis)[0]
     assert np.allclose(B, np.eye(2), atol=1e-10)
     # flat boundary Re(z_n) = 0: zero Hessian
     chart = alg.chart
     flat = BoundaryData(parse_expr("x5", chart))
     q = [0.3, -0.2, 0.7, 0.1, 0.0, 0.4]
-    basis2 = cr_kernel_basis(flat, q)
-    B2 = levi_form_complex_hessian(flat, q, basis2)
+    basis2 = cr_kernel_basis(flat, [q])
+    B2 = levi_form_complex_hessian(flat, [q], basis2)[0]
     assert np.allclose(B2, 0.0, atol=1e-12)
 
 
@@ -758,7 +759,7 @@ def test_hessian_route_rejects_bad_basis():
     bd = ball_boundary(alg.chart)
     point = [1.0, 0.0, 0.0, 0.0]
     with pytest.raises(ValueError):
-        levi_form_complex_hessian(bd, point, np.array([[1.0, 0.0]]))
+        levi_form_complex_hessian(bd, [point], np.array([[1.0, 0.0]]))
 
 
 def test_generic_vs_hessian_route_agree():
@@ -780,8 +781,8 @@ def test_generic_vs_hessian_route_agree():
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if r_of(mid) < 0 else (lo, mid)
     point = list(0.5 * (lo + hi) * direction)
-    basis = cr_kernel_basis(bd, point)
-    B_h = levi_form_complex_hessian(bd, point, basis)
+    basis = cr_kernel_basis(bd, [point])[0]
+    B_h = levi_form_complex_hessian(bd, [point], basis)[0]
     # generic route with matching CR rows: section coefficients = basis
     rep = levi_form_generic(alg, bd, point, cr_rows=basis)
     assert np.allclose(rep.levi, B_h, atol=1e-8)
@@ -796,14 +797,14 @@ def test_hessian_route_on_a_chart_with_non_consecutive_pairs():
     bd = ball_boundary(chart)
     for p in sphere_lattice(4, 5):
         p = list(p)
-        basis = cr_kernel_basis(bd, p)
-        B_h = levi_form_complex_hessian(bd, p, basis)
+        basis = cr_kernel_basis(bd, [p])[0]
+        B_h = levi_form_complex_hessian(bd, [p], basis)[0]
         rep = levi_form_generic(alg, bd, p, cr_rows=basis)
         assert np.linalg.norm(rep.levi - B_h) <= 1e-8 * max(np.linalg.norm(B_h), 1.0)
         assert rep.signature == eigen_signature(B_h, bd.eig_zero_tol)
     # a Hessian that is not the identity in any pairing
     mixed = BoundaryData(parse_expr("z1*zb2 + zb1*z2 + 2*z2*zb2", chart))
-    H = wirtinger_hessian(mixed, [0.3, -0.1, 0.7, 0.2])
+    H = wirtinger_hessian(mixed, [[0.3, -0.1, 0.7, 0.2]])[0]
     assert np.allclose(H, [[0.0, 1.0], [1.0, 2.0]], atol=1e-14)
 
 
@@ -820,7 +821,7 @@ def test_poisson_route_blocks_and_signature():
     alg = poisson_c4()
     bd = ball_boundary(alg.chart)
     point = locus_points(4, 1)[0]  # y = 1
-    B, basis = levi_form_poisson(bd, alg.meta["sigma"], point)
+    B, basis = (a[0] for a in levi_form_poisson(bd, alg.meta["sigma"], [point]))
     assert B.shape == (7, 7)
     assert np.allclose(B, B.conj().T, atol=1e-12)
     assert eigen_signature(B, bd.eig_zero_tol) == (5, 1, 0 + 1)
@@ -835,7 +836,7 @@ def test_poisson_route_rejects_elliptic_point():
     alg = poisson_c4()
     bd = ball_boundary(alg.chart)
     with pytest.raises(ValueError):
-        levi_form_poisson(bd, alg.meta["sigma"], [1.0] + [0.0] * 7)
+        levi_form_poisson(bd, alg.meta["sigma"], [[1.0] + [0.0] * 7])
 
 
 def test_poisson_route_sigma_zero_is_hessian_plus_zero():
@@ -843,8 +844,8 @@ def test_poisson_route_sigma_zero_is_hessian_plus_zero():
     alg = make_holomorphic_poisson(n, {})
     bd = ball_boundary(alg.chart)
     point = [1.0, 0.0, 0.0, 0.0]
-    B, basis = levi_form_poisson(bd, {}, point)
-    H = levi_form_complex_hessian(bd, point, basis)
+    B, basis = (a[0] for a in levi_form_poisson(bd, {}, [point]))
+    H = levi_form_complex_hessian(bd, [point], basis)[0]
     k = basis.shape[0]
     assert np.allclose(B[:k, :k], H, atol=1e-12)
     assert np.allclose(B[k:, :], 0.0, atol=1e-12)
@@ -856,7 +857,7 @@ def test_generic_vs_poisson_route_agree_entrywise():
     bd = ball_boundary(alg.chart)
     n = 4
     for point in locus_points(n, 3):
-        B_p, basis = levi_form_poisson(bd, alg.meta["sigma"], point)
+        B_p, basis = (a[0] for a in levi_form_poisson(bd, alg.meta["sigma"], [point]))
         rows = np.zeros((2 * n - 1, 2 * n), dtype=complex)
         k = basis.shape[0]
         rows[:k, :n] = basis
@@ -865,6 +866,72 @@ def test_generic_vs_poisson_route_agree_entrywise():
         rep = levi_form_generic(alg, bd, point, cr_rows=rows)
         assert np.allclose(rep.levi, B_p, atol=1e-8)
         assert rep.signature == eigen_signature(B_p, bd.eig_zero_tol)
+
+
+def adapted_cr_rows(alg, bd, points):
+    """The generic route's own CR rows at each point, (N, l - 1, l): the unit
+    rows but the pivot's, pivot = argmax |dr(rho(w_j))|, tangency-corrected."""
+    P = eval_table([levi.dr_pairing_expr(alg, bd, j) for j in range(alg.rank)], points)
+    n, l = P.shape
+    at = np.arange(n)
+    pivots = np.argmax(np.abs(P), axis=1)
+    rows = np.broadcast_to(np.eye(l, dtype=complex), (n, l, l)).copy()
+    rows[at, :, pivots] = -P / P[at, pivots][:, None]
+    return rows[np.arange(l) != pivots[:, None]].reshape(n, l - 1, l)
+
+
+@pytest.mark.parametrize(
+    "name", ["ball_c2_dbar", "ball_c3_dbar", "annulus_c3_dbar", "poisson_c4", "poisson_c6"]
+)
+def test_generic_forms_match_the_stacked_oracles_on_every_non_elliptic_sample(name):
+    # the CLI's own Levi forms, from q_convex_set, against the Hessian route
+    # (dbar specs) or the Poisson blocks, all in the generic route's CR basis,
+    # at criterion 5's tolerance
+    alg, bd = gallery_build(name)
+    reports = [r for r in q_convex_set(alg, bd, gallery_spec(name).sample_points()).reports
+               if r.levi is not None]
+    points = np.array([r.point for r in reports])
+    rows = adapted_cr_rows(alg, bd, points)
+    if alg.meta["kind"] == "holomorphic_poisson":
+        n = alg.chart.n_complex
+        # the pivot is a T^{0,1} section, as the sigma pairings vanish here
+        B, _ = levi_form_poisson(bd, alg.meta["sigma"], points, rows[:, : n - 1, :n])
+    else:
+        B = levi_form_complex_hessian(bd, points, rows)
+    generic = np.array([r.levi for r in reports])
+    scale = np.maximum(np.linalg.norm(B, axis=(1, 2)), 1.0)
+    assert np.all(np.linalg.norm(generic - B, axis=(1, 2)) <= 1e-8 * scale)
+    assert [r.signature for r in reports] == [eigen_signature(b, bd.eig_zero_tol) for b in B]
+    assert len(reports) == {"poisson_c4": 20, "poisson_c6": 20}.get(name, 1000)
+
+
+def test_stacked_oracles_raise_the_first_failing_points_error():
+    alg = make_antiholomorphic(2)
+    # r = |x|^2 vanishes only at the origin, where dr = 0 too
+    bd = BoundaryData(parse_expr("x1^2 + x2^2 + x3^2 + x4^2", alg.chart))
+    origin, off = [0.0] * 4, [1.0, 0.0, 0.0, 0.0]
+    basis = np.array([[1.0, 0.0]])
+    for oracle in (
+        lambda pts: levi_form_complex_hessian(bd, pts, basis),
+        lambda pts: levi_form_poisson(bd, {}, pts),
+        lambda pts: gc_ellipticity_via_bivector(alg, bd, pts),
+    ):
+        with pytest.raises(ValueError, match="degenerate"):
+            oracle([origin, off])
+        with pytest.raises(ValueError, match="not on the boundary"):
+            oracle([off, origin])
+
+
+def test_exact_route_brackets_polynomial_fields_on_the_annulus():
+    alg, bd = gallery_build("annulus_c3_dbar")
+    for p in sphere_lattice(6, 6)[:3]:
+        start = time.perf_counter()
+        exact = levi_form_generic(alg, bd, p, exact=True)
+        assert time.perf_counter() - start < 10.0
+        fast = levi_form_generic(alg, bd, p)
+        scale = max(np.linalg.norm(fast.levi), 1.0)
+        assert np.linalg.norm(exact.levi - fast.levi) <= 1e-8 * scale
+        assert exact.signature == fast.signature
 
 
 # ---------------------------------------------------------------------------
@@ -941,9 +1008,9 @@ def test_conformal_rescire_of_r():
     rep2 = levi_form_generic(alg, bd2, point)
     assert rep1.signature == rep2.signature
     assert np.allclose(rep2.levi, c * rep1.levi, atol=1e-10)
-    basis = cr_kernel_basis(bd1, point)
-    H1 = levi_form_complex_hessian(bd1, point, basis)
-    H2 = levi_form_complex_hessian(bd2, point, basis)
+    basis = cr_kernel_basis(bd1, [point])
+    H1 = levi_form_complex_hessian(bd1, [point], basis)[0]
+    H2 = levi_form_complex_hessian(bd2, [point], basis)[0]
     assert np.allclose(H2, c * H1, atol=1e-12)
 
 
@@ -1017,23 +1084,20 @@ def test_gc_routes():
     omega = FormExpr.from_table(chart, 2, {(0, 1): const(chart, 1j)})
     alg = make_graph_two_form(omega, name="symplectic")
     bd = ball_boundary(chart)
-    for p in sphere_lattice(2, 10):
-        assert gc_ellipticity_via_bivector(alg, bd, list(p)).elliptic
+    assert all(c.elliptic for c in gc_ellipticity_via_bivector(alg, bd, sphere_lattice(2, 10)))
     # complex type: pi_J = 0, non-elliptic everywhere, whatever the name
     for anti in (make_antiholomorphic(2), make_antiholomorphic(2, name="dbar")):
         bd4 = ball_boundary(anti.chart)
-        cls = gc_ellipticity_via_bivector(anti, bd4, [1.0, 0, 0, 0])
-        assert cls == Classification(False, 0.0)
+        cls = gc_ellipticity_via_bivector(anti, bd4, [[1.0, 0, 0, 0]])
+        assert cls == [Classification(False, 0.0)]
     # holomorphic Poisson: agrees with classify_point on random samples
     alg_p = poisson_c4()
     bd8 = ball_boundary(alg_p.chart)
-    for p in sphere_lattice(8, 50):
-        point = list(p)
-        a = gc_ellipticity_via_bivector(alg_p, bd8, point).elliptic
-        b = classify_point(alg_p, bd8, point).elliptic
-        assert a == b
+    points = sphere_lattice(8, 50)
+    a = [c.elliptic for c in gc_ellipticity_via_bivector(alg_p, bd8, points)]
+    assert a == [c.elliptic for c in classify_points(alg_p, bd8, points)]
     with pytest.raises(ValueError):
-        gc_ellipticity_via_bivector(make_tangent(Chart.real(2)), bd, [1.0, 0.0])
+        gc_ellipticity_via_bivector(make_tangent(Chart.real(2)), bd, [[1.0, 0.0]])
 
 
 def test_poisson_c6_signature():
@@ -1046,7 +1110,7 @@ def test_poisson_c6_signature():
     alg = make_holomorphic_poisson(6, sigma, name="poisson_c6")
     bd = ball_boundary(chart)
     point = locus_points(6, 1)[0]
-    B, _ = levi_form_poisson(bd, sigma, point)
+    B = levi_form_poisson(bd, sigma, [point])[0][0]
     assert B.shape == (11, 11)
     assert eigen_signature(B, bd.eig_zero_tol) == (9, 1, 1)
     rep = levi_form_generic(alg, bd, point)
