@@ -18,15 +18,18 @@ residual statements are asserted about it, never a dimension count.
 
 Per mode, P is a three-point stencil, so box_1 = P P*_w and box_0 = P*_w P
 are pentadiagonal.  Operators are stored as banded arrays stacked over all
-modes and applied as stencils to all modes at once; the Neumann operator is
-a banded Cholesky solve (see NeumannProblem).  Eigenvalues come from banded
-eigensolvers, on demand, and only on the modes whose Gershgorin bounds
-could reach the largest eigenvalue (which sets the harmonic cut) or the
-smallest one above the cut.  The deformation norm ||N_a - N_b|| comes from
-one Lanczos process per mode, all modes in lockstep.  The independent
-oracle for solve_dbar is the minimal-norm solution of P u = f by a Givens
-QR of the band of P^T, all modes at once.  scipy.linalg is imported inside
-the functions that use it, to keep it out of the package import.
+modes and applied as stencils to all modes at once, and to stacks of fields
+at once; the Neumann operator is a band Cholesky solve in numpy, one step
+per radial node over every mode and column (see NeumannProblem).
+Eigenvalues come from numpy's dense eigvalsh of one mode's block, on
+demand, and only on the modes whose Gershgorin bounds could reach the
+largest eigenvalue (which sets the harmonic cut) or the smallest one above
+the cut, and whose inertia (the signs of band Cholesky pivots) does not
+rule that out.  The deformation norms ||N_eps - N_0|| come from one Lanczos
+process per mode and eps, all in lockstep.  The independent oracle for
+solve_dbar is the minimal-norm solution of P u = f by a Givens QR of the
+band of P^T, all modes at once.  Only spectrum(), the full spectra behind
+`hodge --spectra`, imports scipy.linalg, inside the method.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ class AnnulusGrid:
 @dataclass
 class DiscreteForm:
     """Coefficients per (angular mode, radial node); degree 1 is carried by
-    the frame dzbar and lives on the interior radial nodes."""
+    the frame dzbar and lives on the interior radial nodes.  The operators
+    also take a stack of fields of one degree, on leading axes."""
 
     degree: int
     values: np.ndarray  # (n_modes, n_r) for degree 0, (n_modes, n_r - 2) for 1
@@ -109,10 +113,11 @@ class NeumannProblem:
     P is kept as its three stencil diagonals.  The degree-1 Laplacian
     box_1 = P P*_w is kept as its sqrt(w)-symmetrisation
     S_1 = W_int^{1/2} P W^{-1} P^T W_int^{1/2}, a real pentadiagonal matrix
-    per mode, in LAPACK upper-banded form.  N_1 is a banded Cholesky solve;
-    degree 0 follows from N_0 = P* N_1^2 P and pi_0 = 1 - P* N_1 P, exact
-    because range box_0 = range P* while the degree-1 harmonic space is
-    empty (then pi_1 = 0).  Eigenvalues are computed on demand.
+    per mode, in upper-banded form.  N_1 is a band Cholesky solve
+    (_band_cholesky, _band_solve); degree 0 follows from N_0 = P* N_1^2 P
+    and pi_0 = 1 - P* N_1 P, exact because range box_0 = range P* while the
+    degree-1 harmonic space is empty (then pi_1 = 0).  Eigenvalues are
+    computed on demand.
     """
 
     def __init__(self, grid: AnnulusGrid, eps: float = 0.0,
@@ -139,9 +144,9 @@ class NeumannProblem:
         self.p_mid = half * -(self.modes0[:, None] * (1.0 / rho[1:-1]))
         self.p_up = 0.5 / grid.h * half
         # S_1 in upper-banded form, axes (band row, mode, node): row 2 is the
-        # diagonal, rows 1 and 0 the first and second superdiagonals.  The
-        # slots LAPACK leaves unused at the start of each mode are zero, so
-        # reshape(3, -1) is the band of the block-diagonal matrix of all modes
+        # diagonal, rows 1 and 0 the first and second superdiagonals, so that
+        # column j holds S[j-2, j], S[j-1, j] and S[j, j]; the slots before
+        # each mode's first node are zero
         v = 1.0 / self.w
         lo, mid, up = self.p_lo, self.p_mid, self.p_up
         s = np.sqrt(self.w_int)
@@ -160,28 +165,28 @@ class NeumannProblem:
     def _low_spectrum(self) -> Tuple[np.ndarray, float]:
         """Per mode, the number of eigenvalues of box_1 at or below the
         harmonic cut harmonic_tol * (largest eigenvalue); and the smallest
-        eigenvalue above the cut over all modes, solved in ascending order of
-        the lower Gershgorin bounds up to the first one above both the cut
-        and the minimum so far (no later mode can count or lower it)."""
+        eigenvalue above the cut over all modes.  The mode of the lowest
+        Gershgorin bound is solved first; of the others, only those whose
+        inertia does not put every eigenvalue above both the cut and its
+        minimum (by 1e-10 of the upper bound, far above rounding) are
+        solved, since no other mode can count or lower it."""
         if self._low is None:
-            from scipy.linalg import eigvals_banded
-
-            n = self.S1.shape[2]
-            lam_max = _largest_eigenvalue(self.S1)
-            cut = self.harmonic_tol * lam_max
-            lower = _gershgorin(self.S1)[0]
+            S1 = self.S1
+            cut = self.harmonic_tol * _largest_eigenvalue(S1)
+            lower, upper = _gershgorin(S1)
+            order = np.argsort(lower, kind="stable")
             counts = np.zeros(len(lower), dtype=int)
-            lowest = np.inf
-            for i in np.argsort(lower, kind="stable"):
-                if lower[i] > max(cut, lowest):
-                    break
-                b = self.S1[:, i, :]
-                lam = eigvals_banded(b, select="i", select_range=(0, 0))[0]
-                if lam <= cut:
-                    k = len(eigvals_banded(b, select="v", select_range=(-lam_max, cut)))
-                    counts[i] = k
-                    lam = eigvals_banded(b, select="i", select_range=(k, k))[0] if k < n else np.inf
-                lowest = min(lowest, lam)
+
+            def visit(i):
+                # mode i's count at the cut, and its smallest eigenvalue above it
+                lam = _mode_eigenvalues(S1, i)
+                k = counts[i] = np.count_nonzero(lam <= cut)
+                return lam[k] if k < len(lam) else np.inf
+
+            lowest = visit(order[0])
+            rest = order[1:]
+            for i in rest[~_above(S1[:, rest], max(cut, lowest) + 1e-10 * upper[rest])]:
+                lowest = min(lowest, visit(i))
             self._low = (counts, float(lowest))
         return self._low
 
@@ -242,39 +247,45 @@ class NeumannProblem:
     # -- operators -----------------------------------------------------------
 
     def _P(self, u: np.ndarray) -> np.ndarray:
-        return self.p_lo * u[:, :-2] + self.p_mid * u[:, 1:-1] + self.p_up * u[:, 2:]
+        return self.p_lo * u[..., :-2] + self.p_mid * u[..., 1:-1] + self.p_up * u[..., 2:]
 
     def _P_star(self, v: np.ndarray) -> np.ndarray:
         # the exact weighted adjoint W^{-1} P^T W_int
         y = v * self.w_int
-        out = np.zeros((y.shape[0], self.grid.n_r), dtype=y.dtype)
-        out[:, :-2] += self.p_lo * y
-        out[:, 1:-1] += self.p_mid * y
-        out[:, 2:] += self.p_up * y
-        return out / self.w
+        out = np.zeros(y.shape[:-1] + (self.grid.n_r,), dtype=y.dtype)
+        out[..., :-2] = self.p_lo * y
+        out[..., 1:-1] += self.p_mid * y
+        out[..., 2:] += self.p_up * y
+        out /= self.w
+        return out
 
     def _factors(self) -> np.ndarray:
-        """Banded Cholesky factors of S_1 over all modes (computed once)."""
+        """The band Cholesky factor of S_1 over all modes (computed once)."""
         if self._chol is None:
             if self.harmonic_dim(1) != 0:
                 raise RuntimeError(
                     "harmonic obstruction present at degree 1 (unexpected on an annulus)"
                 )
-            from scipy.linalg import cholesky_banded
-
-            self._chol = cholesky_banded(self.S1.reshape(3, -1))
+            U = _band_cholesky(self.S1)
+            if not np.all(U[2] > 0):
+                raise np.linalg.LinAlgError("S_1 is not positive definite")
+            self._chol = U
         return self._chol
 
     def _N1(self, v: np.ndarray) -> np.ndarray:
-        """W_int^{-1/2} S_1^{-1} W_int^{1/2} v, the real and imaginary parts
-        solved as two right-hand sides."""
-        from scipy.linalg import cho_solve_banded
-
+        """W_int^{-1/2} S_1^{-1} W_int^{1/2} v for a field or a stack of
+        fields, the real and imaginary parts solved as columns."""
         s = np.sqrt(self.w_int)
-        b = (v * s).reshape(-1)
-        y = cho_solve_banded((self._factors(), False), np.column_stack([b.real, b.imag]))
-        x = y[:, 0] + 1j * y[:, 1] if np.iscomplexobj(v) else y[:, 0]
-        return x.reshape(v.shape) / s
+        cplx = np.iscomplexobj(v)
+        out = np.empty(v.shape, dtype=complex if cplx else float)
+        # the right-hand sides, axes (node, fields..., part, mode)
+        x = np.empty(v.shape[-1:] + v.shape[:-2] + (1 + cplx, v.shape[-2]))
+        for k, part in enumerate((v.real, v.imag) if cplx else (v,)):
+            np.multiply(part, s, out=np.moveaxis(x[..., k, :], 0, -1))
+        _band_solve(self._factors(), x)
+        for k, part in enumerate((out.real, out.imag) if cplx else (out,)):
+            np.divide(np.moveaxis(x[..., k, :], 0, -1), s, out=part)
+        return out
 
     def apply_P(self, phi: DiscreteForm) -> DiscreteForm:
         if phi.degree != 0:
@@ -348,24 +359,93 @@ def _gershgorin(S1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _largest_eigenvalue(S1: np.ndarray) -> float:
     """The largest eigenvalue over all modes of an upper-banded pentadiagonal
-    stack (band row, mode, node), as the maximum of the per-mode banded
-    solves, with most of them skipped.
+    stack (band row, mode, node), as the maximum of the per-mode spectra,
+    with most of them skipped.
 
-    Modes are solved in descending order of their upper Gershgorin bound,
-    up to the first bound at or below the largest eigenvalue found so far:
-    no later mode can exceed it, so the maximum is the same to the bit.
+    The mode of the largest upper Gershgorin bound is solved first; of the
+    others, only those whose inertia does not put every eigenvalue below
+    its largest (by 1e-10 of the bound, far above rounding) are solved.  No
+    other mode can exceed it, so the maximum is the same to the bit.
     """
-    from scipy.linalg import eigvals_banded
-
-    n = S1.shape[2]
     bound = _gershgorin(S1)[1]
-    lam_max = -np.inf
-    for i in np.argsort(-bound, kind="stable"):
-        if bound[i] <= lam_max:
-            break
-        lam = eigvals_banded(S1[:, i, :], select="i", select_range=(n - 1, n - 1))[0]
-        lam_max = max(lam_max, lam)
+    order = np.argsort(-bound, kind="stable")
+    lam_max = _mode_eigenvalues(S1, order[0])[-1]
+    rest = order[1:]
+    for i in rest[~_above(-S1[:, rest], 1e-10 * bound[rest] - lam_max)]:
+        lam_max = max(lam_max, _mode_eigenvalues(S1, i)[-1])
     return lam_max
+
+
+def _above(S1: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Per mode of an upper-banded pentadiagonal stack, whether every
+    eigenvalue lies above the mode's shift: whether S - shift I has a band
+    Cholesky factor with positive pivots (Sylvester's law of inertia)."""
+    band = S1.copy()
+    band[2] -= shift[:, None]
+    return np.all(_band_cholesky(band)[2] > 0, axis=1)
+
+
+def _mode_eigenvalues(S1: np.ndarray, i: int) -> np.ndarray:
+    """The eigenvalues of mode i of an upper-banded pentadiagonal stack,
+    ascending: eigvalsh of the mode's dense block, which reads its lower
+    triangle."""
+    return np.linalg.eigvalsh(
+        np.diag(S1[2, i]) + np.diag(S1[1, i, 1:], -1) + np.diag(S1[0, i, 2:], -2)
+    )
+
+
+def _band_cholesky(S1: np.ndarray) -> np.ndarray:
+    """The upper triangular U with S = U^T U for every mode of an
+    upper-banded pentadiagonal stack, in the same layout: U[2] is the
+    diagonal, U[1] and U[0] the first and second superdiagonals.
+
+    One step per node over all modes (Golub & Van Loan, Matrix
+    Computations, 4th ed., 4.3.5): column j of S = U^T U gives U[j-2, j],
+    then U[j-1, j], then U[j, j].  Where S is not positive definite, some
+    pivot U[j, j] comes out zero or NaN instead of positive.  U is stored
+    node by node: U.transpose(0, 2, 1) is C-contiguous, with one node of
+    every mode in one row.
+    """
+    s2, s1, d = (list(r) for r in S1.transpose(0, 2, 1))
+    U = np.zeros(S1.shape[:1] + S1.shape[:0:-1])
+    u0, u1, u2 = (list(u) for u in U)
+    t, t2 = np.empty((2, len(d[0])))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(len(d)):
+            if j >= 2:
+                np.divide(s2[j], u2[j - 2], out=u0[j])
+            if j >= 1:
+                np.subtract(s1[j], np.multiply(u1[j - 1], u0[j], out=t), out=t)
+                np.divide(t, u2[j - 1], out=u1[j])
+            np.subtract(d[j], np.multiply(u0[j], u0[j], out=t), out=t)
+            t -= np.multiply(u1[j], u1[j], out=t2)
+            np.sqrt(t, out=u2[j])
+    return U.transpose(0, 2, 1)
+
+
+def _band_solve(U: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(U^T U)^{-1} x in place, for U from _band_cholesky and x a
+    C-contiguous float stack of axes (node, columns..., mode): forward
+    through U^T, then back through U, one step per node over every column
+    and mode.  The mode axis is last, so that a node's row of U is read
+    along the contiguous axis of x."""
+    n = x.shape[0]
+    u0, u1, u2 = (list(u) for u in U.transpose(0, 2, 1))
+    rows = list(x)
+    t = np.empty_like(rows[0])
+    for j in range(n):
+        if j >= 1:
+            rows[j] -= np.multiply(u1[j], rows[j - 1], out=t)
+        if j >= 2:
+            rows[j] -= np.multiply(u0[j], rows[j - 2], out=t)
+        rows[j] /= u2[j]
+    for j in range(n - 1, -1, -1):
+        if j + 1 < n:
+            rows[j] -= np.multiply(u1[j + 1], rows[j + 1], out=t)
+        if j + 2 < n:
+            rows[j] -= np.multiply(u0[j + 2], rows[j + 2], out=t)
+        rows[j] /= u2[j]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -533,46 +613,63 @@ def basic_estimate_report(
 
 
 def operator_norm_diff(problem_a: NeumannProblem, problem_b: NeumannProblem) -> float:
-    """|| N_a - N_b ||_2 in the weighted metric, over all modes at once.
+    """|| N_a - N_b ||_2 in the weighted metric, over all modes at once."""
+    return _norm_diffs([problem_a], problem_b)[0]
+
+
+def _norm_diffs(problems: Sequence[NeumannProblem], base: NeumannProblem) -> List[float]:
+    """|| N_p - N_base ||_2 in the weighted metric for each p in problems.
 
     In the sqrt(w)-symmetrised frame N_1 is S_1^{-1}, block diagonal over the
-    modes, so the difference D is symmetric and its norm is its largest
-    absolute eigenvalue.  Each mode runs its own Lanczos process on its
-    block, with full reorthogonalisation, all in lockstep: a banded Cholesky
-    solve with each problem's factors is one step of every mode.  It stops
-    when no Ritz value theta of any mode can reach (|theta| + residual)
-    beyond the largest |theta| by more than rounding, or when the Krylov
-    spaces fill the blocks.  Equal S_1 bands give exactly 0.
+    modes, so each difference D is symmetric and its norm is its largest
+    absolute eigenvalue.  Each mode of each problem runs its own Lanczos
+    process on its block, with full reorthogonalisation, all in lockstep:
+    one band solve with the problems' factors and as many copies of the
+    base's is one step of every block.  A problem's norm is taken once no
+    Ritz value theta of its modes can reach (|theta| + residual) beyond its
+    largest |theta| by more than rounding, or the Krylov spaces fill the
+    blocks.  Equal S_1 bands give exactly 0.
     """
-    from scipy.linalg import cho_solve_banded
-
-    # the factors raise on a degree-1 harmonic obstruction, as N itself does
-    fa, fb = problem_a._factors(), problem_b._factors()
-    if np.array_equal(problem_a.S1, problem_b.S1):
-        return 0.0
-    n_modes, n = problem_a.S1.shape[1:]
-    # the basis, axes (step, mode, node), grown by doubling up to n steps
-    V = np.empty((min(n, 16), n_modes, n))
+    if not problems:
+        return []
+    # the factors raise on a degree-1 harmonic obstruction, as N itself does,
+    # and are joined node by node, as they are stored
+    factors = [p._factors() for p in problems] + [base._factors()] * len(problems)
+    F = np.concatenate([U.transpose(0, 2, 1) for U in factors], axis=2).transpose(0, 2, 1)
+    n_modes, n = base.S1.shape[1:]
+    m = len(problems) * n_modes
+    # the basis, axes (step, block, node), grown by doubling up to n steps;
+    # the right-hand sides of every step go to one buffer, the problems'
+    # blocks then the base's
+    V = np.empty((min(n, 16), m, n))
     V[0] = 1.0 / math.sqrt(n)
-    alpha, beta = np.zeros((2, n_modes, n))
+    x, w = np.empty((n, 2 * m)), np.empty((m, n))
+    alpha: List[np.ndarray] = []
+    beta: List[np.ndarray] = []
+    norms: List[Optional[float]] = [None] * len(problems)
     for k in range(1, n + 1):
-        x = V[k - 1].reshape(-1)
-        w = (cho_solve_banded((fa, False), x) - cho_solve_banded((fb, False), x)).reshape(n_modes, n)
-        alpha[:, k - 1] = np.einsum("mn,mn->m", V[k - 1], w)
+        x[:, :m] = x[:, m:] = V[k - 1].T
+        _band_solve(F, x)
+        np.subtract(x[:, :m].T, x[:, m:].T, out=w)
+        alpha.append(np.einsum("mn,mn->m", V[k - 1], w))
         for _ in range(2):
             w -= np.einsum("km,kmn->mn", np.einsum("kmn,mn->km", V[:k], w), V[:k])
-        beta[:, k - 1] = np.linalg.norm(w, axis=1)
-        # each mode's tridiagonal; eigh reads its lower triangle
-        T = alpha[:, :k, None] * np.eye(k)
-        T[:, 1:, :-1] += beta[:, : k - 1, None] * np.eye(k - 1)
+        beta.append(np.linalg.norm(w, axis=1))
+        # each block's tridiagonal; eigh reads its lower triangle
+        T = np.stack(alpha, axis=1)[:, :, None] * np.eye(k)
+        T[:, 1:, :-1] += np.stack(beta, axis=1)[:, :-1, None] * np.eye(k - 1)
         theta, U = np.linalg.eigh(T)
-        top = np.abs(theta).max()
-        reach = np.abs(theta) + beta[:, k - 1, None] * np.abs(U[:, -1, :])
-        if k == n or reach.max() <= top * (1.0 + 1e-14):
-            return float(top)
+        top = np.abs(theta).reshape(len(problems), -1).max(axis=1)
+        reach = np.abs(theta) + beta[-1][:, None] * np.abs(U[:, -1, :])
+        reach = reach.reshape(len(problems), -1).max(axis=1)
+        for i, norm in enumerate(norms):
+            if norm is None and (k == n or reach[i] <= top[i] * (1.0 + 1e-14)):
+                norms[i] = float(top[i])
+        if None not in norms:
+            return norms
         if k == len(V):
-            V = np.concatenate([V, np.empty((min(k, n - k), n_modes, n))])
-        V[k] = w / np.where(beta[:, k - 1] > 0, beta[:, k - 1], 1.0)[:, None]
+            V = np.concatenate([V, np.empty((min(k, n - k), m, n))])
+        np.divide(w, np.where(beta[-1] > 0, beta[-1], 1.0)[:, None], out=V[k])
 
 
 def family_continuity(
@@ -589,16 +686,14 @@ def family_continuity(
     grid = base.grid
     rho = grid.rho()
     amax = float(np.max(np.abs(np.asarray(profile(rho), dtype=float))))
-    diffs = []
-    h_dims = []
-    for eps in eps_list:
-        if abs(eps) * amax >= 1.0:
-            raise ValueError("|eps| * max|a| must stay below 1")
-        prob = NeumannProblem(
-            grid, eps=eps, profile=profile, harmonic_tol=base.harmonic_tol
-        )
-        diffs.append(operator_norm_diff(prob, base))
-        h_dims.append(prob.harmonic_dim(1))
+    if any(abs(eps) * amax >= 1.0 for eps in eps_list):
+        raise ValueError("|eps| * max|a| must stay below 1")
+    probs = [
+        NeumannProblem(grid, eps=eps, profile=profile, harmonic_tol=base.harmonic_tol)
+        for eps in eps_list
+    ]
+    diffs = _norm_diffs(probs, base)
+    h_dims = [prob.harmonic_dim(1) for prob in probs]
     eps_arr = np.abs(np.asarray(eps_list, dtype=float))
     slope = float("nan")
     good = [d > 0 and e > 0 for d, e in zip(diffs, eps_arr)]
@@ -618,6 +713,39 @@ def family_continuity(
 # ---------------------------------------------------------------------------
 # aggregate report (drives the CLI hodge command)
 
+# the most trials in one block of dbar_report's trials, and the most nodes
+# (trials times n_theta * n_r): a block's fields are applied as one stack per
+# degree, so the block bounds the memory that the trials take; 32 trials at
+# 64 x 64, 8 at 128 x 128
+_TRIAL_BLOCK = 32
+_TRIAL_BLOCK_NODES = 2**17
+
+
+def _trial_residuals(problem: NeumannProblem, phi: DiscreteForm) -> List[np.ndarray]:
+    """Per field of a stack phi of one degree: the identity residual
+    ||box N phi + pi phi - phi|| / ||phi||; the larger of ||N pi phi|| and
+    ||pi N phi||; and the worst defect of the split phi = harm + P(..) +
+    P*(..), its completeness relative to ||phi|| and the pairwise inner
+    products of its pieces relative to ||phi||^2."""
+    deg = phi.degree
+
+    def norms(values):
+        return np.array([problem.norm(DiscreteForm(deg, v)) for v in values])
+
+    n_phi = problem.apply_N(phi)
+    harm, im_p, im_ps = _hodge_split(problem, phi, n_phi)
+    size = norms(phi.values)
+    identity = norms(problem.apply_box(n_phi).values + harm.values - phi.values) / size
+    npi = np.maximum(norms(problem.apply_N(harm).values), norms(problem.apply_pi(n_phi).values))
+    ortho = norms(harm.values + im_p.values + im_ps.values - phi.values) / size
+    pieces = [harm.values, im_p.values, im_ps.values]
+    for a in range(3):
+        for b in range(a + 1, 3):
+            ip = [abs(problem.inner(DiscreteForm(deg, x), DiscreteForm(deg, y)))
+                  for x, y in zip(pieces[a], pieces[b])]
+            ortho = np.maximum(ortho, np.array(ip) / size**2)
+    return [identity, npi, ortho]
+
 
 def dbar_report(
     rho0: float = 0.5,
@@ -630,33 +758,20 @@ def dbar_report(
     grid = AnnulusGrid(rho0, n_theta, n_r)
     problem = NeumannProblem(grid)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
-    worst_identity = 0.0
-    worst_npi = 0.0
-    worst_ortho = 0.0
-    for _ in range(trials):
-        deg = int(rng.integers(0, 2))
-        phi = problem.random_form(deg, rng)
-        n_phi = problem.apply_N(phi)
-        lhs = problem.apply_box(n_phi)
-        harm, im_p, im_ps = _hodge_split(problem, phi, n_phi)
-        resid = lhs.values + harm.values - phi.values
-        worst_identity = max(
-            worst_identity,
-            problem.norm(DiscreteForm(deg, resid)) / problem.norm(phi),
-        )
-        npi = problem.apply_N(harm)
-        pin = problem.apply_pi(n_phi)
-        worst_npi = max(worst_npi, problem.norm(npi), problem.norm(pin))
-        pieces = [harm, im_p, im_ps]
-        total = harm.values + im_p.values + im_ps.values
-        worst_ortho = max(
-            worst_ortho,
-            problem.norm(DiscreteForm(deg, total - phi.values)) / problem.norm(phi),
-        )
-        for a in range(3):
-            for b in range(a + 1, 3):
-                ip = abs(problem.inner(pieces[a], pieces[b]))
-                worst_ortho = max(worst_ortho, ip / problem.norm(phi) ** 2)
+    # the identity, N pi and orthogonality residuals; the fields are drawn in
+    # trial order and applied one stack per degree and block
+    worst = [0.0, 0.0, 0.0]
+    block = max(1, min(_TRIAL_BLOCK, _TRIAL_BLOCK_NODES // (n_theta * n_r)))
+    for start in range(0, trials, block):
+        fields: Tuple[List, List] = ([], [])
+        for _ in range(min(block, trials - start)):
+            deg = int(rng.integers(0, 2))
+            fields[deg].append(problem.random_form(deg, rng).values)
+        for deg, values in enumerate(fields):
+            if values:
+                per_trial = _trial_residuals(problem, DiscreteForm(deg, np.stack(values)))
+                worst = [max(w, float(r.max())) for w, r in zip(worst, per_trial)]
+    worst_identity, worst_npi, worst_ortho = worst
     f = problem.sample(1, np.conj)
     u = solve_dbar(problem, f)
     oracle = solve_dbar_lstsq(problem, f)

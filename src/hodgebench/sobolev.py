@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import accumulate, product
-from typing import Callable, ClassVar, Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 # numpy loads these submodules on first use; importing them here keeps that
@@ -112,10 +112,7 @@ class TorusGrid:
 
 def lambda_full(grid: TorusGrid, phi: np.ndarray, s: float) -> np.ndarray:
     """(1 + |xi|^2)^{s/2} as a Fourier multiplier."""
-    if s == 0:
-        return phi.copy()
-    mult = (1.0 + grid.freq_square()) ** (s / 2.0)
-    return ifftn(fftn(phi) * mult)
+    return _lambdas(grid, phi)(s)
 
 
 def l2_inner(grid: TorusGrid, phi: np.ndarray, psi: np.ndarray) -> complex:
@@ -179,28 +176,45 @@ def _t_axes(grid: HalfGrid):
 
 def lambda_tangential(grid: HalfGrid, phi: np.ndarray, s: float) -> np.ndarray:
     """(1 + |tau|^2)^{s/2} acting per radial slice."""
-    if s == 0:
-        return phi.copy()
-    mult = (1.0 + grid.tangential_freq_square()) ** (s / 2.0)
-    spec = fftn(phi, axes=_t_axes(grid))
-    return ifftn(spec * mult, axes=_t_axes(grid))
+    return _lambdas(grid, phi)(s)
 
 
 def tangential_norm(grid: HalfGrid, phi: np.ndarray, s: float = 0.0) -> float:
     return _norms(grid, phi)(s)
 
 
-def _norms(grid, phi: np.ndarray) -> Callable[[float], float]:
-    """s -> ||phi||_s from one |fftn(phi) / N|^2 and one 1 + |xi|^2: the
-    full-space H^s norm on a TorusGrid, the tangential one (trapezoid rule in
-    r) on a HalfGrid; each s adds one power and one weighted sum."""
+def _spectrum(grid, phi: np.ndarray) -> np.ndarray:
+    """fftn of phi along the axes Lambda acts on: every axis of a TorusGrid,
+    the tangential ones of a HalfGrid."""
+    return fftn(phi) if isinstance(grid, TorusGrid) else fftn(phi, axes=_t_axes(grid))
+
+
+def _lambdas(grid, phi: np.ndarray, spec: Optional[np.ndarray] = None) -> Callable:
+    """s -> Lambda^s phi, full (lambda_full) or tangential
+    (lambda_tangential) by the grid type, from one spectrum of phi
+    (``spec``, or taken at the first s != 0)."""
     if isinstance(grid, TorusGrid):
-        power = np.abs(fftn(phi) / phi.size) ** 2
+        weight, inverse = 1.0 + grid.freq_square(), ifftn
+    else:
+        weight = 1.0 + grid.tangential_freq_square()
+        inverse = lambda x: ifftn(x, axes=_t_axes(grid))
+    spectrum = cache(lambda: _spectrum(grid, phi) if spec is None else spec)
+    return lambda s: phi.copy() if s == 0 else inverse(spectrum() * weight ** (s / 2.0))
+
+
+def _norms(grid, phi: np.ndarray, spec: Optional[np.ndarray] = None) -> Callable[[float], float]:
+    """s -> ||phi||_s from one |fftn(phi) / N|^2 (``spec`` is phi's
+    _spectrum, if taken already) and one 1 + |xi|^2: the full-space H^s norm
+    on a TorusGrid, the tangential one (trapezoid rule in r) on a HalfGrid;
+    each s adds one power and one weighted sum."""
+    spec = _spectrum(grid, phi) if spec is None else spec
+    if isinstance(grid, TorusGrid):
+        power = np.abs(spec / phi.size) ** 2
         weight = 1.0 + grid.freq_square()
         total = lambda w: np.sum(w * power) * grid.box**grid.dim
     else:
         axes = _t_axes(grid)
-        power = np.abs(fftn(phi, axes=axes) / (grid.n_t ** (grid.dim - 1))) ** 2
+        power = np.abs(spec / (grid.n_t ** (grid.dim - 1))) ** 2
         weight = 1.0 + grid.tangential_freq_square()
         r_weights, box = grid.r_weights(), grid.box ** (grid.dim - 1)
         total = lambda w: np.sum(np.sum(w * power, axis=axes) * r_weights) * box
@@ -285,21 +299,26 @@ def _operators(grid) -> _Operators:
 
 def commutator(grid, k: float, f: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """[Lambda^k, f] phi (full or tangential, keyed by the grid type)."""
-    lam = _operators(grid).lam
-    return lam(grid, f * phi, k) - f * lam(grid, phi, k)
+    return _lambdas(grid, f * phi)(k) - f * _lambdas(grid, phi)(k)
 
 
 def double_commutator(grid, k: float, f: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    lam = _operators(grid).lam
-    lam_phi = lam(grid, phi, k)  # for the inner and the outer commutator
-    inner = lam(grid, f * phi, k) - f * lam_phi
-    return lam(grid, inner, k) - (lam(grid, f * lam_phi, k) - f * lam(grid, lam_phi, k))
+    return _double_commutator(grid, k, f, _lambdas(grid, f * phi), _lambdas(grid, phi))
 
 
 def nested_commutator(
     grid, k: float, f: np.ndarray, g: np.ndarray, phi: np.ndarray
 ) -> np.ndarray:
     return commutator(grid, k, f, g * phi) - g * commutator(grid, k, f, phi)
+
+
+def _double_commutator(grid, k, f, lam_fphi, lam_phi) -> np.ndarray:
+    """double_commutator from s -> Lambda^s (f phi) and s -> Lambda^s phi
+    (_lambdas), so that a battery transforms phi and f phi once for every k."""
+    lam = lambda x: _lambdas(grid, x)(k)
+    lam_phi_k = lam_phi(k)  # for the inner and the outer commutator
+    inner = lam_fphi(k) - f * lam_phi_k
+    return lam(inner) - (lam(f * lam_phi_k) - f * lam(lam_phi_k))
 
 
 # ---------------------------------------------------------------------------
@@ -417,36 +436,34 @@ def kernel_lemma_check(
             worst = max(worst, _excess(lhs, rhs))
             count += lhs.size
     elif part == "iii":
-        eta1 = V[::stride]
-        eta2 = V[::stride]
-        # flatten all (xi, eta1, eta2) triples to vectors of quadratic-form
-        # coefficients: |xi + t a + t' b|^2 with a = eta1-eta2, b = eta2-xi
-        X = np.repeat(V, len(eta1) * len(eta2), axis=0)
-        E1 = np.tile(np.repeat(eta1, len(eta2), axis=0), (len(V), 1))
-        E2 = np.tile(eta2, (len(V) * len(eta1), 1))
-        a = E1 - E2
-        b = E2 - X
+        # every (xi, eta1, eta2) triple, axes (xi, eta1, eta2), with eta1 and
+        # eta2 from V[::stride]; each quantity is a sum of entries of the
+        # lattice's Gram matrix, so it is an exact integer: |xi + t a + t' b|^2
+        # with a = eta1 - eta2 and b = eta2 - xi has the six coefficients below
+        G = V @ V.T
+        e = np.arange(0, len(V), stride)
+        xx = np.diag(G)[:, None, None]
+        e1e1 = np.diag(G)[e][:, None]
+        e2e2 = np.diag(G)[e]
+        x_e1 = G[:, e][:, :, None]
+        x_e2 = G[:, e][:, None, :]
+        e1e2 = G[np.ix_(e, e)]
+        aa = e1e1 - 2.0 * e1e2 + e2e2
+        bb = e2e2 - 2.0 * x_e2 + xx
+        shape = (len(V), len(e), len(e))
+        # one row of coefficients per triple
         coeffs = np.stack(
             [
-                np.sum(X * X, -1),
-                np.sum(a * a, -1),
-                np.sum(b * b, -1),
-                np.sum(X * a, -1),
-                np.sum(X * b, -1),
-                np.sum(a * b, -1),
-            ]
+                np.broadcast_to(c, shape).ravel()
+                for c in (xx, aa, bb, x_e1 - x_e2, x_e2 - xx, e1e2 - x_e1 - e2e2 + x_e2)
+            ],
+            axis=1,
         )
-        g_x = 1.0 + coeffs[0]
-        g_e1 = 1.0 + np.sum(E1 * E1, -1)
-        g_e2 = 1.0 + np.sum(E2 * E2, -1)
-        g_s = 1.0 + np.sum((X + E1 - E2) ** 2, -1)
-        dist = np.sqrt(np.sum((X - E2) ** 2, -1) * np.sum((E1 - E2) ** 2, -1))
-        del X, E1, E2, a, b  # the quadrature reads only the coefficients
-        # the integral depends on a triple only through its six coefficients,
-        # sums of products of lattice coordinates and so exact: integrate
-        # over the distinct columns (one 48-byte key each) and scatter back
+        # the integral depends on a triple only through its coefficients, so
+        # it is taken over the distinct rows (one 48-byte key each) and
+        # scattered back
         _, first, which = np.unique(
-            np.ascontiguousarray(coeffs.T).view(np.dtype((np.void, 48))).ravel(),
+            coeffs.view(np.dtype((np.void, 48))).ravel(),
             return_index=True,
             return_inverse=True,
         )
@@ -454,16 +471,19 @@ def kernel_lemma_check(
         consts = {k: abs(k) * max(1.0, abs(k - 1.0)) for k in ks}
         # k = 0 has const = 0, so rhs = 0 whatever its integral: none is taken
         live = [k for k in ks if consts[k]]
-        integrals = _form_integrals(coeffs[:, first], live, quad_order)
-        integrals = {k: v[which] for k, v in integrals.items()}
+        integrals = _form_integrals(coeffs[first].T, live, quad_order)
+        del coeffs
+        g_s = 1.0 + (xx + e1e1 + e2e2 + 2.0 * x_e1 - 2.0 * x_e2 - 2.0 * e1e2)
+        # |xi - eta2| |eta1 - eta2|
+        dist = np.sqrt(bb * aa).ravel()
         for k in ks:
             lhs = np.abs(
-                g_x ** (k / 2.0)
-                + g_e1 ** (k / 2.0)
-                - g_e2 ** (k / 2.0)
+                (1.0 + xx) ** (k / 2.0)
+                + (1.0 + e1e1) ** (k / 2.0)
+                - (1.0 + e2e2) ** (k / 2.0)
                 - g_s ** (k / 2.0)
-            )
-            rhs = consts[k] * dist * integrals.get(k, 0.0)
+            ).ravel()
+            rhs = consts[k] * dist * (integrals[k][which] if k in integrals else 0.0)
             worst = max(worst, _excess(lhs, rhs))
             count += lhs.size
     else:
@@ -682,17 +702,19 @@ def _coeff_order(a, part, cases) -> int:
     return math.ceil(max(reads))
 
 
-def _battery_field(grid, part, k, f, g, phi):
+def _battery_field(grid, part, k, f, g, phi, lams):
     """The field whose H^s norm is the left-hand side of a part-``part``
-    case; it depends on k but not on s."""
+    case; it depends on k but not on s.  ``lams`` maps "phi", "f phi" and,
+    for part iv, "g phi" and "f g phi" to their _lambdas."""
     if part == "i":
         return f * phi
     if part == "ii":
-        return commutator(grid, k, f, phi)
+        return lams["f phi"](k) - f * lams["phi"](k)
     if part == "iii":
-        return double_commutator(grid, k, f, phi)
+        return _double_commutator(grid, k, f, lams["f phi"], lams["phi"])
     if part == "iv":
-        return nested_commutator(grid, k, f, g, phi)
+        inner = lams["f phi"](k) - f * lams["phi"](k)
+        return lams["f g phi"](k) - f * lams["g phi"](k) - g * inner
     raise ValueError(part)
 
 
@@ -737,9 +759,20 @@ def leibniz_battery(
         g = ops.random_field(grid, rng) if part == "iv" else None
         nf = coeff_norm(f)
         ng = coeff_norm(g) if part == "iv" else None
-        np_ = _norms(grid, phi)
-        # each k's field has one spectrum, read at every s
-        field_norms = cache(lambda k_: _norms(grid, _battery_field(grid, part, k_, f, g, phi)))
+        # phi, f phi (and g phi, f g phi) are transformed once for every k,
+        # phi's spectrum also for its norms; each k's field has one spectrum,
+        # read at every s
+        spec = _spectrum(grid, phi)
+        np_ = _norms(grid, phi, spec)
+        lams = {"phi": _lambdas(grid, phi, spec)}
+        if part != "i":
+            lams["f phi"] = _lambdas(grid, f * phi)
+        if part == "iv":
+            lams["g phi"] = _lambdas(grid, g * phi)
+            lams["f g phi"] = _lambdas(grid, f * (g * phi))
+        field_norms = cache(
+            lambda k_: _norms(grid, _battery_field(grid, part, k_, f, g, phi, lams))
+        )
         best = 0.0
         for form, s, k in cases:
             lhs = field_norms(k)(s)

@@ -1,6 +1,6 @@
 """The Cephes ndtri port in levi against scipy.special.ndtri, bit for bit,
 and the import contract it serves: the package loads no scipy module
-unless a command needs scipy.linalg (only `hodge` does)."""
+unless a command needs scipy.linalg (only `hodge --spectra` does)."""
 
 import json
 import math
@@ -115,25 +115,31 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert scipy_modules(loaded_modules(script)) == []
 
 
-def test_hodge_loads_scipy_linalg_and_not_scipy_sparse():
-    script = """
+HODGE = """
 import contextlib, io
 from hodgebench.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["hodge", "--n-theta", "16", "--n-r", "32", "--trials", "2"]) == 0
+    assert main(["hodge", "--n-theta", "16", "--n-r", "32", "--trials", "2"{}]) == 0
 """
-    modules = scipy_modules(loaded_modules(script))
+
+
+def test_only_hodge_spectra_loads_scipy_linalg():
+    assert scipy_modules(loaded_modules(HODGE.format(""))) == []
+    # every eigenvalue of every mode, from LAPACK's banded eigensolver
+    modules = scipy_modules(loaded_modules(HODGE.format(', "--spectra"')))
     assert "scipy.linalg" in modules
     assert [m for m in modules if m.startswith("scipy.sparse")] == []
 
 
 def test_battery_summaries_do_not_load_numpy_ma():
-    # np.quantile and np.median import numpy.ma on their first call
+    # np.quantile and np.median import numpy.ma on their first call; hodge
+    # takes its medians from the batteries' order statistics
     script = """
 import contextlib, io
 from hodgebench.cli import main
-runs = [["sobolev", "--suite", "A.i"], ["sobolev", "--suite", "subestimate", "--trials", "3"]]
+runs = [["sobolev", "--suite", "A.i"], ["sobolev", "--suite", "subestimate", "--trials", "3"],
+        ["hodge", "--n-theta", "16", "--n-r", "32", "--trials", "3"]]
 with contextlib.redirect_stdout(io.StringIO()):
-    assert [main(argv) for argv in runs] == [0, 0]
+    assert [main(argv) for argv in runs] == [0, 0, 0]
 """
     assert "numpy.ma" not in loaded_modules(script)

@@ -633,6 +633,37 @@ def test_dbar_report_smoke():
     assert out["solve_dbar_vs_lstsq"] <= 1e-8
 
 
+def test_dbar_report_memory_does_not_grow_with_the_trials():
+    # the trials are applied in blocks of at most neumann._TRIAL_BLOCK; the
+    # split of a block between the two degrees varies, so "about" is 25 %
+    dbar_report(n_theta=16, n_r=32, trials=1)
+    peaks = []
+    for trials in (50, 200):
+        tracemalloc.start()
+        dbar_report(n_theta=16, n_r=32, trials=trials)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("trials", [1, 31, 32, 33, 70])
+def test_trial_blocks_keep_the_worst_residuals(trials):
+    # one trial at a time, as the report draws them, against blocks of 32:
+    # each field of a stack is computed as it would be alone, bit for bit
+    assert neumann._TRIAL_BLOCK == 32
+    out = dbar_report(n_theta=16, n_r=32, trials=trials, seed=3)
+    problem = NeumannProblem(AnnulusGrid(RHO0, 16, 32))
+    rng = np.random.default_rng(np.random.SeedSequence([3, 5]))
+    worst = np.zeros(3)
+    for _ in range(trials):
+        deg = int(rng.integers(0, 2))
+        phi = problem.random_form(deg, rng)
+        per_trial = neumann._trial_residuals(problem, DiscreteForm(deg, phi.values[None]))
+        worst = np.maximum(worst, [r[0] for r in per_trial])
+    got = [out["identity_residual"], out["n_pi_residual"], out["hodge_orthogonality"]]
+    assert got == worst.tolist()
+
+
 # ---------------------------------------------------------------------------
 # the dense solve_dbar oracle and the harmonic cut, against the per-mode
 # computations they replaced
@@ -683,7 +714,21 @@ def test_qr_oracle_peak_memory_at_most_the_per_mode_reference():
     assert peaks[0] <= peaks[1], peaks
 
 
+# LAPACK's banded routines stay the independent oracle of the numpy
+# kernels.  Both routes are backward stable: they differ by rounding of the
+# order eps * ||S_1|| in an eigenvalue, and in a solve by that times the
+# condition number of S_1.  The smallest eigenvalue above the cut and the
+# solves on the grids below differ by at most 1.3e-13 and 3.3e-14 relative
+LAPACK_REL = 1e-12
+
+
 def per_mode_lambda_max(S1):
+    """The largest eigenvalue over all modes, from the per-mode kernel on
+    every mode."""
+    return max(neumann._mode_eigenvalues(S1, i)[-1] for i in range(S1.shape[1]))
+
+
+def lapack_lambda_max(S1):
     n = S1.shape[2]
     return max(
         eigvals_banded(S1[:, i, :], select="i", select_range=(n - 1, n - 1))[0]
@@ -701,18 +746,20 @@ def per_mode_lambda_max(S1):
 def test_gershgorin_largest_eigenvalue_is_the_per_mode_maximum(rho0, size, eps, profile):
     S1 = NeumannProblem(AnnulusGrid(rho0, *size), eps=eps, profile=PROFILES[profile](rho0)).S1
     assert _largest_eigenvalue(S1) == per_mode_lambda_max(S1)
+    assert _largest_eigenvalue(S1) == pytest.approx(lapack_lambda_max(S1), rel=LAPACK_REL)
 
 
 @pytest.mark.parametrize("size", [64, 128, 256])
 def test_gershgorin_skips_most_modes(monkeypatch, size):
     calls = []
+    kernel = neumann._mode_eigenvalues
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(1)
-        return eigvals_banded(*args, **kwargs)
+        return kernel(*args)
 
     prob = NeumannProblem(AnnulusGrid(RHO0, size, size))
-    monkeypatch.setattr(scipy.linalg, "eigvals_banded", counting)
+    monkeypatch.setattr(neumann, "_mode_eigenvalues", counting)
     _largest_eigenvalue(prob.S1)
     assert 0 < len(calls) <= size // 8
     # the harmonic cut: the largest eigenvalue again, then the lower bounds
@@ -728,10 +775,23 @@ def test_gershgorin_skips_most_modes(monkeypatch, size):
 
 def all_mode_low_spectrum(problem):
     """The harmonic cut's per-mode counts and the smallest eigenvalue above
-    it, from banded solves on every mode."""
+    it, from the per-mode kernel on every mode."""
+    S1 = problem.S1
+    cut = problem.harmonic_tol * per_mode_lambda_max(S1)
+    counts, lowest = [], []
+    for i in range(S1.shape[1]):
+        lam = neumann._mode_eigenvalues(S1, i)
+        k = int(np.count_nonzero(lam <= cut))
+        counts.append(k)
+        lowest.append(lam[k] if k < len(lam) else np.inf)
+    return counts, float(min(lowest))
+
+
+def lapack_low_spectrum(problem):
+    """all_mode_low_spectrum from LAPACK's banded eigensolver."""
     S1 = problem.S1
     n = S1.shape[2]
-    lam_max = per_mode_lambda_max(S1)
+    lam_max = lapack_lambda_max(S1)
     cut = problem.harmonic_tol * lam_max
     counts, lowest = [], []
     for i in range(S1.shape[1]):
@@ -746,10 +806,14 @@ def all_mode_low_spectrum(problem):
     return counts, float(min(lowest))
 
 
-@pytest.mark.parametrize(
-    "size, eps, harmonic_tol",
-    [((16, 16), 0.0, 1e-8), ((64, 64), 0.0, 1e-8), ((32, 40), 0.3, 1e-8), ((8, 24), 0.0, 0.05)],
-)
+# (size, eps, harmonic_tol): the raised cut of the last case puts
+# eigenvalues under it, so the counts are exercised
+LOW_SPECTRUM_CASES = [
+    ((16, 16), 0.0, 1e-8), ((64, 64), 0.0, 1e-8), ((32, 40), 0.3, 1e-8), ((8, 24), 0.0, 0.05),
+]
+
+
+@pytest.mark.parametrize("size, eps, harmonic_tol", LOW_SPECTRUM_CASES)
 def test_pruned_low_spectrum_equals_the_all_mode_loop(size, eps, harmonic_tol):
     prob = NeumannProblem(
         AnnulusGrid(RHO0, *size), eps=eps, profile=bump_on(RHO0), harmonic_tol=harmonic_tol
@@ -758,8 +822,63 @@ def test_pruned_low_spectrum_equals_the_all_mode_loop(size, eps, harmonic_tol):
     want_counts, want_lowest = all_mode_low_spectrum(prob)
     assert counts.tolist() == want_counts
     assert lowest == want_lowest
-    # the raised cut puts eigenvalues under it, so the counts are exercised
     assert (sum(want_counts) > 0) == (harmonic_tol == 0.05)
+
+
+@pytest.mark.parametrize("size, eps, harmonic_tol", LOW_SPECTRUM_CASES)
+def test_low_spectrum_matches_lapack(size, eps, harmonic_tol):
+    prob = NeumannProblem(
+        AnnulusGrid(RHO0, *size), eps=eps, profile=bump_on(RHO0), harmonic_tol=harmonic_tol
+    )
+    counts, lowest = prob._low_spectrum()
+    want_counts, want_lowest = lapack_low_spectrum(prob)
+    assert counts.tolist() == want_counts
+    assert lowest == pytest.approx(want_lowest, rel=LAPACK_REL)
+    assert (sum(want_counts) > 0) == (harmonic_tol == 0.05)
+
+
+# (n_theta, n_r, eps): the labs workload's grids, a coarse one, and a
+# deformed one with the 256 x 256 hodge grid's modes
+KERNEL_GRIDS = [(8, 24, 0.0), (64, 64, 0.0), (128, 128, 0.0), (32, 40, 0.3), (256, 256, -0.3)]
+
+
+@pytest.mark.parametrize("n_theta, n_r, eps", KERNEL_GRIDS)
+def test_band_cholesky_and_solve_match_lapack(n_theta, n_r, eps):
+    prob = NeumannProblem(AnnulusGrid(RHO0, n_theta, n_r), eps=eps, profile=bump_on(RHO0))
+    S1 = prob.S1
+    U = neumann._band_cholesky(S1)
+    want = scipy.linalg.cholesky_banded(S1.reshape(3, -1)).reshape(S1.shape)
+    assert np.abs(U - want).max() <= LAPACK_REL * np.abs(want).max()
+    # a stack of fields and parts, axes (node, field, part, mode)
+    b = np.random.default_rng(n_r).normal(size=(S1.shape[2], 3, 2, S1.shape[1]))
+    got = neumann._band_solve(U, b.copy())
+    flat = b.transpose(3, 0, 1, 2).reshape(S1.shape[1] * S1.shape[2], -1)
+    x = scipy.linalg.cho_solve_banded((want.reshape(3, -1), False), flat)
+    x = x.reshape(S1.shape[1], S1.shape[2], 3, 2).transpose(1, 2, 3, 0)
+    assert np.linalg.norm(got - x) <= LAPACK_REL * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n_theta, n_r, eps", KERNEL_GRIDS)
+def test_mode_eigenvalues_match_lapack(n_theta, n_r, eps):
+    S1 = NeumannProblem(AnnulusGrid(RHO0, n_theta, n_r), eps=eps, profile=bump_on(RHO0)).S1
+    for i in np.linspace(0, S1.shape[1] - 1, 5).astype(int):
+        got, want = neumann._mode_eigenvalues(S1, i), eigvals_banded(S1[:, i, :])
+        # each eigenvalue to rounding of the largest, the bound of both routes
+        assert np.abs(got - want).max() <= LAPACK_REL * want[-1]
+    assert _largest_eigenvalue(S1) == pytest.approx(lapack_lambda_max(S1), rel=LAPACK_REL)
+
+
+def test_band_cholesky_flags_what_is_not_positive_definite():
+    S1 = NeumannProblem(AnnulusGrid(RHO0, 16, 24)).S1
+    lam = [neumann._mode_eigenvalues(S1, i) for i in range(S1.shape[1])]
+    # a shift between the two smallest eigenvalues of every mode
+    shift = np.array([0.5 * (x[0] + x[1]) for x in lam])
+    assert not neumann._above(S1, shift).any()
+    assert neumann._above(S1, np.array([0.5 * x[0] for x in lam])).all()
+    shifted = S1.copy()
+    shifted[2] -= shift[:, None]
+    U = neumann._band_cholesky(shifted)
+    assert not np.all(U[2] > 0, axis=1).any()
 
 
 def dense_qr_minimal_norm(problem, f):

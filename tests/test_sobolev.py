@@ -150,8 +150,11 @@ def test_norms_from_one_spectrum_equal_the_per_call_norms_bit_for_bit(which, see
 
 
 def test_a_battery_takes_one_spectrum_per_field(monkeypatch, capsys):
-    # per trial: one per random field, six per double commutator (three k),
-    # and one per norm of f, of phi and of each k's field: 8 * 25 = 200
+    # per A.iii trial: one per random field, one of phi (for its norm and
+    # Lambda^k phi at every k), one of f phi, three per double commutator
+    # (three k), and one per norm of f and of each k's field: 8 * 17 = 136.
+    # A T.iii trial takes three per random field and none for the C^k norm
+    # of f: 8 * 20 = 160
     calls = []
     fftn = sobolev.fftn
 
@@ -160,9 +163,11 @@ def test_a_battery_takes_one_spectrum_per_field(monkeypatch, capsys):
         return fftn(*args, **kwargs)
 
     monkeypatch.setattr(sobolev, "fftn", counting_fftn)
-    assert main(["sobolev", "--suite", "A.iii", "--seed", "7250"]) == 0
-    assert capsys.readouterr().out
-    assert len(calls) <= 200
+    for suite, limit in (("A.iii", 136), ("T.iii", 160)):
+        calls.clear()
+        assert main(["sobolev", "--suite", suite, "--seed", "7250"]) == 0
+        assert capsys.readouterr().out
+        assert len(calls) <= limit, suite
 
 
 def test_tangential_identity_cases():
