@@ -24,12 +24,10 @@ per radial node over every mode and column (see NeumannProblem).
 Eigenvalues come from numpy's dense eigvalsh of one mode's block, on
 demand, and only on the modes whose Gershgorin bounds could reach the
 largest eigenvalue (which sets the harmonic cut) or the smallest one above
-the cut, and whose inertia (the signs of band Cholesky pivots) does not
-rule that out.  The deformation norms ||N_eps - N_0|| come from one Lanczos
+the cut.  The deformation norms ||N_eps - N_0|| come from one Lanczos
 process per mode and eps, all in lockstep.  The independent oracle for
 solve_dbar is the minimal-norm solution of P u = f by a Givens QR of the
-band of P^T, all modes at once.  Only spectrum(), the full spectra behind
-`hodge --spectra`, imports scipy.linalg, inside the method.
+band of P^T, all modes at once.
 """
 
 from __future__ import annotations
@@ -165,28 +163,21 @@ class NeumannProblem:
     def _low_spectrum(self) -> Tuple[np.ndarray, float]:
         """Per mode, the number of eigenvalues of box_1 at or below the
         harmonic cut harmonic_tol * (largest eigenvalue); and the smallest
-        eigenvalue above the cut over all modes.  The mode of the lowest
-        Gershgorin bound is solved first; of the others, only those whose
-        inertia does not put every eigenvalue above both the cut and its
-        minimum (by 1e-10 of the upper bound, far above rounding) are
-        solved, since no other mode can count or lower it."""
+        eigenvalue above the cut over all modes, solved in ascending order of
+        the lower Gershgorin bounds up to the first one above both the cut
+        and the minimum so far (no later mode can count or lower it)."""
         if self._low is None:
-            S1 = self.S1
-            cut = self.harmonic_tol * _largest_eigenvalue(S1)
-            lower, upper = _gershgorin(S1)
-            order = np.argsort(lower, kind="stable")
+            cut = self.harmonic_tol * _largest_eigenvalue(self.S1)
+            lower = _gershgorin(self.S1)[0]
             counts = np.zeros(len(lower), dtype=int)
-
-            def visit(i):
-                # mode i's count at the cut, and its smallest eigenvalue above it
-                lam = _mode_eigenvalues(S1, i)
+            lowest = np.inf
+            for i in np.argsort(lower, kind="stable"):
+                if lower[i] > max(cut, lowest):
+                    break
+                lam = _mode_eigenvalues(self.S1, i)
                 k = counts[i] = np.count_nonzero(lam <= cut)
-                return lam[k] if k < len(lam) else np.inf
-
-            lowest = visit(order[0])
-            rest = order[1:]
-            for i in rest[~_above(S1[:, rest], max(cut, lowest) + 1e-10 * upper[rest])]:
-                lowest = min(lowest, visit(i))
+                if k < len(lam):
+                    lowest = min(lowest, lam[k])
             self._low = (counts, float(lowest))
         return self._low
 
@@ -206,9 +197,7 @@ class NeumannProblem:
 
     def spectrum(self, i: int) -> np.ndarray:
         """All eigenvalues of box_1 on mode modes1[i], ascending."""
-        from scipy.linalg import eigvals_banded
-
-        return eigvals_banded(self.S1[:, i, :])
+        return _mode_eigenvalues(self.S1, i)
 
     def harmonic_basis(self, degree: int) -> List[Tuple[int, np.ndarray]]:
         """(mode, vector) pairs of a w-orthonormal basis of the harmonic space:
@@ -362,27 +351,17 @@ def _largest_eigenvalue(S1: np.ndarray) -> float:
     stack (band row, mode, node), as the maximum of the per-mode spectra,
     with most of them skipped.
 
-    The mode of the largest upper Gershgorin bound is solved first; of the
-    others, only those whose inertia does not put every eigenvalue below
-    its largest (by 1e-10 of the bound, far above rounding) are solved.  No
-    other mode can exceed it, so the maximum is the same to the bit.
+    Modes are solved in descending order of their upper Gershgorin bound,
+    up to the first bound at or below the largest eigenvalue found so far:
+    no later mode can exceed it, so the maximum is the same to the bit.
     """
     bound = _gershgorin(S1)[1]
-    order = np.argsort(-bound, kind="stable")
-    lam_max = _mode_eigenvalues(S1, order[0])[-1]
-    rest = order[1:]
-    for i in rest[~_above(-S1[:, rest], 1e-10 * bound[rest] - lam_max)]:
+    lam_max = -np.inf
+    for i in np.argsort(-bound, kind="stable"):
+        if bound[i] <= lam_max:
+            break
         lam_max = max(lam_max, _mode_eigenvalues(S1, i)[-1])
     return lam_max
-
-
-def _above(S1: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Per mode of an upper-banded pentadiagonal stack, whether every
-    eigenvalue lies above the mode's shift: whether S - shift I has a band
-    Cholesky factor with positive pivots (Sylvester's law of inertia)."""
-    band = S1.copy()
-    band[2] -= shift[:, None]
-    return np.all(_band_cholesky(band)[2] > 0, axis=1)
 
 
 def _mode_eigenvalues(S1: np.ndarray, i: int) -> np.ndarray:
@@ -713,11 +692,9 @@ def family_continuity(
 # ---------------------------------------------------------------------------
 # aggregate report (drives the CLI hodge command)
 
-# the most trials in one block of dbar_report's trials, and the most nodes
-# (trials times n_theta * n_r): a block's fields are applied as one stack per
-# degree, so the block bounds the memory that the trials take; 32 trials at
-# 64 x 64, 8 at 128 x 128
-_TRIAL_BLOCK = 32
+# the most nodes (trials times n_theta * n_r) in one block of dbar_report's
+# trials: a block's fields are applied as one stack per degree, so the block
+# bounds the memory that the trials take; 32 trials at 64 x 64, 8 at 128 x 128
 _TRIAL_BLOCK_NODES = 2**17
 
 
@@ -761,7 +738,7 @@ def dbar_report(
     # the identity, N pi and orthogonality residuals; the fields are drawn in
     # trial order and applied one stack per degree and block
     worst = [0.0, 0.0, 0.0]
-    block = max(1, min(_TRIAL_BLOCK, _TRIAL_BLOCK_NODES // (n_theta * n_r)))
+    block = max(1, _TRIAL_BLOCK_NODES // (n_theta * n_r))
     for start in range(0, trials, block):
         fields: Tuple[List, List] = ([], [])
         for _ in range(min(block, trials - start)):

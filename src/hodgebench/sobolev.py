@@ -192,14 +192,14 @@ def _spectrum(grid, phi: np.ndarray) -> np.ndarray:
 def _lambdas(grid, phi: np.ndarray, spec: Optional[np.ndarray] = None) -> Callable:
     """s -> Lambda^s phi, full (lambda_full) or tangential
     (lambda_tangential) by the grid type, from one spectrum of phi
-    (``spec``, or taken at the first s != 0)."""
+    (``spec``, or taken at the first s != 0); each s is computed once."""
     if isinstance(grid, TorusGrid):
         weight, inverse = 1.0 + grid.freq_square(), ifftn
     else:
         weight = 1.0 + grid.tangential_freq_square()
         inverse = lambda x: ifftn(x, axes=_t_axes(grid))
     spectrum = cache(lambda: _spectrum(grid, phi) if spec is None else spec)
-    return lambda s: phi.copy() if s == 0 else inverse(spectrum() * weight ** (s / 2.0))
+    return cache(lambda s: phi.copy() if s == 0 else inverse(spectrum() * weight ** (s / 2.0)))
 
 
 def _norms(grid, phi: np.ndarray, spec: Optional[np.ndarray] = None) -> Callable[[float], float]:
@@ -270,7 +270,6 @@ def d_norm(grid: HalfGrid, phi: np.ndarray, s: float) -> float:
 
 
 class _Operators(NamedTuple):
-    lam: Callable  # (grid, phi, s) -> Lambda^s phi
     random_field: Callable  # (grid, rng) -> battery field
     derivative: Callable  # (phi, axis) -> d phi / dx_axis
 
@@ -282,7 +281,7 @@ def _operators(grid) -> _Operators:
     if isinstance(grid, TorusGrid):
         k = _wavenumbers(grid.n, grid.box)
         derivative = lambda phi, axis: _spectral_derivative(phi, axis, k)
-        return _Operators(lambda_full, random_torus_field, derivative)
+        return _Operators(random_torus_field, derivative)
     k = _wavenumbers(grid.n_t, grid.box)
 
     def derivative(phi, axis):
@@ -290,7 +289,7 @@ def _operators(grid) -> _Operators:
             return radial_derivative(grid, phi)
         return _spectral_derivative(phi, axis, k)
 
-    return _Operators(lambda_tangential, random_half_field, derivative)
+    return _Operators(random_half_field, derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def _operators(grid) -> _Operators:
 
 def commutator(grid, k: float, f: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """[Lambda^k, f] phi (full or tangential, keyed by the grid type)."""
-    return _lambdas(grid, f * phi)(k) - f * _lambdas(grid, phi)(k)
+    return _commutator(k, f, _lambdas(grid, f * phi), _lambdas(grid, phi))
 
 
 def double_commutator(grid, k: float, f: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -312,13 +311,17 @@ def nested_commutator(
     return commutator(grid, k, f, g * phi) - g * commutator(grid, k, f, phi)
 
 
-def _double_commutator(grid, k, f, lam_fphi, lam_phi) -> np.ndarray:
-    """double_commutator from s -> Lambda^s (f phi) and s -> Lambda^s phi
+def _commutator(k, f, lam_fphi, lam_phi) -> np.ndarray:
+    """commutator from s -> Lambda^s (f phi) and s -> Lambda^s phi
     (_lambdas), so that a battery transforms phi and f phi once for every k."""
-    lam = lambda x: _lambdas(grid, x)(k)
-    lam_phi_k = lam_phi(k)  # for the inner and the outer commutator
-    inner = lam_fphi(k) - f * lam_phi_k
-    return lam(inner) - (lam(f * lam_phi_k) - f * lam(lam_phi_k))
+    return lam_fphi(k) - f * lam_phi(k)
+
+
+def _double_commutator(grid, k, f, lam_fphi, lam_phi) -> np.ndarray:
+    """double_commutator from s -> Lambda^s (f phi) and s -> Lambda^s phi:
+    Lambda^k [Lambda^k, f] phi - [Lambda^k, f] Lambda^k phi."""
+    inner = _commutator(k, f, lam_fphi, lam_phi)
+    return _lambdas(grid, inner)(k) - commutator(grid, k, f, lam_phi(k))
 
 
 # ---------------------------------------------------------------------------
@@ -709,12 +712,12 @@ def _battery_field(grid, part, k, f, g, phi, lams):
     if part == "i":
         return f * phi
     if part == "ii":
-        return lams["f phi"](k) - f * lams["phi"](k)
+        return _commutator(k, f, lams["f phi"], lams["phi"])
     if part == "iii":
         return _double_commutator(grid, k, f, lams["f phi"], lams["phi"])
     if part == "iv":
-        inner = lams["f phi"](k) - f * lams["phi"](k)
-        return lams["f g phi"](k) - f * lams["g phi"](k) - g * inner
+        inner = _commutator(k, f, lams["f phi"], lams["phi"])
+        return _commutator(k, f, lams["f g phi"], lams["g phi"]) - g * inner
     raise ValueError(part)
 
 

@@ -1,6 +1,5 @@
 """The Cephes ndtri port in levi against scipy.special.ndtri, bit for bit,
-and the import contract it serves: the package loads no scipy module
-unless a command needs scipy.linalg (only `hodge --spectra` does)."""
+and the import contract it serves: the package loads no scipy module."""
 
 import json
 import math
@@ -115,20 +114,15 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert scipy_modules(loaded_modules(script)) == []
 
 
-HODGE = """
+def test_hodge_loads_no_scipy():
+    script = """
 import contextlib, io
 from hodgebench.cli import main
+hodge = ["hodge", "--n-theta", "16", "--n-r", "32", "--trials", "2"]
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["hodge", "--n-theta", "16", "--n-r", "32", "--trials", "2"{}]) == 0
+    assert [main(argv) for argv in (hodge, hodge + ["--spectra"])] == [0, 0]
 """
-
-
-def test_only_hodge_spectra_loads_scipy_linalg():
-    assert scipy_modules(loaded_modules(HODGE.format(""))) == []
-    # every eigenvalue of every mode, from LAPACK's banded eigensolver
-    modules = scipy_modules(loaded_modules(HODGE.format(', "--spectra"')))
-    assert "scipy.linalg" in modules
-    assert [m for m in modules if m.startswith("scipy.sparse")] == []
+    assert scipy_modules(loaded_modules(script)) == []
 
 
 def test_battery_summaries_do_not_load_numpy_ma():

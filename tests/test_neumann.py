@@ -634,11 +634,13 @@ def test_dbar_report_smoke():
 
 
 def test_dbar_report_memory_does_not_grow_with_the_trials():
-    # the trials are applied in blocks of at most neumann._TRIAL_BLOCK; the
-    # split of a block between the two degrees varies, so "about" is 25 %
+    # the trials are applied in blocks of at most neumann._TRIAL_BLOCK_NODES
+    # nodes, 256 trials at 16 x 32; one block against four: the split of a
+    # block between the two degrees varies, so "about" is 25 %
+    block = neumann._TRIAL_BLOCK_NODES // (16 * 32)
     dbar_report(n_theta=16, n_r=32, trials=1)
     peaks = []
-    for trials in (50, 200):
+    for trials in (block, 4 * block):
         tracemalloc.start()
         dbar_report(n_theta=16, n_r=32, trials=trials)
         peaks.append(tracemalloc.get_traced_memory()[1])
@@ -647,10 +649,10 @@ def test_dbar_report_memory_does_not_grow_with_the_trials():
 
 
 @pytest.mark.parametrize("trials", [1, 31, 32, 33, 70])
-def test_trial_blocks_keep_the_worst_residuals(trials):
+def test_trial_blocks_keep_the_worst_residuals(monkeypatch, trials):
     # one trial at a time, as the report draws them, against blocks of 32:
     # each field of a stack is computed as it would be alone, bit for bit
-    assert neumann._TRIAL_BLOCK == 32
+    monkeypatch.setattr(neumann, "_TRIAL_BLOCK_NODES", 32 * 16 * 32)
     out = dbar_report(n_theta=16, n_r=32, trials=trials, seed=3)
     problem = NeumannProblem(AnnulusGrid(RHO0, 16, 32))
     rng = np.random.default_rng(np.random.SeedSequence([3, 5]))
@@ -871,14 +873,14 @@ def test_mode_eigenvalues_match_lapack(n_theta, n_r, eps):
 def test_band_cholesky_flags_what_is_not_positive_definite():
     S1 = NeumannProblem(AnnulusGrid(RHO0, 16, 24)).S1
     lam = [neumann._mode_eigenvalues(S1, i) for i in range(S1.shape[1])]
-    # a shift between the two smallest eigenvalues of every mode
-    shift = np.array([0.5 * (x[0] + x[1]) for x in lam])
-    assert not neumann._above(S1, shift).any()
-    assert neumann._above(S1, np.array([0.5 * x[0] for x in lam])).all()
-    shifted = S1.copy()
-    shifted[2] -= shift[:, None]
-    U = neumann._band_cholesky(shifted)
-    assert not np.all(U[2] > 0, axis=1).any()
+    # shifts below the smallest eigenvalue of every mode, and between the
+    # two smallest
+    for shift, definite in (([0.5 * x[0] for x in lam], True),
+                            ([0.5 * (x[0] + x[1]) for x in lam], False)):
+        shifted = S1.copy()
+        shifted[2] -= np.array(shift)[:, None]
+        U = neumann._band_cholesky(shifted)
+        assert (np.all(U[2] > 0, axis=1) == definite).all()
 
 
 def dense_qr_minimal_norm(problem, f):
