@@ -22,12 +22,14 @@ modes and applied as stencils to all modes at once, and to stacks of fields
 at once; the Neumann operator is a band Cholesky solve in numpy, one step
 per radial node over every mode and column (see NeumannProblem).
 Eigenvalues come from numpy's dense eigvalsh of one mode's block, on
-demand, and only on the modes whose Gershgorin bounds could reach the
-largest eigenvalue (which sets the harmonic cut) or the smallest one above
-the cut.  The deformation norms ||N_eps - N_0|| come from one Lanczos
-process per mode and eps, all in lockstep.  The independent oracle for
-solve_dbar is the minimal-norm solution of P u = f by a Givens QR of the
-band of P^T, all modes at once.
+demand: for the largest eigenvalue (which sets the harmonic cut) and the
+smallest one above the cut, on the first mode in Gershgorin order and on
+those others whose inertia (the band Cholesky pivots of S_1 - sigma I)
+lets them move that extreme or count at the cut.  The deformation norms
+||N_eps - N_0|| come from one Lanczos process per mode and eps, stepped in
+lockstep until each converges.  The independent oracle for solve_dbar is
+the minimal-norm solution of P u = f by a Givens QR of the band of P^T,
+all modes at once.
 """
 
 from __future__ import annotations
@@ -163,21 +165,27 @@ class NeumannProblem:
     def _low_spectrum(self) -> Tuple[np.ndarray, float]:
         """Per mode, the number of eigenvalues of box_1 at or below the
         harmonic cut harmonic_tol * (largest eigenvalue); and the smallest
-        eigenvalue above the cut over all modes, solved in ascending order of
-        the lower Gershgorin bounds up to the first one above both the cut
-        and the minimum so far (no later mode can count or lower it)."""
+        eigenvalue above the cut over all modes.  The mode of the lowest
+        Gershgorin bound is solved first; of the others, only those whose
+        inertia does not put every eigenvalue above both the cut and its
+        minimum (by 1e-10 of the upper bound, far above rounding) are
+        solved, since no other mode can count or lower it."""
         if self._low is None:
             cut = self.harmonic_tol * _largest_eigenvalue(self.S1)
-            lower = _gershgorin(self.S1)[0]
+            lower, upper = _gershgorin(self.S1)
+            order = np.argsort(lower, kind="stable")
             counts = np.zeros(len(lower), dtype=int)
-            lowest = np.inf
-            for i in np.argsort(lower, kind="stable"):
-                if lower[i] > max(cut, lowest):
-                    break
+
+            def visit(i):
+                # mode i's count at the cut, and its smallest eigenvalue above it
                 lam = _mode_eigenvalues(self.S1, i)
                 k = counts[i] = np.count_nonzero(lam <= cut)
-                if k < len(lam):
-                    lowest = min(lowest, lam[k])
+                return lam[k] if k < len(lam) else np.inf
+
+            lowest = visit(order[0])
+            rest = order[1:]
+            for i in rest[~_above(self.S1[:, rest], max(cut, lowest) + 1e-10 * upper[rest])]:
+                lowest = min(lowest, visit(i))
             self._low = (counts, float(lowest))
         return self._low
 
@@ -351,17 +359,27 @@ def _largest_eigenvalue(S1: np.ndarray) -> float:
     stack (band row, mode, node), as the maximum of the per-mode spectra,
     with most of them skipped.
 
-    Modes are solved in descending order of their upper Gershgorin bound,
-    up to the first bound at or below the largest eigenvalue found so far:
-    no later mode can exceed it, so the maximum is the same to the bit.
+    The mode of the largest upper Gershgorin bound is solved first; of the
+    others, only those whose inertia does not put every eigenvalue below
+    its largest (by 1e-10 of the bound, far above rounding) are solved.  No
+    other mode can exceed it, so the maximum is the same to the bit.
     """
     bound = _gershgorin(S1)[1]
-    lam_max = -np.inf
-    for i in np.argsort(-bound, kind="stable"):
-        if bound[i] <= lam_max:
-            break
+    order = np.argsort(-bound, kind="stable")
+    lam_max = _mode_eigenvalues(S1, order[0])[-1]
+    rest = order[1:]
+    for i in rest[~_above(-S1[:, rest], 1e-10 * bound[rest] - lam_max)]:
         lam_max = max(lam_max, _mode_eigenvalues(S1, i)[-1])
     return lam_max
+
+
+def _above(band: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Per mode of an upper-banded pentadiagonal stack (a copy, shifted in
+    place), whether every eigenvalue lies above the mode's shift: whether
+    band - shift I has a band Cholesky factor with positive pivots
+    (Sylvester's law of inertia; the factor is backward stable)."""
+    band[2] -= shift[:, None]
+    return np.all(_band_cholesky(band)[2] > 0, axis=1)
 
 
 def _mode_eigenvalues(S1: np.ndarray, i: int) -> np.ndarray:
@@ -486,19 +504,23 @@ def solve_dbar_lstsq(problem: NeumannProblem, f: DiscreteForm) -> DiscreteForm:
 
 def hodge_split(problem: NeumannProblem, phi: DiscreteForm):
     """Orthogonal decomposition phi = harmonic + P(...) + P*(...)."""
-    return _hodge_split(problem, phi, problem.apply_N(phi))
+    return _hodge_split(problem, phi)[1:]
 
 
-def _hodge_split(problem: NeumannProblem, phi: DiscreteForm, n_phi: DiscreteForm):
-    """hodge_split from phi and its N phi."""
-    harm = problem.apply_pi(phi)
+def _hodge_split(problem: NeumannProblem, phi: DiscreteForm):
+    """N phi, then hodge_split of phi; N phi and pi phi are bit for bit what
+    apply_N and apply_pi give, at degree 0 both from one solve N_1 P phi."""
     if phi.degree == 1:
+        n_phi, harm = problem.apply_N(phi), problem.apply_pi(phi)
         im_p = problem.apply_P(problem.apply_P_star(n_phi))
         im_p_star = DiscreteForm(1, np.zeros_like(phi.values))
     else:
+        y = problem._N1(problem._P(phi.values))
+        n_phi = DiscreteForm(0, problem._P_star(problem._N1(y)))
+        harm = DiscreteForm(0, phi.values - problem._P_star(y))
         im_p = DiscreteForm(0, np.zeros_like(phi.values))
         im_p_star = problem.apply_P_star(problem.apply_P(n_phi))
-    return harm, im_p, im_p_star
+    return n_phi, harm, im_p, im_p_star
 
 
 # ---------------------------------------------------------------------------
@@ -604,51 +626,50 @@ def _norm_diffs(problems: Sequence[NeumannProblem], base: NeumannProblem) -> Lis
     absolute eigenvalue.  Each mode of each problem runs its own Lanczos
     process on its block, with full reorthogonalisation, all in lockstep:
     one band solve with the problems' factors and as many copies of the
-    base's is one step of every block.  A problem's norm is taken once no
-    Ritz value theta of its modes can reach (|theta| + residual) beyond its
-    largest |theta| by more than rounding, or the Krylov spaces fill the
-    blocks.  Equal S_1 bands give exactly 0.
+    base's is one step of every block.  A block leaves, with its factor
+    columns and basis rows, once no Ritz value theta of it can reach
+    (|theta| + residual) beyond its problem's largest |theta| so far by more
+    than rounding, or its Krylov space fills it; a problem's norm is that
+    |theta| once all its blocks have left.  Equal S_1 bands give exactly 0.
     """
     if not problems:
         return []
     # the factors raise on a degree-1 harmonic obstruction, as N itself does,
-    # and are joined node by node, as they are stored
+    # and are joined node by node, as they are stored, axes (band, node, block)
     factors = [p._factors() for p in problems] + [base._factors()] * len(problems)
-    F = np.concatenate([U.transpose(0, 2, 1) for U in factors], axis=2).transpose(0, 2, 1)
+    F = np.concatenate([U.transpose(0, 2, 1) for U in factors], axis=2)
     n_modes, n = base.S1.shape[1:]
-    m = len(problems) * n_modes
-    # the basis, axes (step, block, node), grown by doubling up to n steps;
-    # the right-hand sides of every step go to one buffer, the problems'
-    # blocks then the base's
-    V = np.empty((min(n, 16), m, n))
-    V[0] = 1.0 / math.sqrt(n)
-    x, w = np.empty((n, 2 * m)), np.empty((m, n))
+    owner = np.repeat(np.arange(len(problems)), n_modes)  # each live block's problem
+    top = np.zeros(len(problems))
+    # the basis, one (live block, node) array per step
+    V = [np.full((len(owner), n), 1.0 / math.sqrt(n))]
     alpha: List[np.ndarray] = []
     beta: List[np.ndarray] = []
-    norms: List[Optional[float]] = [None] * len(problems)
     for k in range(1, n + 1):
-        x[:, :m] = x[:, m:] = V[k - 1].T
-        _band_solve(F, x)
-        np.subtract(x[:, :m].T, x[:, m:].T, out=w)
-        alpha.append(np.einsum("mn,mn->m", V[k - 1], w))
+        # the right-hand sides, the problems' blocks then the base's
+        x = np.concatenate([V[-1].T, V[-1].T], axis=1)
+        _band_solve(F.transpose(0, 2, 1), x)
+        m = len(owner)
+        w = np.subtract(x[:, :m].T, x[:, m:].T, out=np.empty((m, n)))
+        alpha.append(np.einsum("mn,mn->m", V[-1], w))
+        basis = np.stack(V)
         for _ in range(2):
-            w -= np.einsum("km,kmn->mn", np.einsum("kmn,mn->km", V[:k], w), V[:k])
+            w -= np.einsum("km,kmn->mn", np.einsum("kmn,mn->km", basis, w), basis)
         beta.append(np.linalg.norm(w, axis=1))
         # each block's tridiagonal; eigh reads its lower triangle
         T = np.stack(alpha, axis=1)[:, :, None] * np.eye(k)
         T[:, 1:, :-1] += np.stack(beta, axis=1)[:, :-1, None] * np.eye(k - 1)
         theta, U = np.linalg.eigh(T)
-        top = np.abs(theta).reshape(len(problems), -1).max(axis=1)
-        reach = np.abs(theta) + beta[-1][:, None] * np.abs(U[:, -1, :])
-        reach = reach.reshape(len(problems), -1).max(axis=1)
-        for i, norm in enumerate(norms):
-            if norm is None and (k == n or reach[i] <= top[i] * (1.0 + 1e-14)):
-                norms[i] = float(top[i])
-        if None not in norms:
-            return norms
-        if k == len(V):
-            V = np.concatenate([V, np.empty((min(k, n - k), m, n))])
-        np.divide(w, np.where(beta[-1] > 0, beta[-1], 1.0)[:, None], out=V[k])
+        np.maximum.at(top, owner, np.abs(theta).max(axis=1))
+        reach = (np.abs(theta) + beta[-1][:, None] * np.abs(U[:, -1, :])).max(axis=1)
+        live = reach > top[owner] * (1.0 + 1e-14)
+        if k == n or not live.any():
+            return [float(t) for t in top]
+        if not live.all():
+            owner, F, w = owner[live], F[:, :, np.concatenate([live, live])], w[live]
+            V, alpha, beta = ([a[live] for a in seq] for seq in (V, alpha, beta))
+        # a live block's residual is above 0, or its reach would be its |theta|
+        V.append(w / beta[-1][:, None])
 
 
 def family_continuity(
@@ -709,11 +730,12 @@ def _trial_residuals(problem: NeumannProblem, phi: DiscreteForm) -> List[np.ndar
     def norms(values):
         return np.array([problem.norm(DiscreteForm(deg, v)) for v in values])
 
-    n_phi = problem.apply_N(phi)
-    harm, im_p, im_ps = _hodge_split(problem, phi, n_phi)
+    n_phi, harm, im_p, im_ps = _hodge_split(problem, phi)
     size = norms(phi.values)
     identity = norms(problem.apply_box(n_phi).values + harm.values - phi.values) / size
-    npi = np.maximum(norms(problem.apply_N(harm).values), norms(problem.apply_pi(n_phi).values))
+    # pi is zero at degree 1, and so is N pi phi
+    n_harm = problem.apply_N(harm) if deg == 0 else harm
+    npi = np.maximum(norms(n_harm.values), norms(problem.apply_pi(n_phi).values))
     ortho = norms(harm.values + im_p.values + im_ps.values - phi.values) / size
     pieces = [harm.values, im_p.values, im_ps.values]
     for a in range(3):
@@ -732,6 +754,8 @@ def dbar_report(
     seed: int = 0,
     include_spectra: bool = False,
 ) -> Dict:
+    if trials <= 0:
+        raise ValueError(f"trials must be positive, got {trials}")
     grid = AnnulusGrid(rho0, n_theta, n_r)
     problem = NeumannProblem(grid)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, product
 from typing import Callable, ClassVar, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -68,11 +68,8 @@ def _along(v: np.ndarray, axis: int, dims: int) -> np.ndarray:
 
 def _freq_square(n: int, box: float, dims: int) -> np.ndarray:
     """|xi|^2 on the frequency grid of a dims-torus with n points per axis."""
-    base = _wavenumbers(n, box)
-    out = np.zeros((n,) * dims)
-    for axis in range(dims):
-        out = out + _along(base**2, axis, dims)
-    return out
+    square = _wavenumbers(n, box) ** 2
+    return sum(_along(square, axis, dims) for axis in range(dims))
 
 
 def _spectral_derivative(phi: np.ndarray, axis: int, k: np.ndarray) -> np.ndarray:
@@ -108,6 +105,11 @@ class TorusGrid:
 
     def freq_square(self) -> np.ndarray:
         return _freq_square(self.n, self.box, self.dim)
+
+    @cached_property
+    def _weight(self) -> np.ndarray:
+        """1 + |xi|^2, once per grid, for every _lambdas and _norms."""
+        return 1.0 + self.freq_square()
 
 
 def lambda_full(grid: TorusGrid, phi: np.ndarray, s: float) -> np.ndarray:
@@ -169,6 +171,11 @@ class HalfGrid:
     def tangential_freq_square(self) -> np.ndarray:
         return _freq_square(self.n_t, self.box, self.dim - 1)[..., np.newaxis]
 
+    @cached_property
+    def _weight(self) -> np.ndarray:
+        """1 + |tau|^2, once per grid, for every _lambdas and _norms."""
+        return 1.0 + self.tangential_freq_square()
+
 
 def _t_axes(grid: HalfGrid):
     return tuple(range(grid.dim - 1))
@@ -193,11 +200,8 @@ def _lambdas(grid, phi: np.ndarray, spec: Optional[np.ndarray] = None) -> Callab
     """s -> Lambda^s phi, full (lambda_full) or tangential
     (lambda_tangential) by the grid type, from one spectrum of phi
     (``spec``, or taken at the first s != 0); each s is computed once."""
-    if isinstance(grid, TorusGrid):
-        weight, inverse = 1.0 + grid.freq_square(), ifftn
-    else:
-        weight = 1.0 + grid.tangential_freq_square()
-        inverse = lambda x: ifftn(x, axes=_t_axes(grid))
+    weight = grid._weight
+    inverse = ifftn if isinstance(grid, TorusGrid) else lambda x: ifftn(x, axes=_t_axes(grid))
     spectrum = cache(lambda: _spectrum(grid, phi) if spec is None else spec)
     return cache(lambda s: phi.copy() if s == 0 else inverse(spectrum() * weight ** (s / 2.0)))
 
@@ -210,15 +214,13 @@ def _norms(grid, phi: np.ndarray, spec: Optional[np.ndarray] = None) -> Callable
     spec = _spectrum(grid, phi) if spec is None else spec
     if isinstance(grid, TorusGrid):
         power = np.abs(spec / phi.size) ** 2
-        weight = 1.0 + grid.freq_square()
         total = lambda w: np.sum(w * power) * grid.box**grid.dim
     else:
         axes = _t_axes(grid)
         power = np.abs(spec / (grid.n_t ** (grid.dim - 1))) ** 2
-        weight = 1.0 + grid.tangential_freq_square()
         r_weights, box = grid.r_weights(), grid.box ** (grid.dim - 1)
         total = lambda w: np.sum(np.sum(w * power, axis=axes) * r_weights) * box
-    return cache(lambda s: float(np.sqrt(total(weight**s))))
+    return cache(lambda s: float(np.sqrt(total(grid._weight**s))))
 
 
 def half_inner(grid: HalfGrid, phi: np.ndarray, psi: np.ndarray) -> complex:
@@ -454,28 +456,25 @@ def kernel_lemma_check(
         aa = e1e1 - 2.0 * e1e2 + e2e2
         bb = e2e2 - 2.0 * x_e2 + xx
         shape = (len(V), len(e), len(e))
-        # one row of coefficients per triple
-        coeffs = np.stack(
-            [
-                np.broadcast_to(c, shape).ravel()
-                for c in (xx, aa, bb, x_e1 - x_e2, x_e2 - xx, e1e2 - x_e1 - e2e2 + x_e2)
-            ],
-            axis=1,
-        )
-        # the integral depends on a triple only through its coefficients, so
-        # it is taken over the distinct rows (one 48-byte key each) and
-        # scattered back
-        _, first, which = np.unique(
-            coeffs.view(np.dtype((np.void, 48))).ravel(),
-            return_index=True,
-            return_inverse=True,
-        )
+        # the six coefficients of every triple, one array each, sorted
+        # together by np.lexsort; the integral depends on a triple only
+        # through them, so it is taken once per distinct form and scattered back
+        cols = [
+            np.broadcast_to(c, shape).ravel()
+            for c in (xx, aa, bb, x_e1 - x_e2, x_e2 - xx, e1e2 - x_e1 - e2e2 + x_e2)
+        ]
+        order = np.lexsort(cols)
+        # a sorted triple starts a new form where any coefficient changes
+        new = np.r_[True, np.any([np.diff(c[order]) != 0 for c in cols], axis=0)]
+        which = np.empty_like(order)
+        which[order] = np.cumsum(new) - 1
+        forms = np.stack([c[order[new]] for c in cols])
+        del cols, order, new
         ks = list(ks)
         consts = {k: abs(k) * max(1.0, abs(k - 1.0)) for k in ks}
         # k = 0 has const = 0, so rhs = 0 whatever its integral: none is taken
         live = [k for k in ks if consts[k]]
-        integrals = _form_integrals(coeffs[first].T, live, quad_order)
-        del coeffs
+        integrals = _form_integrals(forms, live, quad_order)
         g_s = 1.0 + (xx + e1e1 + e2e2 + 2.0 * x_e1 - 2.0 * x_e2 - 2.0 * e1e2)
         # |xi - eta2| |eta1 - eta2|
         dist = np.sqrt(bb * aa).ravel()

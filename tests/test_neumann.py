@@ -762,12 +762,66 @@ def test_gershgorin_skips_most_modes(monkeypatch, size):
 
     prob = NeumannProblem(AnnulusGrid(RHO0, size, size))
     monkeypatch.setattr(neumann, "_mode_eigenvalues", counting)
+    # the inertia of the other modes rules them all out
     _largest_eigenvalue(prob.S1)
-    assert 0 < len(calls) <= size // 8
-    # the harmonic cut: the largest eigenvalue again, then the lower bounds
+    assert len(calls) == 1
+    # the harmonic cut: the largest eigenvalue again, then the lowest mode
+    # and the few that the inertia at the lowest eigenvalue leaves
     calls.clear()
     prob._low_spectrum()
-    assert 0 < len(calls) <= 32
+    assert 0 < len(calls) <= 3
+    # a whole hodge command: the base problem and three of the family
+    calls.clear()
+    dbar_report(n_theta=size, n_r=size, trials=1)
+    assert 0 < len(calls) <= 12
+
+
+def near_copies(S1, i, deltas):
+    """S1 with mode i's block scaled by 1 + delta into one further mode per
+    delta, from the last mode down: eigenvalues within |delta| (relative)
+    of mode i's."""
+    out = S1.copy()
+    for j, delta in enumerate(deltas):
+        out[:, -1 - j] = S1[:, i] * (1.0 + delta)
+    return out
+
+
+NEAR = (1e-12, -1e-12, 1e-13, -3e-13)
+
+
+def test_inertia_filter_keeps_a_near_tie_of_the_largest_eigenvalue(monkeypatch):
+    # the filter's shift sits 1e-10 of the bound inside the largest
+    # eigenvalue found, so a mode within 1e-12 of it is solved, not skipped
+    S1 = NeumannProblem(AnnulusGrid(RHO0, 16, 24)).S1
+    i = int(np.argmax([neumann._mode_eigenvalues(S1, j)[-1] for j in range(S1.shape[1])]))
+    S1 = near_copies(S1, i, NEAR)
+    solved = []
+    kernel = neumann._mode_eigenvalues
+    monkeypatch.setattr(neumann, "_mode_eigenvalues", lambda S, j: solved.append(j) or kernel(S, j))
+    got = _largest_eigenvalue(S1)
+    monkeypatch.undo()
+    assert got == per_mode_lambda_max(S1)
+    n = S1.shape[1]
+    assert {i} | {n - 1 - j for j in range(len(NEAR))} <= set(solved)
+
+
+@pytest.mark.parametrize("harmonic_tol", [1e-8, 0.05])
+def test_inertia_filter_keeps_a_near_tie_of_the_smallest_eigenvalue(monkeypatch, harmonic_tol):
+    prob = NeumannProblem(AnnulusGrid(RHO0, 16, 24), harmonic_tol=harmonic_tol)
+    _, lowest = all_mode_low_spectrum(prob)
+    # the mode that holds the smallest eigenvalue above the cut
+    lam = [neumann._mode_eigenvalues(prob.S1, j) for j in range(prob.S1.shape[1])]
+    i = next(j for j, x in enumerate(lam) if lowest in x)
+    prob.S1 = near_copies(prob.S1, i, NEAR)
+    solved = []
+    kernel = neumann._mode_eigenvalues
+    monkeypatch.setattr(neumann, "_mode_eigenvalues", lambda S, j: solved.append(j) or kernel(S, j))
+    counts, got = prob._low_spectrum()
+    monkeypatch.undo()
+    want_counts, want = all_mode_low_spectrum(prob)
+    assert counts.tolist() == want_counts and got == want
+    n = prob.S1.shape[1]
+    assert {i} | {n - 1 - j for j in range(len(NEAR))} <= set(solved)
 
 
 # ---------------------------------------------------------------------------
@@ -936,3 +990,120 @@ def test_lanczos_norm_diff_matches_per_mode_eigvalsh(size):
         assert operator_norm_diff(prob, base) == pytest.approx(
             eigvalsh_norm_diff(prob, base), rel=1e-12
         )
+
+
+def undeflated_norm_diffs(problems, base):
+    """||N_p - N_base|| for each p by the lockstep Lanczos with no block ever
+    leaving: every block is solved and its tridiagonal taken at every step,
+    and a problem's norm is its largest |theta| at the first step where
+    none of its blocks can reach past it."""
+    factors = [p._factors() for p in problems] + [base._factors()] * len(problems)
+    F = np.concatenate([U.transpose(0, 2, 1) for U in factors], axis=2).transpose(0, 2, 1)
+    n_modes, n = base.S1.shape[1:]
+    m = len(problems) * n_modes
+    V = np.empty((n, m, n))
+    V[0] = 1.0 / math.sqrt(n)
+    x, w = np.empty((n, 2 * m)), np.empty((m, n))
+    alpha, beta = [], []
+    norms = [None] * len(problems)
+    for k in range(1, n + 1):
+        x[:, :m] = x[:, m:] = V[k - 1].T
+        neumann._band_solve(F, x)
+        np.subtract(x[:, :m].T, x[:, m:].T, out=w)
+        alpha.append(np.einsum("mn,mn->m", V[k - 1], w))
+        for _ in range(2):
+            w -= np.einsum("km,kmn->mn", np.einsum("kmn,mn->km", V[:k], w), V[:k])
+        beta.append(np.linalg.norm(w, axis=1))
+        T = np.stack(alpha, axis=1)[:, :, None] * np.eye(k)
+        T[:, 1:, :-1] += np.stack(beta, axis=1)[:, :-1, None] * np.eye(k - 1)
+        theta, U = np.linalg.eigh(T)
+        top = np.abs(theta).reshape(len(problems), -1).max(axis=1)
+        reach = np.abs(theta) + beta[-1][:, None] * np.abs(U[:, -1, :])
+        reach = reach.reshape(len(problems), -1).max(axis=1)
+        for i, norm in enumerate(norms):
+            if norm is None and (k == n or reach[i] <= top[i] * (1.0 + 1e-14)):
+                norms[i] = float(top[i])
+        if None not in norms:
+            return norms
+        np.divide(w, np.where(beta[-1] > 0, beta[-1], 1.0)[:, None], out=V[k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rho0=st.floats(0.1, 0.9, exclude_max=True),
+    n_theta=st.sampled_from([4, 6, 8, 10, 12, 14, 16]),
+    n_r=st.integers(16, 40),
+    eps=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=3),
+    profile=st.sampled_from(sorted(PROFILES)),
+)
+def test_deflated_norm_diffs_match_the_undeflated_lockstep(rho0, n_theta, n_r, eps, profile):
+    grid = AnnulusGrid(rho0, n_theta, n_r)
+    base = NeumannProblem(grid)
+    probs = [NeumannProblem(grid, eps=e, profile=PROFILES[profile](rho0)) for e in eps]
+    got, want = neumann._norm_diffs(probs, base), undeflated_norm_diffs(probs, base)
+    # relative to the difference; where eps is so small that the difference
+    # nears the rounding of the operators themselves (at eps = 1e-10 it is
+    # 3e-12 and known to 2e-7 of itself), to that rounding
+    for g, w_, prob in zip(got, want, probs):
+        rounding = 1e-15 * (prob.operator_norm_N() + base.operator_norm_N())
+        assert abs(g - w_) <= 1e-12 * w_ + rounding
+
+
+def test_deflated_norm_diffs_of_a_zero_deformation_are_exactly_zero():
+    grid = AnnulusGrid(RHO0, 16, 32)
+    base = NeumannProblem(grid)
+    probs = [NeumannProblem(grid), NeumannProblem(grid, eps=0.1, profile=bump_on(RHO0))]
+    got = neumann._norm_diffs(probs, base)
+    assert got[0] == 0.0 == undeflated_norm_diffs(probs, base)[0]
+    assert got[1] > 0
+
+
+# ---------------------------------------------------------------------------
+# the trials' shared solves, against the public operators one trial at a time
+
+
+def per_trial_residuals(problem, phi):
+    """The three residuals of one field from apply_N, apply_pi and apply_box,
+    each solve taken on its own."""
+    deg = phi.degree
+    n_phi, harm = problem.apply_N(phi), problem.apply_pi(phi)
+    if deg == 1:
+        im_p = problem.apply_P(problem.apply_P_star(n_phi)).values
+        im_ps = np.zeros_like(phi.values)
+    else:
+        im_p = np.zeros_like(phi.values)
+        im_ps = problem.apply_P_star(problem.apply_P(n_phi)).values
+    size = problem.norm(phi)
+    form = lambda v: DiscreteForm(deg, v)
+    identity = problem.norm(form(problem.apply_box(n_phi).values + harm.values - phi.values))
+    npi = max(problem.norm(problem.apply_N(harm)), problem.norm(problem.apply_pi(n_phi)))
+    ortho = problem.norm(form(harm.values + im_p + im_ps - phi.values)) / size
+    pieces = [harm.values, im_p, im_ps]
+    for a in range(3):
+        for b in range(a + 1, 3):
+            ortho = max(ortho, abs(problem.inner(form(pieces[a]), form(pieces[b]))) / size**2)
+    return [identity / size, npi, ortho]
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_shared_trial_solves_match_the_operators_one_trial_at_a_time(degree):
+    problem = NeumannProblem(AnnulusGrid(RHO0, 16, 32), eps=0.2, profile=bump_on(RHO0))
+    rng = np.random.default_rng(degree)
+    stack = DiscreteForm(degree, np.stack([problem.random_form(degree, rng).values
+                                           for _ in range(5)]))
+    n_phi, harm, im_p, im_ps = neumann._hodge_split(problem, stack)
+    per_trial = neumann._trial_residuals(problem, stack)
+    for t, values in enumerate(stack.values):
+        phi = DiscreteForm(degree, values)
+        assert np.array_equal(n_phi.values[t], problem.apply_N(phi).values)
+        assert np.array_equal(harm.values[t], problem.apply_pi(phi).values)
+        split = hodge_split(problem, phi)
+        for got, want in zip((harm, im_p, im_ps), split):
+            assert np.array_equal(got.values[t], want.values)
+        assert [r[t] for r in per_trial] == per_trial_residuals(problem, phi)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_dbar_report_rejects_trials_below_one(trials):
+    with pytest.raises(ValueError, match="trials"):
+        dbar_report(n_theta=16, n_r=32, trials=trials)

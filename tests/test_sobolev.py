@@ -170,6 +170,19 @@ def test_a_battery_takes_one_spectrum_per_field(monkeypatch, capsys):
         assert len(calls) <= limit, suite
 
 
+def test_one_plus_freq_square_is_built_once_per_grid(monkeypatch, capsys):
+    # every _lambdas and _norms of a command reads its grid's one 1 + |xi|^2
+    # (576 builds over the labs suites at seed 0 before it was kept on the grid)
+    calls = []
+    freq_square = sobolev._freq_square
+    monkeypatch.setattr(sobolev, "_freq_square", lambda *a: calls.append(a) or freq_square(*a))
+    for suite in ("A.iii", "T.iv", "subestimate"):
+        calls.clear()
+        assert main(["sobolev", "--suite", suite, "--seed", "0"]) == 0
+        assert capsys.readouterr().out
+        assert len(calls) == 1, suite
+
+
 def test_tangential_identity_cases():
     grid = HalfGrid(2, 32, 33)
     rng = np.random.default_rng(3)
