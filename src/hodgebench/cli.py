@@ -20,7 +20,7 @@ import io
 import math
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -339,14 +339,23 @@ def cmd_hodge(args) -> Tuple[Dict, int]:
 # argument wiring
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_from(lowest: int, what: str) -> Callable[[str], int]:
+    """An argparse type: an integer of at least lowest, or an error naming
+    what it expected."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lowest - 1
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"expected {what} integer, got {text!r}")
+        return value
+    return convert
+
+
+_positive_int = _int_from(1, "a positive")
+# the labs' --seed seeds numpy's generators, which take no negative seed
+_seed = _int_from(0, "a non-negative")
 
 
 class UsageError(Exception):
@@ -370,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, spec=True):
         if spec:
             p.add_argument("--spec", required=True, help="gallery name or spec file")
-        p.add_argument("--seed", type=int, default=None)
+        # a spec command's seed is only recorded in its report
+        p.add_argument("--seed", type=int if spec else _seed, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -22,10 +22,11 @@ modes and applied as stencils to all modes at once, and to stacks of fields
 at once; the Neumann operator is a band Cholesky solve in numpy, one step
 per radial node over every mode and column (see NeumannProblem).
 Eigenvalues come from numpy's dense eigvalsh of one mode's block, on
-demand: for the largest eigenvalue (which sets the harmonic cut) and the
-smallest one above the cut, on the first mode in Gershgorin order and on
-those others whose inertia (the band Cholesky pivots of S_1 - sigma I)
-lets them move that extreme or count at the cut.  The deformation norms
+demand, by one rule (_least_over_modes): solve the first mode in Gershgorin
+order, then only those others whose inertia (the band Cholesky pivots of
+the shifted band) lets them lower the least.  It gives the smallest
+eigenvalue above the harmonic cut over S_1, and the largest (which sets
+the cut) as the least of -lambda over -S_1.  The deformation norms
 ||N_eps - N_0|| come from one Lanczos process per mode and eps, stepped in
 lockstep until each converges.  The independent oracle for solve_dbar is
 the minimal-norm solution of P u = f by a Givens QR of the band of P^T,
@@ -165,16 +166,12 @@ class NeumannProblem:
     def _low_spectrum(self) -> Tuple[np.ndarray, float]:
         """Per mode, the number of eigenvalues of box_1 at or below the
         harmonic cut harmonic_tol * (largest eigenvalue); and the smallest
-        eigenvalue above the cut over all modes.  The mode of the lowest
-        Gershgorin bound is solved first; of the others, only those whose
-        inertia does not put every eigenvalue above both the cut and its
-        minimum (by 1e-10 of the upper bound, far above rounding) are
-        solved, since no other mode can count or lower it."""
+        eigenvalue above the cut over all modes, by _least_over_modes.  A
+        mode that it skips has every eigenvalue above that smallest one, so
+        none at or below the cut."""
         if self._low is None:
             cut = self.harmonic_tol * _largest_eigenvalue(self.S1)
-            lower, upper = _gershgorin(self.S1)
-            order = np.argsort(lower, kind="stable")
-            counts = np.zeros(len(lower), dtype=int)
+            counts = np.zeros(self.S1.shape[1], dtype=int)
 
             def visit(i):
                 # mode i's count at the cut, and its smallest eigenvalue above it
@@ -182,11 +179,7 @@ class NeumannProblem:
                 k = counts[i] = np.count_nonzero(lam <= cut)
                 return lam[k] if k < len(lam) else np.inf
 
-            lowest = visit(order[0])
-            rest = order[1:]
-            for i in rest[~_above(self.S1[:, rest], max(cut, lowest) + 1e-10 * upper[rest])]:
-                lowest = min(lowest, visit(i))
-            self._low = (counts, float(lowest))
+            self._low = (counts, float(_least_over_modes(self.S1, visit)))
         return self._low
 
     def harmonic_dim(self, degree: int) -> int:
@@ -340,46 +333,43 @@ class NeumannProblem:
 
 def _gershgorin(S1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per mode of an upper-banded pentadiagonal stack (band row, mode,
-    node), the lower and upper Gershgorin bounds of its eigenvalues, widened
-    by 1e-10 of the upper one (at least the mode's 2-norm): far above the
-    rounding of a backward-stable eigensolver."""
+    node), the lower and upper Gershgorin bounds of its eigenvalues."""
     a = np.abs(S1)
     # row j: S[j, j-1] and S[j, j-2] sit in column j of band rows 1 and 0,
     # S[j, j+1] and S[j, j+2] in columns j + 1 and j + 2
     off = a[1] + a[0]
     off[:, :-1] += a[1, :, 1:]
     off[:, :-2] += a[0, :, 2:]
-    upper = (S1[2] + off).max(axis=1)
-    lower = (S1[2] - off).min(axis=1) - 1e-10 * upper
-    return lower, upper * (1.0 + 1e-10)
+    return (S1[2] - off).min(axis=1), (S1[2] + off).max(axis=1)
 
 
 def _largest_eigenvalue(S1: np.ndarray) -> float:
     """The largest eigenvalue over all modes of an upper-banded pentadiagonal
-    stack (band row, mode, node), as the maximum of the per-mode spectra,
-    with most of them skipped.
+    stack (band row, mode, node), to the bit the maximum of the per-mode
+    spectra: the least of -lambda over -S_1 by _least_over_modes."""
+    return -_least_over_modes(-S1, lambda i: -_mode_eigenvalues(S1, i)[-1])
 
-    The mode of the largest upper Gershgorin bound is solved first; of the
-    others, only those whose inertia does not put every eigenvalue below
-    its largest (by 1e-10 of the bound, far above rounding) are solved.  No
-    other mode can exceed it, so the maximum is the same to the bit.
+
+def _least_over_modes(band: np.ndarray, visit: Callable[[int], float]) -> float:
+    """The least of visit(i), at least mode i's smallest eigenvalue, over the
+    modes i of an upper-banded pentadiagonal stack (band row, mode, node).
+
+    The mode of the lowest Gershgorin bound is visited first.  Of the others,
+    only those are visited whose block, shifted down by that first value plus
+    1e-10 of the mode's Gershgorin bound on its 2-norm (far above rounding),
+    has no band Cholesky factor with positive pivots: by Sylvester's law of
+    inertia (the factor is backward stable), a mode skipped has every
+    eigenvalue above the least, so the least is the same to the bit.
     """
-    bound = _gershgorin(S1)[1]
-    order = np.argsort(-bound, kind="stable")
-    lam_max = _mode_eigenvalues(S1, order[0])[-1]
+    lower, upper = _gershgorin(band)
+    order = np.argsort(lower, kind="stable")
+    least = visit(order[0])
     rest = order[1:]
-    for i in rest[~_above(-S1[:, rest], 1e-10 * bound[rest] - lam_max)]:
-        lam_max = max(lam_max, _mode_eigenvalues(S1, i)[-1])
-    return lam_max
-
-
-def _above(band: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Per mode of an upper-banded pentadiagonal stack (a copy, shifted in
-    place), whether every eigenvalue lies above the mode's shift: whether
-    band - shift I has a band Cholesky factor with positive pivots
-    (Sylvester's law of inertia; the factor is backward stable)."""
-    band[2] -= shift[:, None]
-    return np.all(_band_cholesky(band)[2] > 0, axis=1)
+    shifted = band[:, rest]
+    shifted[2] -= (least + 1e-10 * np.maximum(upper, -lower)[rest])[:, None]
+    for i in rest[~np.all(_band_cholesky(shifted)[2] > 0, axis=0)]:
+        least = min(least, visit(i))
+    return least
 
 
 def _mode_eigenvalues(S1: np.ndarray, i: int) -> np.ndarray:
@@ -399,9 +389,9 @@ def _band_cholesky(S1: np.ndarray) -> np.ndarray:
     One step per node over all modes (Golub & Van Loan, Matrix
     Computations, 4th ed., 4.3.5): column j of S = U^T U gives U[j-2, j],
     then U[j-1, j], then U[j, j].  Where S is not positive definite, some
-    pivot U[j, j] comes out zero or NaN instead of positive.  U is stored
-    node by node: U.transpose(0, 2, 1) is C-contiguous, with one node of
-    every mode in one row.
+    pivot U[j, j] comes out zero or NaN instead of positive.  U is returned
+    as it is stored, node by node, axes (band row, node, mode): C-contiguous,
+    with one node of every mode in one row.
     """
     s2, s1, d = (list(r) for r in S1.transpose(0, 2, 1))
     U = np.zeros(S1.shape[:1] + S1.shape[:0:-1])
@@ -417,17 +407,18 @@ def _band_cholesky(S1: np.ndarray) -> np.ndarray:
             np.subtract(d[j], np.multiply(u0[j], u0[j], out=t), out=t)
             t -= np.multiply(u1[j], u1[j], out=t2)
             np.sqrt(t, out=u2[j])
-    return U.transpose(0, 2, 1)
+    return U
 
 
 def _band_solve(U: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(U^T U)^{-1} x in place, for U from _band_cholesky and x a
+    """(U^T U)^{-1} x in place, for U from _band_cholesky (axes band row,
+    node, mode, or several such factors joined along the mode axis) and x a
     C-contiguous float stack of axes (node, columns..., mode): forward
     through U^T, then back through U, one step per node over every column
     and mode.  The mode axis is last, so that a node's row of U is read
     along the contiguous axis of x."""
     n = x.shape[0]
-    u0, u1, u2 = (list(u) for u in U.transpose(0, 2, 1))
+    u0, u1, u2 = (list(u) for u in U)
     rows = list(x)
     t = np.empty_like(rows[0])
     for j in range(n):
@@ -503,24 +494,12 @@ def solve_dbar_lstsq(problem: NeumannProblem, f: DiscreteForm) -> DiscreteForm:
 
 
 def hodge_split(problem: NeumannProblem, phi: DiscreteForm):
-    """Orthogonal decomposition phi = harmonic + P(...) + P*(...)."""
-    return _hodge_split(problem, phi)[1:]
-
-
-def _hodge_split(problem: NeumannProblem, phi: DiscreteForm):
-    """N phi, then hodge_split of phi; N phi and pi phi are bit for bit what
-    apply_N and apply_pi give, at degree 0 both from one solve N_1 P phi."""
-    if phi.degree == 1:
-        n_phi, harm = problem.apply_N(phi), problem.apply_pi(phi)
-        im_p = problem.apply_P(problem.apply_P_star(n_phi))
-        im_p_star = DiscreteForm(1, np.zeros_like(phi.values))
-    else:
-        y = problem._N1(problem._P(phi.values))
-        n_phi = DiscreteForm(0, problem._P_star(problem._N1(y)))
-        harm = DiscreteForm(0, phi.values - problem._P_star(y))
-        im_p = DiscreteForm(0, np.zeros_like(phi.values))
-        im_p_star = problem.apply_P_star(problem.apply_P(n_phi))
-    return n_phi, harm, im_p, im_p_star
+    """Orthogonal decomposition phi = harmonic + P(...) + P*(...): pi phi,
+    then box N phi in the slot of its range (P at degree 1, P* at degree 0)
+    and zero in the other."""
+    exact = problem.apply_box(problem.apply_N(phi))
+    zero = DiscreteForm(phi.degree, np.zeros_like(phi.values))
+    return (problem.apply_pi(phi),) + ((exact, zero) if phi.degree == 1 else (zero, exact))
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +616,7 @@ def _norm_diffs(problems: Sequence[NeumannProblem], base: NeumannProblem) -> Lis
     # the factors raise on a degree-1 harmonic obstruction, as N itself does,
     # and are joined node by node, as they are stored, axes (band, node, block)
     factors = [p._factors() for p in problems] + [base._factors()] * len(problems)
-    F = np.concatenate([U.transpose(0, 2, 1) for U in factors], axis=2)
+    F = np.concatenate(factors, axis=2)
     n_modes, n = base.S1.shape[1:]
     owner = np.repeat(np.arange(len(problems)), n_modes)  # each live block's problem
     top = np.zeros(len(problems))
@@ -648,7 +627,7 @@ def _norm_diffs(problems: Sequence[NeumannProblem], base: NeumannProblem) -> Lis
     for k in range(1, n + 1):
         # the right-hand sides, the problems' blocks then the base's
         x = np.concatenate([V[-1].T, V[-1].T], axis=1)
-        _band_solve(F.transpose(0, 2, 1), x)
+        _band_solve(F, x)
         m = len(owner)
         w = np.subtract(x[:, :m].T, x[:, m:].T, out=np.empty((m, n)))
         alpha.append(np.einsum("mn,mn->m", V[-1], w))
@@ -722,28 +701,25 @@ _TRIAL_BLOCK_NODES = 2**17
 def _trial_residuals(problem: NeumannProblem, phi: DiscreteForm) -> List[np.ndarray]:
     """Per field of a stack phi of one degree: the identity residual
     ||box N phi + pi phi - phi|| / ||phi||; the larger of ||N pi phi|| and
-    ||pi N phi||; and the worst defect of the split phi = harm + P(..) +
-    P*(..), its completeness relative to ||phi|| and the pairwise inner
-    products of its pieces relative to ||phi||^2."""
+    ||pi N phi||; and the worst defect of hodge_split, the larger of its
+    completeness relative to ||phi|| (the identity residual, as its nonzero
+    pieces are pi phi and box N phi) and |<pi phi, box N phi>| / ||phi||^2
+    (its other inner products are with its zero piece)."""
     deg = phi.degree
 
     def norms(values):
         return np.array([problem.norm(DiscreteForm(deg, v)) for v in values])
 
-    n_phi, harm, im_p, im_ps = _hodge_split(problem, phi)
+    n_phi, harm = problem.apply_N(phi), problem.apply_pi(phi)
+    exact = problem.apply_box(n_phi).values
     size = norms(phi.values)
-    identity = norms(problem.apply_box(n_phi).values + harm.values - phi.values) / size
+    identity = norms(exact + harm.values - phi.values) / size
     # pi is zero at degree 1, and so is N pi phi
     n_harm = problem.apply_N(harm) if deg == 0 else harm
     npi = np.maximum(norms(n_harm.values), norms(problem.apply_pi(n_phi).values))
-    ortho = norms(harm.values + im_p.values + im_ps.values - phi.values) / size
-    pieces = [harm.values, im_p.values, im_ps.values]
-    for a in range(3):
-        for b in range(a + 1, 3):
-            ip = [abs(problem.inner(DiscreteForm(deg, x), DiscreteForm(deg, y)))
-                  for x, y in zip(pieces[a], pieces[b])]
-            ortho = np.maximum(ortho, np.array(ip) / size**2)
-    return [identity, npi, ortho]
+    ip = [abs(problem.inner(DiscreteForm(deg, x), DiscreteForm(deg, y)))
+          for x, y in zip(harm.values, exact)]
+    return [identity, npi, np.maximum(identity, np.array(ip) / size**2)]
 
 
 def dbar_report(

@@ -47,6 +47,19 @@ KIND_PREFIXES: Dict[str, Tuple[str, ...]] = {
     "graph_two_form": ("omega_",),
     "custom": ("anchor_", "structure_"),
 }
+TABLE_PREFIXES = sum(KIND_PREFIXES.values(), ())
+
+# the keys each section takes; [algebroid] also takes table entries, by the
+# prefixes above.  A key that the chosen sampler or kind does not read is
+# still valid, so that a spec can switch samplers by one line
+SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
+    "chart": ("dim", "complex"),
+    "boundary": ("r", "sampler", "samples", "locus_samples", "inner_radius"),
+    "algebroid": ("kind", "n"),
+    "options": ("rank_tol", "eig_zero_tol", "seed"),
+}
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class SpecError(ValueError):
@@ -174,6 +187,10 @@ def parse_specfile(text: str) -> SpecFile:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current not in SECTION_KEYS:
+                raise SpecError(f"line {lineno}: unknown section [{current}] "
+                                f"(expected one of {', '.join(SECTION_KEYS)})")
+            # a repeated section continues the first
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -181,7 +198,13 @@ def parse_specfile(text: str) -> SpecFile:
         if current is None:
             raise SpecError(f"line {lineno}: entry before any [section]")
         key, _, value = line.partition("=")
-        sections[current][key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        table = current == "algebroid" and key.startswith(TABLE_PREFIXES)
+        if key not in SECTION_KEYS[current] and not table:
+            raise SpecError(f"line {lineno}: [{current}] has no key {key!r}")
+        if key in sections[current]:
+            raise SpecError(f"line {lineno}: [{current}] {key} is given twice")
+        sections[current][key] = value.strip()
     for needed in ("chart", "boundary", "algebroid"):
         if needed not in sections:
             raise SpecError(f"missing [{needed}] section")
@@ -189,7 +212,10 @@ def parse_specfile(text: str) -> SpecFile:
     if "dim" not in chart_sec:
         raise SpecError("[chart] needs dim")
     dim = _number(sections, "chart", "dim", int, None)
-    complex_pairs = chart_sec.get("complex", "false").lower() in ("1", "true", "yes")
+    complex_text = chart_sec.get("complex", "false")
+    complex_pairs = _BOOLEANS.get(complex_text.lower())
+    if complex_pairs is None:
+        raise SpecError(f"[chart] complex must be true or false, got {complex_text!r}")
     if complex_pairs and dim % 2:
         raise SpecError("complex charts need even dimension")
     bd_sec = sections["boundary"]
@@ -199,11 +225,7 @@ def parse_specfile(text: str) -> SpecFile:
     kind = alg_sec.get("kind", "")
     if kind not in ALGEBROID_KINDS:
         raise SpecError(f"unknown algebroid kind {kind!r}")
-    entries = {
-        k: _unquote(v)
-        for k, v in alg_sec.items()
-        if k.startswith(sum(KIND_PREFIXES.values(), ()))
-    }
+    entries = {k: _unquote(v) for k, v in alg_sec.items() if k.startswith(TABLE_PREFIXES)}
     spec = SpecFile(
         chart_dim=dim,
         complex_pairs=complex_pairs,

@@ -286,6 +286,9 @@ def test_nonpositive_counts_are_rejected(capsys, argv):
         # an [algebroid] table entry with another kind's prefix
         ["dsq", "--spec", str(SPECS / "holomorphic_poisson_with_pi_entry.spec")],
         ["dsq", "--spec", str(SPECS / "antiholomorphic_with_sigma_entry.spec")],
+        # the labs' seed seeds numpy, which takes no negative seed
+        ["sobolev", "--seed", "-1", "--suite", "A.ii"],
+        ["hodge", "--seed", "-1"],
     ],
 )
 def test_rejected_command_lines_exit_1_with_one_line(capsys, argv):
@@ -293,6 +296,8 @@ def test_rejected_command_lines_exit_1_with_one_line(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if "--seed" in argv:
+        assert "--seed" in captured.err
 
 
 def test_unreadable_spec_and_unwritable_out_exit_1_with_one_line(tmp_path, capsys):

@@ -904,7 +904,7 @@ def test_band_cholesky_and_solve_match_lapack(n_theta, n_r, eps):
     S1 = prob.S1
     U = neumann._band_cholesky(S1)
     want = scipy.linalg.cholesky_banded(S1.reshape(3, -1)).reshape(S1.shape)
-    assert np.abs(U - want).max() <= LAPACK_REL * np.abs(want).max()
+    assert np.abs(U.transpose(0, 2, 1) - want).max() <= LAPACK_REL * np.abs(want).max()
     # a stack of fields and parts, axes (node, field, part, mode)
     b = np.random.default_rng(n_r).normal(size=(S1.shape[2], 3, 2, S1.shape[1]))
     got = neumann._band_solve(U, b.copy())
@@ -934,7 +934,7 @@ def test_band_cholesky_flags_what_is_not_positive_definite():
         shifted = S1.copy()
         shifted[2] -= np.array(shift)[:, None]
         U = neumann._band_cholesky(shifted)
-        assert (np.all(U[2] > 0, axis=1) == definite).all()
+        assert (np.all(U[2] > 0, axis=0) == definite).all()
 
 
 def dense_qr_minimal_norm(problem, f):
@@ -998,7 +998,7 @@ def undeflated_norm_diffs(problems, base):
     and a problem's norm is its largest |theta| at the first step where
     none of its blocks can reach past it."""
     factors = [p._factors() for p in problems] + [base._factors()] * len(problems)
-    F = np.concatenate([U.transpose(0, 2, 1) for U in factors], axis=2).transpose(0, 2, 1)
+    F = np.concatenate(factors, axis=2)
     n_modes, n = base.S1.shape[1:]
     m = len(problems) * n_modes
     V = np.empty((n, m, n))
@@ -1059,7 +1059,8 @@ def test_deflated_norm_diffs_of_a_zero_deformation_are_exactly_zero():
 
 
 # ---------------------------------------------------------------------------
-# the trials' shared solves, against the public operators one trial at a time
+# the trials' stacked operators, against the public operators one trial at a
+# time
 
 
 def per_trial_residuals(problem, phi):
@@ -1085,22 +1086,50 @@ def per_trial_residuals(problem, phi):
     return [identity / size, npi, ortho]
 
 
+def trial_problems():
+    """A deformed coarse problem and the labs workload's 64 x 64 one."""
+    return [NeumannProblem(AnnulusGrid(RHO0, 16, 32), eps=0.2, profile=bump_on(RHO0)),
+            NeumannProblem(AnnulusGrid(RHO0, 64, 64))]
+
+
+def random_stack(problem, degree, trials=5):
+    rng = np.random.default_rng(degree)
+    return DiscreteForm(degree, np.stack([problem.random_form(degree, rng).values
+                                          for _ in range(trials)]))
+
+
 @pytest.mark.parametrize("degree", [0, 1])
 def test_shared_trial_solves_match_the_operators_one_trial_at_a_time(degree):
-    problem = NeumannProblem(AnnulusGrid(RHO0, 16, 32), eps=0.2, profile=bump_on(RHO0))
-    rng = np.random.default_rng(degree)
-    stack = DiscreteForm(degree, np.stack([problem.random_form(degree, rng).values
-                                           for _ in range(5)]))
-    n_phi, harm, im_p, im_ps = neumann._hodge_split(problem, stack)
-    per_trial = neumann._trial_residuals(problem, stack)
+    for problem in trial_problems():
+        stack = random_stack(problem, degree)
+        per_trial = neumann._trial_residuals(problem, stack)
+        for t, values in enumerate(stack.values):
+            phi = DiscreteForm(degree, values)
+            assert [r[t] for r in per_trial] == per_trial_residuals(problem, phi)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_hodge_split_is_pi_and_box_N_from_the_operators(degree):
+    problem = trial_problems()[0]
+    stack = random_stack(problem, degree)
+
+    def split(phi):
+        # pi phi, box N phi composed from P and P*, the zero piece
+        harm, im_p, im_ps = hodge_split(problem, phi)
+        exact, zero = (im_p, im_ps) if degree == 1 else (im_ps, im_p)
+        assert zero.degree == degree and zero.values.shape == phi.values.shape
+        assert not zero.values.any()
+        n_phi = problem.apply_N(phi)
+        box_n = (problem.apply_P(problem.apply_P_star(n_phi)) if degree == 1
+                 else problem.apply_P_star(problem.apply_P(n_phi)))
+        assert np.array_equal(exact.values, box_n.values)
+        assert np.array_equal(harm.values, problem.apply_pi(phi).values)
+        return n_phi.values, harm.values, exact.values
+
+    stacked = split(stack)
     for t, values in enumerate(stack.values):
-        phi = DiscreteForm(degree, values)
-        assert np.array_equal(n_phi.values[t], problem.apply_N(phi).values)
-        assert np.array_equal(harm.values[t], problem.apply_pi(phi).values)
-        split = hodge_split(problem, phi)
-        for got, want in zip((harm, im_p, im_ps), split):
-            assert np.array_equal(got.values[t], want.values)
-        assert [r[t] for r in per_trial] == per_trial_residuals(problem, phi)
+        for got, want in zip(stacked, split(DiscreteForm(degree, values))):
+            assert np.array_equal(got[t], want)
 
 
 @pytest.mark.parametrize("trials", [0, -3])

@@ -186,6 +186,39 @@ def test_numbers_that_do_not_parse_are_rejected_by_name(
     assert f"[{section}] {key} must be " in err and repr(value) in err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[options]", "[option]", "unknown section [option]"),
+        ("samples = 16", "sampels = 20", "[boundary] has no key 'sampels'"),
+        ("kind = custom", "kind = custom\nfoo = 1", "[algebroid] has no key 'foo'"),
+        ("dim = 2", "dim = 2\nsigma_1_2 = \"1\"", "[chart] has no key 'sigma_1_2'"),
+        ("samples = 16", "samples = 16\nsamples = 20", "[boundary] samples is given twice"),
+        ("seed = 3", "seed = 3\n\n[options]\nseed = 4", "[options] seed is given twice"),
+        ("dim = 2", "dim = 2\ncomplex = maybe", "[chart] complex must be true or false, got 'maybe'"),
+        ("dim = 2", "dim = 2\ncomplex = on", "[chart] complex must be true or false, got 'on'"),
+    ],
+)
+def test_what_the_parser_does_not_read_is_rejected_by_name(tmp_path, capsys, old, new, message):
+    # each of these used to be passed over, or read as a real chart
+    assert old in CUSTOM
+    err = _cli_error(tmp_path, capsys, CUSTOM.replace(old, new, 1), "dsq")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "value, want", [("TRUE", True), ("yes", True), ("1", True), ("False", False), ("no", False), ("0", False)]
+)
+def test_chart_complex_takes_the_boolean_spellings(value, want):
+    text = CUSTOM.replace("dim = 2", f"dim = 2\ncomplex = {value}")
+    assert parse_specfile(text).complex_pairs is want
+
+
+def test_repeated_sections_continue_the_first():
+    spec = parse_specfile(CUSTOM + "\n[options]\nrank_tol = 1e-6\n")
+    assert (spec.seed, spec.rank_tol) == (3, 1e-6)
+
+
 def test_table_keys_that_are_not_numbered_are_rejected():
     text = CUSTOM.replace("structure_1_2", "structure_1_b")
     with pytest.raises(SpecError, match=re.escape("bad table key 'structure_1_b'")):
