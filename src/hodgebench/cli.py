@@ -299,11 +299,9 @@ def cmd_sobolev(args) -> Tuple[Dict, int]:
         result = kernel_lemma_check(part, quad_order=args.quad_order)
         result["pass"] = result["max_violation"] <= 1e-12
         code = 0 if result["pass"] else 2
-    elif suite.startswith("A."):
-        grid = TorusGrid(2, args.grid)
-        result = leibniz_battery(suite, grid, trials=args.trials, seed=seed)
     else:
-        grid = HalfGrid(2, args.grid, args.grid // 2 + 1)
+        grid = (TorusGrid(2, args.grid) if suite.startswith("A.")
+                else HalfGrid(2, args.grid, args.grid // 2 + 1))
         if suite == "subestimate":
             result = half_space_subestimate(grid, trials=args.trials, seed=seed)
         else:

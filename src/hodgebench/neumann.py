@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sobolev import _order_stats
+from .sobolev import _check_nodes, _order_stats
 
 __all__ = [
     "AnnulusGrid",
@@ -53,11 +53,6 @@ __all__ = [
     "family_continuity",
     "dbar_report",
 ]
-
-
-# the most nodes n_theta * n_r, 16 times 256 x 256; checked before any array
-# exists, since an overcommitted allocation succeeds and is killed later
-_MAX_NODES = 2**20
 
 
 @dataclass(frozen=True)
@@ -73,9 +68,7 @@ class AnnulusGrid:
             raise ValueError("need at least 16 radial points")
         if self.n_theta < 4 or self.n_theta % 2:
             raise ValueError("n_theta must be even and >= 4")
-        if self.n_theta * self.n_r > _MAX_NODES:
-            raise MemoryError(f"annulus grid of {self.n_theta} x {self.n_r} nodes "
-                              f"exceeds the limit of {_MAX_NODES} nodes")
+        _check_nodes("annulus", (self.n_theta, self.n_r))
 
     @property
     def h(self) -> float:

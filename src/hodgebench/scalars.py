@@ -30,6 +30,7 @@ __all__ = [
     "eval_table",
     "ExprSyntaxError",
     "UnknownVariableError",
+    "ExprSizeError",
     "parse_expr",
     "const",
     "var",
@@ -115,7 +116,20 @@ def _poly_neg(p: dict) -> dict:
     return {mono: -c for mono, c in p.items()}
 
 
+# the most term pairs of one polynomial product: exact arithmetic is refused
+# before its work starts, not after it has run for seconds (the gallery's
+# products stay below 200, the largest algebroid the tests may draw needs 23,814)
+_MAX_TERM_PAIRS = 10**5
+
+
+class ExprSizeError(ValueError):
+    """A product of exact polynomials past _MAX_TERM_PAIRS term pairs."""
+
+
 def _poly_mul(p: dict, q: dict) -> dict:
+    if len(p) * len(q) > _MAX_TERM_PAIRS:
+        raise ExprSizeError(f"a product of {len(p)} x {len(q)} polynomial terms exceeds "
+                            f"the limit of {_MAX_TERM_PAIRS} term pairs")
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():

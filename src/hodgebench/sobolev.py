@@ -6,9 +6,13 @@ torus acts as a Schwartz-space proxy.  Tangential operators live on a
 (torus)^{m-1} x [-R, 0] half grid; the radial direction is non-periodic and
 differentiated with 4th-order finite differences.
 
-Fields are plain complex ndarrays; the grid objects carry geometry, norms
-and multipliers.  Inequality batteries report empirical LHS/RHS ratios with
-C = 1; the underlying constants are existential, so acceptance is
+Fields are plain complex ndarrays.  Each grid carries its geometry and the
+three things that differ between the families: the axes Lambda acts on, the
+sum that turns a weighted power density into a norm (plain, or trapezoid in
+r) and the derivative along one axis.  No operator reads the grid type, so
+lambda_tangential is lambda_full and tangential_norm is sobolev_norm.
+Inequality batteries report empirical LHS/RHS ratios with C = 1; the
+underlying constants are existential, so acceptance is
 "finite, seed-reproducible, refinement-stable", never a fixed bound.
 """
 
@@ -18,7 +22,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from itertools import accumulate, product
-from typing import Callable, ClassVar, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 # numpy loads these submodules on first use; importing them here keeps that
@@ -52,7 +56,19 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+# the most nodes of any grid, the annulus of neumann's included: 16 times
+# 256 x 256; checked before any array exists, since an overcommitted
+# allocation succeeds and is killed later
+_MAX_NODES = 2**20
 
+
+def _check_nodes(kind: str, shape: Tuple[int, ...]) -> None:
+    if math.prod(shape) > _MAX_NODES:
+        raise MemoryError(f"{kind} grid of {' x '.join(map(str, shape))} nodes "
+                          f"exceeds the limit of {_MAX_NODES} nodes")
+
+
+@cache  # read by every spectral derivative; callers do not write to it
 def _wavenumbers(n: int, box: float) -> np.ndarray:
     """Angular wavenumbers of an n-point periodic axis of length box, in
     FFT order."""
@@ -72,10 +88,10 @@ def _freq_square(n: int, box: float, dims: int) -> np.ndarray:
     return sum(_along(square, axis, dims) for axis in range(dims))
 
 
-def _spectral_derivative(phi: np.ndarray, axis: int, k: np.ndarray) -> np.ndarray:
-    """d/dx along one periodic axis whose wavenumbers are k."""
+def _spectral_derivative(phi: np.ndarray, axis: int, n: int, box: float) -> np.ndarray:
+    """d/dx along one periodic axis of n points and length box."""
     spec = fft(phi, axis=axis)
-    return ifft(spec * _along(1j * k, axis, phi.ndim), axis=axis)
+    return ifft(spec * _along(1j * _wavenumbers(n, box), axis, phi.ndim), axis=axis)
 
 
 @dataclass(frozen=True)
@@ -90,6 +106,7 @@ class TorusGrid:
             raise ValueError("points per axis must be a power of two, >= 16")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        _check_nodes(self.kind, self.shape)
 
     @property
     def shape(self):
@@ -111,9 +128,20 @@ class TorusGrid:
         """1 + |xi|^2, once per grid, for every _lambdas and _norms."""
         return 1.0 + self.freq_square()
 
+    @cached_property
+    def _lambda_axes(self) -> Tuple[int, ...]:
+        return tuple(range(self.dim))  # every axis
 
-def lambda_full(grid: TorusGrid, phi: np.ndarray, s: float) -> np.ndarray:
-    """(1 + |xi|^2)^{s/2} as a Fourier multiplier."""
+    def _total(self, density: np.ndarray) -> float:
+        return np.sum(density)
+
+    def _derivative(self, phi: np.ndarray, axis: int) -> np.ndarray:
+        return _spectral_derivative(phi, axis, self.n, self.box)
+
+
+def lambda_full(grid, phi: np.ndarray, s: float) -> np.ndarray:
+    """(1 + |xi|^2)^{s/2} as a Fourier multiplier on the grid's Lambda axes:
+    full-space on a TorusGrid, tangential, per radial slice, on a HalfGrid."""
     return _lambdas(grid, phi)(s)
 
 
@@ -121,8 +149,12 @@ def l2_inner(grid: TorusGrid, phi: np.ndarray, psi: np.ndarray) -> complex:
     return complex(np.sum(phi * np.conj(psi)) * grid.cell)
 
 
-def sobolev_norm(grid: TorusGrid, phi: np.ndarray, s: float = 0.0) -> float:
+def sobolev_norm(grid, phi: np.ndarray, s: float = 0.0) -> float:
     return _norms(grid, phi)(s)
+
+
+# the tangential family's names, for a HalfGrid
+lambda_tangential, tangential_norm = lambda_full, sobolev_norm
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +178,7 @@ class HalfGrid:
         if self.n_r < 5:
             # the one-sided ends of radial_derivative read five nodes
             raise ValueError(f"half grid needs n_r >= 5 radial points, got {self.n_r}")
+        _check_nodes(self.kind, self.shape)
 
     @property
     def shape(self):
@@ -176,51 +209,43 @@ class HalfGrid:
         """1 + |tau|^2, once per grid, for every _lambdas and _norms."""
         return 1.0 + self.tangential_freq_square()
 
+    @cached_property
+    def _lambda_axes(self) -> Tuple[int, ...]:
+        return tuple(range(self.dim - 1))  # the tangential axes
 
-def _t_axes(grid: HalfGrid):
-    return tuple(range(grid.dim - 1))
+    def _total(self, density: np.ndarray) -> float:
+        # over the tangential axes, then by the trapezoid rule in r
+        return np.sum(np.sum(density, axis=self._lambda_axes) * self.r_weights())
 
-
-def lambda_tangential(grid: HalfGrid, phi: np.ndarray, s: float) -> np.ndarray:
-    """(1 + |tau|^2)^{s/2} acting per radial slice."""
-    return _lambdas(grid, phi)(s)
-
-
-def tangential_norm(grid: HalfGrid, phi: np.ndarray, s: float = 0.0) -> float:
-    return _norms(grid, phi)(s)
+    def _derivative(self, phi: np.ndarray, axis: int) -> np.ndarray:
+        # the 4th-order stencil on the radial (last) axis
+        if axis == self.dim - 1:
+            return radial_derivative(self, phi)
+        return _spectral_derivative(phi, axis, self.n_t, self.box)
 
 
 def _spectrum(grid, phi: np.ndarray) -> np.ndarray:
-    """fftn of phi along the axes Lambda acts on: every axis of a TorusGrid,
-    the tangential ones of a HalfGrid."""
-    return fftn(phi) if isinstance(grid, TorusGrid) else fftn(phi, axes=_t_axes(grid))
+    """fftn of phi along the axes Lambda acts on."""
+    return fftn(phi, axes=grid._lambda_axes)
 
 
 def _lambdas(grid, phi: np.ndarray, spec: Optional[np.ndarray] = None) -> Callable:
-    """s -> Lambda^s phi, full (lambda_full) or tangential
-    (lambda_tangential) by the grid type, from one spectrum of phi
-    (``spec``, or taken at the first s != 0); each s is computed once."""
-    weight = grid._weight
-    inverse = ifftn if isinstance(grid, TorusGrid) else lambda x: ifftn(x, axes=_t_axes(grid))
+    """s -> Lambda^s phi (lambda_full) from one spectrum of phi (``spec``,
+    or taken at the first s != 0); each s is computed once."""
+    axes, weight = grid._lambda_axes, grid._weight
     spectrum = cache(lambda: _spectrum(grid, phi) if spec is None else spec)
-    return cache(lambda s: phi.copy() if s == 0 else inverse(spectrum() * weight ** (s / 2.0)))
+    return cache(lambda s: phi.copy() if s == 0 else ifftn(spectrum() * weight ** (s / 2.0), axes=axes))
 
 
 def _norms(grid, phi: np.ndarray, spec: Optional[np.ndarray] = None) -> Callable[[float], float]:
-    """s -> ||phi||_s from one |fftn(phi) / N|^2 (``spec`` is phi's
-    _spectrum, if taken already) and one 1 + |xi|^2: the full-space H^s norm
-    on a TorusGrid, the tangential one (trapezoid rule in r) on a HalfGrid;
-    each s adds one power and one weighted sum."""
+    """s -> ||phi||_s (sobolev_norm) from one |fftn(phi) / N|^2 (``spec`` is
+    phi's _spectrum, if taken already; N the points on the Lambda axes) and
+    one 1 + |xi|^2; each s adds one power and the grid's weighted sum."""
     spec = _spectrum(grid, phi) if spec is None else spec
-    if isinstance(grid, TorusGrid):
-        power = np.abs(spec / phi.size) ** 2
-        total = lambda w: np.sum(w * power) * grid.box**grid.dim
-    else:
-        axes = _t_axes(grid)
-        power = np.abs(spec / (grid.n_t ** (grid.dim - 1))) ** 2
-        r_weights, box = grid.r_weights(), grid.box ** (grid.dim - 1)
-        total = lambda w: np.sum(np.sum(w * power, axis=axes) * r_weights) * box
-    return cache(lambda s: float(np.sqrt(total(grid._weight**s))))
+    axes = grid._lambda_axes
+    power = np.abs(spec / math.prod(phi.shape[a] for a in axes)) ** 2
+    box = grid.box ** len(axes)
+    return cache(lambda s: float(np.sqrt(grid._total(grid._weight**s * power) * box)))
 
 
 def half_inner(grid: HalfGrid, phi: np.ndarray, psi: np.ndarray) -> complex:
@@ -268,38 +293,11 @@ def d_norm(grid: HalfGrid, phi: np.ndarray, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-grid operators
-
-
-class _Operators(NamedTuple):
-    random_field: Callable  # (grid, rng) -> battery field
-    derivative: Callable  # (phi, axis) -> d phi / dx_axis
-
-
-def _operators(grid) -> _Operators:
-    """The operators of a grid: full-space ones, spectral on every axis, for
-    a TorusGrid; tangential ones, with the 4th-order stencil on the radial
-    (last) axis, for a HalfGrid.  The norms part the same way in _norms."""
-    if isinstance(grid, TorusGrid):
-        k = _wavenumbers(grid.n, grid.box)
-        derivative = lambda phi, axis: _spectral_derivative(phi, axis, k)
-        return _Operators(random_torus_field, derivative)
-    k = _wavenumbers(grid.n_t, grid.box)
-
-    def derivative(phi, axis):
-        if axis == grid.dim - 1:
-            return radial_derivative(grid, phi)
-        return _spectral_derivative(phi, axis, k)
-
-    return _Operators(random_half_field, derivative)
-
-
-# ---------------------------------------------------------------------------
 # commutators
 
 
 def commutator(grid, k: float, f: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """[Lambda^k, f] phi (full or tangential, keyed by the grid type)."""
+    """[Lambda^k, f] phi (full or tangential, as the grid's Lambda is)."""
     return _commutator(k, f, _lambdas(grid, f * phi), _lambdas(grid, phi))
 
 
@@ -589,8 +587,7 @@ def random_half_field(grid: HalfGrid, rng: Generator) -> np.ndarray:
 
 def ck_norms(grid, f: np.ndarray, order: int) -> List[float]:
     """The C^0, ..., C^order norms of f: entry j is the max over |alpha| <= j
-    of sup |d^alpha f| (spectral derivatives on periodic axes, 4th-order
-    differences on the radial axis).
+    of sup |d^alpha f|, by the grid's derivative.
 
     One depth-first walk of the multi-index tree: d^alpha f is one derivative
     of its parent, alpha with its last nonzero entry lowered by one, so the
@@ -598,14 +595,13 @@ def ck_norms(grid, f: np.ndarray, order: int) -> List[float]:
     keeps the maximum at each depth; the norms are their running maxima."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    derivative = _operators(grid).derivative
     level = [0.0] * (order + 1)
 
     def walk(g, first_axis, depth):
         level[depth] = max(level[depth], float(np.max(np.abs(g))))
         if depth < order:
             for axis in range(first_axis, grid.dim):
-                walk(derivative(g, axis), axis, depth + 1)
+                walk(grid._derivative(g, axis), axis, depth + 1)
 
     walk(f, 0, 0)
     return list(accumulate(level, max))
@@ -734,13 +730,13 @@ def leibniz_battery(
     """
     family, part = inequality.split(".")
     tangential = family == "T"
-    if tangential and not isinstance(grid, HalfGrid):
+    if tangential and getattr(grid, "kind", None) != HalfGrid.kind:
         raise TypeError("tangential batteries need a HalfGrid")
-    if not tangential and not isinstance(grid, TorusGrid):
+    if not tangential and getattr(grid, "kind", None) != TorusGrid.kind:
         raise TypeError("full-space batteries need a TorusGrid")
     a = 1.0 + grid.dim / 2.0
-    ops = _operators(grid)
     cases = _battery_cases(part)
+    random_field = random_half_field if tangential else random_torus_field
     if tangential:
         order = _coeff_order(a, part, cases)  # one C^k walk per field
 
@@ -756,9 +752,9 @@ def leibniz_battery(
     children = ss.spawn(trials)
     for t in range(trials):
         rng = default_rng(children[t])
-        f = ops.random_field(grid, rng)
-        phi = ops.random_field(grid, rng)
-        g = ops.random_field(grid, rng) if part == "iv" else None
+        f = random_field(grid, rng)
+        phi = random_field(grid, rng)
+        g = random_field(grid, rng) if part == "iv" else None
         nf = coeff_norm(f)
         ng = coeff_norm(g) if part == "iv" else None
         # phi, f phi (and g phi, f g phi) are transformed once for every k,
@@ -841,13 +837,12 @@ def half_space_subestimate(
     """
     if grid.dim != 2:
         raise ValueError("the sub-estimate battery runs on a 2-D half grid")
-    derivative = _operators(grid).derivative
     ss = SeedSequence([seed, 97])
     ratios = []
     for child in ss.spawn(trials):
         rng = default_rng(child)
         f = random_half_field(grid, rng)
-        df_t, df_r = derivative(f, 0), derivative(f, 1)
+        df_t, df_r = grid._derivative(f, 0), grid._derivative(f, 1)
         lhs = tangential_norm(grid, df_t, -0.5) ** 2 + tangential_norm(grid, df_r, -0.5) ** 2
         v1 = 0.5 * (df_t + 1j * df_r)
         rhs = tangential_norm(grid, v1, -0.5) ** 2 + boundary_square(grid, f)

@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,17 @@ def test_nonpositive_counts_are_rejected(capsys, argv):
         # the labs' seed seeds numpy, which takes no negative seed
         ["sobolev", "--seed", "-1", "--suite", "A.ii"],
         ["hodge", "--seed", "-1"],
+        # more than 2^20 nodes: 2048^2 on the torus, 2048 x 1025 on the half grid
+        ["sobolev", "--suite", "A.i", "--grid", "2048"],
+        ["sobolev", "--suite", "T.i", "--grid", "2048"],
+        # the annulus grid's own checks
+        ["hodge", "--rho0", "0.05"],
+        ["hodge", "--n-r", "8"],
+        ["hodge", "--n-theta", "5"],
+        ["sobolev", "--suite", "bogus"],
+        ["hodge", "--trials", "abc"],
+        # not a power of two
+        ["sobolev", "--suite", "A.i", "--grid", "12"],
     ],
 )
 def test_rejected_command_lines_exit_1_with_one_line(capsys, argv):
@@ -410,6 +422,15 @@ def test_memory_errors_exit_1_with_one_line(capsys):
     assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("suite, shape", [("A.i", "4096 x 4096"), ("T.ii", "4096 x 2049")])
+def test_oversized_sobolev_grid_is_refused_by_its_node_count(capsys, suite, shape):
+    assert main(["sobolev", "--suite", suite, "--grid", "4096"]) == 1
+    kind = "torus" if suite.startswith("A.") else "half"
+    assert capsys.readouterr().err == (
+        f"error: MemoryError: {kind} grid of {shape} nodes exceeds the limit of 1048576 nodes\n"
+    )
+
+
 def test_oversized_hodge_grid_is_refused_before_it_allocates():
     # an overcommitted allocation of this grid succeeds and the process is
     # killed later; the grid is refused by its node count instead.  The
@@ -430,6 +451,39 @@ def test_oversized_hodge_grid_is_refused_before_it_allocates():
         "error: MemoryError: annulus grid of 4 x 100000000 nodes exceeds the "
         "limit of 1048576 nodes\n"
     )
+
+
+@pytest.mark.parametrize("k, seconds", [(20, 2.0), (400, 1.0)])
+def test_exact_powers_past_the_term_pair_bound_exit_1_in_time(tmp_path, capsys, k, seconds):
+    # squaring the five-term base to its 16th power is a product of 495 x 495
+    # term pairs; it is refused before it runs, where it used to take minutes
+    text = gallery_spec_text("ball_c2_dbar").replace(
+        'r = "x1^2 + x2^2 + x3^2 + x4^2 - 1"', f'r = "(x1^2+x2^2+x3^2+x4^2-1)^{k}"'
+    )
+    path = tmp_path / f"power_{k}.spec"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["classify", "--spec", str(path), "--samples", "10"]) == 1
+    assert time.perf_counter() - start < seconds
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a product of 495 x 495 polynomial terms exceeds the limit of "
+        "100000 term pairs\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_levi_notes_a_sample_without_non_elliptic_points(capsys, fmt):
+    code, out = run_cli(capsys, "levi", "--spec", "tangent_sphere", "--format", fmt)
+    assert code == 0
+    note = "no non-elliptic points among the samples"
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["note"] == note and report["points"] == []
+    else:
+        rows = dict(csv.reader(io.StringIO(out)))
+        assert json.loads(rows["note"]) == note and rows["points"] == "[]"
 
 
 def gallery_spec_text(name):

@@ -2,6 +2,7 @@ import pytest
 
 from hodgebench.scalars import (
     Chart,
+    ExprSizeError,
     ExprSyntaxError,
     UnknownVariableError,
     const,
@@ -89,6 +90,31 @@ def test_negative_powers(chart2):
     x2 = var(chart2, 1)
     e = x2 ** (-2)
     assert e.eval([0, 2.0]) == 0.25
+
+
+@pytest.mark.parametrize("point", [(0.5, -1.25), (2.0, 3.0), (-1.5, 0.75)])
+def test_reciprocals_and_sums_of_quotients_match_complex_arithmetic(chart2, point):
+    x1, x2 = point
+    z = parse_expr("x1 + i*x2", chart2)
+    cases = [
+        # a negative exponent in the grammar
+        (parse_expr("x1^-2", chart2), x1**-2),
+        # rational functions with different denominators
+        (parse_expr("1/x1 + x2/(x1 + i*x2)", chart2), 1 / x1 + x2 / (x1 + 1j * x2)),
+        # a number on the left of - and /
+        (2 - z, 2 - (x1 + 1j * x2)),
+        (1 / z, 1 / (x1 + 1j * x2)),
+    ]
+    for expr, want in cases:
+        assert expr.eval(list(point)) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_products_past_the_term_pair_bound_are_refused(chart2):
+    # (x1 + x2 + 1)^k has (k + 1)(k + 2)/2 terms: the 32nd power squares 153
+    # terms (23,409 pairs), the 64th would square 561 (314,721, past 10^5)
+    assert len(parse_expr("(x1 + x2 + 1)^32", chart2).num) == 561
+    with pytest.raises(ExprSizeError, match="561 x 561 polynomial terms exceeds the limit of 100000"):
+        parse_expr("(x1 + x2 + 1)^64", chart2)
 
 
 def test_print_parse_roundtrip(chart2):

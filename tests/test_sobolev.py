@@ -528,10 +528,27 @@ def test_tangential_battery_runs():
 
 
 def test_battery_rejects_wrong_grid():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^tangential batteries need a HalfGrid$"):
         leibniz_battery("T.i", TorusGrid(2, 32), trials=1)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^full-space batteries need a TorusGrid$"):
         leibniz_battery("A.i", HalfGrid(2, 32, 17), trials=1)
+
+
+def test_tangential_names_are_the_grid_generic_operators():
+    # the half grid carries the tangential axes, the trapezoid sum in r and
+    # the radial stencil, so one multiplier and one norm serve both families
+    assert lambda_tangential is lambda_full
+    assert tangential_norm is sobolev_norm
+
+
+def test_grids_past_the_node_bound_are_refused_before_any_array():
+    # 2^20 nodes exactly are allowed; no array exists until an operator runs
+    assert TorusGrid(2, 1024).shape == (1024, 1024)
+    assert HalfGrid(2, 2048, 512).shape == (2048, 512)
+    with pytest.raises(MemoryError, match="^torus grid of 128 x 128 x 128 nodes exceeds the limit of 1048576 nodes$"):
+        TorusGrid(3, 128)
+    with pytest.raises(MemoryError, match="^half grid of 2048 x 513 nodes exceeds the limit of 1048576 nodes$"):
+        HalfGrid(2, 2048, 513)
 
 
 # Report digests of every battery at dim 3, where the embedding index

@@ -207,6 +207,25 @@ def test_what_the_parser_does_not_read_is_rejected_by_name(tmp_path, capsys, old
 
 
 @pytest.mark.parametrize(
+    "text, old, new, message",
+    [
+        (CUSTOM, "samples = 16", "samples 16", "line 8: expected key = value, got 'samples 16'"),
+        (CUSTOM, "[chart]", "dim = 2\n[chart]", "line 2: entry before any [section]"),
+        (CUSTOM, "dim = 2", "", "[chart] needs dim"),
+        (CUSTOM, "dim = 2", "dim = 3\ncomplex = true", "complex charts need even dimension"),
+        (CUSTOM, 'r = "x1^2 + x2^2 - 1"', "", "[boundary] needs r"),
+        (CUSTOM, "sampler = sphere", "sampler = cube", "unknown sampler 'cube'"),
+        (GALLERY["ball_c2_dbar"], "complex = true", "", "kind 'antiholomorphic' needs a complex chart"),
+        (GALLERY["ball_c2_dbar"], "n = 2", "n = 1", "n must equal half the chart dimension"),
+    ],
+)
+def test_malformed_specs_are_rejected_with_their_message(text, old, new, message):
+    assert old in text
+    with pytest.raises(SpecError, match=re.escape(message)):
+        parse_specfile(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize(
     "value, want", [("TRUE", True), ("yes", True), ("1", True), ("False", False), ("no", False), ("0", False)]
 )
 def test_chart_complex_takes_the_boolean_spellings(value, want):
