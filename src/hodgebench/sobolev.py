@@ -213,9 +213,13 @@ class HalfGrid:
     def _lambda_axes(self) -> Tuple[int, ...]:
         return tuple(range(self.dim - 1))  # the tangential axes
 
+    @cached_property
+    def _r_weights(self) -> np.ndarray:
+        return self.r_weights()
+
     def _total(self, density: np.ndarray) -> float:
         # over the tangential axes, then by the trapezoid rule in r
-        return np.sum(np.sum(density, axis=self._lambda_axes) * self.r_weights())
+        return np.sum(np.sum(density, axis=self._lambda_axes) * self._r_weights)
 
     def _derivative(self, phi: np.ndarray, axis: int) -> np.ndarray:
         # the 4th-order stencil on the radial (last) axis
@@ -336,6 +340,16 @@ def _lattice(coords: Sequence[int], dim: int = 3) -> np.ndarray:
 # (nodes, block) temporaries stay in cache
 _FORM_BLOCK = 1024
 
+# the most Gauss-Legendre nodes per axis of part iii, checked before the rule
+# is built: leggauss's companion matrix and the (nodes, block) temporaries grow
+# as its square, and so does the time per uncertified form
+_MAX_QUAD_ORDER = 256
+
+# the certified skip's relative slack, against rounding: a lower bound on an
+# integral is scaled by 1 - _SLACK, and a (triple, k) is certified where its
+# LHS is at most 1 - _SLACK times the RHS from that bound
+_SLACK = 1e-9
+
 # the integrand base ** ((k - 2) / 2) from root = sqrt(base) and inv = 1 / base,
 # written to out where it is a new array
 _INTEGRANDS = {
@@ -347,6 +361,17 @@ _INTEGRANDS = {
 }
 
 
+@cache
+def _rule(quad_order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes and weights of quad_order points on [0, 1],
+    built once per order (about 1 ms at order 32) and read-only, since every
+    caller shares them."""
+    nodes, weights = leggauss(quad_order)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _form_integrals(
     forms: np.ndarray, ks: Iterable[float], quad_order: int
 ) -> Dict[float, np.ndarray]:
@@ -354,9 +379,10 @@ def _form_integrals(
     dt dt' per k, for each column (|xi|^2, |a|^2, |b|^2, xi.a, xi.b, a.b) of
     forms.  Separable in t: per node t, base is formed at all nodes t' at once,
     the t' terms taken once per block; one sqrt and one reciprocal of base give
-    the integrands, summed as w_t (w @ integrand); k = 2 is the weights' sum."""
-    nodes, weights = leggauss(quad_order)
-    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    the integrands, summed as sum_t' w_t' (sum_t w_t integrand), each sum row by
+    row, so that a form's value does not depend on the forms beside it; k = 2
+    is the weights' sum."""
+    nodes, weights = _rule(quad_order)
     t2 = nodes[:, None]
     n = forms.shape[1]
     integrals = {k: np.full(n, weights.sum() ** 2 if k == 2.0 else 0.0) for k in ks}
@@ -368,6 +394,7 @@ def _form_integrals(
         c_xx, c_aa, c_bb, c_xa, c_xb, c_ab = forms[:, block]
         t2bb, t2xb = t2 * t2 * c_bb, 2.0 * t2 * c_xb
         base, root, inv, out = np.empty((4,) + t2bb.shape)  # reused for every t
+        inner = {k: np.zeros_like(base) for k in powers}  # sum_t w_t integrand, per t'
         for t1, w1 in zip(nodes, weights):
             # 1 + (|xi|^2 + t^2|a|^2 + t'^2|b|^2 + 2t xi.a + 2t' xi.b + 2tt' a.b) in
             # this order: the terms cancel, so another order moves base by their ulps
@@ -383,8 +410,44 @@ def _form_integrals(
                     integrand = _INTEGRANDS[k](root, inv, out)
                 else:
                     integrand = np.power(base, (k - 2.0) / 2.0, out=out)
-                integrals[k][block] += w1 * (weights @ integrand)
+                inner[k] += np.multiply(w1, integrand, out=out)
+        for k in powers:
+            total = integrals[k][block]  # a view, summed into node by node
+            for w2, row in zip(weights, inner[k]):
+                total += w2 * row
     return integrals
+
+
+def _integral_lower_bound(forms: np.ndarray, k: float, quad_order: int) -> np.ndarray:
+    """A lower bound on _form_integrals(forms, [k], quad_order)[k], elementwise
+    over the six coefficients (|xi|^2, |a|^2, |b|^2, xi.a, xi.b, a.b), the rows
+    of forms or six arrays that broadcast together, with no quadrature.
+
+    The rule's weights are positive, so its value is S = (sum w)^2 times a
+    weighted mean of f(Q) = (1 + Q)^p, p = (k - 2) / 2, over the nodes, where
+    Q = |xi + t a + t' b|^2 (the discrete Jensen inequality).  Where f is convex
+    (p <= 0 or p >= 1), that mean is at least f(Qbar), Qbar the rule's mean of
+    Q from its moments m1 = sum w t / sum w and m2 = sum w t^2 / sum w.  Where f
+    is concave (0 < p < 1), f lies above its chord from Q = 0 to Qmax, the
+    largest Q on [0, 1]^2.  The bound is scaled by 1 - _SLACK."""
+    nodes, weights = _rule(quad_order)
+    total = weights.sum()
+    m1, m2 = weights @ nodes / total, weights @ nodes**2 / total
+    c_xx, c_aa, c_bb, c_xa, c_xb, c_ab = forms
+    q_mean = c_xx + m2 * (c_aa + c_bb) + 2.0 * m1 * (c_xa + c_xb) + 2.0 * m1 * m1 * c_ab
+    p = (k - 2.0) / 2.0
+    if 0.0 < p < 1.0:
+        # Q is convex in (t, t'), so its largest value on [0, 1]^2 is at a corner
+        q_max = np.maximum(c_xx, c_xx + c_aa + 2.0 * c_xa)
+        np.maximum(q_max, c_xx + c_bb + 2.0 * c_xb, out=q_max)
+        np.maximum(q_max, c_xx + c_aa + c_bb + 2.0 * (c_xa + c_xb + c_ab), out=q_max)
+        # where Qmax = 0, Q = 0 at every node and the chord is flat
+        slope = np.divide((1.0 + q_max) ** p - 1.0, q_max,
+                          out=np.zeros_like(q_max), where=q_max > 0)
+        mean = 1.0 + q_mean * slope
+    else:
+        mean = (1.0 + q_mean) ** p
+    return (1.0 - _SLACK) * total**2 * mean
 
 
 def _excess(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -410,11 +473,18 @@ def kernel_lemma_check(
     The inequalities are proven, so any violation beyond 1e-12 relative
     slack indicates an implementation bug.  Part iii uses the constant
     |k| * max(1, |k-1|) from the lemma's Hessian bound and Gauss-Legendre
-    quadrature for the double integral.  The integral depends on a triple
-    (xi, eta1, eta2) only through the quadratic form |xi + t a + t' b|^2, so
-    it is taken once per distinct form (about half of the default lattice's
-    triples), in fixed blocks of forms; k = 0 needs no integral, since its
-    constant, and so its RHS, is 0.
+    quadrature (at most _MAX_QUAD_ORDER nodes per axis) for the double
+    integral.  The integral depends on a triple (xi, eta1, eta2) only through
+    the quadratic form |xi + t a + t' b|^2.  Before any quadrature, each
+    (triple, k) is bounded: _integral_lower_bound gives a lower bound on the
+    rule's value, by Jensen's inequality at the rule's mean of the form where
+    the integrand is convex and by its chord from 0 to the form's largest
+    corner value where it is concave.  Where the RHS from that bound exceeds
+    the LHS by a relative 1e-9, the computed excess is negative, so it cannot
+    set max_violation (which starts at 0), and the (triple, k) is certified.
+    Only the triples that k leaves uncertified are integrated at k, once per
+    distinct form, in fixed blocks of forms.  k = 0 needs no integral, since
+    its constant, and so its RHS, is 0; nor does k = 2, whose integrand is 1.
     """
     V = _lattice(coords)
     xi = V[:, None, :]  # the (xi, eta) pairs of parts i and ii
@@ -439,6 +509,9 @@ def kernel_lemma_check(
             worst = max(worst, _excess(lhs, rhs))
             count += lhs.size
     elif part == "iii":
+        if quad_order > _MAX_QUAD_ORDER:
+            raise ValueError(f"quad_order {quad_order} exceeds the limit of "
+                             f"{_MAX_QUAD_ORDER} nodes per axis (_MAX_QUAD_ORDER)")
         # every (xi, eta1, eta2) triple, axes (xi, eta1, eta2), with eta1 and
         # eta2 from V[::stride]; each quantity is a sum of entries of the
         # lattice's Gram matrix, so it is an exact integer: |xi + t a + t' b|^2
@@ -454,28 +527,14 @@ def kernel_lemma_check(
         aa = e1e1 - 2.0 * e1e2 + e2e2
         bb = e2e2 - 2.0 * x_e2 + xx
         shape = (len(V), len(e), len(e))
-        # the six coefficients of every triple, one array each, sorted
-        # together by np.lexsort; the integral depends on a triple only
-        # through them, so it is taken once per distinct form and scattered back
-        cols = [
-            np.broadcast_to(c, shape).ravel()
+        coeffs = [
+            np.broadcast_to(c, shape)
             for c in (xx, aa, bb, x_e1 - x_e2, x_e2 - xx, e1e2 - x_e1 - e2e2 + x_e2)
         ]
-        order = np.lexsort(cols)
-        # a sorted triple starts a new form where any coefficient changes
-        new = np.r_[True, np.any([np.diff(c[order]) != 0 for c in cols], axis=0)]
-        which = np.empty_like(order)
-        which[order] = np.cumsum(new) - 1
-        forms = np.stack([c[order[new]] for c in cols])
-        del cols, order, new
-        ks = list(ks)
-        consts = {k: abs(k) * max(1.0, abs(k - 1.0)) for k in ks}
-        # k = 0 has const = 0, so rhs = 0 whatever its integral: none is taken
-        live = [k for k in ks if consts[k]]
-        integrals = _form_integrals(forms, live, quad_order)
         g_s = 1.0 + (xx + e1e1 + e2e2 + 2.0 * x_e1 - 2.0 * x_e2 - 2.0 * e1e2)
         # |xi - eta2| |eta1 - eta2|
         dist = np.sqrt(bb * aa).ravel()
+        area = _rule(quad_order)[1].sum() ** 2
         for k in ks:
             lhs = np.abs(
                 (1.0 + xx) ** (k / 2.0)
@@ -483,9 +542,34 @@ def kernel_lemma_check(
                 - (1.0 + e2e2) ** (k / 2.0)
                 - g_s ** (k / 2.0)
             ).ravel()
-            rhs = consts[k] * dist * (integrals[k][which] if k in integrals else 0.0)
-            worst = max(worst, _excess(lhs, rhs))
             count += lhs.size
+            const = abs(k) * max(1.0, abs(k - 1.0))
+            if const == 0.0 or k == 2.0:
+                # k = 0 has const = 0, so rhs = 0 whatever its integral, and
+                # k = 2 integrates 1 to the rule's area: no quadrature
+                rhs = const * dist * (area if k == 2.0 else 0.0)
+                worst = max(worst, _excess(lhs, rhs))
+                continue
+            bound = _integral_lower_bound(coeffs, k, quad_order)
+            rhs_low = const * dist * np.ravel(bound)
+            # the triples that no bound certifies; never empty: the eta1 = eta2
+            # triples have dist = 0, and so rhs = 0 whatever their integral
+            open_ = np.flatnonzero(~((rhs_low > 0) & (lhs <= (1.0 - _SLACK) * rhs_low)))
+            far = dist[open_] > 0
+            # the coefficients of the triples that need an integral, sorted
+            # together by np.lexsort; a sorted triple starts a new form where
+            # any coefficient changes (sliced, so that no triple gives no
+            # form), and each form's integral is scattered back
+            sub = np.stack([c[np.unravel_index(open_[far], shape)] for c in coeffs])
+            order = np.lexsort(sub)
+            new = np.r_[True, np.any(np.diff(sub[:, order]) != 0, axis=0)][: order.size]
+            which = np.empty_like(order)
+            which[order] = np.cumsum(new) - 1
+            integral = np.zeros(open_.size)
+            forms = sub[:, order[new]]
+            integral[far] = _form_integrals(forms, [k], quad_order)[k][which]
+            rhs = const * dist[open_] * integral
+            worst = max(worst, _excess(lhs[open_], rhs))
     else:
         raise ValueError("part must be one of 'i', 'ii', 'iii'")
     return {"max_violation": worst, "tuples": count}

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hodgebench import cli
+from hodgebench import cli, sobolev
 from hodgebench.cli import dumps, load_spec, main
 from hodgebench.gallery import gallery_names, gallery_spec
 from hodgebench.specfile import SpecError, format_specfile, parse_specfile
@@ -310,6 +310,19 @@ def test_rejected_command_lines_exit_1_with_one_line(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     if "--seed" in argv:
         assert "--seed" in captured.err
+
+
+def test_quad_order_past_its_bound_exits_1_naming_it(capsys):
+    # checked before the Gauss-Legendre rule is built: --quad-order 100000
+    # would ask leggauss for a 74.5 GiB companion matrix
+    limit = sobolev._MAX_QUAD_ORDER
+    for order in (limit + 1, 100000):
+        argv = ["sobolev", "--suite", "kernel.iii", "--quad-order", str(order)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"limit of {limit}" in captured.err
 
 
 def test_unreadable_spec_and_unwritable_out_exit_1_with_one_line(tmp_path, capsys):

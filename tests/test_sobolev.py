@@ -11,6 +11,7 @@ from hodgebench.cli import dumps, main
 from hodgebench.sobolev import (
     INEQUALITY_IDS,
     _form_integrals,
+    _integral_lower_bound,
     _norms,
     _order_stats,
     HalfGrid,
@@ -412,6 +413,82 @@ def test_kernel_iii_over_distinct_forms_matches_whole_lattice(
     ref = _kernel_iii_reference(ks, coords, quad_order, stride)
     assert out["tuples"] == ref["tuples"]
     assert abs(out["max_violation"] - ref["max_violation"]) <= 1e-15
+
+
+# 0.7 and 2.5 take the general power, 2.5 on the concave side of (1 + Q)^p
+# (0 < p < 1, as k = 3), 5.0 the convex side with p >= 1
+BOUND_KS = DEFAULT_KS + (0.7, 2.5, 5.0)
+
+
+def assert_lower_bounds_hold(forms, quad_order):
+    integrals = _form_integrals(forms, BOUND_KS, quad_order)
+    for k in BOUND_KS:
+        bound = _integral_lower_bound(forms, k, quad_order)
+        assert np.all(bound <= integrals[k]), (k, quad_order)
+
+
+@pytest.mark.parametrize("quad_order", list(range(1, 13)) + [32])
+def test_integral_lower_bounds_hold_on_the_default_lattice(quad_order):
+    assert_lower_bounds_hold(lattice_forms((-4, -2, 0, 1, 3), 5), quad_order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coords=st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True),
+    stride=st.integers(1, 5),
+    quad_order=st.one_of(st.integers(1, 12), st.just(32)),
+)
+def test_integral_lower_bounds_hold_on_drawn_lattices(coords, stride, quad_order):
+    assert_lower_bounds_hold(lattice_forms(coords, stride), quad_order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ks=st.lists(st.sampled_from(BOUND_KS), min_size=1, max_size=6, unique=True),
+    coords=st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True),
+    quad_order=st.integers(1, 12),
+    stride=st.integers(1, 5),
+)
+@example(ks=list(DEFAULT_KS), coords=[-4, -2, 0, 1, 3], quad_order=32, stride=5)
+# one node per axis: the report's max_violation, 0.964, is set by an integral
+@example(ks=list(DEFAULT_KS), coords=[-4, -2, 0, 1, 3], quad_order=1, stride=5)
+def test_kernel_iii_certified_skip_equals_integrating_every_form(
+    ks, coords, quad_order, stride
+):
+    # with every lower bound 0, no (triple, k) is certified and every triple
+    # with dist > 0 is integrated, as before the skip
+    args = dict(ks=ks, coords=coords, quad_order=quad_order, stride=stride)
+    pruned = kernel_lemma_check("iii", **args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sobolev, "_integral_lower_bound", lambda forms, k, quad_order: 0.0)
+        full = kernel_lemma_check("iii", **args)
+    assert pruned == full
+
+
+def test_kernel_iii_integrates_few_forms_on_the_default_lattice(monkeypatch):
+    # 1,338 forms over the quadrature ks at order 32, where every k took each
+    # of the 38,078 distinct forms before the certified skip
+    seen = []
+    integrate = sobolev._form_integrals
+    monkeypatch.setattr(
+        sobolev,
+        "_form_integrals",
+        lambda forms, ks, quad_order: seen.append(forms.shape[1])
+        or integrate(forms, ks, quad_order),
+    )
+    kernel_lemma_check("iii")
+    assert sum(seen) <= 1500
+
+
+def test_form_integrals_do_not_depend_on_the_forms_beside_them():
+    # the node sums run row by row, with no gemv, whose rounding moves with
+    # a column's place in the block
+    forms = lattice_forms((-4, -2, 0, 1, 3), 5)[:, :3000]
+    whole = _form_integrals(forms, DEFAULT_KS + (0.7,), 8)
+    for lo, hi in ((0, 1), (5, 6), (17, 1041), (2999, 3000)):
+        part = _form_integrals(forms[:, lo:hi], DEFAULT_KS + (0.7,), 8)
+        for k in whole:
+            assert np.array_equal(part[k], whole[k][lo:hi]), (k, lo, hi)
 
 
 def test_kernel_iii_at_k0_takes_no_integral():
