@@ -367,67 +367,72 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each command's help line and function, in the order of `workbench --help`
+_COMMANDS = {
+    "classify": ("classify sampled boundary points", cmd_classify),
+    "levi": ("Levi forms at explicit or sampled points", cmd_levi),
+    "convexity": ("q-convexity verdict over samples", cmd_convexity),
+    "dsq": ("d_L^2 residual over samples", cmd_dsq),
+    "sobolev": ("Sobolev inequality batteries", cmd_sobolev),
+    "hodge": ("discrete dbar-Neumann verification suite", cmd_hodge),
+}
+
+
+def _add_options(name: str, p: argparse.ArgumentParser) -> None:
+    """The options of command ``name`` on its subparser, in help order."""
+    spec = name not in ("sobolev", "hodge")
+    if spec:
+        p.add_argument("--spec", required=True, help="gallery name or spec file")
+    # a spec command's seed is only recorded in its report
+    p.add_argument("--seed", type=int if spec else _seed, default=None)
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    if name in ("classify", "convexity"):
+        p.add_argument("--samples", type=_positive_int, default=None)
+    if name == "levi":
+        p.add_argument("--point", action="append", help="comma-separated coordinates")
+        p.add_argument("--max-points", type=_positive_int, default=5)
+    elif name == "convexity":
+        p.add_argument("--require-q", type=int, default=None)
+    elif name == "sobolev":
+        p.add_argument("--suite", required=True, help=f"one of {SOBOLEV_SUITES}")
+        p.add_argument("--grid", type=int, default=64)
+        p.add_argument("--trials", type=_positive_int, default=8)
+        p.add_argument("--quad-order", type=_positive_int, default=32)
+    elif name == "hodge":
+        p.add_argument("--rho0", type=float, default=0.5)
+        p.add_argument("--n-theta", type=int, default=64)
+        p.add_argument("--n-r", type=int, default=64)
+        p.add_argument("--trials", type=_positive_int, default=50)
+        p.add_argument(
+            "--spectra",
+            action="store_true",
+            help="include per-mode eigenvalues (pairs with --format csv)",
+        )
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The workbench parser.  Where ``command`` names a command, it holds
+    only that command's subparser, which parses its command lines, help and
+    errors included, as the whole parser does; otherwise every subparser,
+    for the top-level help and the error that lists the commands."""
     parser = _Parser(
         prog="workbench",
         description="boundary Hodge theory workbench for pre-Lie algebroids",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, spec=True):
-        if spec:
-            p.add_argument("--spec", required=True, help="gallery name or spec file")
-        # a spec command's seed is only recorded in its report
-        p.add_argument("--seed", type=int if spec else _seed, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("classify", help="classify sampled boundary points")
-    common(p)
-    p.add_argument("--samples", type=_positive_int, default=None)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("levi", help="Levi forms at explicit or sampled points")
-    common(p)
-    p.add_argument("--point", action="append", help="comma-separated coordinates")
-    p.add_argument("--max-points", type=_positive_int, default=5)
-    p.set_defaults(fn=cmd_levi)
-
-    p = sub.add_parser("convexity", help="q-convexity verdict over samples")
-    common(p)
-    p.add_argument("--samples", type=_positive_int, default=None)
-    p.add_argument("--require-q", type=int, default=None)
-    p.set_defaults(fn=cmd_convexity)
-
-    p = sub.add_parser("dsq", help="d_L^2 residual over samples")
-    common(p)
-    p.set_defaults(fn=cmd_dsq)
-
-    p = sub.add_parser("sobolev", help="Sobolev inequality batteries")
-    common(p, spec=False)
-    p.add_argument("--suite", required=True, help=f"one of {SOBOLEV_SUITES}")
-    p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--trials", type=_positive_int, default=8)
-    p.add_argument("--quad-order", type=_positive_int, default=32)
-    p.set_defaults(fn=cmd_sobolev)
-
-    p = sub.add_parser("hodge", help="discrete dbar-Neumann verification suite")
-    common(p, spec=False)
-    p.add_argument("--rho0", type=float, default=0.5)
-    p.add_argument("--n-theta", type=int, default=64)
-    p.add_argument("--n-r", type=int, default=64)
-    p.add_argument("--trials", type=_positive_int, default=50)
-    p.add_argument(
-        "--spectra",
-        action="store_true",
-        help="include per-mode eigenvalues (pairs with --format csv)",
-    )
-    p.set_defaults(fn=cmd_hodge)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_, fn = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        _add_options(name, p)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the first argument names the command, if any does
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         report, code = args.fn(args)

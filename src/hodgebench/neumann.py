@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sobolev import _check_nodes, _order_stats
+from .sobolev import _check_nodes, _check_trials, _order_stats
 
 __all__ = [
     "AnnulusGrid",
@@ -229,16 +229,28 @@ class NeumannProblem:
 
     # -- operators -----------------------------------------------------------
 
+    # _P and _P_star hold their input, their output and one scratch stack,
+    # and add the stencil's products in the order p_lo, p_mid, p_up
+
     def _P(self, u: np.ndarray) -> np.ndarray:
-        return self.p_lo * u[..., :-2] + self.p_mid * u[..., 1:-1] + self.p_up * u[..., 2:]
+        out = np.multiply(self.p_lo, u[..., :-2])
+        t = np.multiply(self.p_mid, u[..., 1:-1])
+        out += t
+        out += np.multiply(self.p_up, u[..., 2:], out=t)
+        return out
 
     def _P_star(self, v: np.ndarray) -> np.ndarray:
-        # the exact weighted adjoint W^{-1} P^T W_int
-        y = v * self.w_int
-        out = np.zeros(y.shape[:-1] + (self.grid.n_r,), dtype=y.dtype)
-        out[..., :-2] = self.p_lo * y
-        out[..., 1:-1] += self.p_mid * y
-        out[..., 2:] += self.p_up * y
+        # the exact weighted adjoint W^{-1} P^T W_int, from y = v w_int,
+        # which is taken again into the scratch stack for p_up
+        t = v * self.w_int
+        out = np.empty(t.shape[:-1] + (self.grid.n_r,), dtype=t.dtype)
+        out[..., -2:] = 0.0
+        np.multiply(self.p_lo, t, out=out[..., :-2])
+        t *= self.p_mid
+        out[..., 1:-1] += t
+        np.multiply(v, self.w_int, out=t)
+        t *= self.p_up
+        out[..., 2:] += t
         out /= self.w
         return out
 
@@ -406,10 +418,10 @@ def _band_cholesky(S1: np.ndarray) -> np.ndarray:
 def _band_solve(U: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(U^T U)^{-1} x in place, for U from _band_cholesky (axes band row,
     node, mode, or several such factors joined along the mode axis) and x a
-    C-contiguous float stack of axes (node, columns..., mode): forward
-    through U^T, then back through U, one step per node over every column
-    and mode.  The mode axis is last, so that a node's row of U is read
-    along the contiguous axis of x."""
+    float stack of axes (node, columns..., mode), C-contiguous within each
+    node: forward through U^T, then back through U, one step per node over
+    every column and mode.  The mode axis is last, so that a node's row of
+    U is read along the contiguous axis of x."""
     n = x.shape[0]
     u0, u1, u2 = (list(u) for u in U)
     rows = list(x)
@@ -590,39 +602,54 @@ def operator_norm_diff(problem_a: NeumannProblem, problem_b: NeumannProblem) -> 
     return _norm_diffs([problem_a], problem_b)[0]
 
 
-def _norm_diffs(problems: Sequence[NeumannProblem], base: NeumannProblem) -> List[float]:
+def _norm_diffs(problems: Iterable[NeumannProblem], base: NeumannProblem) -> List[float]:
     """|| N_p - N_base ||_2 in the weighted metric for each p in problems.
 
     In the sqrt(w)-symmetrised frame N_1 is S_1^{-1}, block diagonal over the
     modes, so each difference D is symmetric and its norm is its largest
     absolute eigenvalue.  Each mode of each problem runs its own Lanczos
     process on its block, with full reorthogonalisation, all in lockstep:
-    one band solve with the problems' factors and as many copies of the
-    base's is one step of every block.  A block leaves, with its factor
-    columns and basis rows, once no Ritz value theta of it can reach
-    (|theta| + residual) beyond its problem's largest |theta| so far by more
-    than rounding, or its Krylov space fills it; a problem's norm is that
-    |theta| once all its blocks have left.  Equal S_1 bands give exactly 0.
+    solving each block's vector with its problem's factor and with the
+    base's is one step of every block.  Of the problems, only their factors
+    are kept, so that they may be built as they are read.  A block leaves,
+    with its factor columns and basis rows, once no Ritz value theta of it
+    can reach (|theta| + residual) beyond its problem's largest |theta| so
+    far by more than rounding, or its Krylov space fills it; a problem's
+    norm is that |theta| once all its blocks have left.  Equal S_1 bands
+    give exactly 0.
     """
-    if not problems:
+    # the factors raise on a degree-1 harmonic obstruction, as N itself does
+    factors = [p._factors() for p in problems]
+    if not factors:
         return []
-    # the factors raise on a degree-1 harmonic obstruction, as N itself does,
-    # and are joined node by node, as they are stored, axes (band, node, block)
-    factors = [p._factors() for p in problems] + [base._factors()] * len(problems)
-    F = np.concatenate(factors, axis=2)
+    base_factor = base._factors()
     n_modes, n = base.S1.shape[1:]
-    owner = np.repeat(np.arange(len(problems)), n_modes)  # each live block's problem
-    top = np.zeros(len(problems))
+    owner = np.repeat(np.arange(len(factors)), n_modes)  # each live block's problem
+    mode = np.tile(np.arange(n_modes), len(factors))  # and its mode
+    # the live blocks' factor columns, the problems' then the base's, joined
+    # node by node, as they are stored, axes (band, node, block), once a
+    # block has left
+    F: Optional[np.ndarray] = None
+    top = np.zeros(len(factors))
     # the basis, one (live block, node) array per step
     V = [np.full((len(owner), n), 1.0 / math.sqrt(n))]
     alpha: List[np.ndarray] = []
     beta: List[np.ndarray] = []
     for k in range(1, n + 1):
         # the right-hand sides, the problems' blocks then the base's
-        x = np.concatenate([V[-1].T, V[-1].T], axis=1)
-        _band_solve(F, x)
         m = len(owner)
+        x = np.concatenate([V[-1].T, V[-1].T], axis=1)
+        if F is None:
+            # every block live: each problem's factor in place on its own
+            # columns, and the base's on all of theirs at once, over axes
+            # (problem, mode)
+            for p, factor in enumerate(factors):
+                _band_solve(factor, x[:, p * n_modes:(p + 1) * n_modes])
+            _band_solve(base_factor, x[:, m:].reshape(n, len(factors), n_modes, copy=False))
+        else:
+            _band_solve(F, x)
         w = np.subtract(x[:, :m].T, x[:, m:].T, out=np.empty((m, n)))
+        del x
         alpha.append(np.einsum("mn,mn->m", V[-1], w))
         basis = np.stack(V)
         for _ in range(2):
@@ -638,7 +665,9 @@ def _norm_diffs(problems: Sequence[NeumannProblem], base: NeumannProblem) -> Lis
         if k == n or not live.any():
             return [float(t) for t in top]
         if not live.all():
-            owner, F, w = owner[live], F[:, :, np.concatenate([live, live])], w[live]
+            owner, mode, w = owner[live], mode[live], w[live]
+            F = np.concatenate([f[:, :, mode[owner == p]] for p, f in enumerate(factors)]
+                               + [base_factor[:, :, mode]], axis=2)
             V, alpha, beta = ([a[live] for a in seq] for seq in (V, alpha, beta))
         # a live block's residual is above 0, or its reach would be its |theta|
         V.append(w / beta[-1][:, None])
@@ -660,12 +689,16 @@ def family_continuity(
     amax = float(np.max(np.abs(np.asarray(profile(rho), dtype=float))))
     if any(abs(eps) * amax >= 1.0 for eps in eps_list):
         raise ValueError("|eps| * max|a| must stay below 1")
-    probs = [
-        NeumannProblem(grid, eps=eps, profile=profile, harmonic_tol=base.harmonic_tol)
-        for eps in eps_list
-    ]
-    diffs = _norm_diffs(probs, base)
-    h_dims = [prob.harmonic_dim(1) for prob in probs]
+    h_dims: List[int] = []
+
+    def deformed():
+        # one problem at a time, so that only its factor outlives it
+        for eps in eps_list:
+            prob = NeumannProblem(grid, eps=eps, profile=profile, harmonic_tol=base.harmonic_tol)
+            h_dims.append(prob.harmonic_dim(1))
+            yield prob
+
+    diffs = _norm_diffs(deformed(), base)
     eps_arr = np.abs(np.asarray(eps_list, dtype=float))
     slope = float("nan")
     good = [d > 0 and e > 0 for d, e in zip(diffs, eps_arr)]
@@ -685,10 +718,11 @@ def family_continuity(
 # ---------------------------------------------------------------------------
 # aggregate report (drives the CLI hodge command)
 
-# the most nodes (trials times n_theta * n_r) in one block of dbar_report's
-# trials: a block's fields are applied as one stack per degree, so the block
-# bounds the memory that the trials take; 32 trials at 64 x 64, 8 at 128 x 128
-_TRIAL_BLOCK_NODES = 2**17
+# the most nodes (fields times n_theta * n_r) in one stack of dbar_report's
+# trial fields: each stack holds fields of one degree and is applied on its
+# own, so that it bounds the memory that the trials take whatever their
+# number; 8 fields at 64 x 64, 2 at 128 x 128
+_TRIAL_BLOCK_NODES = 2**15
 
 
 def _trial_residuals(problem: NeumannProblem, phi: DiscreteForm) -> List[np.ndarray]:
@@ -703,15 +737,24 @@ def _trial_residuals(problem: NeumannProblem, phi: DiscreteForm) -> List[np.ndar
     def norms(values):
         return np.array([problem.norm(DiscreteForm(deg, v)) for v in values])
 
-    n_phi, harm = problem.apply_N(phi), problem.apply_pi(phi)
+    # each stack is released once its norms and inner products are taken, so
+    # that besides phi at most two stacks outlive an operator's call
+    n_phi = problem.apply_N(phi)
+    pi_n_phi = norms(problem.apply_pi(n_phi).values)
     exact = problem.apply_box(n_phi).values
-    size = norms(phi.values)
-    identity = norms(exact + harm.values - phi.values) / size
-    # pi is zero at degree 1, and so is N pi phi
-    n_harm = problem.apply_N(harm) if deg == 0 else harm
-    npi = np.maximum(norms(n_harm.values), norms(problem.apply_pi(n_phi).values))
+    del n_phi
+    harm = problem.apply_pi(phi)
     ip = [abs(problem.inner(DiscreteForm(deg, x), DiscreteForm(deg, y)))
           for x, y in zip(harm.values, exact)]
+    # box N phi + pi phi - phi, in place
+    exact += harm.values
+    exact -= phi.values
+    size = norms(phi.values)
+    identity = norms(exact) / size
+    del exact
+    # pi is zero at degree 1, and so is N pi phi
+    n_harm = problem.apply_N(harm) if deg == 0 else harm
+    npi = np.maximum(norms(n_harm.values), pi_n_phi)
     return [identity, npi, np.maximum(identity, np.array(ip) / size**2)]
 
 
@@ -726,20 +769,23 @@ def dbar_report(
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     grid = AnnulusGrid(rho0, n_theta, n_r)
+    _check_trials(trials, (n_theta, n_r))
     problem = NeumannProblem(grid)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     # the identity, N pi and orthogonality residuals; the fields are drawn in
-    # trial order and applied one stack per degree and block
+    # trial order and wait by degree until block fields of one degree, or
+    # after the last draw all that wait, are applied as one stack
     worst = [0.0, 0.0, 0.0]
     block = max(1, _TRIAL_BLOCK_NODES // (n_theta * n_r))
-    for start in range(0, trials, block):
-        fields: Tuple[List, List] = ([], [])
-        for _ in range(min(block, trials - start)):
-            deg = int(rng.integers(0, 2))
-            fields[deg].append(problem.random_form(deg, rng).values)
-        for deg, values in enumerate(fields):
-            if values:
-                per_trial = _trial_residuals(problem, DiscreteForm(deg, np.stack(values)))
+    waiting: Tuple[List, List] = ([], [])
+    for trial in range(trials):
+        deg = int(rng.integers(0, 2))
+        waiting[deg].append(problem.random_form(deg, rng).values)
+        for d, values in enumerate(waiting):
+            if values and (len(values) == block or trial == trials - 1):
+                stack = DiscreteForm(d, np.stack(values))
+                values.clear()
+                per_trial = _trial_residuals(problem, stack)
                 worst = [max(w, float(r.max())) for w, r in zip(worst, per_trial)]
     worst_identity, worst_npi, worst_ortho = worst
     f = problem.sample(1, np.conj)
@@ -750,6 +796,8 @@ def dbar_report(
         DiscreteForm(0, u.values - oracle.values)
     ) / problem.norm(oracle)
     pu_err = problem.norm(DiscreteForm(1, resid_pu.values - f.values)) / problem.norm(f)
+    # the rest of the report needs none of the fields
+    del stack, f, u, oracle, resid_pu
     estimates = basic_estimate_report(problem, trials=min(trials, 25), seed=seed)
     family = family_continuity(
         problem, lambda r: np.ones_like(r), [1e-1, 1e-2, 1e-3]

@@ -68,6 +68,20 @@ def _check_nodes(kind: str, shape: Tuple[int, ...]) -> None:
                           f"exceeds the limit of {_MAX_NODES} nodes")
 
 
+# the most trial nodes of one command: its trials times the nodes of the grid
+# each trial's fields live on (n_theta * n_r for neumann's annulus); checked
+# before any field is drawn, it bounds the time that --trials may ask for, as
+# _MAX_NODES bounds the memory of one grid
+_MAX_TRIAL_NODES = 2**20
+
+
+def _check_trials(trials: int, shape: Tuple[int, ...]) -> None:
+    if trials * math.prod(shape) > _MAX_TRIAL_NODES:
+        raise ValueError(f"{trials} trials on a grid of {' x '.join(map(str, shape))} "
+                         f"nodes exceed the limit of {_MAX_TRIAL_NODES} trial nodes "
+                         f"(trials times grid nodes)")
+
+
 @cache  # read by every spectral derivative; callers do not write to it
 def _wavenumbers(n: int, box: float) -> np.ndarray:
     """Angular wavenumbers of an n-point periodic axis of length box, in
@@ -217,6 +231,13 @@ class HalfGrid:
     def _r_weights(self) -> np.ndarray:
         return self.r_weights()
 
+    @cached_property
+    def _radial_profile(self) -> Tuple[np.ndarray, np.ndarray]:
+        """random_half_field's Chebyshev abscissa, r mapped onto [-1, 1], and
+        the window by which its radial profiles vanish near r = -R."""
+        r, R = self.r_axis(), self.depth
+        return 2.0 * (r + R) / R - 1.0, _smooth_step((r + R) / (0.4 * R))
+
     def _total(self, density: np.ndarray) -> float:
         # over the tangential axes, then by the trapezoid rule in r
         return np.sum(np.sum(density, axis=self._lambda_axes) * self._r_weights)
@@ -335,6 +356,11 @@ def _double_commutator(grid, k, f, lam_fphi, lam_phi) -> np.ndarray:
 def _lattice(coords: Sequence[int], dim: int = 3) -> np.ndarray:
     return np.array(list(product(coords, repeat=dim)), dtype=float)
 
+
+# part iii walks its lattice in slabs of whole xi values, at most this many
+# (xi, eta1, eta2) triples per slab (at least one xi), so that its per-k
+# temporaries do not grow with the lattice
+_SLAB_TRIPLES = 2**14
 
 # part iii quadrature: distinct quadratic forms per column block, so that the
 # (nodes, block) temporaries stay in cache
@@ -485,6 +511,9 @@ def kernel_lemma_check(
     Only the triples that k leaves uncertified are integrated at k, once per
     distinct form, in fixed blocks of forms.  k = 0 needs no integral, since
     its constant, and so its RHS, is 0; nor does k = 2, whose integrand is 1.
+    The lattice is walked in slabs of xi values (_SLAB_TRIPLES), so that the
+    working set does not grow with it, and each k's uncertified triples are
+    joined in the lattice's order before they are integrated.
     """
     V = _lattice(coords)
     xi = V[:, None, :]  # the (xi, eta) pairs of parts i and ii
@@ -513,63 +542,75 @@ def kernel_lemma_check(
             raise ValueError(f"quad_order {quad_order} exceeds the limit of "
                              f"{_MAX_QUAD_ORDER} nodes per axis (_MAX_QUAD_ORDER)")
         # every (xi, eta1, eta2) triple, axes (xi, eta1, eta2), with eta1 and
-        # eta2 from V[::stride]; each quantity is a sum of entries of the
-        # lattice's Gram matrix, so it is an exact integer: |xi + t a + t' b|^2
-        # with a = eta1 - eta2 and b = eta2 - xi has the six coefficients below
+        # eta2 from V[::stride], walked in slabs of xi; each quantity is a sum
+        # of entries of the lattice's Gram matrix, so it is an exact integer:
+        # |xi + t a + t' b|^2 with a = eta1 - eta2 and b = eta2 - xi has the
+        # six coefficients below.  Every step is elementwise until the open
+        # triples of all slabs are joined, in the lattice's flat order
         G = V @ V.T
         e = np.arange(0, len(V), stride)
-        xx = np.diag(G)[:, None, None]
         e1e1 = np.diag(G)[e][:, None]
         e2e2 = np.diag(G)[e]
-        x_e1 = G[:, e][:, :, None]
-        x_e2 = G[:, e][:, None, :]
         e1e2 = G[np.ix_(e, e)]
         aa = e1e1 - 2.0 * e1e2 + e2e2
-        bb = e2e2 - 2.0 * x_e2 + xx
-        shape = (len(V), len(e), len(e))
-        coeffs = [
-            np.broadcast_to(c, shape)
-            for c in (xx, aa, bb, x_e1 - x_e2, x_e2 - xx, e1e2 - x_e1 - e2e2 + x_e2)
-        ]
-        g_s = 1.0 + (xx + e1e1 + e2e2 + 2.0 * x_e1 - 2.0 * x_e2 - 2.0 * e1e2)
-        # |xi - eta2| |eta1 - eta2|
-        dist = np.sqrt(bb * aa).ravel()
         area = _rule(quad_order)[1].sum() ** 2
-        for k in ks:
-            lhs = np.abs(
-                (1.0 + xx) ** (k / 2.0)
-                + (1.0 + e1e1) ** (k / 2.0)
-                - (1.0 + e2e2) ** (k / 2.0)
-                - g_s ** (k / 2.0)
-            ).ravel()
-            count += lhs.size
-            const = abs(k) * max(1.0, abs(k - 1.0))
-            if const == 0.0 or k == 2.0:
-                # k = 0 has const = 0, so rhs = 0 whatever its integral, and
-                # k = 2 integrates 1 to the rule's area: no quadrature
-                rhs = const * dist * (area if k == 2.0 else 0.0)
-                worst = max(worst, _excess(lhs, rhs))
-                continue
-            bound = _integral_lower_bound(coeffs, k, quad_order)
-            rhs_low = const * dist * np.ravel(bound)
-            # the triples that no bound certifies; never empty: the eta1 = eta2
-            # triples have dist = 0, and so rhs = 0 whatever their integral
-            open_ = np.flatnonzero(~((rhs_low > 0) & (lhs <= (1.0 - _SLACK) * rhs_low)))
-            far = dist[open_] > 0
+        consts = {k: abs(k) * max(1.0, abs(k - 1.0)) for k in ks}
+        # per k that needs quadrature, each slab's uncertified triples: their
+        # LHS, their dist and the coefficients of those with dist > 0; k = 0
+        # has const = 0, so rhs = 0 whatever its integral, and k = 2
+        # integrates 1 to the rule's area
+        waiting = {k: [] for k in ks if consts[k] != 0.0 and k != 2.0}
+        slab = max(1, _SLAB_TRIPLES // len(e) ** 2)
+        for lo in range(0, len(V), slab):
+            xs = slice(lo, lo + slab)
+            xx = np.diag(G)[xs, None, None]
+            x_e1 = G[xs, e][:, :, None]
+            x_e2 = G[xs, e][:, None, :]
+            bb = e2e2 - 2.0 * x_e2 + xx
+            shape = (len(xx), len(e), len(e))
+            coeffs = [
+                np.broadcast_to(c, shape)
+                for c in (xx, aa, bb, x_e1 - x_e2, x_e2 - xx, e1e2 - x_e1 - e2e2 + x_e2)
+            ]
+            g_s = 1.0 + (xx + e1e1 + e2e2 + 2.0 * x_e1 - 2.0 * x_e2 - 2.0 * e1e2)
+            # |xi - eta2| |eta1 - eta2|
+            dist = np.sqrt(bb * aa).ravel()
+            for k in ks:
+                lhs = np.abs(
+                    (1.0 + xx) ** (k / 2.0)
+                    + (1.0 + e1e1) ** (k / 2.0)
+                    - (1.0 + e2e2) ** (k / 2.0)
+                    - g_s ** (k / 2.0)
+                ).ravel()
+                count += lhs.size
+                if k not in waiting:
+                    rhs = consts[k] * dist * (area if k == 2.0 else 0.0)
+                    worst = max(worst, _excess(lhs, rhs))
+                    continue
+                bound = _integral_lower_bound(coeffs, k, quad_order)
+                rhs_low = consts[k] * dist * np.ravel(bound)
+                # the triples that no bound certifies; never empty: the
+                # eta1 = eta2 triples have dist = 0, and so rhs = 0 whatever
+                # their integral
+                open_ = np.flatnonzero(~((rhs_low > 0) & (lhs <= (1.0 - _SLACK) * rhs_low)))
+                far = open_[dist[open_] > 0]
+                sub = np.stack([c[np.unravel_index(far, shape)] for c in coeffs])
+                waiting[k].append((lhs[open_], dist[open_], sub))
+        for k, parts in waiting.items():
+            lhs, dist, sub = (np.concatenate(a, axis=-1) for a in zip(*parts))
             # the coefficients of the triples that need an integral, sorted
             # together by np.lexsort; a sorted triple starts a new form where
             # any coefficient changes (sliced, so that no triple gives no
             # form), and each form's integral is scattered back
-            sub = np.stack([c[np.unravel_index(open_[far], shape)] for c in coeffs])
             order = np.lexsort(sub)
             new = np.r_[True, np.any(np.diff(sub[:, order]) != 0, axis=0)][: order.size]
             which = np.empty_like(order)
             which[order] = np.cumsum(new) - 1
-            integral = np.zeros(open_.size)
+            integral = np.zeros(lhs.size)
             forms = sub[:, order[new]]
-            integral[far] = _form_integrals(forms, [k], quad_order)[k][which]
-            rhs = const * dist[open_] * integral
-            worst = max(worst, _excess(lhs[open_], rhs))
+            integral[dist > 0] = _form_integrals(forms, [k], quad_order)[k][which]
+            rhs = consts[k] * dist * integral
+            worst = max(worst, _excess(lhs, rhs))
     else:
         raise ValueError("part must be one of 'i', 'ii', 'iii'")
     return {"max_violation": worst, "tuples": count}
@@ -601,44 +642,63 @@ def _smooth_step(u: np.ndarray) -> np.ndarray:
     return out
 
 
+@cache  # read-only, shared by every field of dim axes
+def _reference_plan(dim: int) -> Tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """What _reference_coeffs needs of its dim-axis reference grid: the mask
+    of the low modes that take random values and their count, the bump
+    window of the central half box, and the mask of the top quarter of the
+    spectrum that is cut from the result."""
+    n = _REFERENCE_N
+    shape = (n,) * dim
+    freq = np.abs(fftfreq(n, d=1.0 / n))
+    x = np.arange(n) * (TWO_PI / n)
+    low = np.ones(shape, dtype=bool)
+    keep = np.ones(shape, dtype=bool)
+    window = np.ones(shape)
+    for axis in range(dim):
+        low &= _along(freq, axis, dim) <= n // 5
+        keep &= _along(freq, axis, dim) < _BAND
+        window = window * _along(_bump((x - math.pi) / (math.pi / 2)), axis, dim)
+    cut = ~keep
+    low.flags.writeable = window.flags.writeable = cut.flags.writeable = False
+    return low, int(np.sum(low)), window, cut
+
+
 def _reference_coeffs(rng: Generator, dim: int) -> np.ndarray:
     """Band-limited spectral coefficients of a half-box-supported field,
     produced on the reference grid so any N >= 64 synthesizes the same
     continuum function."""
-    n = _REFERENCE_N
-    shape = (n,) * dim
-    spec = np.zeros(shape, dtype=complex)
-    freq = fftfreq(n, d=1.0 / n)
-    low = np.ones(shape, dtype=bool)
-    for axis in range(dim):
-        low &= _along(np.abs(freq), axis, dim) <= n // 5
-    count = int(np.sum(low))
-    vals = rng.normal(size=count) + 1j * rng.normal(size=count)
-    spec[low] = vals
+    low, count, window, cut = _reference_plan(dim)
+    spec = np.zeros(low.shape, dtype=complex)
+    spec[low] = rng.normal(size=count) + 1j * rng.normal(size=count)
     raw = ifftn(spec)
-    x = np.arange(n) * (TWO_PI / n)
-    window = np.ones(shape)
-    for axis in range(dim):
-        window = window * _along(_bump((x - math.pi) / (math.pi / 2)), axis, dim)
-    coeffs = fftn(raw * window) / raw.size
-    keep = np.ones(shape, dtype=bool)
-    for axis in range(dim):
-        keep &= _along(np.abs(freq), axis, dim) < _BAND
-    coeffs[~keep] = 0.0
-    peak = np.max(np.abs(raw * window))
+    windowed = raw * window
+    coeffs = fftn(windowed) / raw.size
+    coeffs[cut] = 0.0
+    peak = np.max(np.abs(windowed))
     return coeffs / max(peak, 1e-300)
 
 
-def _synthesize(coeffs: np.ndarray, n: int, dim: int) -> np.ndarray:
-    big = np.zeros((n,) * dim, dtype=complex)
+@cache  # read-only, shared by every field of one (n, dim)
+def _scatter(n: int, dim: int) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """The mask of the reference coefficients that an n-point grid of dim
+    axes keeps (those below its Nyquist frequency) and their places on it."""
     idx = fftfreq(_REFERENCE_N, d=1.0 / _REFERENCE_N).astype(int)
     grids = np.meshgrid(*([idx] * dim), indexing="ij")
-    keep = np.ones(coeffs.shape, dtype=bool)
+    keep = np.ones(grids[0].shape, dtype=bool)
     if n < _REFERENCE_N:
-        # keep only modes below the target Nyquist frequency
         for g in grids:
             keep &= np.abs(g) < n // 2
-    big[tuple(g[keep] % n for g in grids)] = coeffs[keep]
+    places = tuple(g[keep] % n for g in grids)
+    for a in (keep,) + places:
+        a.flags.writeable = False
+    return keep, places
+
+
+def _synthesize(coeffs: np.ndarray, n: int, dim: int) -> np.ndarray:
+    keep, places = _scatter(n, dim)
+    big = np.zeros((n,) * dim, dtype=complex)
+    big[places] = coeffs[keep]
     return ifftn(big) * (n**dim)
 
 
@@ -652,14 +712,11 @@ def random_half_field(grid: HalfGrid, rng: Generator) -> np.ndarray:
     """Random half-grid field: band-limited tangential factors times smooth
     radial profiles vanishing near r = -R (Schwartz-proxy on the half space)."""
     t_dim = grid.dim - 1
-    r = grid.r_axis()
-    R = grid.depth
-    window = _smooth_step((r + R) / (0.4 * R))
+    u, window = grid._radial_profile
     out = np.zeros(grid.shape, dtype=complex)
     for _ in range(3):
         coeffs = _reference_coeffs(rng, t_dim)
         tang = _synthesize(coeffs, grid.n_t, t_dim)
-        u = 2.0 * (r + R) / R - 1.0
         poly = chebval(u, rng.normal(size=4))
         out = out + tang[..., np.newaxis] * _along(poly * window, t_dim, grid.dim)
     return out
@@ -818,6 +875,7 @@ def leibniz_battery(
         raise TypeError("tangential batteries need a HalfGrid")
     if not tangential and getattr(grid, "kind", None) != TorusGrid.kind:
         raise TypeError("full-space batteries need a TorusGrid")
+    _check_trials(trials, grid.shape)
     a = 1.0 + grid.dim / 2.0
     cases = _battery_cases(part)
     random_field = random_half_field if tangential else random_torus_field
@@ -921,6 +979,7 @@ def half_space_subestimate(
     """
     if grid.dim != 2:
         raise ValueError("the sub-estimate battery runs on a 2-D half grid")
+    _check_trials(trials, grid.shape)
     ss = SeedSequence([seed, 97])
     ratios = []
     for child in ss.spawn(trials):

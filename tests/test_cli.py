@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -519,3 +522,112 @@ anchor_1 = "1; 0"
 anchor_2 = "0; x1"
 structure_1_2 = "0; 1"
 """
+
+
+# ---------------------------------------------------------------------------
+# the trials bound
+
+
+@pytest.mark.parametrize("argv, grid", [
+    (["hodge", "--trials", "100000000"], "64 x 64"),
+    (["sobolev", "--suite", "A.i", "--trials", "100000000"], "64 x 64"),
+    (["sobolev", "--suite", "T.iv", "--trials", "100000000"], "64 x 33"),
+    (["sobolev", "--suite", "subestimate", "--trials", "100000000"], "64 x 33"),
+    (["hodge", "--n-theta", "256", "--n-r", "256", "--trials", "17"], "256 x 256"),
+    (["sobolev", "--suite", "A.iv", "--grid", "1024", "--trials", "2"], "1024 x 1024"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_trials_past_their_bound_exit_1_in_time(capsys, argv, grid):
+    # refused before any field is drawn, where these used to run for as long
+    # as time or memory lasted
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    trials = argv[argv.index("--trials") + 1]
+    assert capsys.readouterr() == ("", (
+        f"error: {trials} trials on a grid of {grid} nodes exceed the limit of "
+        "1048576 trial nodes (trials times grid nodes)\n"))
+
+
+def test_the_trials_bound_admits_every_run_the_project_makes():
+    # trials times grid nodes: hodge at 256 x 256 with 10 trials (CI), at
+    # 64 x 64 with 50 and at 128 x 128 with 10 (the labs workload), 1,024
+    # trials at 16 x 32 (the tests), a battery's 8 trials at 64 x 64, and one
+    # trial on the largest torus
+    for trials, shape in ((10, (256, 256)), (50, (64, 64)), (10, (128, 128)),
+                          (1024, (16, 32)), (8, (64, 64)), (1, (1024, 1024))):
+        sobolev._check_trials(trials, shape)
+
+
+# ---------------------------------------------------------------------------
+# one subparser per run
+
+
+def run_main(argv):
+    """main's exit code (or --help's), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+PARSER_ARGVS = [
+    [], ["--help"], ["hodg"], ["--seed", "3", "hodge"], ["hodge", "--bogus"],
+    ["hodge", "--n-theta", "x"], ["hodge", "classify"], ["sobolev"],
+    ["levi", "--format", "xml", "--spec", "a"], ["dsq", "--spec"],
+    ["convexity", "--spec", "ball_c2_dbar", "--require-q", "x"],
+    ["hodge", "--seed", "-2"], ["classify", "--samples", "0", "--spec", "tangent_sphere"],
+    ["dsq", "--spec", "tangent_sphere"], ["sobolev", "--suite", "kernel.i", "--format", "csv"],
+] + [[name, "--help"] for name in cli._COMMANDS]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_the_command_parser_alone_keeps_every_byte(monkeypatch, argv):
+    # main's parser holds the subparser of argv's command only; the whole
+    # parser gives the same exit code, report, help text and error line
+    got = run_main(argv)
+    whole = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: whole())
+    assert got == run_main(argv)
+
+
+def test_main_builds_only_the_parser_of_its_command(monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def record(command=None):
+        parser = build(command)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        built.append(list(sub.choices))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", record)
+    for argv in (["dsq", "--spec", "tangent_sphere"], ["hodg"], []):
+        run_main(argv)
+    assert built == [["dsq"], list(cli._COMMANDS), list(cli._COMMANDS)]
+
+
+# ---------------------------------------------------------------------------
+# the labs' working set
+
+
+@pytest.mark.parametrize("argv", [
+    ["hodge"],
+    ["hodge", "--n-theta", "128", "--n-r", "128", "--trials", "10"],
+    ["sobolev", "--suite", "kernel.iii"],
+], ids=" ".join)
+def test_the_largest_labs_commands_stay_in_a_bounded_working_set(argv):
+    # the traced peak of the three labs commands that set that workload's
+    # memory, the package already imported: the trials' stacks of one
+    # degree, the deformed problems built one at a time and kernel.iii's
+    # slabs hold it under 7 MB
+    with redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 7e6, peak

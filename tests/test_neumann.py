@@ -634,13 +634,14 @@ def test_dbar_report_smoke():
 
 
 def test_dbar_report_memory_does_not_grow_with_the_trials():
-    # the trials are applied in blocks of at most neumann._TRIAL_BLOCK_NODES
-    # nodes, 256 trials at 16 x 32; one block against four: the split of a
-    # block between the two degrees varies, so "about" is 25 %
+    # the fields wait by degree until a stack of neumann._TRIAL_BLOCK_NODES
+    # nodes of one degree, 64 fields at 16 x 32, is full; 2 * 64 trials fill
+    # about one stack of each degree and 8 * 64 about four: the split between
+    # the two degrees varies, so "about" is 25 %
     block = neumann._TRIAL_BLOCK_NODES // (16 * 32)
     dbar_report(n_theta=16, n_r=32, trials=1)
     peaks = []
-    for trials in (block, 4 * block):
+    for trials in (2 * block, 8 * block):
         tracemalloc.start()
         dbar_report(n_theta=16, n_r=32, trials=trials)
         peaks.append(tracemalloc.get_traced_memory()[1])

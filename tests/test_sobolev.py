@@ -491,6 +491,20 @@ def test_form_integrals_do_not_depend_on_the_forms_beside_them():
             assert np.array_equal(part[k], whole[k][lo:hi]), (k, lo, hi)
 
 
+@pytest.mark.parametrize("quad_order", [1, 2, 8, 32])
+def test_kernel_iii_by_slabs_equals_one_slab_of_the_whole_lattice(monkeypatch, quad_order):
+    # every step before the open triples of all slabs are joined is
+    # elementwise, so slabs of any size give one slab's report bit for bit;
+    # 0.7 and 2.5 take the general power, and one triple asks for one xi
+    ks = DEFAULT_KS + (0.7, 2.5)
+    slabbed = kernel_lemma_check("iii", ks=ks, quad_order=quad_order)
+    monkeypatch.setattr(sobolev, "_SLAB_TRIPLES", 125 * 25 * 25)
+    whole = kernel_lemma_check("iii", ks=ks, quad_order=quad_order)
+    monkeypatch.setattr(sobolev, "_SLAB_TRIPLES", 1)
+    one_xi = kernel_lemma_check("iii", ks=ks, quad_order=quad_order)
+    assert slabbed == whole == one_xi
+
+
 def test_kernel_iii_at_k0_takes_no_integral():
     # k = 0: the constant |k| max(1, |k - 1|) vanishes and so does the LHS
     out = kernel_lemma_check("iii", ks=(0.0,))
@@ -740,3 +754,76 @@ def test_order_stats_match_numpy_bit_for_bit(values, qs):
         want_q, want_median = np.quantile(arr, qs), np.median(arr)
     assert got_q.tobytes() == want_q.tobytes()
     assert np.float64(got_median).tobytes() == np.float64(want_median).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# random battery fields, against their construction with every constant
+# built per field
+
+
+def reference_coeffs(rng, dim):
+    n = sobolev._REFERENCE_N
+    shape = (n,) * dim
+    spec = np.zeros(shape, dtype=complex)
+    freq = np.fft.fftfreq(n, d=1.0 / n)
+    low = np.ones(shape, dtype=bool)
+    for axis in range(dim):
+        low &= sobolev._along(np.abs(freq), axis, dim) <= n // 5
+    count = int(np.sum(low))
+    spec[low] = rng.normal(size=count) + 1j * rng.normal(size=count)
+    raw = np.fft.ifftn(spec)
+    x = np.arange(n) * (TWO_PI / n)
+    window = np.ones(shape)
+    for axis in range(dim):
+        window = window * sobolev._along(sobolev._bump((x - math.pi) / (math.pi / 2)), axis, dim)
+    coeffs = np.fft.fftn(raw * window) / raw.size
+    keep = np.ones(shape, dtype=bool)
+    for axis in range(dim):
+        keep &= sobolev._along(np.abs(freq), axis, dim) < sobolev._BAND
+    coeffs[~keep] = 0.0
+    return coeffs / max(np.max(np.abs(raw * window)), 1e-300)
+
+
+def reference_synthesize(coeffs, n, dim):
+    big = np.zeros((n,) * dim, dtype=complex)
+    idx = np.fft.fftfreq(sobolev._REFERENCE_N, d=1.0 / sobolev._REFERENCE_N).astype(int)
+    grids = np.meshgrid(*([idx] * dim), indexing="ij")
+    keep = np.ones(coeffs.shape, dtype=bool)
+    if n < sobolev._REFERENCE_N:
+        for g in grids:
+            keep &= np.abs(g) < n // 2
+    big[tuple(g[keep] % n for g in grids)] = coeffs[keep]
+    return np.fft.ifftn(big) * (n**dim)
+
+
+def reference_half_field(grid, rng):
+    t_dim = grid.dim - 1
+    r, R = grid.r_axis(), grid.depth
+    window = sobolev._smooth_step((r + R) / (0.4 * R))
+    out = np.zeros(grid.shape, dtype=complex)
+    for _ in range(3):
+        tang = reference_synthesize(reference_coeffs(rng, t_dim), grid.n_t, t_dim)
+        poly = np.polynomial.chebyshev.chebval(2.0 * (r + R) / R - 1.0, rng.normal(size=4))
+        out = out + tang[..., np.newaxis] * sobolev._along(poly * window, t_dim, grid.dim)
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_random_fields_equal_their_construction_per_field(n):
+    # the masks, windows and scatter places are built once per dimension or
+    # grid and shared read-only; the fields and the generator's state after
+    # them keep their bits, below the reference resolution too
+    for grid, field, reference in (
+        (TorusGrid(2, n), random_torus_field,
+         lambda g, rng: reference_synthesize(reference_coeffs(rng, g.dim), g.n, g.dim)),
+        (TorusGrid(3, 16), random_torus_field,
+         lambda g, rng: reference_synthesize(reference_coeffs(rng, g.dim), g.n, g.dim)),
+        (HalfGrid(2, n, n // 2 + 1), random_half_field, reference_half_field),
+        (HalfGrid(3, 16, 9), random_half_field, reference_half_field),
+    ):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(2):
+            assert np.array_equal(field(grid, rng), reference(grid, ref_rng))
+        assert rng.random() == ref_rng.random()
+    low, _, window, cut = sobolev._reference_plan(2)
+    assert not (low.flags.writeable or window.flags.writeable or cut.flags.writeable)
