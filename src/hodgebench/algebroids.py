@@ -68,26 +68,6 @@ class AlgebroidSpec:
             if a.chart != self.chart:
                 raise ValueError("anchor chart mismatch")
 
-    @property
-    def has_structure(self) -> bool:
-        return self.structure is not None
-
-    def structure_coeff(self, i: int, j: int, k: int) -> ScalarExpr:
-        """c^k_ij with the antisymmetry c^k_ij = -c^k_ji built in."""
-        if self.structure is None:
-            raise ValueError(f"algebroid {self.name!r} has no structure functions")
-        row = self.structure.get((i, j) if i < j else (j, i))
-        if i == j or row is None:
-            return const(self.chart, 0)
-        return row[k] if i < j else -row[k]
-
-    def frame_bracket(self, i: int, j: int) -> "list[ScalarExpr]":
-        return [self.structure_coeff(i, j, k) for k in range(self.rank)]
-
-    def anchor_matrix_at(self, point) -> np.ndarray:
-        """m x l complex matrix of anchor values at a point."""
-        return self.anchor_matrices([point])[0]
-
     def anchor_matrices(self, points) -> np.ndarray:
         """(N, m, l) stack of anchor matrices over an (N, m) batch of points.
 
@@ -273,7 +253,7 @@ def ce_differential(alg: AlgebroidSpec, phi: AlgebroidForm) -> AlgebroidForm:
     K is increasing, so the pair (K[a], K[b]) is a key of the structure
     table as stored; a pair without a row brackets to zero and is skipped.
     """
-    if not alg.has_structure:
+    if alg.structure is None:
         raise ValueError("structure functions are required for ce_differential")
     if phi.alg is not alg and (
         phi.alg.rank != alg.rank or phi.alg.chart != alg.chart

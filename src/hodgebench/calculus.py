@@ -28,7 +28,6 @@ __all__ = [
     "exterior_derivative",
     "interior",
     "lie_derivative",
-    "wedge",
     "courant_bracket",
     "insertion_sign",
 ]
@@ -337,13 +336,6 @@ def lie_derivative(X: VectorFieldExpr, eta: FormExpr) -> FormExpr:
     return out
 
 
-def wedge(alpha: FormExpr, beta: FormExpr) -> FormExpr:
-    _same_chart(alpha, beta)
-    if alpha.degree + beta.degree > MAX_FORM_DEGREE:
-        raise ValueError("degree overflow beyond 3")
-    return alpha.wedge(beta)
-
-
 @dataclass(frozen=True)
 class GeneralizedSection:
     """A section X + xi of TM + T*M: a vector part and a 1-form part."""
@@ -373,14 +365,6 @@ class GeneralizedSection:
     @property
     def is_zero(self) -> bool:
         return self.vector.is_zero and self.covector.is_zero
-
-    def pairing(self, other: "GeneralizedSection") -> ScalarExpr:
-        """Natural split-signature pairing <X+xi, Y+eta> = (xi(Y)+eta(X))/2."""
-        chart = self.chart
-        half = const(chart, 0.5)
-        return half * (
-            self.covector.apply(other.vector) + other.covector.apply(self.vector)
-        )
 
 
 def courant_bracket(

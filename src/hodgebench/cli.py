@@ -37,7 +37,7 @@ from .sobolev import (
     kernel_lemma_check,
     leibniz_battery,
 )
-from .specfile import SpecFile, SpecError, format_specfile, parse_specfile
+from .specfile import SpecFile, SpecError, _check_samples, format_specfile, parse_specfile
 
 SOBOLEV_SUITES = INEQUALITY_IDS + (
     "kernel.i",
@@ -165,6 +165,7 @@ def _spec_inputs(args) -> Tuple[SpecFile, AlgebroidSpec, BoundaryData]:
     """The --spec file (with --seed and --samples applied), its algebroid and boundary."""
     spec = load_spec(args.spec, args.seed)
     if getattr(args, "samples", None) is not None:
+        _check_samples("--samples", args.samples)
         spec.samples = args.samples
     return spec, spec.build_algebroid(), spec.build_boundary()
 

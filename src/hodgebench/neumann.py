@@ -193,31 +193,6 @@ class NeumannProblem:
         """All eigenvalues of box_1 on mode modes1[i], ascending."""
         return _mode_eigenvalues(self.S1, i)
 
-    def harmonic_basis(self, degree: int) -> List[Tuple[int, np.ndarray]]:
-        """(mode, vector) pairs of a w-orthonormal basis of the harmonic space:
-        Ker P per mode at degree 0, nothing at degree 1."""
-        self._factors()  # raises while the degree-1 harmonic space is not empty
-        if degree == 1:
-            return []
-        s0 = np.sqrt(self.w)
-        _, _, vh = np.linalg.svd(self.dense_P() / s0, full_matrices=True)
-        return [
-            (n, vh[i, j] / s0)
-            for i, n in enumerate(self.modes0)
-            for j in (-2, -1)
-        ]
-
-    def dense_P(self) -> np.ndarray:
-        """P of every mode as a dense (n_modes, n_r - 2, n_r) stack, built on
-        demand for the degree-0 kernel."""
-        n_int = self.grid.n_r - 2
-        out = np.zeros((len(self.modes0), n_int, self.grid.n_r))
-        k = np.arange(n_int)
-        out[:, k, k] = self.p_lo
-        out[:, k, k + 1] = self.p_mid
-        out[:, k, k + 2] = self.p_up
-        return out
-
     # -- inner products ------------------------------------------------------
 
     def inner(self, phi: DiscreteForm, psi: DiscreteForm) -> complex:
@@ -595,11 +570,6 @@ def basic_estimate_report(
 
 # ---------------------------------------------------------------------------
 # deformation family
-
-
-def operator_norm_diff(problem_a: NeumannProblem, problem_b: NeumannProblem) -> float:
-    """|| N_a - N_b ||_2 in the weighted metric, over all modes at once."""
-    return _norm_diffs([problem_a], problem_b)[0]
 
 
 def _norm_diffs(problems: Iterable[NeumannProblem], base: NeumannProblem) -> List[float]:

@@ -37,11 +37,9 @@ __all__ = [
     "HalfGrid",
     "lambda_full",
     "sobolev_norm",
-    "l2_inner",
     "lambda_tangential",
     "tangential_norm",
     "radial_derivative",
-    "d_norm",
     "commutator",
     "double_commutator",
     "nested_commutator",
@@ -126,21 +124,14 @@ class TorusGrid:
     def shape(self):
         return (self.n,) * self.dim
 
-    @property
-    def cell(self) -> float:
-        return (self.box / self.n) ** self.dim
-
     def axes(self):
         x = np.arange(self.n) * (self.box / self.n)
         return [x] * self.dim
 
-    def freq_square(self) -> np.ndarray:
-        return _freq_square(self.n, self.box, self.dim)
-
     @cached_property
     def _weight(self) -> np.ndarray:
         """1 + |xi|^2, once per grid, for every _lambdas and _norms."""
-        return 1.0 + self.freq_square()
+        return 1.0 + _freq_square(self.n, self.box, self.dim)
 
     @cached_property
     def _lambda_axes(self) -> Tuple[int, ...]:
@@ -157,10 +148,6 @@ def lambda_full(grid, phi: np.ndarray, s: float) -> np.ndarray:
     """(1 + |xi|^2)^{s/2} as a Fourier multiplier on the grid's Lambda axes:
     full-space on a TorusGrid, tangential, per radial slice, on a HalfGrid."""
     return _lambdas(grid, phi)(s)
-
-
-def l2_inner(grid: TorusGrid, phi: np.ndarray, psi: np.ndarray) -> complex:
-    return complex(np.sum(phi * np.conj(psi)) * grid.cell)
 
 
 def sobolev_norm(grid, phi: np.ndarray, s: float = 0.0) -> float:
@@ -205,23 +192,10 @@ class HalfGrid:
     def r_axis(self) -> np.ndarray:
         return -self.depth + np.arange(self.n_r) * self.h_r
 
-    def r_weights(self) -> np.ndarray:
-        w = np.full(self.n_r, self.h_r)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-
-    def t_axes(self):
-        x = np.arange(self.n_t) * (self.box / self.n_t)
-        return [x] * (self.dim - 1)
-
-    def tangential_freq_square(self) -> np.ndarray:
-        return _freq_square(self.n_t, self.box, self.dim - 1)[..., np.newaxis]
-
     @cached_property
     def _weight(self) -> np.ndarray:
         """1 + |tau|^2, once per grid, for every _lambdas and _norms."""
-        return 1.0 + self.tangential_freq_square()
+        return 1.0 + _freq_square(self.n_t, self.box, self.dim - 1)[..., np.newaxis]
 
     @cached_property
     def _lambda_axes(self) -> Tuple[int, ...]:
@@ -229,7 +203,10 @@ class HalfGrid:
 
     @cached_property
     def _r_weights(self) -> np.ndarray:
-        return self.r_weights()
+        w = np.full(self.n_r, self.h_r)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w
 
     @cached_property
     def _radial_profile(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -273,12 +250,6 @@ def _norms(grid, phi: np.ndarray, spec: Optional[np.ndarray] = None) -> Callable
     return cache(lambda s: float(np.sqrt(grid._total(grid._weight**s * power) * box)))
 
 
-def half_inner(grid: HalfGrid, phi: np.ndarray, psi: np.ndarray) -> complex:
-    w = grid.r_weights()
-    cell_t = (grid.box / grid.n_t) ** (grid.dim - 1)
-    return complex(np.sum(phi * np.conj(psi) * w) * cell_t)
-
-
 def boundary_square(grid: HalfGrid, phi: np.ndarray) -> float:
     """int_{r=0} |phi|^2 over the tangential torus."""
     cell_t = (grid.box / grid.n_t) ** (grid.dim - 1)
@@ -308,13 +279,6 @@ def radial_derivative(grid: HalfGrid, phi: np.ndarray) -> np.ndarray:
     out[..., -1] = -(tail[..., ::-1] @ _D4_EDGE0) / h
     out[..., -2] = -(tail[..., ::-1] @ _D4_EDGE1) / h
     return out
-
-
-def d_norm(grid: HalfGrid, phi: np.ndarray, s: float) -> float:
-    """||D phi||_{boundary,s}^2 = ||phi||_{d,s+1}^2 + ||d_r phi||_{d,s}^2."""
-    a = tangential_norm(grid, phi, s + 1.0)
-    b = tangential_norm(grid, radial_derivative(grid, phi), s)
-    return float(math.sqrt(a * a + b * b))
 
 
 # ---------------------------------------------------------------------------
@@ -362,30 +326,20 @@ def _lattice(coords: Sequence[int], dim: int = 3) -> np.ndarray:
 # temporaries do not grow with the lattice
 _SLAB_TRIPLES = 2**14
 
-# part iii quadrature: distinct quadratic forms per column block, so that the
-# (nodes, block) temporaries stay in cache
-_FORM_BLOCK = 1024
+# part iii quadrature: nodes per axis times distinct quadratic forms per column
+# block (1024 forms at the default order 32), so that the (nodes, block)
+# temporaries keep one size, in cache, whatever the order
+_FORM_BLOCK_NODES = 2**15
 
 # the most Gauss-Legendre nodes per axis of part iii, checked before the rule
-# is built: leggauss's companion matrix and the (nodes, block) temporaries grow
-# as its square, and so does the time per uncertified form
+# is built: leggauss's companion matrix grows as its square, and so does the
+# time per uncertified form
 _MAX_QUAD_ORDER = 256
 
 # the certified skip's relative slack, against rounding: a lower bound on an
 # integral is scaled by 1 - _SLACK, and a (triple, k) is certified where its
 # LHS is at most 1 - _SLACK times the RHS from that bound
 _SLACK = 1e-9
-
-# the integrand base ** ((k - 2) / 2) from root = sqrt(base) and inv = 1 / base,
-# written to out where it is a new array
-_INTEGRANDS = {
-    -2.0: lambda root, inv, out: np.multiply(inv, inv, out=out),
-    -0.5: lambda root, inv, out: np.divide(inv, np.sqrt(root, out=out), out=out),
-    0.0: lambda root, inv, out: inv,
-    1.0: lambda root, inv, out: np.multiply(root, inv, out=out),
-    3.0: lambda root, inv, out: root,
-}
-
 
 @cache
 def _rule(quad_order: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -404,10 +358,10 @@ def _form_integrals(
     """Gauss-Legendre values of int_0^1 int_0^1 (1 + |xi + t a + t' b|^2)^{(k-2)/2}
     dt dt' per k, for each column (|xi|^2, |a|^2, |b|^2, xi.a, xi.b, a.b) of
     forms.  Separable in t: per node t, base is formed at all nodes t' at once,
-    the t' terms taken once per block; one sqrt and one reciprocal of base give
-    the integrands, summed as sum_t' w_t' (sum_t w_t integrand), each sum row by
-    row, so that a form's value does not depend on the forms beside it; k = 2
-    is the weights' sum."""
+    the t' terms taken once per block of _FORM_BLOCK_NODES // quad_order forms;
+    the integrands, one np.power of base per k, are summed as
+    sum_t' w_t' (sum_t w_t integrand), each sum row by row, so that a form's
+    value does not depend on the forms beside it; k = 2 is the weights' sum."""
     nodes, weights = _rule(quad_order)
     t2 = nodes[:, None]
     n = forms.shape[1]
@@ -415,11 +369,12 @@ def _form_integrals(
     powers = [k for k in integrals if k != 2.0]
     if not powers:
         return integrals
-    for lo in range(0, n, _FORM_BLOCK):
-        block = slice(lo, lo + _FORM_BLOCK)
+    size = max(1, _FORM_BLOCK_NODES // quad_order)
+    for lo in range(0, n, size):
+        block = slice(lo, lo + size)
         c_xx, c_aa, c_bb, c_xa, c_xb, c_ab = forms[:, block]
         t2bb, t2xb = t2 * t2 * c_bb, 2.0 * t2 * c_xb
-        base, root, inv, out = np.empty((4,) + t2bb.shape)  # reused for every t
+        base, out = np.empty((2,) + t2bb.shape)  # reused for every t
         inner = {k: np.zeros_like(base) for k in powers}  # sum_t w_t integrand, per t'
         for t1, w1 in zip(nodes, weights):
             # 1 + (|xi|^2 + t^2|a|^2 + t'^2|b|^2 + 2t xi.a + 2t' xi.b + 2tt' a.b) in
@@ -429,13 +384,8 @@ def _form_integrals(
             base += t2xb
             base += np.multiply(2.0 * t1 * t2, c_ab, out=out)
             np.add(1.0, base, out=base)
-            np.sqrt(base, out=root)
-            np.divide(1.0, base, out=inv)
             for k in powers:
-                if k in _INTEGRANDS:
-                    integrand = _INTEGRANDS[k](root, inv, out)
-                else:
-                    integrand = np.power(base, (k - 2.0) / 2.0, out=out)
+                integrand = np.power(base, (k - 2.0) / 2.0, out=out)
                 inner[k] += np.multiply(w1, integrand, out=out)
         for k in powers:
             total = integrals[k][block]  # a view, summed into node by node
@@ -509,7 +459,7 @@ def kernel_lemma_check(
     the LHS by a relative 1e-9, the computed excess is negative, so it cannot
     set max_violation (which starts at 0), and the (triple, k) is certified.
     Only the triples that k leaves uncertified are integrated at k, once per
-    distinct form, in fixed blocks of forms.  k = 0 needs no integral, since
+    distinct form, in blocks of forms.  k = 0 needs no integral, since
     its constant, and so its RHS, is 0; nor does k = 2, whose integrand is 1.
     The lattice is walked in slabs of xi values (_SLAB_TRIPLES), so that the
     working set does not grow with it, and each k's uncertified triples are

@@ -13,7 +13,6 @@ from hodgebench.calculus import (
     interior,
     lie_bracket,
     lie_derivative,
-    wedge,
     wedge_sign,
     wirtinger,
 )
@@ -188,7 +187,7 @@ def test_wedge_against_apply():
     a = random_form(chart, rng, 1)
     b = random_form(chart, rng, 1)
     X, Y = random_field(chart, rng), random_field(chart, rng)
-    lhs = wedge(a, b).apply(X, Y)
+    lhs = a.wedge(b).apply(X, Y)
     rhs = a.apply(X) * b.apply(Y) - a.apply(Y) * b.apply(X)
     assert lhs == rhs
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hodgebench import cli, sobolev
+from hodgebench import cli, sobolev, specfile
 from hodgebench.cli import dumps, load_spec, main
 from hodgebench.gallery import gallery_names, gallery_spec
 from hodgebench.specfile import SpecError, format_specfile, parse_specfile
@@ -559,6 +559,63 @@ def test_the_trials_bound_admits_every_run_the_project_makes():
 
 
 # ---------------------------------------------------------------------------
+# the chart dimension and sample bounds
+
+
+@pytest.mark.parametrize("spec, old, new, err", [
+    ("tangent_sphere", "dim = 3", "dim = 9999999",
+     "[chart] dim = 9999999 exceeds the limit of 32 (_MAX_CHART_DIM)"),
+    ("tangent_sphere", "samples = 1000", "samples = 9999999",
+     "[boundary] samples = 9999999 exceeds the limit of 10000 samples (_MAX_SAMPLES)"),
+    ("poisson_c4", "locus_samples = 20", "locus_samples = 9999999",
+     "[boundary] locus_samples = 9999999 exceeds the limit of 10000 samples (_MAX_SAMPLES)"),
+], ids=["dim", "samples", "locus_samples"])
+@pytest.mark.parametrize("command", ["classify", "convexity", "levi", "dsq"])
+def test_spec_counts_past_their_bounds_exit_1_in_time(tmp_path, capsys, spec, old, new,
+                                                      err, command):
+    # refused before any chart or sample exists, where dim = 9999999 ran out
+    # of memory after half a minute and samples = 9999999 ran as long as
+    # memory lasted
+    text = gallery_spec_text(spec)
+    assert old in text
+    path = tmp_path / "big.spec"
+    path.write_text(text.replace(old, new))
+    start = time.perf_counter()
+    assert main([command, "--spec", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "convexity"])
+def test_samples_option_past_its_bound_exits_1_in_time(capsys, command):
+    start = time.perf_counter()
+    assert main([command, "--spec", "tangent_sphere", "--samples", "9999999"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "", "error: --samples = 9999999 exceeds the limit of 10000 samples (_MAX_SAMPLES)\n")
+
+
+def test_the_spec_bounds_admit_every_run_the_project_makes():
+    # the gallery goes up to dim 12 with 1,000 samples and 20 on the locus,
+    # the boundary workload up to 4,400 samples, the symbolic one up to dim
+    # 10; a spec at both bounds parses, one past either does not
+    for name in gallery_names():
+        spec = gallery_spec(name)
+        assert spec.chart_dim <= 12 and spec.samples <= 1000 and spec.locus_samples <= 20
+    specfile._check_samples("--samples", 4400)
+    text = gallery_spec_text("poisson_c4").replace("\nsamples = 1000", "\nsamples = 10000")
+    text = text.replace("locus_samples = 20", "locus_samples = 10000")
+    parse_specfile(text)
+    ball = '[chart]\ndim = {0}\n\n[boundary]\nr = "x{0}^2 - 1"\n\n[algebroid]\nkind = tangent\n'
+    assert parse_specfile(ball.format(32)).chart_dim == 32
+    with pytest.raises(SpecError, match="_MAX_CHART_DIM"):
+        parse_specfile(ball.format(33))
+    with pytest.raises(SpecError, match="_MAX_SAMPLES"):
+        parse_specfile(gallery_spec_text("tangent_sphere").replace("samples = 1000",
+                                                                   "samples = 10001"))
+
+
+# ---------------------------------------------------------------------------
 # one subparser per run
 
 
@@ -617,12 +674,15 @@ def test_main_builds_only_the_parser_of_its_command(monkeypatch):
     ["hodge"],
     ["hodge", "--n-theta", "128", "--n-r", "128", "--trials", "10"],
     ["sobolev", "--suite", "kernel.iii"],
+    ["sobolev", "--suite", "kernel.iii", "--quad-order", "256"],
 ], ids=" ".join)
 def test_the_largest_labs_commands_stay_in_a_bounded_working_set(argv):
     # the traced peak of the three labs commands that set that workload's
-    # memory, the package already imported: the trials' stacks of one
-    # degree, the deformed problems built one at a time and kernel.iii's
-    # slabs hold it under 7 MB
+    # memory, and of kernel.iii at the largest order, the package already
+    # imported: the trials' stacks of one degree, the deformed problems built
+    # one at a time, kernel.iii's slabs and its quadrature blocks of
+    # 2^15 / order forms hold it under 7 MB (16.7 MB at order 256 with a
+    # fixed block of 1,024 forms)
     with redirect_stdout(io.StringIO()):
         tracemalloc.start()
         try:
