@@ -58,7 +58,6 @@ class AlgebroidSpec:
     rank: int
     anchors: tuple  # rank VectorFieldExpr entries, rho(w_1)..rho(w_l)
     structure: Optional[dict] = None  # {(i, j): list of rank ScalarExpr}, i < j
-    name: str = ""
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -81,22 +80,18 @@ class AlgebroidSpec:
 # constructors
 
 
-def make_tangent(chart: Chart, name: str = "tangent") -> AlgebroidSpec:
+def make_tangent(chart: Chart) -> AlgebroidSpec:
     anchors = tuple(coordinate_field(chart, i) for i in range(chart.dim))
-    structure = {}
-    return AlgebroidSpec(chart, chart.dim, anchors, structure, name)
+    return AlgebroidSpec(chart, chart.dim, anchors, {})
 
 
-def make_antiholomorphic(n: int, name: str = "antiholomorphic") -> AlgebroidSpec:
+def make_antiholomorphic(n: int) -> AlgebroidSpec:
     chart = Chart.complex_chart(n)
     anchors = tuple(wirtinger(chart, k + 1, anti=True) for k in range(n))
-    meta = {"kind": "antiholomorphic"}
-    return AlgebroidSpec(chart, n, anchors, {}, name, meta=meta)
+    return AlgebroidSpec(chart, n, anchors, {}, meta={"kind": "antiholomorphic"})
 
 
-def make_graph_two_form(
-    omega: FormExpr, H: Optional[FormExpr] = None, name: str = "graph_two_form"
-) -> AlgebroidSpec:
+def make_graph_two_form(omega: FormExpr) -> AlgebroidSpec:
     """The Dirac graph of a complex two-form, with complement T*M.
 
     In the frame w_i = d_i + omega(d_i) the anchors are the coordinate
@@ -107,8 +102,8 @@ def make_graph_two_form(
         raise ValueError("omega must be a two-form")
     chart = omega.chart
     anchors = tuple(coordinate_field(chart, i) for i in range(chart.dim))
-    meta = {"kind": "graph_two_form", "omega": omega, "H": H}
-    return AlgebroidSpec(chart, chart.dim, anchors, {}, name, meta=meta)
+    meta = {"kind": "graph_two_form", "omega": omega}
+    return AlgebroidSpec(chart, chart.dim, anchors, {}, meta=meta)
 
 
 def _contract(chart: Chart, table: dict, covector, size: int, base: int) -> list:
@@ -132,12 +127,7 @@ def bivector_contract(chart: Chart, pi: dict, covector: Sequence[ScalarExpr]):
     return VectorFieldExpr(chart, tuple(_contract(chart, pi, covector, chart.dim, 0)))
 
 
-def make_graph_bivector(
-    chart: Chart,
-    pi: dict,
-    H: Optional[FormExpr] = None,
-    name: str = "graph_bivector",
-) -> AlgebroidSpec:
+def make_graph_bivector(chart: Chart, pi: dict, H: Optional[FormExpr] = None) -> AlgebroidSpec:
     """The Dirac graph of a bivector, with complement TM.
 
     Frame sections are w_i = dx^i + pi(dx^i).  The structure functions are
@@ -160,7 +150,7 @@ def make_graph_bivector(
             row = [c - twist.coeff((k,)) for k, c in enumerate(row)]
         structure[(i, j)] = row
     meta = {"kind": "graph_bivector", "pi": pi, "H": H}
-    return AlgebroidSpec(chart, m, anchors, structure, name, meta=meta)
+    return AlgebroidSpec(chart, m, anchors, structure, meta=meta)
 
 
 def sigma_contract(chart: Chart, sigma: dict, alpha: Sequence[ScalarExpr]):
@@ -175,9 +165,7 @@ def sigma_contract(chart: Chart, sigma: dict, alpha: Sequence[ScalarExpr]):
     return total
 
 
-def make_holomorphic_poisson(
-    n: int, sigma: dict, name: str = "holomorphic_poisson"
-) -> AlgebroidSpec:
+def make_holomorphic_poisson(n: int, sigma: dict) -> AlgebroidSpec:
     """L = T^{0,1} + graph(sigma) for a holomorphic bivector sigma.
 
     Frame: u_i = d/dzbar^i for i <= n, then s_k = sigma(dz^k) + dz^k for
@@ -207,7 +195,7 @@ def make_holomorphic_poisson(
         for (i, j), c in sigma.items()
     }
     meta = {"kind": "holomorphic_poisson", "sigma": sigma, "n": n}
-    return AlgebroidSpec(chart, 2 * n, anchors, structure, name, meta=meta)
+    return AlgebroidSpec(chart, 2 * n, anchors, structure, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -86,11 +86,7 @@ class VectorFieldExpr:
         )
 
     def __sub__(self, other: "VectorFieldExpr") -> "VectorFieldExpr":
-        _same_chart(self, other)
-        return VectorFieldExpr(
-            self.chart,
-            tuple(a - b for a, b in zip(self.components, other.components)),
-        )
+        return self + (-other)
 
     def __neg__(self):
         return VectorFieldExpr(self.chart, tuple(-a for a in self.components))
@@ -168,7 +164,8 @@ def lie_bracket(X: VectorFieldExpr, Y: VectorFieldExpr) -> VectorFieldExpr:
 def normalized_coeffs(coeffs, degree: int, bound: int, what: str) -> tuple:
     """Antisymmetric coefficient table of a degree-``degree`` form: entries
     of equal strictly increasing index tuples (indices below ``bound``)
-    summed, sorted by index, zeros dropped.  ``what`` names the index in
+    summed in their order, sorted by index, zeros dropped, so that the forms'
+    operations emit signed (index, term) pairs.  ``what`` names the index in
     the out-of-range error."""
     table: Dict[tuple, ScalarExpr] = {}
     for idx, c in coeffs:
@@ -227,18 +224,9 @@ class CoeffTable:
     def wedge(self, other):
         """The wedge product; a degree past the subclass's bound raises."""
         self._same_base(other)
-        table: Dict[tuple, ScalarExpr] = {}
-        for ia, ca in self.coeffs:
-            for ib, cb in other.coeffs:
-                merged = wedge_sign(ia, ib)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                term = const(self.chart, sign) * ca * cb
-                table[idx] = table.get(idx, const(self.chart, 0)) + term
-        return replace(
-            self, degree=self.degree + other.degree, coeffs=tuple(table.items())
-        )
+        pairs = [(wedge_sign(ia, ib), ca, cb) for ia, ca in self.coeffs for ib, cb in other.coeffs]
+        terms = tuple((m[1], const(self.chart, m[0]) * ca * cb) for m, ca, cb in pairs if m)
+        return replace(self, degree=self.degree + other.degree, coeffs=terms)
 
 
 @dataclass(frozen=True)
@@ -302,15 +290,9 @@ def exterior_derivative(eta: FormExpr) -> FormExpr:
     if eta.degree >= MAX_FORM_DEGREE:
         raise ValueError("degree overflow beyond 3")
     chart = eta.chart
-    table: Dict[tuple, ScalarExpr] = {}
-    for idx, c in eta.coeffs:
-        for j in range(chart.dim):
-            sign, new = insertion_sign(j, idx)
-            if sign == 0:
-                continue
-            term = const(chart, sign) * c.diff(j)
-            table[new] = table.get(new, const(chart, 0)) + term
-    return FormExpr.from_table(chart, eta.degree + 1, table)
+    signs = ((insertion_sign(j, idx), j, c) for idx, c in eta.coeffs for j in range(chart.dim))
+    terms = ((new, const(chart, sign) * c.diff(j)) for (sign, new), j, c in signs if sign)
+    return FormExpr(chart, eta.degree + 1, tuple(terms))
 
 
 def interior(X: VectorFieldExpr, eta: FormExpr) -> FormExpr:
@@ -319,13 +301,9 @@ def interior(X: VectorFieldExpr, eta: FormExpr) -> FormExpr:
     if eta.degree == 0:
         raise ValueError("cannot contract a 0-form")
     chart = eta.chart
-    table: Dict[tuple, ScalarExpr] = {}
-    for idx, c in eta.coeffs:
-        for pos, j in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1 :]
-            term = const(chart, (-1) ** pos) * X.components[j] * c
-            table[rest] = table.get(rest, const(chart, 0)) + term
-    return FormExpr.from_table(chart, eta.degree - 1, table)
+    terms = ((idx[:pos] + idx[pos + 1 :], const(chart, (-1) ** pos) * X.components[j] * c)
+             for idx, c in eta.coeffs for pos, j in enumerate(idx))
+    return FormExpr(chart, eta.degree - 1, tuple(terms))
 
 
 def lie_derivative(X: VectorFieldExpr, eta: FormExpr) -> FormExpr:

@@ -293,7 +293,6 @@ def cmd_sobolev(args) -> Tuple[Dict, int]:
     suite = args.suite
     if suite not in SOBOLEV_SUITES:
         raise SpecError(f"unknown suite {suite!r}; choose from {SOBOLEV_SUITES}")
-    seed = args.seed or 0
     code = 0
     if suite.startswith("kernel."):
         part = suite.split(".")[1]
@@ -304,12 +303,12 @@ def cmd_sobolev(args) -> Tuple[Dict, int]:
         grid = (TorusGrid(2, args.grid) if suite.startswith("A.")
                 else HalfGrid(2, args.grid, args.grid // 2 + 1))
         if suite == "subestimate":
-            result = half_space_subestimate(grid, trials=args.trials, seed=seed)
+            result = half_space_subestimate(grid, trials=args.trials, seed=args.seed)
         else:
-            result = leibniz_battery(suite, grid, trials=args.trials, seed=seed)
+            result = leibniz_battery(suite, grid, trials=args.trials, seed=args.seed)
     report = {
         "command": "sobolev",
-        "meta": _meta(None, seed),
+        "meta": _meta(None, args.seed),
         "suite": suite,
         "result": result,
     }
@@ -317,18 +316,17 @@ def cmd_sobolev(args) -> Tuple[Dict, int]:
 
 
 def cmd_hodge(args) -> Tuple[Dict, int]:
-    seed = args.seed or 0
     result = dbar_report(
         rho0=args.rho0,
         n_theta=args.n_theta,
         n_r=args.n_r,
         trials=args.trials,
-        seed=seed,
+        seed=args.seed,
         include_spectra=args.spectra,
     )
     report = {
         "command": "hodge",
-        "meta": _meta(None, seed),
+        "meta": _meta(None, args.seed),
         "result": result,
     }
     return report, 0
@@ -384,8 +382,8 @@ def _add_options(name: str, p: argparse.ArgumentParser) -> None:
     spec = name not in ("sobolev", "hodge")
     if spec:
         p.add_argument("--spec", required=True, help="gallery name or spec file")
-    # a spec command's seed is only recorded in its report
-    p.add_argument("--seed", type=int if spec else _seed, default=None)
+    # a spec command's seed (by default the spec's own) is only recorded in its report
+    p.add_argument("--seed", type=int if spec else _seed, default=None if spec else 0)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     if name in ("classify", "convexity"):
@@ -445,8 +443,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"error: {type(err).__name__}: {err}\n")
         return 1
     except MemoryError as err:
-        # numpy raises a private subclass; name the public type
-        sys.stderr.write(f"error: MemoryError: {err}\n")
+        # numpy raises a private subclass: name the public type, or the command
+        # where the error has no message (as Python's own allocations raise it)
+        sys.stderr.write(f"error: MemoryError: {err}\n" if str(err)
+                         else f"error: out of memory in {argv[0]}\n")
         return 1
     return code
 

@@ -95,8 +95,10 @@ class BoundaryData:
 _NOT_ELLIPTIC = "algebroid is not elliptic at the point"
 _DEGENERATE = "defining function is degenerate at the point (|dr| ~ 0)"
 
-# Points are evaluated in blocks of this many, which bounds the memory of the
-# stacked per-point arrays (anchors, jacobians) whatever the sample count.
+# Points are evaluated in blocks of at most this many, which bounds the memory
+# of the stacked per-point arrays (anchors, jacobians) whatever the sample
+# count.  The anchor jacobians grow as dim^3 per point, so a block holds
+# min(_BLOCK, 2^20 // dim^3) points: 256 through dim 16, 32 at dim 32.
 _BLOCK = 256
 
 # A point is on the boundary when |r| is at most this.
@@ -219,8 +221,9 @@ def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None
     if X.ndim != 2 or X.shape[1] != alg.chart.dim:
         raise ValueError("point dimension mismatch")
     route = None
-    for start in range(0, len(X), _BLOCK):
-        batch, G, degenerate, error = _on_boundary(bd, PointBatch(X[start : start + _BLOCK]))
+    block = max(1, min(_BLOCK, 2**20 // alg.chart.dim**3))
+    for start in range(0, len(X), block):
+        batch, G, degenerate, error = _on_boundary(bd, PointBatch(X[start : start + block]))
         margins = np.zeros(0)
         if len(batch):
             A = alg.anchor_matrices(batch)

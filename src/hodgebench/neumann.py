@@ -41,7 +41,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sobolev import _check_nodes, _check_trials, _order_stats
+from .sobolev import _check_nodes, _check_trials, _order_stats, _trapezoid
 
 __all__ = [
     "AnnulusGrid",
@@ -78,10 +78,7 @@ class AnnulusGrid:
         return self.rho0 + np.arange(self.n_r) * self.h
 
     def weights(self) -> np.ndarray:
-        w = np.full(self.n_r, self.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w * self.rho()
+        return _trapezoid(self.n_r, self.h) * self.rho()
 
     def modes0(self) -> np.ndarray:
         m = self.n_theta // 2
@@ -181,13 +178,13 @@ class NeumannProblem:
         dim1 = int(self._low_spectrum()[0].sum())
         return dim1 if degree == 1 else 2 * len(self.modes0) + dim1
 
-    def smallest_positive_eigenvalue(self, degree: int) -> float:
+    def smallest_positive_eigenvalue(self) -> float:
         """The smallest eigenvalue above the harmonic cut; the same at both
         degrees, which share their nonzero spectrum."""
         return self._low_spectrum()[1]
 
-    def operator_norm_N(self, degree: int = 1) -> float:
-        return 1.0 / self.smallest_positive_eigenvalue(degree)
+    def operator_norm_N(self) -> float:
+        return 1.0 / self.smallest_positive_eigenvalue()
 
     def spectrum(self, i: int) -> np.ndarray:
         """All eigenvalues of box_1 on mode modes1[i], ascending."""
@@ -777,7 +774,7 @@ def dbar_report(
         "seed": seed,
         "trials": trials,
         "harmonic_dim_deg1": problem.harmonic_dim(1),
-        "smallest_eig_deg1": problem.smallest_positive_eigenvalue(1),
+        "smallest_eig_deg1": problem.smallest_positive_eigenvalue(),
         "identity_residual": worst_identity,
         "n_pi_residual": worst_npi,
         "hodge_orthogonality": worst_ortho,

@@ -67,17 +67,19 @@ def _check_nodes(kind: str, shape: Tuple[int, ...]) -> None:
 
 
 # the most trial nodes of one command: its trials times the nodes of the grid
-# each trial's fields live on (n_theta * n_r for neumann's annulus); checked
-# before any field is drawn, it bounds the time that --trials may ask for, as
-# _MAX_NODES bounds the memory of one grid
+# each trial's fields live on (n_theta * n_r for neumann's annulus), at least
+# _MIN_TRIAL_NODES per trial, since a trial's own overhead does not shrink with
+# its grid; checked before any field is drawn, it bounds the time that --trials
+# may ask for, as _MAX_NODES bounds the memory of one grid
 _MAX_TRIAL_NODES = 2**20
+_MIN_TRIAL_NODES = 2**10
 
 
 def _check_trials(trials: int, shape: Tuple[int, ...]) -> None:
-    if trials * math.prod(shape) > _MAX_TRIAL_NODES:
+    if trials * max(_MIN_TRIAL_NODES, math.prod(shape)) > _MAX_TRIAL_NODES:
         raise ValueError(f"{trials} trials on a grid of {' x '.join(map(str, shape))} "
                          f"nodes exceed the limit of {_MAX_TRIAL_NODES} trial nodes "
-                         f"(trials times grid nodes)")
+                         f"(trials times grid nodes, at least {_MIN_TRIAL_NODES} per trial)")
 
 
 @cache  # read by every spectral derivative; callers do not write to it
@@ -104,6 +106,11 @@ def _spectral_derivative(phi: np.ndarray, axis: int, n: int, box: float) -> np.n
     """d/dx along one periodic axis of n points and length box."""
     spec = fft(phi, axis=axis)
     return ifft(spec * _along(1j * _wavenumbers(n, box), axis, phi.ndim), axis=axis)
+
+
+def _trapezoid(n: int, h: float) -> np.ndarray:
+    """The trapezoid rule's weights on n >= 2 nodes spaced h apart."""
+    return np.r_[0.5 * h, np.full(n - 2, h), 0.5 * h]
 
 
 @dataclass(frozen=True)
@@ -203,10 +210,7 @@ class HalfGrid:
 
     @cached_property
     def _r_weights(self) -> np.ndarray:
-        w = np.full(self.n_r, self.h_r)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return _trapezoid(self.n_r, self.h_r)
 
     @cached_property
     def _radial_profile(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -282,43 +286,29 @@ def radial_derivative(grid: HalfGrid, phi: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# commutators
+# commutators (full or tangential, as the grid's Lambda is), each the field of
+# one part of the Leibniz batteries (_battery_field)
 
 
 def commutator(grid, k: float, f: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """[Lambda^k, f] phi (full or tangential, as the grid's Lambda is)."""
-    return _commutator(k, f, _lambdas(grid, f * phi), _lambdas(grid, phi))
+    """[Lambda^k, f] phi."""
+    return _battery_field(grid, "ii", k, f, None, phi)
 
 
 def double_commutator(grid, k: float, f: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    return _double_commutator(grid, k, f, _lambdas(grid, f * phi), _lambdas(grid, phi))
+    """Lambda^k [Lambda^k, f] phi - [Lambda^k, f] Lambda^k phi."""
+    return _battery_field(grid, "iii", k, f, None, phi)
 
 
 def nested_commutator(
     grid, k: float, f: np.ndarray, g: np.ndarray, phi: np.ndarray
 ) -> np.ndarray:
-    return commutator(grid, k, f, g * phi) - g * commutator(grid, k, f, phi)
-
-
-def _commutator(k, f, lam_fphi, lam_phi) -> np.ndarray:
-    """commutator from s -> Lambda^s (f phi) and s -> Lambda^s phi
-    (_lambdas), so that a battery transforms phi and f phi once for every k."""
-    return lam_fphi(k) - f * lam_phi(k)
-
-
-def _double_commutator(grid, k, f, lam_fphi, lam_phi) -> np.ndarray:
-    """double_commutator from s -> Lambda^s (f phi) and s -> Lambda^s phi:
-    Lambda^k [Lambda^k, f] phi - [Lambda^k, f] Lambda^k phi."""
-    inner = _commutator(k, f, lam_fphi, lam_phi)
-    return _lambdas(grid, inner)(k) - commutator(grid, k, f, lam_phi(k))
+    """[Lambda^k, f] (g phi) - g [Lambda^k, f] phi."""
+    return _battery_field(grid, "iv", k, f, g, phi)
 
 
 # ---------------------------------------------------------------------------
 # kernel lemma checks (appendix inequalities on frequency tuples)
-
-
-def _lattice(coords: Sequence[int], dim: int = 3) -> np.ndarray:
-    return np.array(list(product(coords, repeat=dim)), dtype=float)
 
 
 # part iii walks its lattice in slabs of whole xi values, at most this many
@@ -352,30 +342,25 @@ def _rule(quad_order: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _form_integrals(
-    forms: np.ndarray, ks: Iterable[float], quad_order: int
-) -> Dict[float, np.ndarray]:
+def _form_integrals(forms: np.ndarray, k: float, quad_order: int) -> np.ndarray:
     """Gauss-Legendre values of int_0^1 int_0^1 (1 + |xi + t a + t' b|^2)^{(k-2)/2}
-    dt dt' per k, for each column (|xi|^2, |a|^2, |b|^2, xi.a, xi.b, a.b) of
-    forms.  Separable in t: per node t, base is formed at all nodes t' at once,
-    the t' terms taken once per block of _FORM_BLOCK_NODES // quad_order forms;
-    the integrands, one np.power of base per k, are summed as
-    sum_t' w_t' (sum_t w_t integrand), each sum row by row, so that a form's
-    value does not depend on the forms beside it; k = 2 is the weights' sum."""
+    dt dt', for each column (|xi|^2, |a|^2, |b|^2, xi.a, xi.b, a.b) of forms.
+    Separable in t: per node t, base is formed at all nodes t' at once, the t'
+    terms taken once per block of _FORM_BLOCK_NODES // quad_order forms; the
+    integrand, one np.power of base, is summed as sum_t' w_t' (sum_t w_t
+    integrand), each sum row by row, so that a form's value does not depend on
+    the forms beside it."""
     nodes, weights = _rule(quad_order)
     t2 = nodes[:, None]
     n = forms.shape[1]
-    integrals = {k: np.full(n, weights.sum() ** 2 if k == 2.0 else 0.0) for k in ks}
-    powers = [k for k in integrals if k != 2.0]
-    if not powers:
-        return integrals
+    integrals = np.zeros(n)
     size = max(1, _FORM_BLOCK_NODES // quad_order)
     for lo in range(0, n, size):
         block = slice(lo, lo + size)
         c_xx, c_aa, c_bb, c_xa, c_xb, c_ab = forms[:, block]
         t2bb, t2xb = t2 * t2 * c_bb, 2.0 * t2 * c_xb
         base, out = np.empty((2,) + t2bb.shape)  # reused for every t
-        inner = {k: np.zeros_like(base) for k in powers}  # sum_t w_t integrand, per t'
+        inner = np.zeros_like(base)  # sum_t w_t integrand, per t'
         for t1, w1 in zip(nodes, weights):
             # 1 + (|xi|^2 + t^2|a|^2 + t'^2|b|^2 + 2t xi.a + 2t' xi.b + 2tt' a.b) in
             # this order: the terms cancel, so another order moves base by their ulps
@@ -384,18 +369,16 @@ def _form_integrals(
             base += t2xb
             base += np.multiply(2.0 * t1 * t2, c_ab, out=out)
             np.add(1.0, base, out=base)
-            for k in powers:
-                integrand = np.power(base, (k - 2.0) / 2.0, out=out)
-                inner[k] += np.multiply(w1, integrand, out=out)
-        for k in powers:
-            total = integrals[k][block]  # a view, summed into node by node
-            for w2, row in zip(weights, inner[k]):
-                total += w2 * row
+            integrand = np.power(base, (k - 2.0) / 2.0, out=out)
+            inner += np.multiply(w1, integrand, out=out)
+        total = integrals[block]  # a view, summed into node by node
+        for w2, row in zip(weights, inner):
+            total += w2 * row
     return integrals
 
 
 def _integral_lower_bound(forms: np.ndarray, k: float, quad_order: int) -> np.ndarray:
-    """A lower bound on _form_integrals(forms, [k], quad_order)[k], elementwise
+    """A lower bound on _form_integrals(forms, k, quad_order), elementwise
     over the six coefficients (|xi|^2, |a|^2, |b|^2, xi.a, xi.b, a.b), the rows
     of forms or six arrays that broadcast together, with no quadrature.
 
@@ -465,7 +448,7 @@ def kernel_lemma_check(
     working set does not grow with it, and each k's uncertified triples are
     joined in the lattice's order before they are integrated.
     """
-    V = _lattice(coords)
+    V = np.array(list(product(coords, repeat=3)), dtype=float)
     xi = V[:, None, :]  # the (xi, eta) pairs of parts i and ii
     eta = V[None, :, :]
     worst = 0.0
@@ -558,7 +541,7 @@ def kernel_lemma_check(
             which[order] = np.cumsum(new) - 1
             integral = np.zeros(lhs.size)
             forms = sub[:, order[new]]
-            integral[dist > 0] = _form_integrals(forms, [k], quad_order)[k][which]
+            integral[dist > 0] = _form_integrals(forms, k, quad_order)[which]
             rhs = consts[k] * dist * integral
             worst = max(worst, _excess(lhs, rhs))
     else:
@@ -791,19 +774,33 @@ def _coeff_order(a, part, cases) -> int:
     return math.ceil(max(reads))
 
 
-def _battery_field(grid, part, k, f, g, phi, lams):
+def _battery_lambdas(grid, part, f, g, phi, spec=None) -> Dict[str, Callable]:
+    """The _lambdas that a part-``part`` field reads, by name: "phi" (from
+    its spectrum ``spec``, if taken already), "f phi" and, for part iv,
+    "g phi" and "f g phi"."""
+    lams = {"phi": _lambdas(grid, phi, spec)}
+    if part != "i":
+        lams["f phi"] = _lambdas(grid, f * phi)
+    if part == "iv":
+        lams["g phi"] = _lambdas(grid, g * phi)
+        lams["f g phi"] = _lambdas(grid, f * (g * phi))
+    return lams
+
+
+def _battery_field(grid, part, k, f, g, phi, lams=None):
     """The field whose H^s norm is the left-hand side of a part-``part``
-    case; it depends on k but not on s.  ``lams`` maps "phi", "f phi" and,
-    for part iv, "g phi" and "f g phi" to their _lambdas."""
+    case, f phi or a commutator at k; it depends on k but not on s.  ``lams``
+    are its _battery_lambdas, taken once for every k of a trial."""
     if part == "i":
         return f * phi
+    lams = lams or _battery_lambdas(grid, part, f, g, phi)
+    inner = lams["f phi"](k) - f * lams["phi"](k)  # [Lambda^k, f] phi
     if part == "ii":
-        return _commutator(k, f, lams["f phi"], lams["phi"])
+        return inner
     if part == "iii":
-        return _double_commutator(grid, k, f, lams["f phi"], lams["phi"])
+        return _lambdas(grid, inner)(k) - commutator(grid, k, f, lams["phi"](k))
     if part == "iv":
-        inner = _commutator(k, f, lams["f phi"], lams["phi"])
-        return _commutator(k, f, lams["f g phi"], lams["g phi"]) - g * inner
+        return lams["f g phi"](k) - f * lams["g phi"](k) - g * inner
     raise ValueError(part)
 
 
@@ -854,12 +851,7 @@ def leibniz_battery(
         # read at every s
         spec = _spectrum(grid, phi)
         np_ = _norms(grid, phi, spec)
-        lams = {"phi": _lambdas(grid, phi, spec)}
-        if part != "i":
-            lams["f phi"] = _lambdas(grid, f * phi)
-        if part == "iv":
-            lams["g phi"] = _lambdas(grid, g * phi)
-            lams["f g phi"] = _lambdas(grid, f * (g * phi))
+        lams = _battery_lambdas(grid, part, f, g, phi, spec)
         field_norms = cache(
             lambda k_: _norms(grid, _battery_field(grid, part, k_, f, g, phi, lams))
         )

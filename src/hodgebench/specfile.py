@@ -99,19 +99,19 @@ class SpecFile:
     def build_algebroid(self) -> AlgebroidSpec:
         chart = self.chart()
         if self.kind == "tangent":
-            return make_tangent(chart, name="tangent")
+            return make_tangent(chart)
         if self.kind == "antiholomorphic":
-            return make_antiholomorphic(self.n, name="antiholomorphic")
+            return make_antiholomorphic(self.n)
         parse = partial(parse_expr, chart=chart)
         if self.kind == "holomorphic_poisson":
             sigma = _table(self.entries, parse, 0)
-            return make_holomorphic_poisson(self.n, sigma, name="holomorphic_poisson")
+            return make_holomorphic_poisson(self.n, sigma)
         if self.kind == "graph_bivector":
             pi = _table(self.entries, parse, 1)
-            return make_graph_bivector(chart, pi, name="graph_bivector")
+            return make_graph_bivector(chart, pi)
         if self.kind == "graph_two_form":
             omega = FormExpr.from_table(chart, 2, _table(self.entries, parse, 1))
-            return make_graph_two_form(omega, name="graph_two_form")
+            return make_graph_two_form(omega)
         if self.kind == "custom":
             return self._build_custom(chart)
         raise SpecError(f"unsupported algebroid kind {self.kind!r}")
@@ -125,7 +125,7 @@ class SpecFile:
         )
         rows = {k: v for k, v in self.entries.items() if k.startswith("structure_")}
         structure = _table(rows, partial(_parse_components, chart=chart), 1)
-        return AlgebroidSpec(chart, rank, anchors, structure or None, name="custom")
+        return AlgebroidSpec(chart, rank, anchors, structure or None)
 
     def build_boundary(self) -> BoundaryData:
         chart = self.chart()
@@ -157,10 +157,7 @@ class SpecFile:
 def _locus_circle(dim: int, count: int) -> np.ndarray:
     # the non-elliptic circle {x = z = w = 0, |y| = 1} of the Poisson gallery
     pts = np.zeros((count, dim))
-    for k in range(count):
-        theta = 2.0 * math.pi * ((k * 0.6180339887498949) % 1.0)
-        pts[k, 2] = math.cos(theta)
-        pts[k, 3] = math.sin(theta)
+    pts[:, 2:4] = sphere_lattice(2, count)
     return pts
 
 

@@ -98,7 +98,7 @@ def test_criterion_1_poisson_levi_signature():
     t0 = time.perf_counter()
     chart4 = Chart.complex_chart(4)
     sigma4 = {(1, 2): parse_expr("z1", chart4), (3, 4): const(chart4, 1)}
-    alg = make_holomorphic_poisson(4, sigma4, name="poisson_c4")
+    alg = make_holomorphic_poisson(4, sigma4)
     bd = BoundaryData(
         parse_expr(" + ".join(f"x{i + 1}^2" for i in range(8)) + " - 1", chart4)
     )
@@ -117,7 +117,7 @@ def test_criterion_1_poisson_levi_signature():
         (3, 4): const(chart6, 1),
         (5, 6): const(chart6, 1),
     }
-    alg6 = make_holomorphic_poisson(6, sigma6, name="poisson_c6")
+    alg6 = make_holomorphic_poisson(6, sigma6)
     bd6 = BoundaryData(
         parse_expr(" + ".join(f"x{i + 1}^2" for i in range(12)) + " - 1", chart6)
     )

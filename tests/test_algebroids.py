@@ -569,6 +569,35 @@ def test_ce_differential_equals_pair_loop_on_drawn_sigma(data):
     assert_ce_matches_oracle(alg, default_probes(alg))
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_ce_differential_is_linear_over_constants(data):
+    # d(a phi + b psi) = a d(phi) + b d(psi) for Gaussian rational constants
+    # a, b and drawn forms of one degree over a drawn holomorphic Poisson
+    # algebroid, whose structure rows are nonzero
+    n = data.draw(st.integers(2, 3))
+    chart = Chart.complex_chart(n)
+    pairs = data.draw(st.lists(st.sampled_from(list(combinations(range(1, n + 1), 2))),
+                               min_size=1, max_size=2, unique=True))
+    zs = [f"z{k + 1}" for k in range(n)]
+    alg = make_holomorphic_poisson(
+        n, {pair: parse_expr(_polynomial_text(data.draw, zs), chart) for pair in pairs})
+    q = data.draw(st.integers(0, alg.rank - 1))
+    xs = [f"x{k + 1}" for k in range(chart.dim)]
+    indices = st.lists(st.sampled_from(list(combinations(range(alg.rank), q))),
+                       min_size=1, max_size=3, unique=True)
+
+    def form():
+        coeffs = tuple((idx, parse_expr(_polynomial_text(data.draw, xs, max_terms=2), chart))
+                       for idx in data.draw(indices))
+        return AlgebroidForm(alg, q, coeffs)
+
+    phi, psi = form(), form()
+    a, b = (parse_expr(_gaussian_rational(data.draw), chart) for _ in range(2))
+    lhs = ce_differential(alg, phi.scale(a) + psi.scale(b))
+    assert (lhs - ce_differential(alg, phi).scale(a) - ce_differential(alg, psi).scale(b)).is_zero
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.data(), st.booleans())
 def test_ce_differential_equals_pair_loop_on_drawn_pi(data, twisted):

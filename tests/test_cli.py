@@ -438,6 +438,21 @@ def test_memory_errors_exit_1_with_one_line(capsys):
     assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["hodge"], "dbar_report"),
+    (["convexity", "--spec", "ball_c2_dbar"], "q_convex_set"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_a_memory_error_without_a_message_names_the_command(monkeypatch, capsys, argv, name):
+    # Python's own allocations raise MemoryError() with no text, which left
+    # "error: MemoryError: " with nothing after the colon
+    def refuse(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, name, refuse)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: out of memory in {argv[0]}\n")
+
+
 @pytest.mark.parametrize("suite, shape", [("A.i", "4096 x 4096"), ("T.ii", "4096 x 2049")])
 def test_oversized_sobolev_grid_is_refused_by_its_node_count(capsys, suite, shape):
     assert main(["sobolev", "--suite", suite, "--grid", "4096"]) == 1
@@ -535,6 +550,8 @@ structure_1_2 = "0; 1"
     (["sobolev", "--suite", "subestimate", "--trials", "100000000"], "64 x 33"),
     (["hodge", "--n-theta", "256", "--n-r", "256", "--trials", "17"], "256 x 256"),
     (["sobolev", "--suite", "A.iv", "--grid", "1024", "--trials", "2"], "1024 x 1024"),
+    # a grid under 1,024 nodes is charged 1,024 per trial
+    (["sobolev", "--suite", "T.iv", "--grid", "16", "--trials", "1025"], "16 x 9"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_trials_past_their_bound_exit_1_in_time(capsys, argv, grid):
     # refused before any field is drawn, where these used to run for as long
@@ -545,16 +562,17 @@ def test_trials_past_their_bound_exit_1_in_time(capsys, argv, grid):
     trials = argv[argv.index("--trials") + 1]
     assert capsys.readouterr() == ("", (
         f"error: {trials} trials on a grid of {grid} nodes exceed the limit of "
-        "1048576 trial nodes (trials times grid nodes)\n"))
+        "1048576 trial nodes (trials times grid nodes, at least 1024 per trial)\n"))
 
 
 def test_the_trials_bound_admits_every_run_the_project_makes():
     # trials times grid nodes: hodge at 256 x 256 with 10 trials (CI), at
     # 64 x 64 with 50 and at 128 x 128 with 10 (the labs workload), 1,024
-    # trials at 16 x 32 (the tests), a battery's 8 trials at 64 x 64, and one
-    # trial on the largest torus
+    # trials at 16 x 32 (the tests) and at 16 x 9 (charged 1,024 nodes each),
+    # a battery's 8 trials at 64 x 64, and one trial on the largest torus
     for trials, shape in ((10, (256, 256)), (50, (64, 64)), (10, (128, 128)),
-                          (1024, (16, 32)), (8, (64, 64)), (1, (1024, 1024))):
+                          (1024, (16, 32)), (1024, (16, 9)), (8, (64, 64)),
+                          (1, (1024, 1024))):
         sobolev._check_trials(trials, shape)
 
 
@@ -691,3 +709,19 @@ def test_the_largest_labs_commands_stay_in_a_bounded_working_set(argv):
         finally:
             tracemalloc.stop()
     assert peak <= 7e6, peak
+
+
+def test_convexity_on_a_dim_32_ball_stays_in_a_bounded_working_set():
+    # every sample of the antiholomorphic ball in C^16 is non-elliptic, so
+    # each block of the walk stacks its anchors, their jacobians and the Levi
+    # tail's frames; blocks of min(256, 2^20 / dim^3) points, 32 at dim 32,
+    # hold the traced peak under 40 MB (214.6 MB with blocks of 256 points)
+    argv = ["convexity", "--spec", str(SPECS / "ball_c16_dbar.spec")]
+    with redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 40e6, peak

@@ -54,7 +54,7 @@ def ball_boundary(chart):
 def poisson_c4():
     chart = Chart.complex_chart(4)
     sigma = {(1, 2): parse_expr("z1", chart), (3, 4): const(chart, 1)}
-    return make_holomorphic_poisson(4, sigma, name="poisson_c4")
+    return make_holomorphic_poisson(4, sigma)
 
 
 def locus_points(n, count):
@@ -793,7 +793,7 @@ def test_hessian_route_on_a_chart_with_non_consecutive_pairs():
     # z1 = x1 + i x3, z2 = x2 + i x4: the routes index by the pairing
     chart = Chart(4, complex_pairs=((0, 2), (1, 3)))
     anchors = tuple(wirtinger(chart, k, anti=True) for k in (1, 2))
-    alg = AlgebroidSpec(chart, 2, anchors, {}, "antiholomorphic_13_24")
+    alg = AlgebroidSpec(chart, 2, anchors, {})
     bd = ball_boundary(chart)
     for p in sphere_lattice(4, 5):
         p = list(p)
@@ -1082,14 +1082,13 @@ def test_gc_routes():
     # symplectic: elliptic everywhere
     chart = Chart.real(2)
     omega = FormExpr.from_table(chart, 2, {(0, 1): const(chart, 1j)})
-    alg = make_graph_two_form(omega, name="symplectic")
+    alg = make_graph_two_form(omega)
     bd = ball_boundary(chart)
     assert all(c.elliptic for c in gc_ellipticity_via_bivector(alg, bd, sphere_lattice(2, 10)))
-    # complex type: pi_J = 0, non-elliptic everywhere, whatever the name
-    for anti in (make_antiholomorphic(2), make_antiholomorphic(2, name="dbar")):
-        bd4 = ball_boundary(anti.chart)
-        cls = gc_ellipticity_via_bivector(anti, bd4, [[1.0, 0, 0, 0]])
-        assert cls == [Classification(False, 0.0)]
+    # complex type: pi_J = 0, non-elliptic everywhere
+    anti = make_antiholomorphic(2)
+    cls = gc_ellipticity_via_bivector(anti, ball_boundary(anti.chart), [[1.0, 0, 0, 0]])
+    assert cls == [Classification(False, 0.0)]
     # holomorphic Poisson: agrees with classify_point on random samples
     alg_p = poisson_c4()
     bd8 = ball_boundary(alg_p.chart)
@@ -1107,7 +1106,7 @@ def test_poisson_c6_signature():
         (3, 4): const(chart, 1),
         (5, 6): const(chart, 1),
     }
-    alg = make_holomorphic_poisson(6, sigma, name="poisson_c6")
+    alg = make_holomorphic_poisson(6, sigma)
     bd = ball_boundary(chart)
     point = locus_points(6, 1)[0]
     B = levi_form_poisson(bd, sigma, [point])[0][0]

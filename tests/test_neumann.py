@@ -204,7 +204,7 @@ def test_banded_matches_dense_reference(rho0, n_theta, n_r, eps, profile, seed):
         assert close(prob.apply_pi(phi).values, ref.apply_pi(phi.values, deg))
         assert close(prob.apply_box(phi).values, ref.apply_box(phi.values, deg))
         assert prob.harmonic_dim(deg) == ref.harmonic_dim(deg)
-        assert prob.smallest_positive_eigenvalue(deg) == pytest.approx(
+        assert prob.smallest_positive_eigenvalue() == pytest.approx(
             ref.smallest_positive_eigenvalue(deg), rel=1e-10
         )
     base = NeumannProblem(grid)
@@ -316,7 +316,7 @@ def test_smallest_eigenvalue_refinement_stable():
     vals = []
     for n_r in (32, 64):
         prob = NeumannProblem(AnnulusGrid(RHO0, 16, n_r))
-        vals.append(prob.smallest_positive_eigenvalue(1))
+        vals.append(prob.smallest_positive_eigenvalue())
     assert abs(vals[1] - vals[0]) / vals[0] < 0.1
 
 
@@ -360,7 +360,7 @@ def test_nonempty_degree1_harmonics_raise():
     assert prob.harmonic_dim(1) == ref.harmonic_dim(1) > 0
     for deg in (0, 1):
         assert prob.harmonic_dim(deg) == ref.harmonic_dim(deg)
-        assert prob.smallest_positive_eigenvalue(deg) == pytest.approx(
+        assert prob.smallest_positive_eigenvalue() == pytest.approx(
             ref.smallest_positive_eigenvalue(deg), rel=1e-10
         )
     phi = prob.random_form(1, np.random.default_rng(0))
@@ -370,8 +370,8 @@ def test_nonempty_degree1_harmonics_raise():
 
 
 def test_operator_norm_is_inverse_smallest_eigenvalue(problem):
-    lam_min = problem.smallest_positive_eigenvalue(1)
-    assert problem.operator_norm_N(1) == pytest.approx(1.0 / lam_min, rel=1e-12)
+    lam_min = problem.smallest_positive_eigenvalue()
+    assert problem.operator_norm_N() == pytest.approx(1.0 / lam_min, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +583,7 @@ def test_family_constant_profile_matches_closed_form(size):
     # N_eps - N_0 = ((1+eps)^-2 - 1) N_0, whose norm is attained at lambda_min
     grid = AnnulusGrid(RHO0, size, size)
     base = NeumannProblem(grid)
-    lam_min = base.smallest_positive_eigenvalue(1)
+    lam_min = base.smallest_positive_eigenvalue()
     for eps in (0.1, 0.01, 1e-3, -0.3):
         prob = NeumannProblem(grid, eps=eps, profile=lambda r: np.ones_like(r))
         exact = abs(1.0 - (1.0 + eps) ** -2) / lam_min

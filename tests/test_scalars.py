@@ -305,3 +305,44 @@ def test_eval_table_checks_the_point_dimension_of_zero_entries():
     for table in ([const(chart, 0)], [[var(chart, 0), const(chart, 0)]]):
         with pytest.raises(ValueError, match="point dimension mismatch"):
             eval_table(table, [[1.0, 2.0, 3.0]])
+
+
+# ---------------------------------------------------------------------------
+# algebraic properties on drawn rational functions
+
+
+def drawn_expr(data, chart):
+    """A rational function with at most three terms over at most two, of
+    degree at most 3 in each variable."""
+    monomials = st.tuples(*[st.integers(0, 3)] * chart.dim)
+    num = data.draw(st.dictionaries(monomials, coefficients, max_size=3))
+    den = data.draw(st.none() | st.dictionaries(monomials, coefficients, min_size=1, max_size=2))
+    return ScalarExpr(chart, num, den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_print_parse_round_trips_on_drawn_expressions(data):
+    chart = Chart.real(data.draw(st.integers(1, 3)))
+    e = drawn_expr(data, chart)
+    assert parse_expr(str(e), chart) == e
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_diff_commutes_with_conj_on_drawn_expressions(data):
+    # the chart's variables are real, so d/dx_i commutes with conjugation
+    chart = Chart.real(data.draw(st.integers(1, 3)))
+    e = drawn_expr(data, chart)
+    for i in range(chart.dim):
+        assert e.diff(i).conj() == e.conj().diff(i), i
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_quotient_rule_on_drawn_expressions(data):
+    chart = Chart.real(data.draw(st.integers(1, 3)))
+    f, g = drawn_expr(data, chart), drawn_expr(data, chart)
+    assume(not g.is_zero)
+    for i in range(chart.dim):
+        assert (f / g).diff(i) == (f.diff(i) * g - f * g.diff(i)) / g**2, i
