@@ -37,7 +37,9 @@ from .sobolev import (
     kernel_lemma_check,
     leibniz_battery,
 )
-from .specfile import SpecFile, SpecError, _check_samples, format_specfile, parse_specfile
+from .specfile import (
+    SpecFile, SpecError, _check_samples, _check_walk, format_specfile, parse_specfile,
+)
 
 SOBOLEV_SUITES = INEQUALITY_IDS + (
     "kernel.i",
@@ -167,6 +169,7 @@ def _spec_inputs(args) -> Tuple[SpecFile, AlgebroidSpec, BoundaryData]:
     if getattr(args, "samples", None) is not None:
         _check_samples("--samples", args.samples)
         spec.samples = args.samples
+        _check_walk(spec)
     return spec, spec.build_algebroid(), spec.build_boundary()
 
 

@@ -113,6 +113,12 @@ def _trapezoid(n: int, h: float) -> np.ndarray:
     return np.r_[0.5 * h, np.full(n - 2, h), 0.5 * h]
 
 
+def _check_axis(n: int) -> None:
+    """The rule of a periodic axis of n points, on the torus and the half grid."""
+    if n < 16 or n & (n - 1):
+        raise ValueError("points per axis must be a power of two, >= 16")
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     kind: ClassVar[str] = "torus"
@@ -121,8 +127,7 @@ class TorusGrid:
     box: float = TWO_PI
 
     def __post_init__(self):
-        if self.n < 16 or self.n & (self.n - 1):
-            raise ValueError("points per axis must be a power of two, >= 16")
+        _check_axis(self.n)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         _check_nodes(self.kind, self.shape)
@@ -175,7 +180,7 @@ class HalfGrid:
 
     kind: ClassVar[str] = "half"
     dim: int  # total dimension, tangential dim is dim - 1
-    n_t: int  # tangential points per axis
+    n_t: int  # tangential points per axis, power of two
     n_r: int  # radial points, inclusive endpoints
     depth: float = TWO_PI  # R
     box: float = TWO_PI
@@ -186,6 +191,7 @@ class HalfGrid:
         if self.n_r < 5:
             # the one-sided ends of radial_derivative read five nodes
             raise ValueError(f"half grid needs n_r >= 5 radial points, got {self.n_r}")
+        _check_axis(self.n_t)
         _check_nodes(self.kind, self.shape)
 
     @property

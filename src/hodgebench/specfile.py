@@ -65,6 +65,11 @@ SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
 # convexity about 2 ms per non-elliptic sample at dim 32
 _MAX_CHART_DIM = 32
 _MAX_SAMPLES = 10_000
+# the most boundary points times dim^3 that one command may walk, since the
+# walk's work per point grows as dim^3 (levi._walk's block rule); 2^25 =
+# 1,024 x 32^3 admits the default 1,000 + 20 samples at every chart dim, and
+# on the same VM convexity at the bound on a dim-32 ball takes 2.5 s
+_MAX_WALK = 2**25
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -268,6 +273,14 @@ def _check_samples(key: str, count: int) -> None:
                         f"(_MAX_SAMPLES)")
 
 
+def _check_walk(spec: SpecFile) -> None:
+    """Refuse a sample past _MAX_WALK, before any point is drawn."""
+    total = spec.samples + (spec.locus_samples if spec.sampler == "sphere_plus_locus" else 0)
+    if total * spec.chart_dim**3 > _MAX_WALK:
+        raise SpecError(f"{total} boundary points at chart dim {spec.chart_dim} exceed the "
+                        f"limit of {_MAX_WALK} points times dim^3 (_MAX_WALK)")
+
+
 def _validate(spec: SpecFile):
     if spec.chart_dim > _MAX_CHART_DIM:
         raise SpecError(f"[chart] dim = {spec.chart_dim} exceeds the limit of "
@@ -279,6 +292,7 @@ def _validate(spec: SpecFile):
         if spec.locus_samples < 0:
             raise SpecError(f"[boundary] locus_samples must be >= 0, got {spec.locus_samples}")
         _check_samples("[boundary] locus_samples", spec.locus_samples)
+    _check_walk(spec)
     if spec.sampler == "two_spheres" and not 0 < spec.inner_radius < math.inf:
         raise SpecError(
             f"[boundary] inner_radius must be finite and > 0, got {spec.inner_radius!r}"

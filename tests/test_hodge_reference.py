@@ -1,6 +1,7 @@
 """The `hodge` report against a stored reference run.
 
-``golden/hodge_reference.json`` holds the ``result`` of two `hodge` runs:
+``golden/hodge_reference.json`` holds the ``result`` of two `hodge` runs,
+keyed by their command lines, each also a line of ``golden/commands.txt``:
 the default 64x64 grid with 50 trials and 128x128 with 10 trials.  Hodge
 reports are not held to bytes, because the Neumann operator may be computed
 along another route with other rounding.  Instead:
@@ -17,6 +18,7 @@ After a deliberate, justified change, refresh the file with
 which replaces only the fields that break these rules and keeps the rest
 as stored: residuals, and values within 1e-9, differ from machine to
 machine, and rewriting them would move fields the change did not touch.
+A new run is added as an entry with its argv and an empty result.
 """
 
 import io
@@ -30,11 +32,6 @@ import pytest
 from hodgebench.cli import main
 
 REFERENCE = Path(__file__).with_name("golden") / "hodge_reference.json"
-
-COMMANDS = [
-    ["hodge", "--seed", "0"],
-    ["hodge", "--n-theta", "128", "--n-r", "128", "--trials", "10", "--seed", "0"],
-]
 
 RESIDUAL_TOL = {
     "identity_residual": 1e-8,
@@ -84,6 +81,10 @@ def stored():
     return {" ".join(e["argv"]): e["result"] for e in json.loads(REFERENCE.read_text())}
 
 
+# the runs, in the file's order; each is a line of golden/commands.txt
+COMMANDS = [key.split() for key in stored()]
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_hodge_matches_reference(argv):
     _, broken = refresh(run(argv), stored()[" ".join(argv)])
@@ -106,10 +107,6 @@ def test_refresh_replaces_only_the_fields_that_break_the_rules():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    old = stored() if REFERENCE.exists() else {}
-    entries = []
-    for argv in COMMANDS:
-        got, key = run(argv), " ".join(argv)
-        entries.append({"argv": argv, "result": refresh(got, old[key])[0] if key in old else got})
-    REFERENCE.parent.mkdir(exist_ok=True)
+    entries = [{"argv": argv, "result": refresh(run(argv), ref)[0]}
+               for argv, ref in zip(COMMANDS, stored().values())]
     REFERENCE.write_text(json.dumps(entries, indent=1) + "\n")

@@ -734,6 +734,15 @@ def test_half_grid_needs_five_radial_points():
     assert radial_derivative(HalfGrid(2, 16, 5), np.ones((16, 5))).shape == (16, 5)
 
 
+@pytest.mark.parametrize("n_t", [8, 15, 44, 100])
+def test_half_grid_tangential_axes_take_the_torus_rule(n_t):
+    # sobolev --suite T.iv --grid 8 and --grid 44 ran on such axes and exited 0
+    with pytest.raises(ValueError, match=r"^points per axis must be a power of two, >= 16$"):
+        HalfGrid(2, n_t, 33)
+    with pytest.raises(ValueError, match=r"^points per axis must be a power of two, >= 16$"):
+        TorusGrid(2, n_t)
+
+
 def test_boundary_square():
     grid = HalfGrid(2, 32, 17)
     phi = np.zeros(grid.shape, dtype=complex)

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hodgebench.algebroids import ce_differential, AlgebroidForm
 from hodgebench.cli import main
@@ -10,8 +11,10 @@ from hodgebench.gallery import GALLERY, gallery_spec
 from hodgebench.levi import classify_point, sphere_lattice
 from hodgebench.scalars import var
 from hodgebench.specfile import (
+    ALGEBROID_KINDS,
     SAMPLER_KINDS,
     SpecError,
+    SpecFile,
     format_specfile,
     parse_specfile,
 )
@@ -123,6 +126,65 @@ def test_tolerances_round_trip_to_the_bit():
     assert format_specfile(near) != format_specfile(spec)
     # the gallery's default tolerance keeps its text, so report digests stay
     assert "rank_tol = 1e-08\n" in format_specfile(parse_specfile(CUSTOM))
+
+
+@st.composite
+def specs(draw):
+    """A SpecFile that parse_specfile accepts, over every kind and sampler.
+    The keys that format_specfile leaves out for the drawn kind or sampler
+    hold the values parse_specfile gives them when absent."""
+    kind = draw(st.sampled_from(ALGEBROID_KINDS))
+    sampler = draw(st.sampled_from(SAMPLER_KINDS))
+    complex_pairs = kind in ("antiholomorphic", "holomorphic_poisson") or draw(st.booleans())
+    low = 4 if sampler in ("poisson_locus", "sphere_plus_locus") else 1
+    dim = draw(st.integers(low, 8))  # 8^3 times 20,000 points is inside the walk bound
+    if complex_pairs:
+        dim += dim % 2
+    names = [f"x{i}" for i in range(1, dim + 1)]
+    if complex_pairs:
+        names += [f"{z}{k}" for z in ("z", "zb") for k in range(1, dim // 2 + 1)]
+    terms = st.lists(st.sampled_from(names) | st.integers(0, 9).map(str),
+                     min_size=1, max_size=3).map("*".join)
+    expr = st.lists(terms, min_size=1, max_size=3).map(" + ".join)
+
+    def pairs(prefix, upper, value):
+        keys = [f"{prefix}{i}_{j}" for i in range(1, upper + 1) for j in range(i + 1, upper + 1)]
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)) if keys else []
+        return {key: draw(value) for key in chosen}
+
+    def rows(count):
+        return st.lists(expr, min_size=count, max_size=count).map("; ".join)
+
+    entries = {}
+    if kind == "holomorphic_poisson":
+        entries = pairs("sigma_", dim // 2, expr)
+    elif kind in ("graph_bivector", "graph_two_form"):
+        entries = pairs("pi_" if kind == "graph_bivector" else "omega_", dim, expr)
+    elif kind == "custom":
+        rank = draw(st.integers(1, 3))
+        entries = {f"anchor_{i}": draw(rows(dim)) for i in range(1, rank + 1)}
+        entries.update(pairs("structure_", rank, rows(rank)))
+    tol = st.floats(0, 1, exclude_min=True, exclude_max=True)
+    return SpecFile(
+        chart_dim=dim,
+        complex_pairs=complex_pairs,
+        r_text=draw(expr),
+        sampler=sampler,
+        samples=draw(st.integers(1, 10_000)),
+        locus_samples=draw(st.integers(0, 10_000)) if sampler == "sphere_plus_locus" else 20,
+        inner_radius=(draw(st.floats(1e-300, 1e300)) if sampler == "two_spheres" else 0.5),
+        kind=kind,
+        n=dim // 2,
+        entries=entries,
+        rank_tol=draw(tol),
+        eig_zero_tol=draw(tol),
+        seed=draw(st.integers(-2**63, 2**63)),
+    )
+
+
+@given(specs())
+def test_format_then_parse_gives_the_spec_back(spec):
+    assert parse_specfile(format_specfile(spec)) == spec
 
 
 def _cli_error(tmp_path, capsys, text, *argv):
