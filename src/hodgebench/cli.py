@@ -169,6 +169,8 @@ def _spec_inputs(args) -> Tuple[SpecFile, AlgebroidSpec, BoundaryData]:
     if getattr(args, "samples", None) is not None:
         _check_samples("--samples", args.samples)
         spec.samples = args.samples
+    # every command here walks the spec's sample, but levi at given points
+    if not getattr(args, "point", None):
         _check_walk(spec)
     return spec, spec.build_algebroid(), spec.build_boundary()
 
@@ -279,7 +281,7 @@ def cmd_convexity(args) -> Tuple[Dict, int]:
 def cmd_dsq(args) -> Tuple[Dict, int]:
     spec = load_spec(args.spec, args.seed)
     alg = spec.build_algebroid()
-    points = spec.sample_points()[: max(8, min(spec.samples, 32))]
+    points = spec.sample_points(max(8, min(spec.samples, 32)))
     residual = d_squared_residual(alg, points)
     report = {
         "command": "dsq",

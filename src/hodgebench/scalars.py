@@ -3,7 +3,9 @@
 Scalars are rational functions in the chart variables with coefficients in
 Q(i), stored in a canonical sparse form: a numerator/denominator pair of
 multivariate polynomials, each a dict mapping exponent tuples to exact
-Gaussian-rational coefficients.  Because the chart variables are real,
+Gaussian-rational coefficients (CNum), whose real and imaginary parts are
+ints wherever they are integral and Fractions only where a denominator is
+left.  Because the chart variables are real,
 conjugation acts on coefficients only, so every expression built from
 {+, -, *, /, integer powers, conj, i} normalizes into this class and
 equality of normalized expressions is decidable (by cross-multiplication).
@@ -41,43 +43,58 @@ __all__ = [
 # coefficients: exact Gaussian rationals
 
 
+def _rational(x):
+    """x with an int in place of a Fraction of denominator 1."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 @dataclass(frozen=True)
 class CNum:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
 
-    re: Fraction
-    im: Fraction
+    Each part is an int where it is integral and a Fraction only where a
+    denominator is left: almost every coefficient is integral, and int
+    arithmetic is many times cheaper.  An int equals, and hashes as, the
+    Fraction of the same value, and converts to the same float.
+    """
+
+    re: int | Fraction
+    im: int | Fraction
 
     @staticmethod
     def of(value) -> "CNum":
         if isinstance(value, CNum):
             return value
         if isinstance(value, complex):
-            return CNum(Fraction(value.real), Fraction(value.imag))
-        return CNum(Fraction(value), Fraction(0))
+            return CNum(_rational(Fraction(value.real)), _rational(Fraction(value.imag)))
+        # an int, the most common constant, is taken as it is
+        return CNum(value if type(value) is int else _rational(Fraction(value)), 0)
 
     def __add__(self, other):
-        return CNum(self.re + other.re, self.im + other.im)
+        return CNum(_rational(self.re + other.re), _rational(self.im + other.im))
 
     def __sub__(self, other):
-        return CNum(self.re - other.re, self.im - other.im)
+        return CNum(_rational(self.re - other.re), _rational(self.im - other.im))
 
     def __neg__(self):
         return CNum(-self.re, -self.im)
 
     def __mul__(self, other):
         return CNum(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            _rational(self.re * other.re - self.im * other.im),
+            _rational(self.re * other.im + self.im * other.re),
         )
 
     def __truediv__(self, other):
-        d = other.re * other.re + other.im * other.im
+        # a Fraction divisor, so that a quotient of ints is exact, never a float
+        d = Fraction(other.re * other.re + other.im * other.im)
         if d == 0:
             raise ZeroDivisionError("division by zero coefficient")
         return CNum(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
+            _rational((self.re * other.re + self.im * other.im) / d),
+            _rational((self.im * other.re - self.re * other.im) / d),
         )
 
     def conj(self) -> "CNum":
@@ -91,8 +108,8 @@ class CNum:
         return complex(self.re) + 1j * complex(self.im)
 
 
-C_ZERO = CNum(Fraction(0), Fraction(0))
-C_ONE = CNum(Fraction(1), Fraction(0))
+C_ZERO = CNum(0, 0)
+C_ONE = CNum(1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +560,7 @@ class ScalarExpr:
     __repr__ = __str__
 
 
-def _frac_str(f: Fraction) -> str:
+def _frac_str(f: int | Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     if f.numerator < 0:

@@ -139,24 +139,30 @@ class SpecFile:
             r, rank_tol=self.rank_tol, eig_zero_tol=self.eig_zero_tol
         )
 
-    def sample_points(self) -> np.ndarray:
-        """The (N, dim) float64 boundary sample of the spec's sampler."""
-        dim = self.chart_dim
-        if self.sampler == "sphere":
-            return sphere_lattice(dim, self.samples)
-        if self.sampler == "two_spheres":
-            half = self.samples // 2
-            return np.concatenate([
-                sphere_lattice(dim, half),
-                sphere_lattice(dim, self.samples - half, radius=self.inner_radius),
-            ])
-        if self.sampler == "poisson_locus":
-            return _locus_circle(dim, self.samples)
-        if self.sampler == "sphere_plus_locus":
-            return np.concatenate([
-                sphere_lattice(dim, self.samples), _locus_circle(dim, self.locus_samples)
-            ])
-        raise SpecError(f"unsupported sampler {self.sampler!r}")
+    def sample_points(self, count: Optional[int] = None) -> np.ndarray:
+        """The (N, dim) float64 boundary sample of the spec's sampler, or its
+        first ``count`` points, drawn without the rest: the same bits as
+        ``sample_points()[:count]``, since each sampler's points do not
+        depend on how many follow them."""
+        half = self.samples // 2
+        sphere = partial(sphere_lattice, self.chart_dim)
+        locus = partial(_locus_circle, self.chart_dim)
+        # (size, draw) of each part of the sample, in order
+        parts = {
+            "sphere": [(self.samples, sphere)],
+            "two_spheres": [(half, sphere),
+                            (self.samples - half, partial(sphere, radius=self.inner_radius))],
+            "poisson_locus": [(self.samples, locus)],
+            "sphere_plus_locus": [(self.samples, sphere), (self.locus_samples, locus)],
+        }.get(self.sampler)
+        if parts is None:
+            raise SpecError(f"unsupported sampler {self.sampler!r}")
+        left = sum(size for size, _ in parts) if count is None else count
+        drawn = []
+        for size, draw in parts:
+            drawn.append(draw(min(size, left)))
+            left -= len(drawn[-1])
+        return drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
 
 
 def _locus_circle(dim: int, count: int) -> np.ndarray:
@@ -274,7 +280,8 @@ def _check_samples(key: str, count: int) -> None:
 
 
 def _check_walk(spec: SpecFile) -> None:
-    """Refuse a sample past _MAX_WALK, before any point is drawn."""
+    """Refuse a sample past _MAX_WALK, before any point is drawn.  The commands
+    that walk the whole sample check it, once their options are applied."""
     total = spec.samples + (spec.locus_samples if spec.sampler == "sphere_plus_locus" else 0)
     if total * spec.chart_dim**3 > _MAX_WALK:
         raise SpecError(f"{total} boundary points at chart dim {spec.chart_dim} exceed the "
@@ -292,7 +299,6 @@ def _validate(spec: SpecFile):
         if spec.locus_samples < 0:
             raise SpecError(f"[boundary] locus_samples must be >= 0, got {spec.locus_samples}")
         _check_samples("[boundary] locus_samples", spec.locus_samples)
-    _check_walk(spec)
     if spec.sampler == "two_spheres" and not 0 < spec.inner_radius < math.inf:
         raise SpecError(
             f"[boundary] inner_radius must be finite and > 0, got {spec.inner_radius!r}"

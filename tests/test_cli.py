@@ -640,23 +640,40 @@ WALK_LIMIT = "exceed the limit of 33554432 points times dim^3 (_MAX_WALK)"
 @pytest.mark.parametrize("command", ["classify", "convexity", "levi", "dsq"])
 def test_a_sample_past_the_walk_bound_exits_1_in_time(capsys, command):
     # 10,000 sphere and 10,000 locus points at chart dim 32, on which classify,
-    # convexity and levi took 5.9-9.9 s; refused before any point is drawn
+    # convexity and levi took 5.9-9.9 s; they refuse it before any point is
+    # drawn, while dsq, which draws only the 32 points it keeps, walks no sample
     start = time.perf_counter()
-    assert main([command, "--spec", str(SPECS / "poisson_c16_sphere_plus_locus.spec")]) == 1
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr() == (
-        "", f"error: 20000 boundary points at chart dim 32 {WALK_LIMIT}\n")
+    code = main([command, "--spec", str(SPECS / "poisson_c16_sphere_plus_locus.spec")])
+    seconds = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    if command == "dsq":
+        report = json.loads(out)
+        assert (code, err, report["sample_points"]) == (0, "", 32)
+        assert report["d_squared_residual"] == 0.51353802144302674
+        assert seconds < 5.0
+        return
+    assert seconds < 1.0
+    assert (code, out, err) == (1, "", f"error: 20000 boundary points at chart dim 32 {WALK_LIMIT}\n")
 
 
-def test_the_walk_bound_is_points_times_dim_cubed():
-    # 1,024 points at dim 32 is 2^25 exactly; --samples is checked once applied
-    ball = (SPECS / "ball_c16_dbar.spec").read_text()
-    assert parse_specfile(ball.replace("samples = 300", "samples = 1024")).samples == 1024
-    with pytest.raises(SpecError, match=r"^1025 boundary points at chart dim 32 exceed"):
-        parse_specfile(ball.replace("samples = 300", "samples = 1025"))
-    code, out, err = run_main(["classify", "--spec", str(SPECS / "ball_c16_dbar.spec"),
-                               "--samples", "1025"])
-    assert (code, out, err) == (1, "", f"error: 1025 boundary points at chart dim 32 {WALK_LIMIT}\n")
+def test_the_walk_bound_is_points_times_dim_cubed(tmp_path):
+    # 1,024 points at dim 32 is 2^25 exactly; the bound is checked once
+    # --samples is applied, and only by the commands that walk the sample
+    ball = SPECS / "ball_c16_dbar.spec"
+    over = tmp_path / "ball_1025.spec"
+    over.write_text(ball.read_text().replace("samples = 300", "samples = 1025"))
+    refused = (1, "", f"error: 1025 boundary points at chart dim 32 {WALK_LIMIT}\n")
+    for argv in (["classify", "--spec", str(ball), "--samples", "1025"],
+                 ["classify", "--spec", str(over)], ["convexity", "--spec", str(over)],
+                 ["levi", "--spec", str(over)]):
+        assert run_main(argv) == refused, argv
+    for spec in (ball, over):
+        code, out, err = run_main(["classify", "--spec", str(spec), "--samples", "1024"])
+        assert (code, json.loads(out)["samples"], err) == (0, 1024, "")
+    on_sphere = ",".join(["1"] + ["0"] * 31)
+    for argv in (["dsq", "--spec", str(over)], ["levi", "--spec", str(over), "--point", on_sphere]):
+        code, out, err = run_main(argv)
+        assert (code, err) == (0, ""), argv
 
 
 # ---------------------------------------------------------------------------

@@ -346,3 +346,128 @@ def test_quotient_rule_on_drawn_expressions(data):
     assume(not g.is_zero)
     for i in range(chart.dim):
         assert (f / g).diff(i) == (f.diff(i) * g - f * g.diff(i)) / g**2, i
+
+
+# ---------------------------------------------------------------------------
+# int coefficients against all-Fraction ones
+
+import operator
+import struct
+from dataclasses import dataclass
+
+from hodgebench.scalars import C_ZERO, _lower, _poly_mul
+
+
+@dataclass(frozen=True)
+class FractionCNum:
+    """CNum with a Fraction for every part, integral or not: the reference
+    for CNum's int parts."""
+
+    re: Fraction
+    im: Fraction
+
+    def __add__(self, other):
+        return FractionCNum(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FractionCNum(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return FractionCNum(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return FractionCNum(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def __truediv__(self, other):
+        d = other.re * other.re + other.im * other.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero coefficient")
+        return FractionCNum(
+            (self.re * other.re + self.im * other.im) / d,
+            (self.im * other.re - self.re * other.im) / d,
+        )
+
+    def conj(self):
+        return FractionCNum(self.re, -self.im)
+
+    @property
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+    def to_complex(self):
+        return complex(self.re) + 1j * complex(self.im)
+
+
+# ints, Fraction(n, 1), zero, negatives, small denominators and ints past 2^53
+rationals = (st.integers(-40, 40) | st.integers(-40, 40).map(Fraction) | st.just(0)
+             | st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+             | st.integers(-2**70, 2**70))
+gaussians = st.tuples(rationals, rationals)
+
+
+def pair(re, im):
+    """The same Gaussian rational as a CNum, built by CNum's own operations,
+    and as its all-Fraction reference."""
+    return CNum.of(re) + CNum.of(im) * CNum.of(1j), FractionCNum(Fraction(re), Fraction(im))
+
+
+def assert_matches(got, want):
+    assert (got.re, got.im) == (want.re, want.im)
+    for part in (got.re, got.im):
+        assert type(part) in (int, Fraction)  # never a float
+        assert (type(part) is int) == (part.denominator == 1)
+    z, w = got.to_complex(), want.to_complex()
+    assert struct.pack("dd", z.real, z.imag) == struct.pack("dd", w.real, w.imag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaussians, gaussians)
+def test_int_parts_follow_the_all_fraction_reference(a, b):
+    (x, x_ref), (y, y_ref) = pair(*a), pair(*b)
+    for part in a:
+        assert_matches(CNum.of(part), FractionCNum(Fraction(part), Fraction(0)))
+    assert_matches(x, x_ref)
+    assert_matches(-x, -x_ref)
+    assert_matches(x.conj(), x_ref.conj())
+    for op in (operator.add, operator.sub, operator.mul):
+        assert_matches(op(x, y), op(x_ref, y_ref))
+    if y_ref.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        assert_matches(x / y, x_ref / y_ref)
+
+
+def reference_product(p, q, zero):
+    """_poly_mul's sum of term products in its order, over any coefficient class."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            s = out.get(mono, zero) + c1 * c2
+            if s.is_zero:
+                out.pop(mono, None)
+            else:
+                out[mono] = s
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lowered_products_keep_their_bits_under_int_parts(data):
+    dim = data.draw(st.integers(1, 3))
+    monomials = st.tuples(*[st.integers(0, 2)] * dim)
+    p, q = (data.draw(st.dictionaries(monomials, gaussians, max_size=5)) for _ in range(2))
+    ours = [{mono: pair(*c)[0] for mono, c in t.items()} for t in (p, q)]
+    refs = [{mono: pair(*c)[1] for mono, c in t.items()} for t in (p, q)]
+    got = _poly_mul(*ours)
+    want = reference_product(*refs, FractionCNum(Fraction(0), Fraction(0)))
+    assert list(got.items()) == list(reference_product(*ours, C_ZERO).items())
+    assert list(got) == list(want)
+    for mono in got:
+        assert_matches(got[mono], want[mono])
+    lowered = [(struct.pack("dd", re, im), factors) for re, im, factors in _lower(got)]
+    assert lowered == [(struct.pack("dd", re, im), factors) for re, im, factors in _lower(want)]

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hodgebench.algebroids import ce_differential, AlgebroidForm
 from hodgebench.cli import main
@@ -103,6 +103,32 @@ def test_samples_are_one_float_array_of_the_sampler_pieces(sampler):
     assert pts.tobytes() == want.tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_first_count_points_are_drawn_alone_with_the_bits_of_the_whole_sample(data):
+    # counts below 8, inside the sample (across two_spheres' halves and into
+    # sphere_plus_locus' locus part) and past its end
+    sampler = data.draw(st.sampled_from(SAMPLER_KINDS))
+    sphere_only = sampler in ("sphere", "two_spheres")
+    spec = SpecFile(
+        chart_dim=data.draw(st.sampled_from((2, 3, 6, 12, 32) if sphere_only else (4, 6, 12, 32))),
+        complex_pairs=False,
+        r_text="x1",
+        sampler=sampler,
+        samples=data.draw(st.integers(1, 2000)),
+        locus_samples=data.draw(st.integers(0, 100)),
+        inner_radius=data.draw(st.floats(1e-3, 1e3)),
+    )
+    whole = spec.sample_points()
+    edges = [spec.samples // 2, spec.samples, len(whole)]
+    count = data.draw(st.integers(0, 7) | st.integers(0, len(whole) + 50)
+                      | st.sampled_from(edges).flatmap(lambda n: st.integers(max(n - 1, 0), n + 1)))
+    got = spec.sample_points(count)
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.shape == whole[:count].shape
+    assert got.tobytes() == whole[:count].tobytes()
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
@@ -137,7 +163,7 @@ def specs(draw):
     sampler = draw(st.sampled_from(SAMPLER_KINDS))
     complex_pairs = kind in ("antiholomorphic", "holomorphic_poisson") or draw(st.booleans())
     low = 4 if sampler in ("poisson_locus", "sphere_plus_locus") else 1
-    dim = draw(st.integers(low, 8))  # 8^3 times 20,000 points is inside the walk bound
+    dim = draw(st.integers(low, 8))
     if complex_pairs:
         dim += dim % 2
     names = [f"x{i}" for i in range(1, dim + 1)]
