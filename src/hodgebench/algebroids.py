@@ -232,6 +232,34 @@ class AlgebroidForm(CoeffTable):
         return AlgebroidForm(alg, 1, (((i,), const(alg.chart, 1)),))
 
 
+def _is_constant(c: ScalarExpr) -> bool:
+    # a constant numerator over a non-unit denominator, as 1/(1 + x1^2), is not
+    return c.is_polynomial and not any(any(mono) for mono in c.num)
+
+
+def _reachable(alg: AlgebroidSpec, phi_table: dict, varying: dict) -> list:
+    """The increasing K that some term of d phi can reach, in sorted order.
+
+    An anchor term reaches S + {x} for a non-constant entry S of phi and any
+    x outside S; a structure term of row (i, j) and c^k_ij != 0 reaches
+    (S - {k}) + {i, j} for an entry S that holds k and meets {i, j} at most
+    in k.
+    """
+    rank = alg.rank
+    out = set()
+    for S in varying:
+        out.update(tuple(sorted(S + (x,))) for x in range(rank) if x not in S)
+    for (i, j), row in alg.structure.items():
+        for k, sc in enumerate(row):
+            if sc.is_zero:
+                continue
+            for S in phi_table:
+                rest = tuple(s for s in S if s != k)
+                if len(rest) < len(S) and i not in rest and j not in rest:
+                    out.add(tuple(sorted(rest + (i, j))))
+    return sorted(out)
+
+
 def ce_differential(alg: AlgebroidSpec, phi: AlgebroidForm) -> AlgebroidForm:
     """Chevalley-Eilenberg differential in the frame presentation.
 
@@ -240,6 +268,14 @@ def ce_differential(alg: AlgebroidSpec, phi: AlgebroidForm) -> AlgebroidForm:
 
     K is increasing, so the pair (K[a], K[b]) is a key of the structure
     table as stored; a pair without a row brackets to zero and is skipped.
+    Only the K that a term can reach are visited (_reachable), not all
+    C(rank, q + 1): every other K sums no term, or only anchor terms of
+    constant entries, which are zero.  Sorted order is combinations order,
+    and each K sums the same terms in the same order as a visit of every K
+    would, so each coefficient has the same terms in the same dict order.
+    The anchor term of a constant entry (a polynomial whose one monomial is
+    the unit) is skipped: rho(w).c is the zero expression, and adding it
+    leaves the sum as it is.
     """
     if alg.structure is None:
         raise ValueError("structure functions are required for ce_differential")
@@ -252,11 +288,12 @@ def ce_differential(alg: AlgebroidSpec, phi: AlgebroidForm) -> AlgebroidForm:
     q = phi.degree
     table: Dict[tuple, ScalarExpr] = {}
     phi_table = phi.table()
+    varying = {S: c for S, c in phi_table.items() if not _is_constant(c)}
     zero = const(alg.chart, 0)
-    for K in combinations(range(alg.rank), q + 1):
+    for K in _reachable(alg, phi_table, varying):
         acc = zero
         for a in range(q + 1):
-            c = phi_table.get(K[:a] + K[a + 1 :])
+            c = varying.get(K[:a] + K[a + 1 :])
             if c is not None:
                 term = alg.anchors[K[a]].apply(c)
                 acc = acc - term if a % 2 else acc + term

@@ -29,6 +29,7 @@ from .algebroids import AlgebroidSpec, d_squared_residual
 from .gallery import GALLERY, gallery_names
 from .levi import BoundaryData, classify_points, levi_forms_generic, q_convex_set
 from .neumann import dbar_report
+from .scalars import term_pair_budget
 from .sobolev import (
     HalfGrid,
     INEQUALITY_IDS,
@@ -439,7 +440,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        report, code = args.fn(args)
+        with term_pair_budget():
+            report, code = args.fn(args)
         _write(report, args)
     except (UsageError, SpecError, ValueError, KeyError, RuntimeError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")

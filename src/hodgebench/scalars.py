@@ -18,6 +18,7 @@ term-by-term interpreter, lives in the tests.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -33,6 +34,7 @@ __all__ = [
     "ExprSyntaxError",
     "UnknownVariableError",
     "ExprSizeError",
+    "term_pair_budget",
     "parse_expr",
     "const",
     "var",
@@ -138,15 +140,46 @@ def _poly_neg(p: dict) -> dict:
 # products stay below 200, the largest algebroid the tests may draw needs 23,814)
 _MAX_TERM_PAIRS = 10**5
 
+# the most term pairs of all the products of one workbench command, so that
+# many small products cannot run for seconds either: the boundary commands on
+# tests/specs/poisson_c16_dense.spec use 13,808 and run, while its dsq, which
+# needs 1.2 M (28 s), is refused within a second; no other tier-1 command
+# uses more than 5,228, the gallery's at most 188
+_COMMAND_TERM_PAIRS = 2**14
+
+# term pairs that products may still use inside term_pair_budget, or None:
+# outside it, as in library calls, only the bound on one product holds
+_pairs_left: Optional[int] = None
+
 
 class ExprSizeError(ValueError):
-    """A product of exact polynomials past _MAX_TERM_PAIRS term pairs."""
+    """A product of exact polynomials past _MAX_TERM_PAIRS term pairs, or
+    past what is left of a term_pair_budget."""
+
+
+@contextmanager
+def term_pair_budget():
+    """Bound the term pairs of all the products made inside the block by
+    _COMMAND_TERM_PAIRS; the bound is lifted when the block ends."""
+    global _pairs_left
+    outer, _pairs_left = _pairs_left, _COMMAND_TERM_PAIRS
+    try:
+        yield
+    finally:
+        _pairs_left = outer
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
-    if len(p) * len(q) > _MAX_TERM_PAIRS:
+    global _pairs_left
+    pairs = len(p) * len(q)
+    if pairs > _MAX_TERM_PAIRS:
         raise ExprSizeError(f"a product of {len(p)} x {len(q)} polynomial terms exceeds "
                             f"the limit of {_MAX_TERM_PAIRS} term pairs")
+    if _pairs_left is not None:
+        _pairs_left -= pairs
+        if _pairs_left < 0:
+            raise ExprSizeError("the exact products of this command exceed the budget "
+                                f"of {_COMMAND_TERM_PAIRS} term pairs")
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from hodgebench.calculus import (
 )
 from hodgebench.gallery import GALLERY, gallery_spec
 from hodgebench.scalars import Chart, const, parse_expr, var
+from hodgebench.specfile import parse_specfile
 
 
 def sphere_points(dim, count, seed=0):
@@ -621,3 +623,48 @@ def test_ce_differential_equals_pair_loop_on_drawn_pi(data, twisted):
     alg = make_graph_bivector(chart, pi, H)
     assert_ce_matches_oracle(alg, default_probes(alg))
 
+
+def _reciprocal_text(draw, names):
+    """A rational function with a constant numerator, as 1/(1 + x1^2): not a
+    constant, though its numerator is."""
+    return f"{_gaussian_rational(draw)}/(1 + {draw(st.sampled_from(names))}^2)"
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_ce_differential_equals_pair_loop_on_drawn_forms(data):
+    # ce_differential visits only the K that a term can reach and skips the
+    # anchor term of a constant entry; each drawn form holds a constant, a
+    # rational function with a constant numerator and a polynomial, over a
+    # holomorphic Poisson algebroid whose constant sigma entry has a zero row
+    chart = Chart.complex_chart(3)
+    zs, xs = ["z1", "z2", "z3"], list(chart.names)
+    sigma = {(1, 2): parse_expr(_gaussian_rational(data.draw), chart)}
+    for pair in data.draw(st.lists(st.sampled_from([(1, 3), (2, 3)]), max_size=2, unique=True)):
+        sigma[pair] = parse_expr(_polynomial_text(data.draw, zs), chart)
+    alg = make_holomorphic_poisson(3, sigma)
+    assert all(c.is_zero for c in alg.structure[(3, 4)])
+    q = data.draw(st.integers(1, alg.rank - 1))
+    indices = data.draw(st.lists(st.sampled_from(list(combinations(range(alg.rank), q))),
+                                 min_size=3, max_size=4, unique=True))
+    texts = [_gaussian_rational(data.draw), _reciprocal_text(data.draw, xs),
+             _polynomial_text(data.draw, xs, max_terms=2), _reciprocal_text(data.draw, xs)]
+    phi = AlgebroidForm(alg, q, tuple(
+        (idx, parse_expr(text, chart)) for idx, text in zip(indices, texts)))
+    assert_ce_matches_oracle(alg, [phi])
+
+
+def test_ce_differential_equals_pair_loop_on_the_c16_spec():
+    # rank 32, two structure rows: the differential visits a few K where the
+    # oracle loops over all C(32, q + 1)
+    path = Path(__file__).parent / "specs" / "poisson_c16_sphere_plus_locus.spec"
+    alg = parse_specfile(path.read_text()).build_algebroid()
+    chart = alg.chart
+    probes = [
+        AlgebroidForm.from_function(alg, var(chart, 0) * var(chart, 4)),
+        AlgebroidForm.from_function(alg, parse_expr("1/(1 + x5^2)", chart)),
+        AlgebroidForm.dual_frame(alg, 18),
+        AlgebroidForm(alg, 1, (((0,), const(chart, 2)), ((16,), var(chart, 2)),
+                               ((17,), parse_expr("1/(1 + x1^2)", chart)))),
+    ]
+    assert_ce_matches_oracle(alg, probes)

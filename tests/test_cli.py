@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hodgebench import cli, sobolev, specfile
+from hodgebench import cli, scalars, sobolev, specfile
 from hodgebench.cli import dumps, load_spec, main
 from hodgebench.gallery import gallery_names, gallery_spec
 from hodgebench.specfile import SpecError, format_specfile, parse_specfile
@@ -503,6 +503,24 @@ def test_exact_powers_past_the_term_pair_bound_exit_1_in_time(tmp_path, capsys, 
         "error: a product of 495 x 495 polynomial terms exceeds the limit of "
         "100000 term pairs\n"
     )
+
+
+def test_a_command_past_the_term_pair_budget_exits_1_in_time(capsys):
+    # the dense C^16 Poisson spec builds its algebroid from 13,744 term pairs,
+    # and its CE differentials would take about 1.2 M more (28 s)
+    spec = Path(__file__).parent / "specs" / "poisson_c16_dense.spec"
+    start = time.perf_counter()
+    assert main(["dsq", "--spec", str(spec)]) == 1
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the exact products of this command exceed the budget of 16384 term pairs\n"
+    )
+    # the budget ends with the command, even one that fails: a library call
+    # may square 153 terms (23,409 pairs), under the bound on one product
+    chart = parse_specfile(spec.read_text()).chart()
+    assert len(scalars.parse_expr("(x1 + x2 + 1)^32", chart).num) == 561
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

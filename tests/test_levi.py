@@ -1,6 +1,8 @@
+import io
 import math
 import time
 import warnings
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from hodgebench.algebroids import (
     make_tangent,
 )
 from hodgebench.calculus import FormExpr, VectorFieldExpr, wirtinger
+from hodgebench.cli import main
 from hodgebench import levi
 from hodgebench.gallery import gallery_names, gallery_spec
 from hodgebench.levi import (
@@ -610,10 +613,11 @@ def test_walk_ellipticity_flags_match_margins_on_drawn_anchor_stacks(data):
 
 def offset_copy(a, shift):
     """a's values in a C-ordered array that starts shift float64s into its
-    buffer, as a view in a's axis order."""
+    buffer, as a view in a's axis order; a is real or complex."""
     order = np.argsort(a.strides)[::-1]
     t = a.transpose(order)
-    buf = np.zeros(2 * t.size + shift + 1)[shift:][: 2 * t.size].view(complex)
+    words = t.size * t.itemsize // 8
+    buf = np.zeros(words + shift)[shift:].view(a.dtype)
     out = buf.reshape(t.shape)
     out[...] = t
     return out.transpose(np.argsort(order))
@@ -639,6 +643,41 @@ def test_classification_does_not_depend_on_operand_alignment(monkeypatch):
             assert [(c.elliptic, c.margin) for c in got] == [
                 (c.elliptic, c.margin) for c in want
             ], (name, shift)
+        monkeypatch.undo()
+
+
+def command_bytes(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+def test_levi_reports_do_not_depend_on_the_alignment_of_the_tail(monkeypatch):
+    # every array the SVDs of _anchor_svd and _mu_functionals return, and
+    # _mu_functionals' inputs, where q @ (q^H g) is a complex matmul, at 8-56
+    # byte offsets into their buffers
+    svd, mu_functionals = np.linalg.svd, levi._mu_functionals
+
+    def offset_svd(shift):
+        def svd_at(a, *args, **kwargs):
+            result = svd(a, *args, **kwargs)
+            if isinstance(result, np.ndarray):
+                return offset_copy(result, shift)
+            return tuple(offset_copy(x, shift) for x in result)
+        return svd_at
+
+    argvs = [[cmd, "--spec", name] + (["--samples", "300"] if cmd == "convexity" else [])
+             for name in ("ball_c2_dbar", "ball_c3_dbar", "annulus_c3_dbar",
+                          "tangent_sphere", "poisson_c6")
+             for cmd in ("convexity", "levi")]
+    want = [command_bytes(argv) for argv in argvs]
+    for shift in range(1, 8):
+        monkeypatch.setattr(np.linalg, "svd", offset_svd(shift))
+        monkeypatch.setattr(levi, "_mu_functionals", lambda span, g, rel_tol: mu_functionals(
+            offset_copy(span, shift), offset_copy(g, shift), rel_tol))
+        for argv, report in zip(argvs, want):
+            assert command_bytes(argv) == report, (argv, shift)
         monkeypatch.undo()
 
 
