@@ -14,7 +14,6 @@ import numpy as np
 
 from hodgebench.neumann import (
     AnnulusGrid,
-    DiscreteForm,
     NeumannProblem,
     basic_estimate_report,
     family_continuity,
@@ -34,7 +33,7 @@ rng = np.random.default_rng(0)
 phi = problem.random_form(1, rng)
 box_n = problem.apply_box(problem.apply_N(phi))
 pi = problem.apply_pi(phi)
-resid = problem.norm(DiscreteForm(1, box_n.values + pi.values - phi.values))
+resid = problem.norm(box_n + pi - phi)
 print(f"  || box N phi + pi phi - phi || / ||phi|| = {resid / problem.norm(phi):.2e}")
 print(f"  || N pi phi ||                           = {problem.norm(problem.apply_N(pi)):.2e}")
 
@@ -44,7 +43,7 @@ u = solve_dbar(problem, f)
 oracle = solve_dbar_lstsq(problem, f)
 print(
     "  primitive u = P* N f vs dense least-squares oracle: "
-    f"{problem.norm(DiscreteForm(0, u.values - oracle.values)) / problem.norm(oracle):.2e}"
+    f"{problem.norm(u - oracle) / problem.norm(oracle):.2e}"
 )
 print("  convergence to the smooth minimal solution zbar^2/2 - (rho0^2/2) z^-2:")
 prev = None
@@ -52,7 +51,7 @@ for n_r in (24, 48, 96):
     prob = NeumannProblem(AnnulusGrid(0.5, 16, n_r))
     uu = solve_dbar(prob, prob.sample(1, np.conj))
     ref = prob.sample(0, lambda z: 0.5 * np.conj(z) ** 2 - 0.125 * z ** (-2.0))
-    err = prob.norm(DiscreteForm(0, uu.values - ref.values)) / prob.norm(ref)
+    err = prob.norm(uu - ref) / prob.norm(ref)
     slope = "" if prev is None else f"  (order {math.log(prev / err) / math.log(2):.2f})"
     print(f"    n_r = {n_r:3d}: relative error {err:.3e}{slope}")
     prev = err
@@ -67,8 +66,8 @@ base = NeumannProblem(AnnulusGrid(0.5, 16, 48))
 for eps in (0.1, 0.01):
     prob = NeumannProblem(AnnulusGrid(0.5, 16, 48), eps=eps, profile=lambda r: np.ones_like(r))
     phi = prob.random_form(1, np.random.default_rng(5))
-    expected = base.apply_N(phi).values / (1 + eps) ** 2
-    err = prob.norm(DiscreteForm(1, prob.apply_N(phi).values - expected))
+    expected = base.apply_N(phi) / (1 + eps) ** 2
+    err = prob.norm(prob.apply_N(phi) - expected)
     print(f"  a = 1, eps = {eps:5.2f}: ||N_eps - N_0/(1+eps)^2|| residual {err:.2e}")
 
 

@@ -98,12 +98,10 @@ class VectorFieldExpr:
         return VectorFieldExpr(self.chart, tuple(a.conj() for a in self.components))
 
     def apply(self, f: ScalarExpr) -> ScalarExpr:
-        """Directional derivative X.f = sum_i X^i d_i f."""
-        out = const(self.chart, 0)
-        for i, xi in enumerate(self.components):
-            if not xi.is_zero:
-                out = out + xi * f.diff(i)
-        return out
+        """Directional derivative X.f = sum_i X^i d_i f, summed from its first
+        term: a zero is built only for the zero field."""
+        terms = [xi * f.diff(i) for i, xi in enumerate(self.components) if not xi.is_zero]
+        return sum(terms[1:], terms[0]) if terms else const(self.chart, 0)
 
     def eval(self, point) -> "list[complex]":
         return eval_table(self.components, [point])[0].tolist()

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,7 +170,7 @@ class ConvexityVerdict:
     rank: int
     reports: tuple
     witnesses: dict  # q -> index of a sampled point witnessing failure
-    sample_note: str = "certified on the sample only"
+    sample_note: ClassVar[str] = "certified on the sample only"
 
 
 # ---------------------------------------------------------------------------

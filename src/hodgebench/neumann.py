@@ -6,15 +6,19 @@ polar form: dzbar = e^{i theta}/2 (d_rho + (i/rho) d_theta).  Angular modes
 decouple exactly; the radial direction uses 2nd-order finite differences
 and the polar weight rho drho dtheta (trapezoid in rho, exact in theta).
 
-At rank one the degree-1 Neumann condition degenerates to a Dirichlet
-condition on the coefficient, so degree-1 fields live on the interior
-radial nodes.  The degree-1 Laplacian is P P*_w, with P*_w the exact
-discrete adjoint of P; this keeps every operator Hermitian to machine
-precision and makes the Hodge identities exact at fixed resolution, while
-P*_w remains a 2nd-order-consistent discretization of the formal adjoint
--d/dz.  The degree-0 kernel is the discrete shadow of the holomorphic
-functions (plus the usual centered-difference companion mode); only
-residual statements are asserted about it, never a dimension count.
+A field is an array per (angular mode, radial node), or a stack of them on
+leading axes.  At rank one the degree-1 Neumann condition degenerates to a
+Dirichlet condition on the coefficient, so degree-1 fields, carried by
+dzbar, live on the n_r - 2 interior radial nodes, and degree-0 fields on
+all n_r: NeumannProblem.degree reads a field's degree from its last axis,
+and _frame picks each degree's modes and nodes.  The degree-1 Laplacian is
+P P*_w, with P*_w the exact discrete adjoint of P; this keeps every
+operator Hermitian to machine precision and makes the Hodge identities
+exact at fixed resolution, while P*_w remains a 2nd-order-consistent
+discretization of the formal adjoint -d/dz.  The degree-0 kernel is the
+discrete shadow of the holomorphic functions (plus the usual
+centered-difference companion mode); only residual statements are asserted
+about it, never a dimension count.
 
 Per mode, P is a three-point stencil, so box_1 = P P*_w and box_0 = P*_w P
 are pentadiagonal.  Operators are stored as banded arrays stacked over all
@@ -45,7 +49,6 @@ from .sobolev import _check_nodes, _check_trials, _order_stats, _trapezoid
 
 __all__ = [
     "AnnulusGrid",
-    "DiscreteForm",
     "NeumannProblem",
     "solve_dbar",
     "hodge_split",
@@ -86,16 +89,6 @@ class AnnulusGrid:
 
     def modes1(self) -> np.ndarray:
         return self.modes0() + 1
-
-
-@dataclass
-class DiscreteForm:
-    """Coefficients per (angular mode, radial node); degree 1 is carried by
-    the frame dzbar and lives on the interior radial nodes.  The operators
-    also take a stack of fields of one degree, on leading axes."""
-
-    degree: int
-    values: np.ndarray  # (n_modes, n_r) for degree 0, (n_modes, n_r - 2) for 1
 
 
 class NeumannProblem:
@@ -175,6 +168,7 @@ class NeumannProblem:
     def harmonic_dim(self, degree: int) -> int:
         """Degree 0 adds Ker P, two dimensions per mode, to the degree-1 count:
         box_0 = P* P and box_1 = P P* share their nonzero spectrum."""
+        self._frame(degree)  # raises on a degree other than 0 or 1
         dim1 = int(self._low_spectrum()[0].sum())
         return dim1 if degree == 1 else 2 * len(self.modes0) + dim1
 
@@ -190,13 +184,35 @@ class NeumannProblem:
         """All eigenvalues of box_1 on mode modes1[i], ascending."""
         return _mode_eigenvalues(self.S1, i)
 
-    # -- inner products ------------------------------------------------------
+    # -- fields ---------------------------------------------------------------
 
-    def inner(self, phi: DiscreteForm, psi: DiscreteForm) -> complex:
-        w = self.w if phi.degree == 0 else self.w_int
-        return complex(2.0 * math.pi * np.sum(phi.values * np.conj(psi.values) * w))
+    def degree(self, phi: np.ndarray) -> int:
+        """The degree of a field, or of a stack of fields, read from its last
+        axis: n_r radial nodes for degree 0, n_r - 2 for degree 1."""
+        n_r, n_modes = self.grid.n_r, len(self.modes0)
+        if phi.ndim < 2 or phi.shape[-2] != n_modes or phi.shape[-1] not in (n_r, n_r - 2):
+            raise ValueError(f"a field has axes (..., {n_modes} modes, {n_r} or {n_r - 2} "
+                             f"radial nodes), got shape {phi.shape}")
+        return int(phi.shape[-1] == n_r - 2)
 
-    def norm(self, phi: DiscreteForm) -> float:
+    def _frame(self, degree: int) -> Tuple[np.ndarray, slice]:
+        """The angular modes and the radial nodes of a degree's fields."""
+        if degree not in (0, 1):
+            raise ValueError(f"fields have degree 0 or 1, got {degree}")
+        return (self.modes0, slice(None)) if degree == 0 else (self.modes1, slice(1, -1))
+
+    def _expect(self, phi: np.ndarray, degree: int, name: str) -> None:
+        if self.degree(phi) != degree:
+            raise ValueError(f"{name} takes a degree-{degree} field")
+
+    def inner(self, phi: np.ndarray, psi: np.ndarray) -> complex:
+        if psi.shape != phi.shape:
+            raise ValueError(f"inner takes two fields of one shape, got {phi.shape} "
+                             f"and {psi.shape}")
+        w = self.w[self._frame(self.degree(phi))[1]]
+        return complex(2.0 * math.pi * np.sum(phi * np.conj(psi) * w))
+
+    def norm(self, phi: np.ndarray) -> float:
         return math.sqrt(max(self.inner(phi, phi).real, 0.0))
 
     # -- operators -----------------------------------------------------------
@@ -254,58 +270,49 @@ class NeumannProblem:
             np.divide(np.moveaxis(x[..., k, :], 0, -1), s, out=part)
         return out
 
-    def apply_P(self, phi: DiscreteForm) -> DiscreteForm:
-        if phi.degree != 0:
-            # degree 2 is void at rank one
-            return DiscreteForm(2, np.zeros_like(phi.values))
-        return DiscreteForm(1, self._P(phi.values))
+    def apply_P(self, phi: np.ndarray) -> np.ndarray:
+        self._expect(phi, 0, "apply_P")
+        return self._P(phi)
 
-    def apply_P_star(self, phi: DiscreteForm) -> DiscreteForm:
-        if phi.degree != 1:
-            return DiscreteForm(-1, np.zeros_like(phi.values))
-        return DiscreteForm(0, self._P_star(phi.values))
+    def apply_P_star(self, phi: np.ndarray) -> np.ndarray:
+        self._expect(phi, 1, "apply_P_star")
+        return self._P_star(phi)
 
-    def apply_box(self, phi: DiscreteForm) -> DiscreteForm:
-        if phi.degree == 1:
-            return DiscreteForm(1, self._P(self._P_star(phi.values)))
-        return DiscreteForm(0, self._P_star(self._P(phi.values)))
+    def apply_box(self, phi: np.ndarray) -> np.ndarray:
+        if self.degree(phi) == 1:
+            return self._P(self._P_star(phi))
+        return self._P_star(self._P(phi))
 
-    def apply_N(self, phi: DiscreteForm) -> DiscreteForm:
+    def apply_N(self, phi: np.ndarray) -> np.ndarray:
         """Neumann operator: inverse of box on the complement of the harmonic
         space, zero on it."""
-        if phi.degree == 1:
-            return DiscreteForm(1, self._N1(phi.values))
-        return DiscreteForm(0, self._P_star(self._N1(self._N1(self._P(phi.values)))))
+        if self.degree(phi) == 1:
+            return self._N1(phi)
+        return self._P_star(self._N1(self._N1(self._P(phi))))
 
-    def apply_pi(self, phi: DiscreteForm) -> DiscreteForm:
+    def apply_pi(self, phi: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the harmonic space."""
-        if phi.degree == 1:
+        if self.degree(phi) == 1:
             self._factors()  # raises while the degree-1 harmonic space is not empty
-            return DiscreteForm(1, np.zeros_like(phi.values))
-        v = phi.values
-        return DiscreteForm(0, v - self._P_star(self._N1(self._P(v))))
+            return np.zeros_like(phi)
+        return phi - self._P_star(self._N1(self._P(phi)))
 
     # -- sampling ---------------------------------------------------------------
 
-    def sample(self, degree: int, fn: Callable) -> DiscreteForm:
-        """Sample a smooth coefficient fn(z) (z complex) into a DiscreteForm."""
-        rho = self.grid.rho()
-        if degree == 1:
-            rho = rho[1:-1]
+    def sample(self, degree: int, fn: Callable) -> np.ndarray:
+        """Sample a smooth coefficient fn(z) (z complex) into a field."""
+        modes, nodes = self._frame(degree)
+        rho = self.grid.rho()[nodes]
         theta = 2.0 * math.pi * np.arange(self.grid.n_theta) / self.grid.n_theta
         z = rho[None, :] * np.exp(1j * theta[:, None])
         vals = np.asarray(fn(z), dtype=complex)
         spec = np.fft.fft(vals, axis=0) / self.grid.n_theta
-        modes = self.modes1 if degree == 1 else self.modes0
-        return DiscreteForm(degree, spec[modes % self.grid.n_theta])
+        return spec[modes % self.grid.n_theta]
 
-    def random_form(self, degree: int, rng: np.random.Generator) -> DiscreteForm:
-        modes = self.modes1 if degree == 1 else self.modes0
-        n_rad = self.grid.n_r - 2 if degree == 1 else self.grid.n_r
-        vals = rng.normal(size=(len(modes), n_rad)) + 1j * rng.normal(
-            size=(len(modes), n_rad)
-        )
-        return DiscreteForm(degree, vals)
+    def random_form(self, degree: int, rng: np.random.Generator) -> np.ndarray:
+        modes, nodes = self._frame(degree)
+        shape = (len(modes), len(self.w[nodes]))
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def _gershgorin(S1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -417,7 +424,7 @@ def _band_solve(U: np.ndarray, x: np.ndarray) -> np.ndarray:
 # solving dbar
 
 
-def solve_dbar(problem: NeumannProblem, f: DiscreteForm) -> DiscreteForm:
+def solve_dbar(problem: NeumannProblem, f: np.ndarray) -> np.ndarray:
     """The canonical primitive u = P* N f of a degree-1 field.
 
     Every (0,1)-form is closed in complex dimension one; with an empty
@@ -425,12 +432,11 @@ def solve_dbar(problem: NeumannProblem, f: DiscreteForm) -> DiscreteForm:
     solution (it lies in the range of P*, the orthogonal complement of
     Ker P).  A nonempty degree-1 harmonic space raises RuntimeError.
     """
-    if f.degree != 1:
-        raise ValueError("solve_dbar expects a degree-1 form")
+    problem._expect(f, 1, "solve_dbar")
     return problem.apply_P_star(problem.apply_N(f))
 
 
-def solve_dbar_lstsq(problem: NeumannProblem, f: DiscreteForm) -> DiscreteForm:
+def solve_dbar_lstsq(problem: NeumannProblem, f: np.ndarray) -> np.ndarray:
     """Independent oracle: the minimal-norm solution of P u = f per mode, by
     a Givens QR of the band of P^T on all modes at once (Golub & Van Loan,
     Matrix Computations, 5.2); it reads neither S_1 nor its factors.
@@ -440,6 +446,7 @@ def solve_dbar_lstsq(problem: NeumannProblem, f: DiscreteForm) -> DiscreteForm:
     R^T z = f, and u = W^{-1/2} y.  Row j of B^T (columns j - 2 .. j) is
     merged into R by rotations against its rows j - 2 and j - 1, and what
     is left becomes row j of R, which keeps two superdiagonals."""
+    problem._expect(f, 1, "solve_dbar_lstsq")
     s0 = np.sqrt(problem.w)
     n_r, n_modes = problem.grid.n_r, len(problem.modes0)
     n = n_r - 2
@@ -462,21 +469,21 @@ def solve_dbar_lstsq(problem: NeumannProblem, f: DiscreteForm) -> DiscreteForm:
     # R^T z = f; the last two rows of z are still zero here, so the wrapped
     # indices at i < 2 add nothing
     z = np.zeros((n_r, n_modes), dtype=complex)
-    for i, fi in enumerate(f.values.T):
+    for i, fi in enumerate(f.T):
         z[i] = (fi - R[i - 1, 1] * z[i - 1] - R[i - 2, 2] * z[i - 2]) / R[i, 0]
     # y = Q [z; 0; 0]: the transposed rotations in reverse order
     for r, j, c, s in reversed(rotations):
         z[r], z[j] = c * z[r] - s * z[j], s * z[r] + c * z[j]
-    return DiscreteForm(0, z.T / s0)
+    return z.T / s0
 
 
-def hodge_split(problem: NeumannProblem, phi: DiscreteForm):
+def hodge_split(problem: NeumannProblem, phi: np.ndarray):
     """Orthogonal decomposition phi = harmonic + P(...) + P*(...): pi phi,
     then box N phi in the slot of its range (P at degree 1, P* at degree 0)
     and zero in the other."""
     exact = problem.apply_box(problem.apply_N(phi))
-    zero = DiscreteForm(phi.degree, np.zeros_like(phi.values))
-    return (problem.apply_pi(phi),) + ((exact, zero) if phi.degree == 1 else (zero, exact))
+    zero = np.zeros_like(phi)
+    return (problem.apply_pi(phi),) + ((exact, zero) if problem.degree(phi) else (zero, exact))
 
 
 # ---------------------------------------------------------------------------
@@ -486,20 +493,18 @@ def hodge_split(problem: NeumannProblem, phi: DiscreteForm):
 def _d_rho(u: np.ndarray, h: float) -> np.ndarray:
     """d/drho of every mode's row: centred differences inside, one-sided of
     2nd order at the two ends."""
-    return np.gradient(u, h, axis=1, edge_order=2)
+    return np.gradient(u, h, axis=-1, edge_order=2)
 
 
-def _on_all_nodes(problem: NeumannProblem, phi: DiscreteForm) -> np.ndarray:
+def _on_all_nodes(problem: NeumannProblem, phi: np.ndarray) -> np.ndarray:
     """The coefficients on every radial node: a degree-1 field extended by
     its zero boundary values."""
-    if phi.degree == 0:
-        return phi.values
-    ext = np.zeros((phi.values.shape[0], problem.grid.n_r), dtype=complex)
-    ext[:, 1:-1] = phi.values
+    ext = np.zeros(phi.shape[:-1] + (problem.grid.n_r,), dtype=complex)
+    ext[..., problem._frame(problem.degree(phi))[1]] = phi
     return ext
 
 
-def anchor_energy(problem: NeumannProblem, phi: DiscreteForm) -> float:
+def anchor_energy(problem: NeumannProblem, phi: np.ndarray) -> float:
     """||nabla^eps phi||^2: the anchor-direction derivative of the
     coefficients, for degree-1 fields in the Neumann domain."""
     grid = problem.grid
@@ -509,26 +514,25 @@ def anchor_energy(problem: NeumannProblem, phi: DiscreteForm) -> float:
     return 2.0 * math.pi * float(np.sum(np.abs(dv) ** 2 * problem.w))
 
 
-def tangential_mode_norm(problem: NeumannProblem, phi: DiscreteForm, s: float) -> float:
+def tangential_mode_norm(problem: NeumannProblem, phi: np.ndarray, s: float) -> float:
     """|| . ||_{boundary,s} on the annulus: the angular modes are the exact
     tangential frequencies."""
-    modes = problem.modes1 if phi.degree == 1 else problem.modes0
-    w = problem.w_int if phi.degree == 1 else problem.w
-    return _mode_norm(phi.values, modes, w, s)
+    modes, nodes = problem._frame(problem.degree(phi))
+    return _mode_norm(phi, modes, problem.w[nodes], s)
 
 
 def _mode_norm(values, modes, w, s: float) -> float:
     """The mode-weighted norm of per-mode rows of values."""
-    per_mode = np.sum(np.abs(values) ** 2 * w, axis=1)
+    per_mode = np.sum(np.abs(values) ** 2 * w, axis=-1)
     total = float(np.sum((1.0 + modes * modes) ** s * per_mode))
     return math.sqrt(2.0 * math.pi * total)
 
 
-def d_seminorm(problem: NeumannProblem, phi: DiscreteForm, s: float) -> float:
+def d_seminorm(problem: NeumannProblem, phi: np.ndarray, s: float) -> float:
     """||D phi||_{boundary,s}^2 = ||phi||_{d,s+1}^2 + ||d_rho phi||_{d,s}^2,
     both over phi's own angular modes.  d_rho of a degree-1 field is taken
     on its extension by zero boundary values, so it lives on every node."""
-    modes = problem.modes1 if phi.degree == 1 else problem.modes0
+    modes = problem._frame(problem.degree(phi))[0]
     a = tangential_mode_norm(problem, phi, s + 1.0)
     d_ext = _d_rho(_on_all_nodes(problem, phi), problem.grid.h)
     b = _mode_norm(d_ext, modes, problem.w, s)
@@ -692,36 +696,33 @@ def family_continuity(
 _TRIAL_BLOCK_NODES = 2**15
 
 
-def _trial_residuals(problem: NeumannProblem, phi: DiscreteForm) -> List[np.ndarray]:
+def _trial_residuals(problem: NeumannProblem, phi: np.ndarray) -> List[np.ndarray]:
     """Per field of a stack phi of one degree: the identity residual
     ||box N phi + pi phi - phi|| / ||phi||; the larger of ||N pi phi|| and
     ||pi N phi||; and the worst defect of hodge_split, the larger of its
     completeness relative to ||phi|| (the identity residual, as its nonzero
     pieces are pi phi and box N phi) and |<pi phi, box N phi>| / ||phi||^2
     (its other inner products are with its zero piece)."""
-    deg = phi.degree
-
-    def norms(values):
-        return np.array([problem.norm(DiscreteForm(deg, v)) for v in values])
+    def norms(stack):
+        return np.array([problem.norm(v) for v in stack])
 
     # each stack is released once its norms and inner products are taken, so
     # that besides phi at most two stacks outlive an operator's call
     n_phi = problem.apply_N(phi)
-    pi_n_phi = norms(problem.apply_pi(n_phi).values)
-    exact = problem.apply_box(n_phi).values
+    pi_n_phi = norms(problem.apply_pi(n_phi))
+    exact = problem.apply_box(n_phi)
     del n_phi
     harm = problem.apply_pi(phi)
-    ip = [abs(problem.inner(DiscreteForm(deg, x), DiscreteForm(deg, y)))
-          for x, y in zip(harm.values, exact)]
+    ip = [abs(problem.inner(x, y)) for x, y in zip(harm, exact)]
     # box N phi + pi phi - phi, in place
-    exact += harm.values
-    exact -= phi.values
-    size = norms(phi.values)
+    exact += harm
+    exact -= phi
+    size = norms(phi)
     identity = norms(exact) / size
     del exact
     # pi is zero at degree 1, and so is N pi phi
-    n_harm = problem.apply_N(harm) if deg == 0 else harm
-    npi = np.maximum(norms(n_harm.values), pi_n_phi)
+    n_harm = harm if problem.degree(phi) else problem.apply_N(harm)
+    npi = np.maximum(norms(n_harm), pi_n_phi)
     return [identity, npi, np.maximum(identity, np.array(ip) / size**2)]
 
 
@@ -747,10 +748,10 @@ def dbar_report(
     waiting: Tuple[List, List] = ([], [])
     for trial in range(trials):
         deg = int(rng.integers(0, 2))
-        waiting[deg].append(problem.random_form(deg, rng).values)
+        waiting[deg].append(problem.random_form(deg, rng))
         for d, values in enumerate(waiting):
             if values and (len(values) == block or trial == trials - 1):
-                stack = DiscreteForm(d, np.stack(values))
+                stack = np.stack(values)
                 values.clear()
                 per_trial = _trial_residuals(problem, stack)
                 worst = [max(w, float(r.max())) for w, r in zip(worst, per_trial)]
@@ -758,13 +759,10 @@ def dbar_report(
     f = problem.sample(1, np.conj)
     u = solve_dbar(problem, f)
     oracle = solve_dbar_lstsq(problem, f)
-    resid_pu = problem.apply_P(u)
-    solve_err = problem.norm(
-        DiscreteForm(0, u.values - oracle.values)
-    ) / problem.norm(oracle)
-    pu_err = problem.norm(DiscreteForm(1, resid_pu.values - f.values)) / problem.norm(f)
+    solve_err = problem.norm(u - oracle) / problem.norm(oracle)
+    pu_err = problem.norm(problem.apply_P(u) - f) / problem.norm(f)
     # the rest of the report needs none of the fields
-    del stack, f, u, oracle, resid_pu
+    del stack, f, u, oracle
     estimates = basic_estimate_report(problem, trials=min(trials, 25), seed=seed)
     family = family_continuity(
         problem, lambda r: np.ones_like(r), [1e-1, 1e-2, 1e-3]

@@ -83,10 +83,10 @@ def _check_trials(trials: int, shape: Tuple[int, ...]) -> None:
 
 
 @cache  # read by every spectral derivative; callers do not write to it
-def _wavenumbers(n: int, box: float) -> np.ndarray:
-    """Angular wavenumbers of an n-point periodic axis of length box, in
+def _wavenumbers(n: int) -> np.ndarray:
+    """Angular wavenumbers of an n-point periodic axis of length 2 pi, in
     FFT order."""
-    return fftfreq(n, d=1.0 / n) * (TWO_PI / box)
+    return fftfreq(n, d=1.0 / n)
 
 
 def _along(v: np.ndarray, axis: int, dims: int) -> np.ndarray:
@@ -96,16 +96,16 @@ def _along(v: np.ndarray, axis: int, dims: int) -> np.ndarray:
     return v.reshape(shape)
 
 
-def _freq_square(n: int, box: float, dims: int) -> np.ndarray:
+def _freq_square(n: int, dims: int) -> np.ndarray:
     """|xi|^2 on the frequency grid of a dims-torus with n points per axis."""
-    square = _wavenumbers(n, box) ** 2
+    square = _wavenumbers(n) ** 2
     return sum(_along(square, axis, dims) for axis in range(dims))
 
 
-def _spectral_derivative(phi: np.ndarray, axis: int, n: int, box: float) -> np.ndarray:
-    """d/dx along one periodic axis of n points and length box."""
+def _spectral_derivative(phi: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """d/dx along one periodic axis of n points and length 2 pi."""
     spec = fft(phi, axis=axis)
-    return ifft(spec * _along(1j * _wavenumbers(n, box), axis, phi.ndim), axis=axis)
+    return ifft(spec * _along(1j * _wavenumbers(n), axis, phi.ndim), axis=axis)
 
 
 def _trapezoid(n: int, h: float) -> np.ndarray:
@@ -122,9 +122,9 @@ def _check_axis(n: int) -> None:
 @dataclass(frozen=True)
 class TorusGrid:
     kind: ClassVar[str] = "torus"
+    box: ClassVar[float] = TWO_PI  # the length of each axis
     dim: int
     n: int  # points per axis, power of two
-    box: float = TWO_PI
 
     def __post_init__(self):
         _check_axis(self.n)
@@ -143,7 +143,7 @@ class TorusGrid:
     @cached_property
     def _weight(self) -> np.ndarray:
         """1 + |xi|^2, once per grid, for every _lambdas and _norms."""
-        return 1.0 + _freq_square(self.n, self.box, self.dim)
+        return 1.0 + _freq_square(self.n, self.dim)
 
     @cached_property
     def _lambda_axes(self) -> Tuple[int, ...]:
@@ -153,7 +153,7 @@ class TorusGrid:
         return np.sum(density)
 
     def _derivative(self, phi: np.ndarray, axis: int) -> np.ndarray:
-        return _spectral_derivative(phi, axis, self.n, self.box)
+        return _spectral_derivative(phi, axis, self.n)
 
 
 def lambda_full(grid, phi: np.ndarray, s: float) -> np.ndarray:
@@ -179,11 +179,11 @@ class HalfGrid:
     """(m-1)-torus times the radial interval [-R, 0], boundary at r = 0."""
 
     kind: ClassVar[str] = "half"
+    box: ClassVar[float] = TWO_PI  # the length of each tangential axis
     dim: int  # total dimension, tangential dim is dim - 1
     n_t: int  # tangential points per axis, power of two
     n_r: int  # radial points, inclusive endpoints
     depth: float = TWO_PI  # R
-    box: float = TWO_PI
 
     def __post_init__(self):
         if self.dim < 2:
@@ -208,7 +208,7 @@ class HalfGrid:
     @cached_property
     def _weight(self) -> np.ndarray:
         """1 + |tau|^2, once per grid, for every _lambdas and _norms."""
-        return 1.0 + _freq_square(self.n_t, self.box, self.dim - 1)[..., np.newaxis]
+        return 1.0 + _freq_square(self.n_t, self.dim - 1)[..., np.newaxis]
 
     @cached_property
     def _lambda_axes(self) -> Tuple[int, ...]:
@@ -233,7 +233,7 @@ class HalfGrid:
         # the 4th-order stencil on the radial (last) axis
         if axis == self.dim - 1:
             return radial_derivative(self, phi)
-        return _spectral_derivative(phi, axis, self.n_t, self.box)
+        return _spectral_derivative(phi, axis, self.n_t)
 
 
 def _spectrum(grid, phi: np.ndarray) -> np.ndarray:
@@ -913,7 +913,7 @@ def _order_stats(values: np.ndarray, qs: Sequence[float]) -> Tuple[np.ndarray, f
 
 
 def _grid_meta(grid) -> Dict:
-    return {"kind": grid.kind, **asdict(grid)}
+    return {"kind": grid.kind, **asdict(grid), "box": grid.box}
 
 
 def half_space_subestimate(

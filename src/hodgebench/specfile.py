@@ -88,7 +88,6 @@ class SpecFile:
     locus_samples: int = 20
     inner_radius: float = 0.5
     kind: str = "tangent"
-    n: int = 0
     entries: Dict[str, str] = field(default_factory=dict)  # expression tables
     rank_tol: float = 1e-8
     eig_zero_tol: float = 1e-8
@@ -106,11 +105,11 @@ class SpecFile:
         if self.kind == "tangent":
             return make_tangent(chart)
         if self.kind == "antiholomorphic":
-            return make_antiholomorphic(self.n)
+            return make_antiholomorphic(self.chart_dim // 2)
         parse = partial(parse_expr, chart=chart)
         if self.kind == "holomorphic_poisson":
             sigma = _table(self.entries, parse, 0)
-            return make_holomorphic_poisson(self.n, sigma)
+            return make_holomorphic_poisson(self.chart_dim // 2, sigma)
         if self.kind == "graph_bivector":
             pi = _table(self.entries, parse, 1)
             return make_graph_bivector(chart, pi)
@@ -250,15 +249,15 @@ def parse_specfile(text: str) -> SpecFile:
         locus_samples=_number(sections, "boundary", "locus_samples", int, "20"),
         inner_radius=_number(sections, "boundary", "inner_radius", float, "0.5"),
         kind=kind,
-        n=_number(sections, "algebroid", "n", int, str(dim // 2)),
         entries=entries,
         rank_tol=_number(sections, "options", "rank_tol", float, "1e-8"),
         eig_zero_tol=_number(sections, "options", "eig_zero_tol", float, "1e-8"),
         seed=_number(sections, "options", "seed", int, "0"),
     )
+    n = _number(sections, "algebroid", "n", int, str(dim // 2))
     if spec.sampler not in SAMPLER_KINDS:
         raise SpecError(f"unknown sampler {spec.sampler!r}")
-    _validate(spec)
+    _validate(spec, n)
     return spec
 
 
@@ -288,7 +287,7 @@ def _check_walk(spec: SpecFile) -> None:
                         f"limit of {_MAX_WALK} points times dim^3 (_MAX_WALK)")
 
 
-def _validate(spec: SpecFile):
+def _validate(spec: SpecFile, n: int):
     if spec.chart_dim > _MAX_CHART_DIM:
         raise SpecError(f"[chart] dim = {spec.chart_dim} exceeds the limit of "
                         f"{_MAX_CHART_DIM} (_MAX_CHART_DIM)")
@@ -341,7 +340,7 @@ def _validate(spec: SpecFile):
     if spec.kind in ("antiholomorphic", "holomorphic_poisson"):
         if not spec.complex_pairs:
             raise SpecError(f"kind {spec.kind!r} needs a complex chart")
-        if spec.n != spec.chart_dim // 2:
+        if n != spec.chart_dim // 2:
             raise SpecError("n must equal half the chart dimension")
 
 
@@ -369,7 +368,7 @@ def format_specfile(spec: SpecFile) -> str:
         lines.append(f"inner_radius = {spec.inner_radius}")
     lines += ["", "[algebroid]", f"kind = {spec.kind}"]
     if spec.kind in ("antiholomorphic", "holomorphic_poisson"):
-        lines.append(f"n = {spec.n}")
+        lines.append(f"n = {spec.chart_dim // 2}")
     for key in sorted(spec.entries):
         lines.append(f'{key} = "{spec.entries[key]}"')
     lines += [

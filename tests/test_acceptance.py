@@ -47,7 +47,6 @@ from hodgebench.levi import (
 )
 from hodgebench.neumann import (
     AnnulusGrid,
-    DiscreteForm,
     NeumannProblem,
     basic_estimate_report,
     family_continuity,
@@ -382,10 +381,8 @@ def test_criterion_9_hodge_identities():
         phi = problem.random_form(deg, rng)
         box_n = problem.apply_box(problem.apply_N(phi))
         pi = problem.apply_pi(phi)
-        resid = box_n.values + pi.values - phi.values
-        worst_id = max(
-            worst_id, problem.norm(DiscreteForm(deg, resid)) / problem.norm(phi)
-        )
+        resid = box_n + pi - phi
+        worst_id = max(worst_id, problem.norm(resid) / problem.norm(phi))
         worst_npi = max(
             worst_npi,
             problem.norm(problem.apply_N(pi)) / max(problem.norm(phi), 1e-300),
@@ -394,11 +391,8 @@ def test_criterion_9_hodge_identities():
         )
         harm, im_p, im_ps = hodge_split(problem, phi)
         pieces = [harm, im_p, im_ps]
-        total = harm.values + im_p.values + im_ps.values
-        worst_orth = max(
-            worst_orth,
-            problem.norm(DiscreteForm(deg, total - phi.values)) / problem.norm(phi),
-        )
+        total = harm + im_p + im_ps
+        worst_orth = max(worst_orth, problem.norm(total - phi) / problem.norm(phi))
         for a in range(3):
             for b in range(a + 1, 3):
                 worst_orth = max(
@@ -418,9 +412,7 @@ def test_criterion_10_dbar_primitive():
     f = problem.sample(1, np.conj)
     u = solve_dbar(problem, f)
     oracle = solve_dbar_lstsq(problem, f)
-    agree = problem.norm(DiscreteForm(0, u.values - oracle.values)) / problem.norm(
-        oracle
-    )
+    agree = problem.norm(u - oracle) / problem.norm(oracle)
     ok = agree <= 1e-8
     errs = []
     sizes = (24, 48, 96)
@@ -432,9 +424,7 @@ def test_criterion_10_dbar_primitive():
         ref = prob.sample(
             0, lambda z: 0.5 * np.conj(z) ** 2 - 0.5 * 0.25 * z ** (-2.0)
         )
-        errs.append(
-            prob.norm(DiscreteForm(0, uu.values - ref.values)) / prob.norm(ref)
-        )
+        errs.append(prob.norm(uu - ref) / prob.norm(ref))
     slope = math.log(errs[1] / errs[2]) / math.log(sizes[2] / sizes[1])
     ok &= 1.6 <= slope <= 2.4
     report(10, ok, f"lstsq agreement {agree:.2e}, convergence slope {slope:.2f}")
@@ -457,10 +447,8 @@ def test_criterion_11_basic_estimate_and_family():
         rng = np.random.default_rng(4)
         phi = prob.random_form(1, rng)
         lhs = prob.apply_N(phi)
-        expected = base.apply_N(phi).values / (1.0 + eps) ** 2
-        err = prob.norm(DiscreteForm(1, lhs.values - expected)) / prob.norm(
-            DiscreteForm(1, expected)
-        )
+        expected = base.apply_N(phi) / (1.0 + eps) ** 2
+        err = prob.norm(lhs - expected) / prob.norm(expected)
         ok &= err <= 1e-8
 
     def bump(r):

@@ -113,7 +113,7 @@ def reference_sobolev_norm(grid, phi, s):
     """The full-space H^s norm from its own spectrum, as sobolev_norm was
     written before the norms shared one."""
     coeffs = np.fft.fftn(phi) / phi.size
-    weight = (1.0 + sobolev._freq_square(grid.n, grid.box, grid.dim)) ** s
+    weight = (1.0 + sobolev._freq_square(grid.n, grid.dim)) ** s
     total = np.sum(weight * np.abs(coeffs) ** 2) * grid.box**grid.dim
     return float(np.sqrt(total))
 
@@ -122,7 +122,7 @@ def reference_tangential_norm(grid, phi, s):
     """The tangential H^s norm from its own spectrum, as tangential_norm was
     written before the norms shared one."""
     spec = np.fft.fftn(phi, axes=tuple(range(grid.dim - 1))) / (grid.n_t ** (grid.dim - 1))
-    weight = (1.0 + sobolev._freq_square(grid.n_t, grid.box, grid.dim - 1)[..., None]) ** s
+    weight = (1.0 + sobolev._freq_square(grid.n_t, grid.dim - 1)[..., None]) ** s
     per_slice = weight * np.abs(spec) ** 2
     radial = np.sum(per_slice, axis=tuple(range(grid.dim - 1)))
     total = np.sum(radial * grid._r_weights) * grid.box ** (grid.dim - 1)

@@ -200,7 +200,6 @@ def specs(draw):
         locus_samples=draw(st.integers(0, 10_000)) if sampler == "sphere_plus_locus" else 20,
         inner_radius=(draw(st.floats(1e-300, 1e300)) if sampler == "two_spheres" else 0.5),
         kind=kind,
-        n=dim // 2,
         entries=entries,
         rank_tol=draw(tol),
         eig_zero_tol=draw(tol),
@@ -311,6 +310,15 @@ def test_malformed_specs_are_rejected_with_their_message(text, old, new, message
     assert old in text
     with pytest.raises(SpecError, match=re.escape(message)):
         parse_specfile(text.replace(old, new, 1))
+
+
+def test_a_complex_kind_built_in_code_takes_n_from_its_chart():
+    # n is half the chart dimension, so a complex kind built in code, which
+    # states no n, builds what its formatted text builds
+    spec = SpecFile(4, True, "x1^2 + x2^2 + x3^2 + x4^2 - 1", kind="antiholomorphic")
+    text = format_specfile(spec)
+    assert "\nn = 2\n" in text
+    assert spec.build_algebroid() == parse_specfile(text).build_algebroid()
 
 
 @pytest.mark.parametrize(
