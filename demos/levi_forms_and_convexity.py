@@ -7,6 +7,8 @@ holomorphic Poisson structure on C^4 with its (5,1,1) signature, and the
 symplectic structure (all points elliptic).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from hodgebench.gallery import build_cached, gallery_spec
@@ -53,7 +55,7 @@ print("\n== q-convexity verdicts (certified on the sample only) ==")
 for name, n_pts in (("ball_c2_dbar", 60), ("annulus_c3_dbar", 60), ("poisson_c4", 0)):
     alg, bd = build_cached(name)
     spec = gallery_spec(name)
-    spec.samples = n_pts or spec.samples
+    spec = replace(spec, samples=n_pts or spec.samples)
     pts = spec.sample_points()
     verdict = q_convex_set(alg, bd, pts)
     print(f"  {name:18s}: q_set = {sorted(verdict.q_set)} (rank {verdict.rank})")

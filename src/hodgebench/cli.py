@@ -19,6 +19,7 @@ import hashlib
 import io
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -149,7 +150,8 @@ def _write(report: Dict, args) -> None:
 # spec resolution and shared plumbing
 
 
-def load_spec(ref: str, seed: Optional[int] = None) -> SpecFile:
+def load_spec(ref: str, seed: Optional[int] = None, samples: Optional[int] = None) -> SpecFile:
+    """The spec of a gallery name or a file, with --seed and --samples applied."""
     if ref in GALLERY:
         spec = parse_specfile(GALLERY[ref])
     else:
@@ -160,20 +162,21 @@ def load_spec(ref: str, seed: Optional[int] = None) -> SpecFile:
             )
         spec = parse_specfile(path.read_text())
     if seed is not None:
-        spec.seed = seed
+        spec = replace(spec, seed=seed)
+    if samples is not None:
+        _check_samples("--samples", samples)
+        spec = replace(spec, samples=samples)
     return spec
 
 
-def _spec_inputs(args) -> Tuple[SpecFile, AlgebroidSpec, BoundaryData]:
-    """The --spec file (with --seed and --samples applied), its algebroid and boundary."""
-    spec = load_spec(args.spec, args.seed)
-    if getattr(args, "samples", None) is not None:
-        _check_samples("--samples", args.samples)
-        spec.samples = args.samples
-    # every command here walks the spec's sample, but levi at given points
-    if not getattr(args, "point", None):
+def _spec_inputs(args, walks: bool = True) -> Tuple[SpecFile, AlgebroidSpec, BoundaryData]:
+    """The --spec file (with --seed and --samples applied), its algebroid and
+    boundary; a command that walks the spec's sample first checks its size."""
+    spec = load_spec(args.spec, args.seed, getattr(args, "samples", None))
+    if walks:
         _check_walk(spec)
-    return spec, spec.build_algebroid(), spec.build_boundary()
+    bd = spec.build_boundary()  # first, so that a bad r is named before a bad entry
+    return spec, spec.build_algebroid(), bd
 
 
 def _meta(spec: Optional[SpecFile], seed: int) -> Dict:
@@ -223,7 +226,7 @@ def _parse_point(text: str) -> List[float]:
 
 
 def cmd_levi(args) -> Tuple[Dict, int]:
-    spec, alg, bd = _spec_inputs(args)
+    spec, alg, bd = _spec_inputs(args, walks=not args.point)
     report = {"command": "levi", "meta": _meta(spec, spec.seed)}
     if args.point:
         points = [_parse_point(p) for p in args.point]
@@ -280,8 +283,8 @@ def cmd_convexity(args) -> Tuple[Dict, int]:
 
 
 def cmd_dsq(args) -> Tuple[Dict, int]:
-    spec = load_spec(args.spec, args.seed)
-    alg = spec.build_algebroid()
+    # dsq draws only the points it keeps, so it walks no sample
+    spec, alg, _ = _spec_inputs(args, walks=False)
     points = spec.sample_points(max(8, min(spec.samples, 32)))
     residual = d_squared_residual(alg, points)
     report = {

@@ -142,9 +142,9 @@ _MAX_TERM_PAIRS = 10**5
 
 # the most term pairs of all the products of one workbench command, so that
 # many small products cannot run for seconds either: the boundary commands on
-# tests/specs/poisson_c16_dense.spec use 13,808 and run, while its dsq, which
+# tests/specs/poisson_c16_dense.spec use 11,464 and run, while its dsq, which
 # needs 1.2 M (28 s), is refused within a second; no other tier-1 command
-# uses more than 5,228, the gallery's at most 188
+# uses more than 5,228, the gallery's at most 115
 _COMMAND_TERM_PAIRS = 2**14
 
 # term pairs that products may still use inside term_pair_budget, or None:

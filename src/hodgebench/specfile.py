@@ -1,9 +1,11 @@
 """Line-oriented spec files: [section] headers with key = value entries.
 
-Expression values are quoted strings in the chart-calculus grammar and are
-parsed against the declared chart.  A parsed SpecFile can rebuild its
-normalized text (print/parse round-trips to an equivalent spec) and
-instantiate the algebroid, boundary data and boundary sampler.
+A SpecFile checks its field values when it is made, by the parser or in
+code.  Expression values are quoted strings in the chart-calculus grammar,
+parsed against the declared chart by the builder that uses them, so a bad
+expression is refused when the algebroid or boundary data is built.  A
+SpecFile can rebuild its normalized text (print/parse round-trips to an
+equal spec) and instantiate the algebroid, boundary data and sampler.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class SpecError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpecFile:
     chart_dim: int
     complex_pairs: bool
@@ -92,6 +94,66 @@ class SpecFile:
     rank_tol: float = 1e-8
     eig_zero_tol: float = 1e-8
     seed: int = 0
+
+    def __post_init__(self):
+        """Refuse a field value that no command could run on, before any chart
+        or sample exists; the expressions are checked when they are built."""
+        dim = self.chart_dim
+        if dim < 1:
+            raise SpecError("chart dimension must be >= 1")
+        if self.complex_pairs and dim % 2:
+            raise SpecError("complex charts need even dimension")
+        if dim > _MAX_CHART_DIM:
+            raise SpecError(f"[chart] dim = {dim} exceeds the limit of "
+                            f"{_MAX_CHART_DIM} (_MAX_CHART_DIM)")
+        if self.kind not in ALGEBROID_KINDS:
+            raise SpecError(f"unknown algebroid kind {self.kind!r}")
+        if self.sampler not in SAMPLER_KINDS:
+            raise SpecError(f"unknown sampler {self.sampler!r}")
+        if self.samples < 1:
+            raise SpecError("[boundary] samples must be >= 1")
+        _check_samples("[boundary] samples", self.samples)
+        if self.sampler == "sphere_plus_locus":
+            if self.locus_samples < 0:
+                raise SpecError(f"[boundary] locus_samples must be >= 0, got {self.locus_samples}")
+            _check_samples("[boundary] locus_samples", self.locus_samples)
+        if self.sampler == "two_spheres" and not 0 < self.inner_radius < math.inf:
+            raise SpecError(f"[boundary] inner_radius must be finite and > 0, "
+                            f"got {self.inner_radius!r}")
+        for key in ("rank_tol", "eig_zero_tol"):
+            tol = getattr(self, key)
+            if not 0 < tol < 1:  # also rejects nan and inf
+                raise SpecError(f"[options] {key} must be finite with 0 < {key} < 1, got {tol!r}")
+        if self.sampler in ("poisson_locus", "sphere_plus_locus") and dim < 4:
+            raise SpecError(f"sampler {self.sampler!r} needs chart dim >= 4, got {dim}")
+        if self.kind in ("antiholomorphic", "holomorphic_poisson") and not self.complex_pairs:
+            raise SpecError(f"kind {self.kind!r} needs a complex chart")
+        prefixes = KIND_PREFIXES.get(self.kind, ())
+        for key in self.entries:
+            if not key.startswith(prefixes):
+                takes = f"only {'/'.join(prefixes)} entries" if prefixes else "no table entries"
+                raise SpecError(f"kind {self.kind!r} takes {takes}, got {key!r}")
+        anchor_keys = {key for key in self.entries if key.startswith("anchor_")}
+        rank = len(anchor_keys)
+        if self.kind == "custom":
+            if not rank:
+                raise SpecError("custom algebroids need anchor_<i> entries")
+            if anchor_keys != {f"anchor_{i}" for i in range(1, rank + 1)}:
+                raise SpecError("anchor entries must be numbered 1..rank")
+        for key, text in self.entries.items():
+            if key.startswith("anchor_"):
+                if len(text.split(";")) != dim:
+                    raise SpecError(f"{key} needs {dim} ';'-separated components")
+                continue
+            if key.startswith("structure_"):
+                if len(text.split(";")) != rank:
+                    raise SpecError(f"{key} needs {rank} ';'-separated coefficients")
+                upper = rank
+            else:
+                upper = dim // 2 if self.kind == "holomorphic_poisson" else dim
+            i, j = _pair(key)
+            if not 1 <= i < j <= upper:
+                raise SpecError(f"table key {key!r} out of range (need 1 <= i < j <= {upper})")
 
     # -- construction ---------------------------------------------------------
 
@@ -116,12 +178,11 @@ class SpecFile:
         if self.kind == "graph_two_form":
             omega = FormExpr.from_table(chart, 2, _table(self.entries, parse, 1))
             return make_graph_two_form(omega)
-        if self.kind == "custom":
-            return self._build_custom(chart)
-        raise SpecError(f"unsupported algebroid kind {self.kind!r}")
+        return self._build_custom(chart)
 
     def _build_custom(self, chart: Chart) -> AlgebroidSpec:
-        # _validate has checked the numbering and every component count
+        # __post_init__ has checked the numbering and every component count;
+        # each component is parsed here, once
         rank = sum(key.startswith("anchor_") for key in self.entries)
         anchors = tuple(
             VectorFieldExpr(chart, _parse_components(self.entries[f"anchor_{i}"], chart))
@@ -132,11 +193,8 @@ class SpecFile:
         return AlgebroidSpec(chart, rank, anchors, structure or None)
 
     def build_boundary(self) -> BoundaryData:
-        chart = self.chart()
-        r = parse_expr(self.r_text, chart)
-        return BoundaryData(
-            r, rank_tol=self.rank_tol, eig_zero_tol=self.eig_zero_tol
-        )
+        r = parse_expr(self.r_text, self.chart())
+        return BoundaryData(r, rank_tol=self.rank_tol, eig_zero_tol=self.eig_zero_tol)
 
     def sample_points(self, count: Optional[int] = None) -> np.ndarray:
         """The (N, dim) float64 boundary sample of the spec's sampler, or its
@@ -153,9 +211,7 @@ class SpecFile:
                             (self.samples - half, partial(sphere, radius=self.inner_radius))],
             "poisson_locus": [(self.samples, locus)],
             "sphere_plus_locus": [(self.samples, sphere), (self.locus_samples, locus)],
-        }.get(self.sampler)
-        if parts is None:
-            raise SpecError(f"unsupported sampler {self.sampler!r}")
+        }[self.sampler]
         left = sum(size for size, _ in parts) if count is None else count
         drawn = []
         for size, draw in parts:
@@ -230,16 +286,10 @@ def parse_specfile(text: str) -> SpecFile:
     complex_pairs = _BOOLEANS.get(complex_text.lower())
     if complex_pairs is None:
         raise SpecError(f"[chart] complex must be true or false, got {complex_text!r}")
-    if complex_pairs and dim % 2:
-        raise SpecError("complex charts need even dimension")
     bd_sec = sections["boundary"]
     if "r" not in bd_sec:
         raise SpecError("[boundary] needs r")
     alg_sec = sections["algebroid"]
-    kind = alg_sec.get("kind", "")
-    if kind not in ALGEBROID_KINDS:
-        raise SpecError(f"unknown algebroid kind {kind!r}")
-    entries = {k: _unquote(v) for k, v in alg_sec.items() if k.startswith(TABLE_PREFIXES)}
     spec = SpecFile(
         chart_dim=dim,
         complex_pairs=complex_pairs,
@@ -248,16 +298,16 @@ def parse_specfile(text: str) -> SpecFile:
         samples=_number(sections, "boundary", "samples", int, "1000"),
         locus_samples=_number(sections, "boundary", "locus_samples", int, "20"),
         inner_radius=_number(sections, "boundary", "inner_radius", float, "0.5"),
-        kind=kind,
-        entries=entries,
+        kind=alg_sec.get("kind", ""),
+        entries={k: _unquote(v) for k, v in alg_sec.items() if k.startswith(TABLE_PREFIXES)},
         rank_tol=_number(sections, "options", "rank_tol", float, "1e-8"),
         eig_zero_tol=_number(sections, "options", "eig_zero_tol", float, "1e-8"),
         seed=_number(sections, "options", "seed", int, "0"),
     )
+    # n is not a field: a complex kind's n is half its chart dimension
     n = _number(sections, "algebroid", "n", int, str(dim // 2))
-    if spec.sampler not in SAMPLER_KINDS:
-        raise SpecError(f"unknown sampler {spec.sampler!r}")
-    _validate(spec, n)
+    if spec.kind in ("antiholomorphic", "holomorphic_poisson") and n != dim // 2:
+        raise SpecError("n must equal half the chart dimension")
     return spec
 
 
@@ -285,63 +335,6 @@ def _check_walk(spec: SpecFile) -> None:
     if total * spec.chart_dim**3 > _MAX_WALK:
         raise SpecError(f"{total} boundary points at chart dim {spec.chart_dim} exceed the "
                         f"limit of {_MAX_WALK} points times dim^3 (_MAX_WALK)")
-
-
-def _validate(spec: SpecFile, n: int):
-    if spec.chart_dim > _MAX_CHART_DIM:
-        raise SpecError(f"[chart] dim = {spec.chart_dim} exceeds the limit of "
-                        f"{_MAX_CHART_DIM} (_MAX_CHART_DIM)")
-    if spec.samples < 1:
-        raise SpecError("[boundary] samples must be >= 1")
-    _check_samples("[boundary] samples", spec.samples)
-    if spec.sampler == "sphere_plus_locus":
-        if spec.locus_samples < 0:
-            raise SpecError(f"[boundary] locus_samples must be >= 0, got {spec.locus_samples}")
-        _check_samples("[boundary] locus_samples", spec.locus_samples)
-    if spec.sampler == "two_spheres" and not 0 < spec.inner_radius < math.inf:
-        raise SpecError(
-            f"[boundary] inner_radius must be finite and > 0, got {spec.inner_radius!r}"
-        )
-    for key in ("rank_tol", "eig_zero_tol"):
-        tol = getattr(spec, key)
-        if not 0 < tol < 1:  # also rejects nan and inf
-            raise SpecError(f"[options] {key} must be finite with 0 < {key} < 1, got {tol!r}")
-    if spec.sampler in ("poisson_locus", "sphere_plus_locus") and spec.chart_dim < 4:
-        raise SpecError(f"sampler {spec.sampler!r} needs chart dim >= 4, got {spec.chart_dim}")
-    chart = spec.chart()
-    parse_expr(spec.r_text, chart)  # raises with position on bad input
-    prefixes = KIND_PREFIXES.get(spec.kind, ())
-    for key in spec.entries:
-        if not key.startswith(prefixes):
-            takes = f"only {'/'.join(prefixes)} entries" if prefixes else "no table entries"
-            raise SpecError(f"kind {spec.kind!r} takes {takes}, got {key!r}")
-    anchor_keys = {key for key in spec.entries if key.startswith("anchor_")}
-    rank = len(anchor_keys)
-    if spec.kind == "custom":
-        if not rank:
-            raise SpecError("custom algebroids need anchor_<i> entries")
-        if anchor_keys != {f"anchor_{i}" for i in range(1, rank + 1)}:
-            raise SpecError("anchor entries must be numbered 1..rank")
-    for key, text in spec.entries.items():
-        if key.startswith("anchor_"):
-            if len(_parse_components(text, chart)) != chart.dim:
-                raise SpecError(f"{key} needs {chart.dim} ';'-separated components")
-            continue
-        if key.startswith("structure_"):
-            if len(_parse_components(text, chart)) != rank:
-                raise SpecError(f"{key} needs {rank} ';'-separated coefficients")
-            upper = rank
-        else:
-            parse_expr(text, chart)
-            upper = chart.n_complex if spec.kind == "holomorphic_poisson" else spec.chart_dim
-        i, j = _pair(key)
-        if not 1 <= i < j <= upper:
-            raise SpecError(f"table key {key!r} out of range (need 1 <= i < j <= {upper})")
-    if spec.kind in ("antiholomorphic", "holomorphic_poisson"):
-        if not spec.complex_pairs:
-            raise SpecError(f"kind {spec.kind!r} needs a complex chart")
-        if n != spec.chart_dim // 2:
-            raise SpecError("n must equal half the chart dimension")
 
 
 def _unquote(value: str) -> str:

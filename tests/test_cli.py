@@ -41,17 +41,19 @@ def test_gallery_round_trip():
         assert format_specfile(again) == text, name
 
 
-def test_specfile_errors():
+def test_specfile_errors(tmp_path, capsys):
     with pytest.raises(SpecError):
         parse_specfile("[chart]\ndim = 2\n")  # missing sections
     with pytest.raises(SpecError):
         parse_specfile(
             "[chart]\ndim = 2\n[boundary]\nr = \"x1\"\n[algebroid]\nkind = nope\n"
         )
-    with pytest.raises(Exception):
-        parse_specfile(
-            "[chart]\ndim = 2\n[boundary]\nr = \"x1 +* 2\"\n[algebroid]\nkind = tangent\n"
-        )
+    # an expression is parsed, and so checked, when a command builds it
+    path = tmp_path / "bad_r.spec"
+    path.write_text("[chart]\ndim = 2\n[boundary]\nr = \"x1 +* 2\"\n[algebroid]\nkind = tangent\n")
+    for command in ("classify", "convexity", "levi", "dsq"):
+        assert main([command, "--spec", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: unexpected '*' at offset 4\n"), command
 
 
 def test_load_spec_rejects_unknown():

@@ -3,6 +3,7 @@ import math
 import time
 import warnings
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -274,8 +275,7 @@ def test_batched_routes_match_per_point_reference(monkeypatch):
     monkeypatch.setattr(levi, "_BLOCK", 7)
     names = ("tangent_sphere", "symplectic_gc", "ball_c2_dbar", "annulus_c3_dbar")
     for name in names + EXACT_LEVI:
-        spec = gallery_spec(name)
-        spec.samples = 24
+        spec = replace(gallery_spec(name), samples=24)
         alg, bd = spec.build_algebroid(), spec.build_boundary()
         points = spec.sample_points()
         want = [reference_classify(alg, bd, p) for p in points]
@@ -295,8 +295,7 @@ def test_batched_routes_match_per_point_reference(monkeypatch):
 
 def test_levi_forms_do_not_depend_on_the_block_size(monkeypatch):
     for name in ("annulus_c3_dbar", "ball_c2_dbar", "ball_c3_dbar") + EXACT_LEVI:
-        spec = gallery_spec(name)
-        spec.samples = 200
+        spec = replace(gallery_spec(name), samples=200)
         alg, bd = spec.build_algebroid(), spec.build_boundary()
         points = spec.sample_points()
         runs = []
@@ -335,8 +334,7 @@ def assert_python_float_point(point, row):
 def test_report_points_are_tuples_of_python_floats_for_any_input():
     # ball_c2_dbar's reports carry Levi forms, tangent_sphere's are elliptic
     for name in ("ball_c2_dbar", "tangent_sphere"):
-        spec = gallery_spec(name)
-        spec.samples = 12
+        spec = replace(gallery_spec(name), samples=12)
         alg, bd = spec.build_algebroid(), spec.build_boundary()
         array = spec.sample_points()
         for points in (array, array.tolist()):

@@ -1,12 +1,14 @@
 import math
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgebench.algebroids import ce_differential, AlgebroidForm
-from hodgebench.cli import main
+from hodgebench import specfile
+from hodgebench.cli import load_spec, main
 from hodgebench.gallery import GALLERY, gallery_spec
 from hodgebench.levi import classify_point, sphere_lattice
 from hodgebench.scalars import var
@@ -88,8 +90,8 @@ def locus_rows(dim, count):
 
 @pytest.mark.parametrize("sampler", SAMPLER_KINDS)
 def test_samples_are_one_float_array_of_the_sampler_pieces(sampler):
-    spec = gallery_spec("poisson_c4")  # dim 8
-    spec.sampler, spec.samples, spec.locus_samples, spec.inner_radius = sampler, 37, 5, 0.25
+    spec = replace(gallery_spec("poisson_c4"),  # dim 8
+                   sampler=sampler, samples=37, locus_samples=5, inner_radius=0.25)
     lattice = sphere_lattice(8, 37)
     want = {
         "sphere": lattice,
@@ -346,3 +348,90 @@ def test_sampler_settings_that_are_not_read_are_not_checked():
     spec = parse_specfile(text)
     assert (spec.locus_samples, spec.inner_radius) == (-3, -1.0)
     assert spec.sample_points().shape == (1000, 8)
+
+
+def test_a_complex_kind_on_a_real_chart_is_refused_when_made():
+    # it once built an algebroid on C^2 over a boundary on R^4, whose every
+    # point classified as non-elliptic with margin 0
+    with pytest.raises(SpecError, match=re.escape("kind 'antiholomorphic' needs a complex chart")):
+        SpecFile(4, False, "x1^2 + x2^2 + x3^2 + x4^2 - 1", kind="antiholomorphic")
+    spec = SpecFile(4, True, "x1^2 + x2^2 + x3^2 + x4^2 - 1", kind="antiholomorphic")
+    with pytest.raises(FrozenInstanceError):
+        spec.complex_pairs = False
+
+
+TANGENT = GALLERY["tangent_sphere"]
+
+
+@pytest.mark.parametrize(
+    "text, old, new, fields, message",
+    [
+        (CUSTOM, "dim = 2", "dim = 3\ncomplex = true", dict(chart_dim=3, complex_pairs=True),
+         "complex charts need even dimension"),
+        (CUSTOM, "dim = 2", "dim = 0", dict(chart_dim=0), "chart dimension must be >= 1"),
+        (CUSTOM, "dim = 2", "dim = 33", dict(chart_dim=33),
+         "[chart] dim = 33 exceeds the limit of 32 (_MAX_CHART_DIM)"),
+        (TANGENT, "kind = tangent", "kind = nope", dict(kind="nope"), "unknown algebroid kind 'nope'"),
+        (CUSTOM, "sampler = sphere", "sampler = cube", dict(sampler="cube"), "unknown sampler 'cube'"),
+        (CUSTOM, "samples = 16", "samples = 0", dict(samples=0), "[boundary] samples must be >= 1"),
+        (CUSTOM, "samples = 16", "samples = 10001", dict(samples=10_001),
+         "[boundary] samples = 10001 exceeds the limit of 10000 samples (_MAX_SAMPLES)"),
+        (GALLERY["poisson_c4"], "locus_samples = 20", "locus_samples = -3", dict(locus_samples=-3),
+         "[boundary] locus_samples must be >= 0, got -3"),
+        (GALLERY["annulus_c3_dbar"], "inner_radius = 0.5", "inner_radius = -1",
+         dict(inner_radius=-1.0), "[boundary] inner_radius must be finite and > 0, got -1.0"),
+        (CUSTOM, "seed = 3", "seed = 3\nrank_tol = 0", dict(rank_tol=0.0),
+         "[options] rank_tol must be finite with 0 < rank_tol < 1, got 0.0"),
+        (CUSTOM, "seed = 3", "seed = 3\nrank_tol = nan", dict(rank_tol=math.nan),
+         "[options] rank_tol must be finite with 0 < rank_tol < 1, got nan"),
+        (TANGENT, "sampler = sphere", "sampler = poisson_locus", dict(sampler="poisson_locus"),
+         "sampler 'poisson_locus' needs chart dim >= 4, got 3"),
+        (GALLERY["ball_c2_dbar"], "complex = true", "", dict(complex_pairs=False),
+         "kind 'antiholomorphic' needs a complex chart"),
+        # named before the table keys, which were read on the real chart and
+        # refused as out of range (1 <= i < j <= 0), or z1 as an unknown name
+        (GALLERY["poisson_c4"], "complex = true", "", dict(complex_pairs=False),
+         "kind 'holomorphic_poisson' needs a complex chart"),
+        (GALLERY["poisson_c4"].replace('"z1"', '"x1"'), "complex = true", "",
+         dict(complex_pairs=False), "kind 'holomorphic_poisson' needs a complex chart"),
+        (GALLERY["poisson_c4"], 'sigma_1_2 = "z1"\nsigma_3_4 = "1"', 'pi_1_2 = "z1"',
+         dict(entries={"pi_1_2": "z1"}),
+         "kind 'holomorphic_poisson' takes only sigma_ entries, got 'pi_1_2'"),
+        (CUSTOM, "structure_1_2", "structure_1_3",
+         dict(entries={"anchor_1": "1; 0", "anchor_2": "0; x1", "structure_1_3": "0; 1"}),
+         "table key 'structure_1_3' out of range (need 1 <= i < j <= 2)"),
+    ],
+    ids=["odd_complex_dim", "dim_0", "dim_33", "kind", "sampler", "samples_0", "samples_10001",
+         "locus_samples", "inner_radius", "rank_tol_0", "rank_tol_nan", "locus_at_dim_3",
+         "real_chart", "real_chart_sigma_z1", "real_chart_sigma_x1", "table_prefix", "table_range"],
+)
+def test_a_spec_made_in_code_refuses_each_value_with_the_parsers_line(text, old, new, fields, message):
+    assert old in text
+    with pytest.raises(SpecError) as parsed:
+        parse_specfile(text.replace(old, new, 1))
+    with pytest.raises(SpecError) as made:
+        replace(parse_specfile(text), **fields)
+    assert str(parsed.value) == str(made.value) == message
+
+
+@pytest.mark.parametrize("command", ["classify", "convexity", "levi", "dsq"])
+@pytest.mark.parametrize("ref", ["custom", "poisson_c4"])
+def test_a_spec_command_parses_each_expression_once(tmp_path, monkeypatch, capsys, command, ref):
+    # levi at CUSTOM's elliptic points walks its 16 samples instead
+    at = ["--point", "0,0,1,0,0,0,0,0"]
+    if ref == "custom":
+        path = tmp_path / "custom.spec"
+        path.write_text(CUSTOM)
+        ref, at = str(path), []
+    spec = load_spec(ref)
+    # r, each sigma_ entry, and each ';'-separated component of a custom entry
+    want = [spec.r_text] + [c.strip() for text in spec.entries.values() for c in text.split(";")]
+    parsed = []
+    parse = specfile.parse_expr
+    monkeypatch.setattr(specfile, "parse_expr",
+                        lambda text, chart: parsed.append(text) or parse(text, chart))
+    extra = {"classify": ["--samples", "8"], "convexity": ["--samples", "8"],
+             "levi": at, "dsq": []}[command]
+    assert main([command, "--spec", ref, *extra]) == 0
+    capsys.readouterr()
+    assert sorted(parsed) == sorted(want)
