@@ -26,7 +26,7 @@ problem = NeumannProblem(grid)
 print(f"grid: rho0 = {grid.rho0}, {grid.n_theta} angular modes, {grid.n_r} radial points")
 print(f"degree-1 harmonic space dimension: {problem.harmonic_dim(1)} (annulus: expect 0)")
 print(f"smallest positive eigenvalue of box_1: {problem.smallest_positive_eigenvalue():.6f}")
-print(f"||N|| = 1/lambda_min = {problem.operator_norm_N():.6f}")
+print(f"||N|| = 1/lambda_min = {1 / problem.smallest_positive_eigenvalue():.6f}")
 
 print("\n== Neumann identities on random fields ==")
 rng = np.random.default_rng(0)

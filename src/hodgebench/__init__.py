@@ -11,7 +11,7 @@ Modules by task:
 * sobolev            -- fractional Sobolev multipliers, kernel-lemma checks
   and Leibniz inequality batteries;
 * neumann            -- the discrete dbar-Neumann problem on an annulus;
-* specfile, gallery, cli -- the batch front-end.
+* bounds, specfile, gallery, cli -- the work bounds and the batch front-end.
 """
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .algebroids import AlgebroidSpec, d_squared_residual
+from .bounds import check_samples, check_walk
 from .gallery import GALLERY, gallery_names
 from .levi import BoundaryData, classify_points, levi_forms_generic, q_convex_set
 from .neumann import dbar_report
@@ -39,9 +40,7 @@ from .sobolev import (
     kernel_lemma_check,
     leibniz_battery,
 )
-from .specfile import (
-    SpecFile, SpecError, _check_samples, _check_walk, format_specfile, parse_specfile,
-)
+from .specfile import SpecFile, SpecError, format_specfile, parse_specfile
 
 SOBOLEV_SUITES = INEQUALITY_IDS + (
     "kernel.i",
@@ -164,7 +163,7 @@ def load_spec(ref: str, seed: Optional[int] = None, samples: Optional[int] = Non
     if seed is not None:
         spec = replace(spec, seed=seed)
     if samples is not None:
-        _check_samples("--samples", samples)
+        check_samples("--samples", samples)
         spec = replace(spec, samples=samples)
     return spec
 
@@ -174,7 +173,8 @@ def _spec_inputs(args, walks: bool = True) -> Tuple[SpecFile, AlgebroidSpec, Bou
     boundary; a command that walks the spec's sample first checks its size."""
     spec = load_spec(args.spec, args.seed, getattr(args, "samples", None))
     if walks:
-        _check_walk(spec)
+        locus = spec.locus_samples if spec.sampler == "sphere_plus_locus" else 0
+        check_walk(spec.samples + locus, spec.chart_dim)
     bd = spec.build_boundary()  # first, so that a bad r is named before a bad entry
     return spec, spec.build_algebroid(), bd
 

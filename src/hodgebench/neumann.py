@@ -45,7 +45,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sobolev import _check_nodes, _check_trials, _order_stats, _trapezoid
+from .bounds import check_eigen_work, check_grid_nodes, check_trials
+from .sobolev import order_stats, trapezoid
 
 __all__ = [
     "AnnulusGrid",
@@ -71,7 +72,7 @@ class AnnulusGrid:
             raise ValueError("need at least 16 radial points")
         if self.n_theta < 4 or self.n_theta % 2:
             raise ValueError("n_theta must be even and >= 4")
-        _check_nodes("annulus", (self.n_theta, self.n_r))
+        check_grid_nodes("annulus", (self.n_theta, self.n_r))
 
     @property
     def h(self) -> float:
@@ -81,7 +82,7 @@ class AnnulusGrid:
         return self.rho0 + np.arange(self.n_r) * self.h
 
     def weights(self) -> np.ndarray:
-        return _trapezoid(self.n_r, self.h) * self.rho()
+        return trapezoid(self.n_r, self.h) * self.rho()
 
     def modes0(self) -> np.ndarray:
         m = self.n_theta // 2
@@ -176,9 +177,6 @@ class NeumannProblem:
         """The smallest eigenvalue above the harmonic cut; the same at both
         degrees, which share their nonzero spectrum."""
         return self._low_spectrum()[1]
-
-    def operator_norm_N(self) -> float:
-        return 1.0 / self.smallest_positive_eigenvalue()
 
     def spectrum(self, i: int) -> np.ndarray:
         """All eigenvalues of box_1 on mode modes1[i], ascending."""
@@ -564,8 +562,8 @@ def basic_estimate_report(
         "seed": seed,
         "C_E_vs_Q": float(np.max(e_vs_q)),
         "C_D_vs_E": float(np.max(d_vs_e)),
-        "median_E_vs_Q": _order_stats(np.array(e_vs_q), [])[1],
-        "median_D_vs_E": _order_stats(np.array(d_vs_e), [])[1],
+        "median_E_vs_Q": order_stats(np.array(e_vs_q), [])[1],
+        "median_D_vs_E": order_stats(np.array(d_vs_e), [])[1],
     }
 
 
@@ -737,7 +735,8 @@ def dbar_report(
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     grid = AnnulusGrid(rho0, n_theta, n_r)
-    _check_trials(trials, (n_theta, n_r))
+    check_trials(trials, (n_theta, n_r))
+    check_eigen_work(n_theta, n_r, include_spectra)
     problem = NeumannProblem(grid)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     # the identity, N pi and orthogonality residuals; the fields are drawn in

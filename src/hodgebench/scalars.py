@@ -25,6 +25,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .bounds import COMMAND_TERM_PAIRS, MAX_TERM_PAIRS, ExprSizeError, refuse_term_pairs
+
 __all__ = [
     "CNum",
     "Chart",
@@ -135,34 +137,17 @@ def _poly_neg(p: dict) -> dict:
     return {mono: -c for mono, c in p.items()}
 
 
-# the most term pairs of one polynomial product: exact arithmetic is refused
-# before its work starts, not after it has run for seconds (the gallery's
-# products stay below 200, the largest algebroid the tests may draw needs 23,814)
-_MAX_TERM_PAIRS = 10**5
-
-# the most term pairs of all the products of one workbench command, so that
-# many small products cannot run for seconds either: the boundary commands on
-# tests/specs/poisson_c16_dense.spec use 11,464 and run, while its dsq, which
-# needs 1.2 M (28 s), is refused within a second; no other tier-1 command
-# uses more than 5,228, the gallery's at most 115
-_COMMAND_TERM_PAIRS = 2**14
-
 # term pairs that products may still use inside term_pair_budget, or None:
 # outside it, as in library calls, only the bound on one product holds
 _pairs_left: Optional[int] = None
 
 
-class ExprSizeError(ValueError):
-    """A product of exact polynomials past _MAX_TERM_PAIRS term pairs, or
-    past what is left of a term_pair_budget."""
-
-
 @contextmanager
 def term_pair_budget():
     """Bound the term pairs of all the products made inside the block by
-    _COMMAND_TERM_PAIRS; the bound is lifted when the block ends."""
+    COMMAND_TERM_PAIRS; the bound is lifted when the block ends."""
     global _pairs_left
-    outer, _pairs_left = _pairs_left, _COMMAND_TERM_PAIRS
+    outer, _pairs_left = _pairs_left, COMMAND_TERM_PAIRS
     try:
         yield
     finally:
@@ -172,14 +157,12 @@ def term_pair_budget():
 def _poly_mul(p: dict, q: dict) -> dict:
     global _pairs_left
     pairs = len(p) * len(q)
-    if pairs > _MAX_TERM_PAIRS:
-        raise ExprSizeError(f"a product of {len(p)} x {len(q)} polynomial terms exceeds "
-                            f"the limit of {_MAX_TERM_PAIRS} term pairs")
+    if pairs > MAX_TERM_PAIRS:
+        refuse_term_pairs(len(p), len(q))
     if _pairs_left is not None:
         _pairs_left -= pairs
         if _pairs_left < 0:
-            raise ExprSizeError("the exact products of this command exceed the budget "
-                                f"of {_COMMAND_TERM_PAIRS} term pairs")
+            refuse_term_pairs(len(p), len(q))
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():

@@ -32,6 +32,8 @@ from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 from numpy.random import Generator, SeedSequence, default_rng
 
+from .bounds import check_grid_nodes, check_quad_order, check_trials
+
 __all__ = [
     "TorusGrid",
     "HalfGrid",
@@ -49,37 +51,12 @@ __all__ = [
     "random_torus_field",
     "random_half_field",
     "ck_norms",
+    "trapezoid",
+    "order_stats",
     "INEQUALITY_IDS",
 ]
 
 TWO_PI = 2.0 * math.pi
-
-# the most nodes of any grid, the annulus of neumann's included: 16 times
-# 256 x 256; checked before any array exists, since an overcommitted
-# allocation succeeds and is killed later
-_MAX_NODES = 2**20
-
-
-def _check_nodes(kind: str, shape: Tuple[int, ...]) -> None:
-    if math.prod(shape) > _MAX_NODES:
-        raise MemoryError(f"{kind} grid of {' x '.join(map(str, shape))} nodes "
-                          f"exceeds the limit of {_MAX_NODES} nodes")
-
-
-# the most trial nodes of one command: its trials times the nodes of the grid
-# each trial's fields live on (n_theta * n_r for neumann's annulus), at least
-# _MIN_TRIAL_NODES per trial, since a trial's own overhead does not shrink with
-# its grid; checked before any field is drawn, it bounds the time that --trials
-# may ask for, as _MAX_NODES bounds the memory of one grid
-_MAX_TRIAL_NODES = 2**20
-_MIN_TRIAL_NODES = 2**10
-
-
-def _check_trials(trials: int, shape: Tuple[int, ...]) -> None:
-    if trials * max(_MIN_TRIAL_NODES, math.prod(shape)) > _MAX_TRIAL_NODES:
-        raise ValueError(f"{trials} trials on a grid of {' x '.join(map(str, shape))} "
-                         f"nodes exceed the limit of {_MAX_TRIAL_NODES} trial nodes "
-                         f"(trials times grid nodes, at least {_MIN_TRIAL_NODES} per trial)")
 
 
 @cache  # read by every spectral derivative; callers do not write to it
@@ -108,7 +85,7 @@ def _spectral_derivative(phi: np.ndarray, axis: int, n: int) -> np.ndarray:
     return ifft(spec * _along(1j * _wavenumbers(n), axis, phi.ndim), axis=axis)
 
 
-def _trapezoid(n: int, h: float) -> np.ndarray:
+def trapezoid(n: int, h: float) -> np.ndarray:
     """The trapezoid rule's weights on n >= 2 nodes spaced h apart."""
     return np.r_[0.5 * h, np.full(n - 2, h), 0.5 * h]
 
@@ -130,7 +107,7 @@ class TorusGrid:
         _check_axis(self.n)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        _check_nodes(self.kind, self.shape)
+        check_grid_nodes(self.kind, self.shape)
 
     @property
     def shape(self):
@@ -192,7 +169,7 @@ class HalfGrid:
             # the one-sided ends of radial_derivative read five nodes
             raise ValueError(f"half grid needs n_r >= 5 radial points, got {self.n_r}")
         _check_axis(self.n_t)
-        _check_nodes(self.kind, self.shape)
+        check_grid_nodes(self.kind, self.shape)
 
     @property
     def shape(self):
@@ -216,7 +193,7 @@ class HalfGrid:
 
     @cached_property
     def _r_weights(self) -> np.ndarray:
-        return _trapezoid(self.n_r, self.h_r)
+        return trapezoid(self.n_r, self.h_r)
 
     @cached_property
     def _radial_profile(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -327,11 +304,6 @@ _SLAB_TRIPLES = 2**14
 # temporaries keep one size, in cache, whatever the order
 _FORM_BLOCK_NODES = 2**15
 
-# the most Gauss-Legendre nodes per axis of part iii, checked before the rule
-# is built: leggauss's companion matrix grows as its square, and so does the
-# time per uncertified form
-_MAX_QUAD_ORDER = 256
-
 # the certified skip's relative slack, against rounding: a lower bound on an
 # integral is scaled by 1 - _SLACK, and a (triple, k) is certified where its
 # LHS is at most 1 - _SLACK times the RHS from that bound
@@ -438,7 +410,7 @@ def kernel_lemma_check(
     The inequalities are proven, so any violation beyond 1e-12 relative
     slack indicates an implementation bug.  Part iii uses the constant
     |k| * max(1, |k-1|) from the lemma's Hessian bound and Gauss-Legendre
-    quadrature (at most _MAX_QUAD_ORDER nodes per axis) for the double
+    quadrature (its order bounded by bounds.check_quad_order) for the double
     integral.  The integral depends on a triple (xi, eta1, eta2) only through
     the quadratic form |xi + t a + t' b|^2.  Before any quadrature, each
     (triple, k) is bounded: _integral_lower_bound gives a lower bound on the
@@ -477,9 +449,7 @@ def kernel_lemma_check(
             worst = max(worst, _excess(lhs, rhs))
             count += lhs.size
     elif part == "iii":
-        if quad_order > _MAX_QUAD_ORDER:
-            raise ValueError(f"quad_order {quad_order} exceeds the limit of "
-                             f"{_MAX_QUAD_ORDER} nodes per axis (_MAX_QUAD_ORDER)")
+        check_quad_order(quad_order)
         # every (xi, eta1, eta2) triple, axes (xi, eta1, eta2), with eta1 and
         # eta2 from V[::stride], walked in slabs of xi; each quantity is a sum
         # of entries of the lattice's Gram matrix, so it is an exact integer:
@@ -828,7 +798,7 @@ def leibniz_battery(
         raise TypeError("tangential batteries need a HalfGrid")
     if not tangential and getattr(grid, "kind", None) != TorusGrid.kind:
         raise TypeError("full-space batteries need a TorusGrid")
-    _check_trials(trials, grid.shape)
+    check_trials(trials, grid.shape)
     a = 1.0 + grid.dim / 2.0
     cases = _battery_cases(part)
     random_field = random_half_field if tangential else random_torus_field
@@ -871,7 +841,7 @@ def leibniz_battery(
             best = max(best, ratio)
         trial_ratios.append(best)
     arr = np.array(trial_ratios)
-    qs = _order_stats(arr, [0.0, 0.25, 0.5, 0.75, 1.0])[0]
+    qs = order_stats(arr, [0.0, 0.25, 0.5, 0.75, 1.0])[0]
     return {
         "inequality": inequality,
         "grid": _grid_meta(grid),
@@ -892,7 +862,7 @@ def leibniz_battery(
     }
 
 
-def _order_stats(values: np.ndarray, qs: Sequence[float]) -> Tuple[np.ndarray, float]:
+def order_stats(values: np.ndarray, qs: Sequence[float]) -> Tuple[np.ndarray, float]:
     """np.quantile(values, qs) (method "linear") and np.median(values) of
     non-NaN values, bit for bit as numpy 2.4 computes them, from one sort:
     numpy's own routines import numpy.ma on their first call."""
@@ -927,7 +897,7 @@ def half_space_subestimate(
     """
     if grid.dim != 2:
         raise ValueError("the sub-estimate battery runs on a 2-D half grid")
-    _check_trials(trials, grid.shape)
+    check_trials(trials, grid.shape)
     ss = SeedSequence([seed, 97])
     ratios = []
     for child in ss.spawn(trials):
@@ -947,7 +917,7 @@ def half_space_subestimate(
         "max_ratio": float(arr.max()),
         "quantiles": {
             "min": float(arr.min()),
-            "median": _order_stats(arr, [])[1],
+            "median": order_stats(arr, [])[1],
             "max": float(arr.max()),
         },
     }

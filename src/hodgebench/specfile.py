@@ -11,7 +11,7 @@ equal spec) and instantiate the algebroid, boundary data and sampler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
@@ -25,6 +25,7 @@ from .algebroids import (
     make_holomorphic_poisson,
     make_tangent,
 )
+from .bounds import SpecError, check_chart_dim, check_samples
 from .calculus import FormExpr, VectorFieldExpr
 from .levi import BoundaryData, sphere_lattice
 from .scalars import Chart, parse_expr
@@ -61,23 +62,7 @@ SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
     "options": ("rank_tol", "eig_zero_tol", "seed"),
 }
 
-# the largest chart dimension and sample count that a spec or --samples may ask
-# for, checked before any chart or sample exists: on a 2-core x86-64 VM, dsq on
-# a ball with 1,000 samples takes 0.44 s at dim 32 and 9.5 s at dim 64, and
-# convexity about 2 ms per non-elliptic sample at dim 32
-_MAX_CHART_DIM = 32
-_MAX_SAMPLES = 10_000
-# the most boundary points times dim^3 that one command may walk, since the
-# walk's work per point grows as dim^3 (levi._walk's block rule); 2^25 =
-# 1,024 x 32^3 admits the default 1,000 + 20 samples at every chart dim, and
-# on the same VM convexity at the bound on a dim-32 ball takes 2.5 s
-_MAX_WALK = 2**25
-
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-class SpecError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -90,7 +75,7 @@ class SpecFile:
     locus_samples: int = 20
     inner_radius: float = 0.5
     kind: str = "tangent"
-    entries: Dict[str, str] = field(default_factory=dict)  # expression tables
+    entries: Tuple[Tuple[str, str], ...] = ()  # expression tables: (key, text) in key order
     rank_tol: float = 1e-8
     eig_zero_tol: float = 1e-8
     seed: int = 0
@@ -98,25 +83,24 @@ class SpecFile:
     def __post_init__(self):
         """Refuse a field value that no command could run on, before any chart
         or sample exists; the expressions are checked when they are built."""
+        object.__setattr__(self, "entries", tuple(sorted(dict(self.entries).items())))
         dim = self.chart_dim
         if dim < 1:
             raise SpecError("chart dimension must be >= 1")
         if self.complex_pairs and dim % 2:
             raise SpecError("complex charts need even dimension")
-        if dim > _MAX_CHART_DIM:
-            raise SpecError(f"[chart] dim = {dim} exceeds the limit of "
-                            f"{_MAX_CHART_DIM} (_MAX_CHART_DIM)")
+        check_chart_dim(dim)
         if self.kind not in ALGEBROID_KINDS:
             raise SpecError(f"unknown algebroid kind {self.kind!r}")
         if self.sampler not in SAMPLER_KINDS:
             raise SpecError(f"unknown sampler {self.sampler!r}")
         if self.samples < 1:
             raise SpecError("[boundary] samples must be >= 1")
-        _check_samples("[boundary] samples", self.samples)
+        check_samples("[boundary] samples", self.samples)
         if self.sampler == "sphere_plus_locus":
             if self.locus_samples < 0:
                 raise SpecError(f"[boundary] locus_samples must be >= 0, got {self.locus_samples}")
-            _check_samples("[boundary] locus_samples", self.locus_samples)
+            check_samples("[boundary] locus_samples", self.locus_samples)
         if self.sampler == "two_spheres" and not 0 < self.inner_radius < math.inf:
             raise SpecError(f"[boundary] inner_radius must be finite and > 0, "
                             f"got {self.inner_radius!r}")
@@ -129,18 +113,18 @@ class SpecFile:
         if self.kind in ("antiholomorphic", "holomorphic_poisson") and not self.complex_pairs:
             raise SpecError(f"kind {self.kind!r} needs a complex chart")
         prefixes = KIND_PREFIXES.get(self.kind, ())
-        for key in self.entries:
+        for key, _ in self.entries:
             if not key.startswith(prefixes):
                 takes = f"only {'/'.join(prefixes)} entries" if prefixes else "no table entries"
                 raise SpecError(f"kind {self.kind!r} takes {takes}, got {key!r}")
-        anchor_keys = {key for key in self.entries if key.startswith("anchor_")}
+        anchor_keys = {key for key, _ in self.entries if key.startswith("anchor_")}
         rank = len(anchor_keys)
         if self.kind == "custom":
             if not rank:
                 raise SpecError("custom algebroids need anchor_<i> entries")
             if anchor_keys != {f"anchor_{i}" for i in range(1, rank + 1)}:
                 raise SpecError("anchor entries must be numbered 1..rank")
-        for key, text in self.entries.items():
+        for key, text in self.entries:
             if key.startswith("anchor_"):
                 if len(text.split(";")) != dim:
                     raise SpecError(f"{key} needs {dim} ';'-separated components")
@@ -183,12 +167,13 @@ class SpecFile:
     def _build_custom(self, chart: Chart) -> AlgebroidSpec:
         # __post_init__ has checked the numbering and every component count;
         # each component is parsed here, once
-        rank = sum(key.startswith("anchor_") for key in self.entries)
+        entries = dict(self.entries)
+        rank = sum(key.startswith("anchor_") for key in entries)
         anchors = tuple(
-            VectorFieldExpr(chart, _parse_components(self.entries[f"anchor_{i}"], chart))
+            VectorFieldExpr(chart, _parse_components(entries[f"anchor_{i}"], chart))
             for i in range(1, rank + 1)
         )
-        rows = {k: v for k, v in self.entries.items() if k.startswith("structure_")}
+        rows = [(k, v) for k, v in self.entries if k.startswith("structure_")]
         structure = _table(rows, partial(_parse_components, chart=chart), 1)
         return AlgebroidSpec(chart, rank, anchors, structure or None)
 
@@ -232,9 +217,9 @@ def _parse_components(text: str, chart: Chart) -> tuple:
     return tuple(parse_expr(c.strip(), chart) for c in text.split(";"))
 
 
-def _table(entries: Dict[str, str], parse: Callable[[str], object], base: int) -> Dict:
-    """{(i - base, j - base): parse(text)} over prefix_i_j table entries."""
-    return {tuple(i - base for i in _pair(key)): parse(text) for key, text in entries.items()}
+def _table(entries: Tuple, parse: Callable[[str], object], base: int) -> Dict:
+    """{(i - base, j - base): parse(text)} over (key, text) prefix_i_j table entries."""
+    return {tuple(i - base for i in _pair(key)): parse(text) for key, text in entries}
 
 
 def _pair(key: str) -> Tuple[int, int]:
@@ -322,21 +307,6 @@ def _number(sections: Dict[str, Dict[str, str]], section: str, key: str, convert
         raise SpecError(f"[{section}] {key} must be {what}, got {text!r}") from None
 
 
-def _check_samples(key: str, count: int) -> None:
-    if count > _MAX_SAMPLES:
-        raise SpecError(f"{key} = {count} exceeds the limit of {_MAX_SAMPLES} samples "
-                        f"(_MAX_SAMPLES)")
-
-
-def _check_walk(spec: SpecFile) -> None:
-    """Refuse a sample past _MAX_WALK, before any point is drawn.  The commands
-    that walk the whole sample check it, once their options are applied."""
-    total = spec.samples + (spec.locus_samples if spec.sampler == "sphere_plus_locus" else 0)
-    if total * spec.chart_dim**3 > _MAX_WALK:
-        raise SpecError(f"{total} boundary points at chart dim {spec.chart_dim} exceed the "
-                        f"limit of {_MAX_WALK} points times dim^3 (_MAX_WALK)")
-
-
 def _unquote(value: str) -> str:
     v = value.strip()
     if len(v) >= 2 and v[0] == v[-1] and v[0] in "'\"":
@@ -362,8 +332,8 @@ def format_specfile(spec: SpecFile) -> str:
     lines += ["", "[algebroid]", f"kind = {spec.kind}"]
     if spec.kind in ("antiholomorphic", "holomorphic_poisson"):
         lines.append(f"n = {spec.chart_dim // 2}")
-    for key in sorted(spec.entries):
-        lines.append(f'{key} = "{spec.entries[key]}"')
+    for key, text in spec.entries:
+        lines.append(f'{key} = "{text}"')
     lines += [
         "",
         "[options]",

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hodgebench import cli, scalars, sobolev, specfile
+from hodgebench import bounds, cli, scalars
 from hodgebench.cli import dumps, load_spec, main
 from hodgebench.gallery import gallery_names, gallery_spec
 from hodgebench.specfile import SpecError, format_specfile, parse_specfile
@@ -321,7 +321,7 @@ def test_rejected_command_lines_exit_1_with_one_line(capsys, argv):
 def test_quad_order_past_its_bound_exits_1_naming_it(capsys):
     # checked before the Gauss-Legendre rule is built: --quad-order 100000
     # would ask leggauss for a 74.5 GiB companion matrix
-    limit = sobolev._MAX_QUAD_ORDER
+    limit = bounds._MAX_QUAD_ORDER
     for order in (limit + 1, 100000):
         argv = ["sobolev", "--suite", "kernel.iii", "--quad-order", str(order)]
         assert main(argv) == 1
@@ -594,7 +594,7 @@ def test_the_trials_bound_admits_every_run_the_project_makes():
     for trials, shape in ((10, (256, 256)), (50, (64, 64)), (10, (128, 128)),
                           (1024, (16, 32)), (1024, (16, 9)), (8, (64, 64)),
                           (1, (1024, 1024))):
-        sobolev._check_trials(trials, shape)
+        bounds.check_trials(trials, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +641,7 @@ def test_the_spec_bounds_admit_every_run_the_project_makes():
     for name in gallery_names():
         spec = gallery_spec(name)
         assert spec.chart_dim <= 12 and spec.samples <= 1000 and spec.locus_samples <= 20
-    specfile._check_samples("--samples", 4400)
+    bounds.check_samples("--samples", 4400)
     text = gallery_spec_text("poisson_c4").replace("\nsamples = 1000", "\nsamples = 10000")
     text = text.replace("locus_samples = 20", "locus_samples = 10000")
     parse_specfile(text)

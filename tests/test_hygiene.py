@@ -1,8 +1,9 @@
 """Source hygiene of the package, checked with the standard-library ast.
 
 Every name a module lists in ``__all__`` is defined in it and read by the
-package or a demo (or is an oracle or operator on the allowlist below), and no
-module imports a name it never uses.
+package or a demo (or is an oracle or operator on the allowlist below), no
+module imports a name it never uses, and no module reads another's private
+names.
 """
 
 import ast
@@ -114,6 +115,32 @@ def test_no_unused_imports(path):
     used = _used_names(tree) | set(_all_names(tree) or ())
     unused = [(name, line) for name, line in _imports(tree) if name not in used]
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_of_another_module_is_read(path):
+    # ``from .sobolev import _trapezoid``, or ``sobolev._trapezoid`` after
+    # ``from . import sobolev``; dunders such as __version__ are public
+    tree = _tree(path)
+    siblings = {p.stem for p in MODULES}
+    reached, modules = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level or (node.module or "").split(".")[0] == PACKAGE.name:
+            for alias in node.names:
+                if alias.name in siblings and node.module in (None, PACKAGE.name):
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    reached.append((alias.name, node.lineno))
+    reached += [(node.attr, node.lineno) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)]
+    assert not reached, f"{path.name}: reads private names of other modules: {reached}"
 
 
 def test_every_public_name_is_read_or_an_allowed_oracle():

@@ -211,7 +211,8 @@ def test_banded_matches_dense_reference(rho0, n_theta, n_r, eps, profile, seed):
     # a difference of two operators is known to rounding relative to the
     # operators themselves, not to the (possibly tiny) difference
     got, want = _norm_diffs([prob], base)[0], reference_norm_diff(ref, ref_base)
-    assert abs(got - want) <= 1e-10 * (want + prob.operator_norm_N() + base.operator_norm_N())
+    assert abs(got - want) <= 1e-10 * (want + 1 / prob.smallest_positive_eigenvalue()
+                                    + 1 / base.smallest_positive_eigenvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +367,6 @@ def test_nonempty_degree1_harmonics_raise():
     for call in (prob.apply_N, prob.apply_pi, lambda f: solve_dbar(prob, f)):
         with pytest.raises(RuntimeError, match="harmonic obstruction"):
             call(phi)
-
-
-def test_operator_norm_is_inverse_smallest_eigenvalue(problem):
-    lam_min = problem.smallest_positive_eigenvalue()
-    assert problem.operator_norm_N() == pytest.approx(1.0 / lam_min, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,7 +1116,8 @@ def test_deflated_norm_diffs_match_the_undeflated_lockstep(rho0, n_theta, n_r, e
     # nears the rounding of the operators themselves (at eps = 1e-10 it is
     # 3e-12 and known to 2e-7 of itself), to that rounding
     for g, w_, prob in zip(got, want, probs):
-        rounding = 1e-15 * (prob.operator_norm_N() + base.operator_norm_N())
+        rounding = 1e-15 * (1 / prob.smallest_positive_eigenvalue()
+                            + 1 / base.smallest_positive_eigenvalue())
         assert abs(g - w_) <= 1e-12 * w_ + rounding
 
 

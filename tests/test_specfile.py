@@ -360,6 +360,19 @@ def test_a_complex_kind_on_a_real_chart_is_refused_when_made():
         spec.complex_pairs = False
 
 
+def test_a_checked_spec_keeps_its_entries_and_hashes():
+    # a table entry written in after the checks once made build_algebroid read
+    # a pi_ entry as sigma; the entries are now (key, text) pairs in key order
+    spec = gallery_spec("poisson_c4")
+    with pytest.raises(TypeError):
+        spec.entries["pi_1_3"] = "z2"
+    assert spec.entries == (("sigma_1_2", "z1"), ("sigma_3_4", "1"))
+    # equal specs, whatever order their entries came in, hash alike
+    swapped = replace(spec, entries={"sigma_3_4": "1", "sigma_1_2": "z1"})
+    assert swapped == spec and hash(swapped) == hash(spec)
+    assert {spec: 1}[parse_specfile(format_specfile(spec))] == 1
+
+
 TANGENT = GALLERY["tangent_sphere"]
 
 
@@ -425,7 +438,7 @@ def test_a_spec_command_parses_each_expression_once(tmp_path, monkeypatch, capsy
         ref, at = str(path), []
     spec = load_spec(ref)
     # r, each sigma_ entry, and each ';'-separated component of a custom entry
-    want = [spec.r_text] + [c.strip() for text in spec.entries.values() for c in text.split(";")]
+    want = [spec.r_text] + [c.strip() for _, text in spec.entries for c in text.split(";")]
     parsed = []
     parse = specfile.parse_expr
     monkeypatch.setattr(specfile, "parse_expr",
