@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from hodgebench.gallery import build_cached, gallery_spec
+from hodgebench.gallery import gallery_spec
 from hodgebench.levi import (
     classify_point,
     cr_kernel_basis,
@@ -22,15 +22,22 @@ from hodgebench.levi import (
     q_convex_set,
 )
 
+
+def built(name):
+    """(algebroid, boundary) of a gallery entry."""
+    spec = gallery_spec(name)
+    return spec.build_algebroid(), spec.build_boundary()
+
+
 print("== classification dichotomy ==")
 for name in ("tangent_sphere", "ball_c2_dbar", "symplectic_gc"):
-    alg, bd = build_cached(name)
+    alg, bd = built(name)
     pts = gallery_spec(name).sample_points()[:200]
     frac = np.mean([classify_point(alg, bd, p).elliptic for p in pts])
     print(f"  {name:18s}: elliptic fraction {frac:.2f} over {len(pts)} samples")
 
 print("\n== unit ball in C^2: Levi form on CR ==")
-alg, bd = build_cached("ball_c2_dbar")
+alg, bd = built("ball_c2_dbar")
 point = [1.0, 0.0, 0.0, 0.0]
 rep = levi_form_generic(alg, bd, point)
 print(f"  generic route at {point}: matrix {rep.levi.real.round(10)}, signature {rep.signature}")
@@ -43,7 +50,7 @@ B_all = levi_form_complex_hessian(bd, pts, cr_kernel_basis(bd, pts))
 print(f"  Hessian route over {len(pts)} samples: max |L - 1| = {np.abs(B_all - 1).max():.1e}")
 
 print("\n== holomorphic Poisson on C^4 (sigma = x dx^dy + dz^dw) ==")
-alg, bd = build_cached("poisson_c4")
+alg, bd = built("poisson_c4")
 locus_point = [0, 0, 1.0, 0, 0, 0, 0, 0]  # x = z = w = 0, |y| = 1
 B = levi_form_poisson(bd, alg.meta["sigma"], [locus_point])[0][0]
 print(f"  block matrix is 7x7, signature {eigen_signature(B)} (expect (5,1,1))")
@@ -53,7 +60,7 @@ print("  note the golden pair (1 +- sqrt 5)/2 from the [[1, ybar],[y, 0]] block"
 
 print("\n== q-convexity verdicts (certified on the sample only) ==")
 for name, n_pts in (("ball_c2_dbar", 60), ("annulus_c3_dbar", 60), ("poisson_c4", 0)):
-    alg, bd = build_cached(name)
+    alg, bd = built(name)
     spec = gallery_spec(name)
     spec = replace(spec, samples=n_pts or spec.samples)
     pts = spec.sample_points()

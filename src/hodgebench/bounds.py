@@ -2,18 +2,18 @@
 
 Each value is written here once, next to the one function that compares a use
 against it and words the refusal; no key, option or environment variable
-changes them.  scalars compares each product against the two public term-pair
-bounds inline.  Times are of one fresh process on a 2-core x86-64 VM.
+changes them.  Times are of one fresh process on a 2-core x86-64 VM.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NoReturn, Tuple
+from contextlib import contextmanager
+from typing import Optional, Tuple
 
 __all__ = [
-    "SpecError", "ExprSizeError", "MAX_TERM_PAIRS", "COMMAND_TERM_PAIRS",
-    "check_chart_dim", "check_samples", "check_walk", "refuse_term_pairs",
+    "SpecError", "ExprSizeError", "check_chart_dim", "check_samples", "check_walk",
+    "term_pair_budget", "charge_term_pairs",
     "check_grid_nodes", "check_trials", "check_quad_order", "check_eigen_work",
 ]
 
@@ -23,7 +23,7 @@ class SpecError(ValueError):
 
 
 class ExprSizeError(ValueError):
-    """An exact product past MAX_TERM_PAIRS, or past a command's budget."""
+    """An exact product past _MAX_TERM_PAIRS, or past a command's budget."""
 
 
 # the largest chart dimension and sample count of a spec or --samples: dsq on a
@@ -62,23 +62,44 @@ def check_walk(points: int, dim: int) -> None:
 # the most term pairs (the product of the operands' term counts) of one exact
 # product, refused before it starts: the gallery's stay below 200, the largest
 # algebroid the tests may draw needs 23,814
-MAX_TERM_PAIRS = 10**5
+_MAX_TERM_PAIRS = 10**5
 
 # the most term pairs of all the products of one command: the boundary commands
 # on tests/specs/poisson_c16_dense.spec use 11,464 and run (1.8-2.4 s), while
 # its dsq, which needs 1.2 M (28 s), is refused after 0.7 s; no other tier-1
 # command uses more than 5,228, the gallery at most 115, perfbench's specs 1,015
-COMMAND_TERM_PAIRS = 2**14
+_COMMAND_TERM_PAIRS = 2**14
+
+# term pairs that products may still use inside term_pair_budget, or None:
+# outside it, as in library calls, only the bound on one product holds
+_pairs_left: Optional[int] = None
 
 
-def refuse_term_pairs(p_terms: int, q_terms: int) -> NoReturn:
-    """Refuse a product of p_terms x q_terms terms, past MAX_TERM_PAIRS or
-    else past what is left of COMMAND_TERM_PAIRS."""
-    if p_terms * q_terms > MAX_TERM_PAIRS:
+@contextmanager
+def term_pair_budget():
+    """Bound the term pairs of all the products made inside the block by
+    _COMMAND_TERM_PAIRS; the bound is lifted when the block ends."""
+    global _pairs_left
+    outer, _pairs_left = _pairs_left, _COMMAND_TERM_PAIRS
+    try:
+        yield
+    finally:
+        _pairs_left = outer
+
+
+def charge_term_pairs(p_terms: int, q_terms: int) -> None:
+    """Refuse a product of p_terms x q_terms terms past _MAX_TERM_PAIRS, or
+    else charge it to the open budget, refusing it past what is left."""
+    global _pairs_left
+    pairs = p_terms * q_terms
+    if pairs > _MAX_TERM_PAIRS:
         raise ExprSizeError(f"a product of {p_terms} x {q_terms} polynomial terms exceeds "
-                            f"the limit of {MAX_TERM_PAIRS} term pairs")
-    raise ExprSizeError("the exact products of this command exceed the budget "
-                        f"of {COMMAND_TERM_PAIRS} term pairs")
+                            f"the limit of {_MAX_TERM_PAIRS} term pairs")
+    if _pairs_left is not None:
+        _pairs_left -= pairs
+        if _pairs_left < 0:
+            raise ExprSizeError("the exact products of this command exceed the budget "
+                                f"of {_COMMAND_TERM_PAIRS} term pairs")
 
 
 # the most nodes of any grid, neumann's annulus included, checked before any

@@ -27,11 +27,10 @@ import numpy as np
 
 from . import __version__
 from .algebroids import AlgebroidSpec, d_squared_residual
-from .bounds import check_samples, check_walk
+from .bounds import check_samples, check_walk, term_pair_budget
 from .gallery import GALLERY, gallery_names
 from .levi import BoundaryData, classify_points, levi_forms_generic, q_convex_set
 from .neumann import dbar_report
-from .scalars import term_pair_budget
 from .sobolev import (
     HalfGrid,
     INEQUALITY_IDS,
@@ -40,7 +39,7 @@ from .sobolev import (
     kernel_lemma_check,
     leibniz_battery,
 )
-from .specfile import SpecFile, SpecError, format_specfile, parse_specfile
+from .specfile import SAMPLER_READS, SpecFile, SpecError, format_specfile, parse_specfile
 
 SOBOLEV_SUITES = INEQUALITY_IDS + (
     "kernel.i",
@@ -173,7 +172,7 @@ def _spec_inputs(args, walks: bool = True) -> Tuple[SpecFile, AlgebroidSpec, Bou
     boundary; a command that walks the spec's sample first checks its size."""
     spec = load_spec(args.spec, args.seed, getattr(args, "samples", None))
     if walks:
-        locus = spec.locus_samples if spec.sampler == "sphere_plus_locus" else 0
+        locus = spec.locus_samples if "locus_samples" in SAMPLER_READS[spec.sampler] else 0
         check_walk(spec.samples + locus, spec.chart_dim)
     bd = spec.build_boundary()  # first, so that a bad r is named before a bad entry
     return spec, spec.build_algebroid(), bd
@@ -188,10 +187,13 @@ def _meta(spec: Optional[SpecFile], seed: int) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its spec (None for the labs), the body of its report
+# and its exit code; main puts the command and its meta at the report's head
+
+Result = Tuple[Optional[SpecFile], Dict, int]
 
 
-def cmd_classify(args) -> Tuple[Dict, int]:
+def cmd_classify(args) -> Result:
     spec, alg, bd = _spec_inputs(args)
     points = spec.sample_points()
     results = classify_points(alg, bd, points)
@@ -201,9 +203,7 @@ def cmd_classify(args) -> Tuple[Dict, int]:
         {"point": p, "classification": c.label, "margin": c.margin}
         for p, c in zip(points.tolist(), results)
     ]
-    report = {
-        "command": "classify",
-        "meta": _meta(spec, spec.seed),
+    body = {
         "samples": len(points),
         "elliptic": n_elliptic,
         "non_elliptic": len(points) - n_elliptic,
@@ -212,7 +212,7 @@ def cmd_classify(args) -> Tuple[Dict, int]:
         "margin_max": max(margins),
         "points": table,
     }
-    return report, 0
+    return spec, body, 0
 
 
 def _parse_point(text: str) -> List[float]:
@@ -225,9 +225,9 @@ def _parse_point(text: str) -> List[float]:
     return point
 
 
-def cmd_levi(args) -> Tuple[Dict, int]:
+def cmd_levi(args) -> Result:
     spec, alg, bd = _spec_inputs(args, walks=not args.point)
-    report = {"command": "levi", "meta": _meta(spec, spec.seed)}
+    body = {}
     if args.point:
         points = [_parse_point(p) for p in args.point]
     else:
@@ -235,8 +235,8 @@ def cmd_levi(args) -> Tuple[Dict, int]:
         classes = classify_points(alg, bd, candidates)
         points = candidates[[not c.elliptic for c in classes]][: args.max_points]
         if not len(points):
-            report["note"] = "no non-elliptic points among the samples"
-    report["points"] = [
+            body["note"] = "no non-elliptic points among the samples"
+    body["points"] = [
         {
             "point": rep.point,
             "classification": rep.classification.label,
@@ -248,10 +248,10 @@ def cmd_levi(args) -> Tuple[Dict, int]:
         }
         for rep in levi_forms_generic(alg, bd, points)
     ]
-    return report, 0
+    return spec, body, 0
 
 
-def cmd_convexity(args) -> Tuple[Dict, int]:
+def cmd_convexity(args) -> Result:
     spec, alg, bd = _spec_inputs(args)
     if args.require_q is not None and not 0 <= args.require_q <= alg.rank:
         raise ValueError(f"--require-q must be in 0..{alg.rank} (the rank), got {args.require_q}")
@@ -265,9 +265,7 @@ def cmd_convexity(args) -> Tuple[Dict, int]:
             "signature": list(rep.signature),
         }
     n_nonelliptic = sum(1 for r in verdict.reports if r.signature is not None)
-    report = {
-        "command": "convexity",
-        "meta": _meta(spec, spec.seed),
+    body = {
         "samples": len(points),
         "non_elliptic_samples": n_nonelliptic,
         "rank": verdict.rank,
@@ -277,28 +275,26 @@ def cmd_convexity(args) -> Tuple[Dict, int]:
     }
     if args.require_q is not None:
         attained = args.require_q in verdict.q_set
-        report.update(require_q=args.require_q, require_q_attained=attained)
-        return report, 0 if attained else 2
-    return report, 0
+        body.update(require_q=args.require_q, require_q_attained=attained)
+        return spec, body, 0 if attained else 2
+    return spec, body, 0
 
 
-def cmd_dsq(args) -> Tuple[Dict, int]:
+def cmd_dsq(args) -> Result:
     # dsq draws only the points it keeps, so it walks no sample
     spec, alg, _ = _spec_inputs(args, walks=False)
     points = spec.sample_points(max(8, min(spec.samples, 32)))
     residual = d_squared_residual(alg, points)
-    report = {
-        "command": "dsq",
-        "meta": _meta(spec, spec.seed),
+    body = {
         "kind": spec.kind,
         "sample_points": len(points),
         "d_squared_residual": residual,
         "is_lie_algebroid_on_sample": residual <= 1e-10,
     }
-    return report, 0
+    return spec, body, 0
 
 
-def cmd_sobolev(args) -> Tuple[Dict, int]:
+def cmd_sobolev(args) -> Result:
     suite = args.suite
     if suite not in SOBOLEV_SUITES:
         raise SpecError(f"unknown suite {suite!r}; choose from {SOBOLEV_SUITES}")
@@ -315,16 +311,10 @@ def cmd_sobolev(args) -> Tuple[Dict, int]:
             result = half_space_subestimate(grid, trials=args.trials, seed=args.seed)
         else:
             result = leibniz_battery(suite, grid, trials=args.trials, seed=args.seed)
-    report = {
-        "command": "sobolev",
-        "meta": _meta(None, args.seed),
-        "suite": suite,
-        "result": result,
-    }
-    return report, code
+    return None, {"suite": suite, "result": result}, code
 
 
-def cmd_hodge(args) -> Tuple[Dict, int]:
+def cmd_hodge(args) -> Result:
     result = dbar_report(
         rho0=args.rho0,
         n_theta=args.n_theta,
@@ -333,12 +323,7 @@ def cmd_hodge(args) -> Tuple[Dict, int]:
         seed=args.seed,
         include_spectra=args.spectra,
     )
-    report = {
-        "command": "hodge",
-        "meta": _meta(None, args.seed),
-        "result": result,
-    }
-    return report, 0
+    return None, {"result": result}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +429,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         with term_pair_budget():
-            report, code = args.fn(args)
-        _write(report, args)
+            spec, body, code = args.fn(args)
+        seed = args.seed if spec is None else spec.seed
+        _write({"command": args.command, "meta": _meta(spec, seed), **body}, args)
     except (UsageError, SpecError, ValueError, KeyError, RuntimeError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1

@@ -2,18 +2,17 @@
 
 Names resolve through the CLI's --spec flag before file paths are tried.
 Specs are stored as spec-file text so the gallery also exercises the
-parser; construction is cached, so a session parses and builds each entry
-once.
+parser; gallery_spec parses an entry, and its SpecFile builds the algebroid,
+boundary and sample.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, Tuple
 
 from .specfile import SpecFile, parse_specfile
 
-__all__ = ["GALLERY", "gallery_spec", "gallery_names", "build_cached"]
+__all__ = ["GALLERY", "gallery_spec", "gallery_names"]
 
 
 def _ball_r(dim: int) -> str:
@@ -149,10 +148,3 @@ def gallery_spec(name: str) -> SpecFile:
     if name not in GALLERY:
         raise KeyError(f"no gallery spec named {name!r}")
     return parse_specfile(GALLERY[name])
-
-
-@lru_cache(maxsize=None)
-def build_cached(name: str):
-    """(algebroid, boundary) for a gallery entry, built once per session."""
-    spec = gallery_spec(name)
-    return spec.build_algebroid(), spec.build_boundary()

@@ -18,14 +18,13 @@ term-by-term interpreter, lives in the tests.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import COMMAND_TERM_PAIRS, MAX_TERM_PAIRS, ExprSizeError, refuse_term_pairs
+from .bounds import ExprSizeError, charge_term_pairs
 
 __all__ = [
     "CNum",
@@ -36,7 +35,6 @@ __all__ = [
     "ExprSyntaxError",
     "UnknownVariableError",
     "ExprSizeError",
-    "term_pair_budget",
     "parse_expr",
     "const",
     "var",
@@ -137,32 +135,8 @@ def _poly_neg(p: dict) -> dict:
     return {mono: -c for mono, c in p.items()}
 
 
-# term pairs that products may still use inside term_pair_budget, or None:
-# outside it, as in library calls, only the bound on one product holds
-_pairs_left: Optional[int] = None
-
-
-@contextmanager
-def term_pair_budget():
-    """Bound the term pairs of all the products made inside the block by
-    COMMAND_TERM_PAIRS; the bound is lifted when the block ends."""
-    global _pairs_left
-    outer, _pairs_left = _pairs_left, COMMAND_TERM_PAIRS
-    try:
-        yield
-    finally:
-        _pairs_left = outer
-
-
 def _poly_mul(p: dict, q: dict) -> dict:
-    global _pairs_left
-    pairs = len(p) * len(q)
-    if pairs > MAX_TERM_PAIRS:
-        refuse_term_pairs(len(p), len(q))
-    if _pairs_left is not None:
-        _pairs_left -= pairs
-        if _pairs_left < 0:
-            refuse_term_pairs(len(p), len(q))
+    charge_term_pairs(len(p), len(q))
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():

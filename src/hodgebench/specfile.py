@@ -11,7 +11,7 @@ equal spec) and instantiate the algebroid, boundary data and sampler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
@@ -41,7 +41,18 @@ ALGEBROID_KINDS = (
     "custom",
 )
 
-SAMPLER_KINDS = ("sphere", "two_spheres", "poisson_locus", "sphere_plus_locus")
+# the kinds on a complex chart, whose [algebroid] n is half its dimension
+COMPLEX_KINDS = ("antiholomorphic", "holomorphic_poisson")
+
+# each sampler, and the [boundary] keys beyond samples that it reads; under
+# another sampler such a key is neither checked nor written
+SAMPLER_READS: Dict[str, Tuple[str, ...]] = {
+    "sphere": (),
+    "two_spheres": ("inner_radius",),
+    "poisson_locus": (),
+    "sphere_plus_locus": ("locus_samples",),
+}
+SAMPLER_KINDS = tuple(SAMPLER_READS)
 
 # the [algebroid] table prefixes each kind reads; the other kinds take none
 KIND_PREFIXES: Dict[str, Tuple[str, ...]] = {
@@ -52,17 +63,40 @@ KIND_PREFIXES: Dict[str, Tuple[str, ...]] = {
 }
 TABLE_PREFIXES = sum(KIND_PREFIXES.values(), ())
 
-# the keys each section takes; [algebroid] also takes table entries, by the
-# prefixes above.  A key that the chosen sampler or kind does not read is
-# still valid, so that a spec can switch samplers by one line
-SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
-    "chart": ("dim", "complex"),
-    "boundary": ("r", "sampler", "samples", "locus_samples", "inner_radius"),
-    "algebroid": ("kind", "n"),
-    "options": ("rank_tol", "eig_zero_tol", "seed"),
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _boolean(text: str) -> bool:
+    return _BOOLEANS[text.lower()]
+
+
+def _unquote(value: str) -> str:
+    v = value.strip()
+    if len(v) >= 2 and v[0] == v[-1] and v[0] in "'\"":
+        return v[1:-1]
+    return v
+
+
+# every key of a spec, by section, in the order parse_specfile reads them: the
+# field it sets, the reader of its text, and the text read when it is absent
+# (None: the field's default; dim and r have none and must be given).  n sets
+# no field: a complex kind's n is half its chart dimension.  [algebroid] also
+# takes its kind's table entries.  A key that the spec's sampler or kind does
+# not read is still valid, so that a spec can switch samplers by one line
+SPEC_KEYS: Dict[str, Dict[str, tuple]] = {
+    "chart": {"dim": ("chart_dim", int, None), "complex": ("complex_pairs", _boolean, "false")},
+    "boundary": {"r": ("r_text", _unquote, None), "sampler": ("sampler", str, None),
+                 "samples": ("samples", int, None),
+                 "locus_samples": ("locus_samples", int, None),
+                 "inner_radius": ("inner_radius", float, None)},
+    "algebroid": {"kind": ("kind", str, ""), "n": (None, int, None)},
+    "options": {"rank_tol": ("rank_tol", float, None),
+                "eig_zero_tol": ("eig_zero_tol", float, None), "seed": ("seed", int, None)},
 }
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# what each reader that can refuse a text expects; how values are written back
+_EXPECTS = {int: "an integer", float: "a number", _boolean: "true or false"}
+_WRITERS = {_unquote: '"{}"'.format, _boolean: {True: "true", False: "false"}.get}
 
 
 @dataclass(frozen=True)
@@ -97,11 +131,12 @@ class SpecFile:
         if self.samples < 1:
             raise SpecError("[boundary] samples must be >= 1")
         check_samples("[boundary] samples", self.samples)
-        if self.sampler == "sphere_plus_locus":
+        reads = SAMPLER_READS[self.sampler]
+        if "locus_samples" in reads:
             if self.locus_samples < 0:
                 raise SpecError(f"[boundary] locus_samples must be >= 0, got {self.locus_samples}")
             check_samples("[boundary] locus_samples", self.locus_samples)
-        if self.sampler == "two_spheres" and not 0 < self.inner_radius < math.inf:
+        if "inner_radius" in reads and not 0 < self.inner_radius < math.inf:
             raise SpecError(f"[boundary] inner_radius must be finite and > 0, "
                             f"got {self.inner_radius!r}")
         for key in ("rank_tol", "eig_zero_tol"):
@@ -110,7 +145,7 @@ class SpecFile:
                 raise SpecError(f"[options] {key} must be finite with 0 < {key} < 1, got {tol!r}")
         if self.sampler in ("poisson_locus", "sphere_plus_locus") and dim < 4:
             raise SpecError(f"sampler {self.sampler!r} needs chart dim >= 4, got {dim}")
-        if self.kind in ("antiholomorphic", "holomorphic_poisson") and not self.complex_pairs:
+        if self.kind in COMPLEX_KINDS and not self.complex_pairs:
             raise SpecError(f"kind {self.kind!r} needs a complex chart")
         prefixes = KIND_PREFIXES.get(self.kind, ())
         for key, _ in self.entries:
@@ -223,8 +258,10 @@ def _table(entries: Tuple, parse: Callable[[str], object], base: int) -> Dict:
 
 
 def _pair(key: str) -> Tuple[int, int]:
+    # canonical ASCII numerals only: sigma_01_02 (or in full-width digits)
+    # would name the slot of sigma_1_2, and the algebroid keep one of the two
     parts = key.split("_")
-    if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
+    if len(parts) != 3 or not all(p.isdecimal() and str(int(p)) == p for p in parts[1:]):
         raise SpecError(f"bad table key {key!r} (expected prefix_i_j)")
     return int(parts[1]), int(parts[2])
 
@@ -242,9 +279,9 @@ def parse_specfile(text: str) -> SpecFile:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            if current not in SECTION_KEYS:
+            if current not in SPEC_KEYS:
                 raise SpecError(f"line {lineno}: unknown section [{current}] "
-                                f"(expected one of {', '.join(SECTION_KEYS)})")
+                                f"(expected one of {', '.join(SPEC_KEYS)})")
             # a repeated section continues the first
             sections.setdefault(current, {})
             continue
@@ -255,7 +292,7 @@ def parse_specfile(text: str) -> SpecFile:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         table = current == "algebroid" and key.startswith(TABLE_PREFIXES)
-        if key not in SECTION_KEYS[current] and not table:
+        if key not in SPEC_KEYS[current] and not table:
             raise SpecError(f"line {lineno}: [{current}] has no key {key!r}")
         if key in sections[current]:
             raise SpecError(f"line {lineno}: [{current}] {key} is given twice")
@@ -263,83 +300,49 @@ def parse_specfile(text: str) -> SpecFile:
     for needed in ("chart", "boundary", "algebroid"):
         if needed not in sections:
             raise SpecError(f"missing [{needed}] section")
-    chart_sec = sections["chart"]
-    if "dim" not in chart_sec:
-        raise SpecError("[chart] needs dim")
-    dim = _number(sections, "chart", "dim", int, None)
-    complex_text = chart_sec.get("complex", "false")
-    complex_pairs = _BOOLEANS.get(complex_text.lower())
-    if complex_pairs is None:
-        raise SpecError(f"[chart] complex must be true or false, got {complex_text!r}")
-    bd_sec = sections["boundary"]
-    if "r" not in bd_sec:
-        raise SpecError("[boundary] needs r")
+    needed = {f.name for f in fields(SpecFile) if f.default is MISSING}
+    values = {}
+    for section, keys in SPEC_KEYS.items():
+        for key, (field, _, absent) in keys.items():
+            text = sections.get(section, {}).get(key, absent)
+            if field and text is not None:
+                values[field] = _read(section, key, text)
+            elif field in needed:
+                raise SpecError(f"[{section}] needs {key}")
     alg_sec = sections["algebroid"]
-    spec = SpecFile(
-        chart_dim=dim,
-        complex_pairs=complex_pairs,
-        r_text=_unquote(bd_sec["r"]),
-        sampler=bd_sec.get("sampler", "sphere"),
-        samples=_number(sections, "boundary", "samples", int, "1000"),
-        locus_samples=_number(sections, "boundary", "locus_samples", int, "20"),
-        inner_radius=_number(sections, "boundary", "inner_radius", float, "0.5"),
-        kind=alg_sec.get("kind", ""),
-        entries={k: _unquote(v) for k, v in alg_sec.items() if k.startswith(TABLE_PREFIXES)},
-        rank_tol=_number(sections, "options", "rank_tol", float, "1e-8"),
-        eig_zero_tol=_number(sections, "options", "eig_zero_tol", float, "1e-8"),
-        seed=_number(sections, "options", "seed", int, "0"),
-    )
-    # n is not a field: a complex kind's n is half its chart dimension
-    n = _number(sections, "algebroid", "n", int, str(dim // 2))
-    if spec.kind in ("antiholomorphic", "holomorphic_poisson") and n != dim // 2:
+    entries = {k: _unquote(v) for k, v in alg_sec.items() if k.startswith(TABLE_PREFIXES)}
+    spec = SpecFile(**values, entries=entries)
+    n = alg_sec.get("n")
+    n = spec.chart_dim // 2 if n is None else _read("algebroid", "n", n)
+    if spec.kind in COMPLEX_KINDS and n != spec.chart_dim // 2:
         raise SpecError("n must equal half the chart dimension")
     return spec
 
 
-def _number(sections: Dict[str, Dict[str, str]], section: str, key: str, convert, default):
-    """[section] key read by int or float (default when absent); a SpecError
-    naming the section and the key when it is not such a number."""
-    text = sections.get(section, {}).get(key, default)
+def _read(section: str, key: str, text: str):
+    """[section] key's value of text, by the key's reader; a SpecError naming
+    the section and the key when the reader refuses the text."""
+    read = SPEC_KEYS[section][key][1]
     try:
-        return convert(text)
-    except ValueError:
-        what = "an integer" if convert is int else "a number"
-        raise SpecError(f"[{section}] {key} must be {what}, got {text!r}") from None
-
-
-def _unquote(value: str) -> str:
-    v = value.strip()
-    if len(v) >= 2 and v[0] == v[-1] and v[0] in "'\"":
-        return v[1:-1]
-    return v
+        return read(text)
+    except (KeyError, ValueError):
+        raise SpecError(f"[{section}] {key} must be {_EXPECTS[read]}, got {text!r}") from None
 
 
 def format_specfile(spec: SpecFile) -> str:
-    lines = ["[chart]", f"dim = {spec.chart_dim}"]
-    if spec.complex_pairs:
-        lines.append("complex = true")
-    lines += [
-        "",
-        "[boundary]",
-        f'r = "{spec.r_text}"',
-        f"sampler = {spec.sampler}",
-        f"samples = {spec.samples}",
-    ]
-    if spec.sampler == "sphere_plus_locus":
-        lines.append(f"locus_samples = {spec.locus_samples}")
-    if spec.sampler == "two_spheres":
-        lines.append(f"inner_radius = {spec.inner_radius}")
-    lines += ["", "[algebroid]", f"kind = {spec.kind}"]
-    if spec.kind in ("antiholomorphic", "holomorphic_poisson"):
-        lines.append(f"n = {spec.chart_dim // 2}")
-    for key, text in spec.entries:
-        lines.append(f'{key} = "{text}"')
-    lines += [
-        "",
-        "[options]",
-        f"rank_tol = {spec.rank_tol!r}",
-        f"eig_zero_tol = {spec.eig_zero_tol!r}",
-        f"seed = {spec.seed}",
-        "",
-    ]
+    """The spec's text, each key in table order, but for the keys it does not
+    read: complex on a real chart, n under a real kind, and the [boundary]
+    keys of the other samplers."""
+    reads = {key: key in SAMPLER_READS[spec.sampler] for key in sum(SAMPLER_READS.values(), ())}
+    reads.update(complex=spec.complex_pairs, n=spec.kind in COMPLEX_KINDS)
+    lines = []
+    for section, keys in SPEC_KEYS.items():
+        lines.append(f"[{section}]")
+        for key, (field, read, _) in keys.items():
+            if reads.get(key, True):
+                value = getattr(spec, field) if field else spec.chart_dim // 2
+                lines.append(f"{key} = {_WRITERS.get(read, str)(value)}")
+        if section == "algebroid":
+            lines += [f'{key} = "{text}"' for key, text in spec.entries]
+        lines.append("")
     return "\n".join(lines)

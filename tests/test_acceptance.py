@@ -9,6 +9,7 @@ import json
 import math
 import random
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from hodgebench.calculus import (
     lie_bracket,
 )
 from hodgebench.cli import dumps, main
-from hodgebench.gallery import build_cached
+from hodgebench.gallery import gallery_spec
 from hodgebench.levi import (
     BoundaryData,
     adapted_frame,
@@ -82,6 +83,13 @@ def locus_points(n, count):
         p[2], p[3] = math.cos(theta), math.sin(theta)
         pts.append(p)
     return pts
+
+
+@lru_cache(maxsize=None)
+def built(name):
+    """(algebroid, boundary) of a gallery entry, built once per test run."""
+    spec = gallery_spec(name)
+    return spec.build_algebroid(), spec.build_boundary()
 
 
 def run_command(capsys, *argv):
@@ -149,7 +157,7 @@ def test_criterion_2_poisson_convexity_set(capsys):
 def test_criterion_3_ball_and_annulus():
     ok = True
     for n in (2, 3):
-        alg, bd = build_cached(f"ball_c{n}_dbar")
+        alg, bd = built(f"ball_c{n}_dbar")
         pts = [list(p) for p in sphere_lattice(2 * n, 150)]
         verdict = q_convex_set(alg, bd, pts)
         ok &= verdict.q_set >= set(range(1, n + 1))
@@ -157,7 +165,7 @@ def test_criterion_3_ball_and_annulus():
             basis = cr_kernel_basis(bd, [p])
             B = levi_form_complex_hessian(bd, [p], basis)[0]
             ok &= np.linalg.norm(B - np.eye(n - 1)) <= 1e-8
-    alg_a, bd_a = build_cached("annulus_c3_dbar")
+    alg_a, bd_a = built("annulus_c3_dbar")
     pts = [list(p) for p in sphere_lattice(6, 75)]
     pts += [list(p) for p in sphere_lattice(6, 75, radius=0.5)]
     verdict = q_convex_set(alg_a, bd_a, pts)
@@ -187,7 +195,7 @@ def test_criterion_5_route_agreement():
     ok = True
     # Hessian route vs generic on the dbar gallery entries
     for name, n in (("ball_c2_dbar", 2), ("ball_c3_dbar", 3), ("annulus_c3_dbar", 3)):
-        alg, bd = build_cached(name)
+        alg, bd = built(name)
         pts = [list(p) for p in sphere_lattice(2 * n, 6)]
         if name.startswith("annulus"):
             pts += [list(p) for p in sphere_lattice(2 * n, 6, radius=0.5)]
@@ -201,7 +209,7 @@ def test_criterion_5_route_agreement():
             ok &= rep.signature == eigen_signature(B_h, bd.eig_zero_tol)
     # Poisson blocks vs generic on the poisson entries
     for name, n in (("poisson_c4", 4), ("poisson_c6", 6)):
-        alg, bd = build_cached(name)
+        alg, bd = built(name)
         sigma = alg.meta["sigma"]
         for p in locus_points(n, 5):
             B_p, basis = (a[0] for a in levi_form_poisson(bd, sigma, [p]))
@@ -214,7 +222,7 @@ def test_criterion_5_route_agreement():
             ok &= np.linalg.norm(rep.levi - B_p) <= 1e-8 * np.linalg.norm(B_p)
             ok &= rep.signature == eigen_signature(B_p, bd.eig_zero_tol)
     # projection independence: random quotient functionals
-    alg, bd = build_cached("ball_c2_dbar")
+    alg, bd = built("ball_c2_dbar")
     point = [0.0, 1.0, 0.0, 0.0]
     frame = adapted_frame(alg, bd, point)
     fields, transverse = adapted_sections(alg, bd, frame)
@@ -300,7 +308,7 @@ def test_criterion_6_courant_ce_symbolic_suite():
     pts8 = [list(p) for p in sphere_lattice(8, 5)]
     ok &= d_squared_residual(make_tangent(chart), pts) == 0.0
     ok &= d_squared_residual(make_antiholomorphic(2), [list(p) for p in sphere_lattice(4, 5)]) == 0.0
-    alg_p, _ = build_cached("poisson_c4")
+    alg_p, _ = built("poisson_c4")
     ok &= d_squared_residual(alg_p, pts8) == 0.0
     pi = {(0, 1): var(chart, 1), (1, 2): var(chart, 0)}
     alg_bad = make_graph_bivector(chart, pi)

@@ -1,6 +1,7 @@
 import math
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hodgebench.scalars import var
 from hodgebench.specfile import (
     ALGEBROID_KINDS,
     SAMPLER_KINDS,
+    SPEC_KEYS,
     SpecError,
     SpecFile,
     format_specfile,
@@ -340,6 +342,118 @@ def test_table_keys_that_are_not_numbered_are_rejected():
     text = CUSTOM.replace("structure_1_2", "structure_1_b")
     with pytest.raises(SpecError, match=re.escape("bad table key 'structure_1_b'")):
         parse_specfile(text)
+
+
+@pytest.mark.parametrize(
+    "text, entry, twin",
+    [
+        (GALLERY["graph_bivector_demo"], 'pi_2_3 = "x1"', 'pi_02_03 = "x2"'),
+        (GALLERY["graph_bivector_demo"], 'pi_2_3 = "x1"', 'pi_\uff12_\uff13 = "x2"'),
+        (GALLERY["poisson_c4"], 'sigma_1_2 = "z1"', 'sigma_1_02 = "1"'),
+        (GALLERY["symplectic_gc"], 'omega_1_2 = "i"', 'omega_\u0661_2 = "1"'),
+        (CUSTOM, 'structure_1_2 = "0; 1"', 'structure_01_2 = "1; 0"'),
+    ],
+    ids=["leading_zeros", "full_width", "sigma", "arabic_indic", "structure"],
+)
+def test_a_table_key_in_another_numeral_is_refused(tmp_path, capsys, text, entry, twin):
+    # the twin named the slot of the entry, and the algebroid kept one of
+    # the two while the spec hash covered both
+    assert entry in text
+    err = _cli_error(tmp_path, capsys, text.replace(entry, f"{entry}\n{twin}"), "dsq")
+    key = twin.split(" = ")[0]
+    assert err == f"error: bad table key {key!r} (expected prefix_i_j)\n"
+
+
+# the normalized text of specs that no golden report hashes: a custom kind,
+# the poisson_locus sampler, and two_spheres at an inner radius of its own
+PINNED_TEXTS = {
+    "custom": (CUSTOM, '''[chart]
+dim = 2
+
+[boundary]
+r = "x1^2 + x2^2 - 1"
+sampler = sphere
+samples = 16
+
+[algebroid]
+kind = custom
+anchor_1 = "1; 0"
+anchor_2 = "0; x1"
+structure_1_2 = "0; 1"
+
+[options]
+rank_tol = 1e-08
+eig_zero_tol = 1e-08
+seed = 3
+'''),
+    "poisson_locus": (GALLERY["poisson_c4"].replace("sampler = sphere_plus_locus", "sampler = poisson_locus")
+                      .replace("samples = 1000", "samples = 40"), '''[chart]
+dim = 8
+complex = true
+
+[boundary]
+r = "x1^2 + x2^2 + x3^2 + x4^2 + x5^2 + x6^2 + x7^2 + x8^2 - 1"
+sampler = poisson_locus
+samples = 40
+
+[algebroid]
+kind = holomorphic_poisson
+n = 4
+sigma_1_2 = "z1"
+sigma_3_4 = "1"
+
+[options]
+rank_tol = 1e-08
+eig_zero_tol = 1e-08
+seed = 0
+'''),
+    "two_spheres": (GALLERY["annulus_c3_dbar"].replace("inner_radius = 0.5", "inner_radius = 0.3")
+                    .replace("samples = 1000", "samples = 12"), '''[chart]
+dim = 6
+complex = true
+
+[boundary]
+r = "(x1^2 + x2^2 + x3^2 + x4^2 + x5^2 + x6^2 - 1)*(x1^2 + x2^2 + x3^2 + x4^2 + x5^2 + x6^2 - 0.25)"
+sampler = two_spheres
+samples = 12
+inner_radius = 0.3
+
+[algebroid]
+kind = antiholomorphic
+n = 3
+
+[options]
+rank_tol = 1e-08
+eig_zero_tol = 1e-08
+seed = 0
+'''),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_TEXTS)
+def test_the_normalized_text_keeps_its_bytes(name):
+    # the text feeds spec_hash, so a change to it changes every report's meta
+    text, want = PINNED_TEXTS[name]
+    assert format_specfile(parse_specfile(text)) == want
+
+
+def test_readme_states_each_boundary_and_options_key_with_its_default():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = {(section, key): cell.strip() for section, key, cell
+            in re.findall(r"^\| `\[(\w+)\] (\w+)` \| ([^|]+) \|", readme, re.M)}
+    defaults = {f.name: f.default for f in fields(SpecFile)}
+    want = {}
+    for section in ("boundary", "options"):
+        for key, (field, _, _) in SPEC_KEYS[section].items():
+            want[section, key] = defaults[field]
+    assert sorted(rows) == sorted(want), "README's key rows and SPEC_KEYS differ"
+    for (section, key), default in want.items():
+        cell = rows[section, key]
+        if default is MISSING:
+            assert cell == "required", key
+        else:
+            assert cell.startswith("`") and cell.endswith("`"), key
+            assert SPEC_KEYS[section][key][1](cell[1:-1]) == default, key
 
 
 def test_sampler_settings_that_are_not_read_are_not_checked():
