@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,41 +143,38 @@ class NeumannProblem:
         ) * (s[:-1] * s[1:])
         band[0, :, 2:] = up[:-2] * lo[2:] * v[2:-2] * (s[:-2] * s[2:])
         self.S1 = band
-        self._low: Optional[Tuple[np.ndarray, float]] = None
-        self._chol: Optional[np.ndarray] = None
 
     # -- spectrum, on demand --------------------------------------------------
 
+    @cached_property
     def _low_spectrum(self) -> Tuple[np.ndarray, float]:
         """Per mode, the number of eigenvalues of box_1 at or below the
         harmonic cut harmonic_tol * (largest eigenvalue); and the smallest
         eigenvalue above the cut over all modes, by _least_over_modes.  A
         mode that it skips has every eigenvalue above that smallest one, so
         none at or below the cut."""
-        if self._low is None:
-            cut = self.harmonic_tol * _largest_eigenvalue(self.S1)
-            counts = np.zeros(self.S1.shape[1], dtype=int)
+        cut = self.harmonic_tol * _largest_eigenvalue(self.S1)
+        counts = np.zeros(self.S1.shape[1], dtype=int)
 
-            def visit(i):
-                # mode i's count at the cut, and its smallest eigenvalue above it
-                lam = _mode_eigenvalues(self.S1, i)
-                k = counts[i] = np.count_nonzero(lam <= cut)
-                return lam[k] if k < len(lam) else np.inf
+        def visit(i):
+            # mode i's count at the cut, and its smallest eigenvalue above it
+            lam = _mode_eigenvalues(self.S1, i)
+            k = counts[i] = np.count_nonzero(lam <= cut)
+            return lam[k] if k < len(lam) else np.inf
 
-            self._low = (counts, float(_least_over_modes(self.S1, visit)))
-        return self._low
+        return counts, float(_least_over_modes(self.S1, visit))
 
     def harmonic_dim(self, degree: int) -> int:
         """Degree 0 adds Ker P, two dimensions per mode, to the degree-1 count:
         box_0 = P* P and box_1 = P P* share their nonzero spectrum."""
         self._frame(degree)  # raises on a degree other than 0 or 1
-        dim1 = int(self._low_spectrum()[0].sum())
+        dim1 = int(self._low_spectrum[0].sum())
         return dim1 if degree == 1 else 2 * len(self.modes0) + dim1
 
     def smallest_positive_eigenvalue(self) -> float:
         """The smallest eigenvalue above the harmonic cut; the same at both
         degrees, which share their nonzero spectrum."""
-        return self._low_spectrum()[1]
+        return self._low_spectrum[1]
 
     def spectrum(self, i: int) -> np.ndarray:
         """All eigenvalues of box_1 on mode modes1[i], ascending."""
@@ -240,18 +238,18 @@ class NeumannProblem:
         out /= self.w
         return out
 
+    @cached_property
     def _factors(self) -> np.ndarray:
-        """The band Cholesky factor of S_1 over all modes (computed once)."""
-        if self._chol is None:
-            if self.harmonic_dim(1) != 0:
-                raise RuntimeError(
-                    "harmonic obstruction present at degree 1 (unexpected on an annulus)"
-                )
-            U = _band_cholesky(self.S1)
-            if not np.all(U[2] > 0):
-                raise np.linalg.LinAlgError("S_1 is not positive definite")
-            self._chol = U
-        return self._chol
+        """The band Cholesky factor of S_1 over all modes; a refusal caches
+        nothing."""
+        if self.harmonic_dim(1) != 0:
+            raise RuntimeError(
+                "harmonic obstruction present at degree 1 (unexpected on an annulus)"
+            )
+        U = _band_cholesky(self.S1)
+        if not np.all(U[2] > 0):
+            raise np.linalg.LinAlgError("S_1 is not positive definite")
+        return U
 
     def _N1(self, v: np.ndarray) -> np.ndarray:
         """W_int^{-1/2} S_1^{-1} W_int^{1/2} v for a field or a stack of
@@ -263,7 +261,7 @@ class NeumannProblem:
         x = np.empty(v.shape[-1:] + v.shape[:-2] + (1 + cplx, v.shape[-2]))
         for k, part in enumerate((v.real, v.imag) if cplx else (v,)):
             np.multiply(part, s, out=np.moveaxis(x[..., k, :], 0, -1))
-        _band_solve(self._factors(), x)
+        _band_solve(self._factors, x)
         for k, part in enumerate((out.real, out.imag) if cplx else (out,)):
             np.divide(np.moveaxis(x[..., k, :], 0, -1), s, out=part)
         return out
@@ -291,7 +289,7 @@ class NeumannProblem:
     def apply_pi(self, phi: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the harmonic space."""
         if self.degree(phi) == 1:
-            self._factors()  # raises while the degree-1 harmonic space is not empty
+            self._factors  # raises while the degree-1 harmonic space is not empty
             return np.zeros_like(phi)
         return phi - self._P_star(self._N1(self._P(phi)))
 
@@ -588,10 +586,10 @@ def _norm_diffs(problems: Iterable[NeumannProblem], base: NeumannProblem) -> Lis
     give exactly 0.
     """
     # the factors raise on a degree-1 harmonic obstruction, as N itself does
-    factors = [p._factors() for p in problems]
+    factors = [p._factors for p in problems]
     if not factors:
         return []
-    base_factor = base._factors()
+    base_factor = base._factors
     n_modes, n = base.S1.shape[1:]
     owner = np.repeat(np.arange(len(factors)), n_modes)  # each live block's problem
     mode = np.tile(np.arange(n_modes), len(factors))  # and its mode

@@ -18,6 +18,7 @@ term-by-term interpreter, lives in the tests.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -589,8 +590,14 @@ def var(chart: Chart, i: int) -> ScalarExpr:
 #
 #   expr   := term (('+'|'-') term)*
 #   term   := factor (('*'|'/') factor)*
-#   factor := base ('^' int)?
-#   base   := number | 'i' | ident | 'conj' '(' expr ')' | '(' expr ')' | '-' base
+#   factor := base ('^' '-'? integer)?
+#   base   := number | 'i' | name | 'conj' '(' expr ')' | '(' expr ')' | '-' base
+#
+# Numerals are ASCII digits: in numbers, in exponents and in the k of z<k>.
+
+# a number, a word (a name when its first character is a letter) or any other
+# single character; whitespace matches none of them and is skipped
+_TOKEN = re.compile(r"(?P<number>[0-9]+\.?[0-9]*|\.[0-9]+)|(?P<word>\w+)|(?P<char>\S)")
 
 
 class ExprSyntaxError(ValueError):
@@ -605,58 +612,6 @@ class UnknownVariableError(ValueError):
         self.name = name
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None, self.pos
-        return self.text[self.pos], self.pos
-
-    def take_ident(self):
-        self._skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            return self.text[start : self.pos], start
-        return None, start
-
-    def take_number(self):
-        self._skip_ws()
-        start = self.pos
-        seen_digit = seen_dot = False
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isdigit():
-                seen_digit = True
-            elif ch == "." and not seen_dot:
-                seen_dot = True
-            else:
-                break
-            self.pos += 1
-        if not seen_digit:
-            self.pos = start
-            return None, start
-        return self.text[start : self.pos], start
-
-    def expect(self, ch: str):
-        got, pos = self.peek()
-        if got != ch:
-            raise ExprSyntaxError(f"expected {ch!r}", pos)
-        self.pos += 1
-
-
 def parse_expr(text: str, chart: Chart) -> ScalarExpr:
     """Parse ``text`` against the chart's variables.
 
@@ -665,101 +620,95 @@ def parse_expr(text: str, chart: Chart) -> ScalarExpr:
     k-th pair.  Raises ExprSyntaxError with the offending offset, or
     UnknownVariableError.
     """
-    toks = _Tokens(text)
+    # the tokens (kind, text, offset) as a stack, the next one last, on an
+    # end token of empty text at the end of the input
+    toks = [("end", "", len(text))]
+    toks += reversed([(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)])
     value = _parse_sum(toks, chart)
-    ch, pos = toks.peek()
-    if ch is not None:
-        raise ExprSyntaxError(f"unexpected {ch!r}", pos)
+    _, tok, pos = toks[-1]
+    if tok:
+        raise ExprSyntaxError(f"unexpected {tok[0]!r}", pos)
     return value
+
+
+def _take(toks, tok: str) -> bool:
+    """Pop the next token if its text is ``tok``."""
+    if toks[-1][1] == tok:
+        toks.pop()
+        return True
+    return False
+
+
+def _expect(toks, tok: str):
+    if not _take(toks, tok):
+        raise ExprSyntaxError(f"expected {tok!r}", toks[-1][2])
 
 
 def _parse_sum(toks, chart):
     value = _parse_term(toks, chart)
-    while True:
-        ch, _ = toks.peek()
-        if ch == "+":
-            toks.pos += 1
-            value = value + _parse_term(toks, chart)
-        elif ch == "-":
-            toks.pos += 1
-            value = value - _parse_term(toks, chart)
-        else:
-            return value
+    while toks[-1][1] in ("+", "-"):
+        op = toks.pop()[1]
+        term = _parse_term(toks, chart)
+        value = value + term if op == "+" else value - term
+    return value
 
 
 def _parse_term(toks, chart):
     value = _parse_factor(toks, chart)
-    while True:
-        ch, pos = toks.peek()
-        if ch == "*":
-            toks.pos += 1
-            value = value * _parse_factor(toks, chart)
-        elif ch == "/":
-            toks.pos += 1
-            divisor = _parse_factor(toks, chart)
-            if divisor.is_zero:
-                raise ExprSyntaxError("division by zero expression", pos)
-            value = value / divisor
+    while toks[-1][1] in ("*", "/"):
+        _, op, pos = toks.pop()
+        factor = _parse_factor(toks, chart)
+        if op == "*":
+            value = value * factor
+        elif factor.is_zero:
+            raise ExprSyntaxError("division by zero expression", pos)
         else:
-            return value
+            value = value / factor
+    return value
 
 
 def _parse_factor(toks, chart):
     value = _parse_base(toks, chart)
-    ch, _ = toks.peek()
-    if ch == "^":
-        toks.pos += 1
-        sign = 1
-        ch, _ = toks.peek()
-        if ch == "-":
-            toks.pos += 1
-            sign = -1
-        digits, pos = toks.take_number()
-        if digits is None or "." in digits:
+    if _take(toks, "^"):
+        sign = -1 if _take(toks, "-") else 1
+        kind, digits, pos = toks.pop()
+        if kind != "number" or "." in digits:
             raise ExprSyntaxError("expected integer exponent", pos)
         value = value ** (sign * int(digits))
     return value
 
 
 def _parse_base(toks, chart):
-    ch, pos = toks.peek()
-    if ch is None:
+    kind, tok, pos = toks.pop()
+    if not tok:
         raise ExprSyntaxError("unexpected end of input", pos)
-    if ch == "-":
-        toks.pos += 1
+    if tok == "-":
         return -_parse_base(toks, chart)
-    if ch == "(":
-        toks.pos += 1
+    if tok == "(":
         value = _parse_sum(toks, chart)
-        toks.expect(")")
+        _expect(toks, ")")
         return value
-    number, _ = toks.take_number()
-    if number is not None:
-        return ScalarExpr.constant(chart, Fraction(number))
-    ident, ipos = toks.take_ident()
-    if ident is None:
-        raise ExprSyntaxError(f"unexpected {ch!r}", pos)
-    if ident == "i":
+    if kind == "number":
+        return ScalarExpr.constant(chart, Fraction(tok))
+    if kind != "word" or not tok[0].isalpha():
+        raise ExprSyntaxError(f"unexpected {tok[0]!r}", pos)
+    if tok == "i":
         return ScalarExpr.constant(chart, 1j)
-    if ident == "conj":
-        toks.expect("(")
+    if tok == "conj":
+        _expect(toks, "(")
         value = _parse_sum(toks, chart)
-        toks.expect(")")
+        _expect(toks, ")")
         return value.conj()
-    return _resolve_ident(ident, chart)
+    return _resolve_ident(tok, chart)
 
 
 def _resolve_ident(ident: str, chart: Chart) -> ScalarExpr:
     if ident in chart.names:
         return ScalarExpr.variable(chart, chart.names.index(ident))
-    if chart.complex_pairs:
-        for prefix, anti in (("zb", True), ("z", False)):
-            if ident.startswith(prefix) and ident[len(prefix) :].isdigit():
-                k = int(ident[len(prefix) :])
-                if 1 <= k <= chart.n_complex:
-                    re_i, im_i = chart.complex_pairs[k - 1]
-                    x = ScalarExpr.variable(chart, re_i)
-                    y = ScalarExpr.variable(chart, im_i)
-                    iy = ScalarExpr.constant(chart, 1j) * y
-                    return x - iy if anti else x + iy
+    alias = re.fullmatch(r"(zb|z)([0-9]+)", ident)
+    if chart.complex_pairs and alias and 1 <= int(alias[2]) <= chart.n_complex:
+        re_i, im_i = chart.complex_pairs[int(alias[2]) - 1]
+        x = ScalarExpr.variable(chart, re_i)
+        iy = ScalarExpr.constant(chart, 1j) * ScalarExpr.variable(chart, im_i)
+        return x - iy if alias[1] == "zb" else x + iy
     raise UnknownVariableError(ident)

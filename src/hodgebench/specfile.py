@@ -89,7 +89,7 @@ SPEC_KEYS: Dict[str, Dict[str, tuple]] = {
                  "samples": ("samples", int, None),
                  "locus_samples": ("locus_samples", int, None),
                  "inner_radius": ("inner_radius", float, None)},
-    "algebroid": {"kind": ("kind", str, ""), "n": (None, int, None)},
+    "algebroid": {"kind": ("kind", str, None), "n": (None, int, None)},
     "options": {"rank_tol": ("rank_tol", float, None),
                 "eig_zero_tol": ("eig_zero_tol", float, None), "seed": ("seed", int, None)},
 }

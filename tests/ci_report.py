@@ -5,8 +5,12 @@
 With no arguments it reports the command lists below; given one workbench
 command line, it reports that command alone in the sections that run
 commands.  The CI job appends the output to its summary; a report, not a
-gate.  Four sections, each a header and a code block:
+gate.  Five sections, each a header and a code block:
 
+- the modules that `hodge` loads beyond ``import hodgebench.cli``, run
+  first in the process, before any other command could load them; of the
+  script's own imports only tracemalloc is not one that cli loads, and
+  `hodge` does not load it;
 - in-process best-of-3 times through cli.main, reports to a discarded
   stdout; each hodge command then runs once more to count its work: the
   per-mode eigensolves (neumann._mode_eigenvalues) and, per step of the
@@ -141,6 +145,12 @@ def section(title, lines):
     print("```")
 
 
+def hodge_modules():
+    before = set(sys.modules)
+    quiet(["hodge"])
+    return sorted(set(sys.modules) - before) or ["(none)"]
+
+
 def times(argvs):
     for argv in argvs:
         yield f"{' '.join(argv)} {best_of_3(lambda: quiet(argv))}"
@@ -160,6 +170,7 @@ def levi_route_times():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     timed, traced, exact = ([argv],) * 3 if argv else (TIMED, TRACED, EXACT)
+    section("modules that hodge loads beyond import hodgebench.cli", hodge_modules())
     section(f"in-process best-of-3 times of {len(timed)} workbench commands (s), "
             "with the work counts of hodge", times(timed))
     section("traced peak (MB), tracemalloc started after import",

@@ -40,8 +40,13 @@ def test_the_ci_report_runs_each_section_on_one_command():
     argv = ["hodge", "--n-theta", "8", "--n-r", "16", "--trials", "1"]
     out = run_script(ROOT / "tests" / "ci_report.py", *argv, cwd=ROOT)
     lines = out.splitlines()
-    assert sum(line.startswith("### ") for line in lines) == 4
-    assert lines.count("```") == 8
+    assert sum(line.startswith("### ") for line in lines) == 5
+    assert lines.count("```") == 10
+    # first, the modules that hodge loads beyond the package's import
+    assert lines[0] == "### modules that hodge loads beyond import hodgebench.cli"
+    modules = lines[2 : lines.index("```", 2)]
+    assert modules and (modules == ["(none)"] or modules == sorted(modules))
+    assert not any(name.startswith("hodgebench") for name in modules)
     command = " ".join(argv)
     calls = [line for line in lines if line.startswith("  _mode_eigenvalues calls: ")]
     blocks = [line for line in lines if line.startswith("  live Lanczos blocks per step: ")]

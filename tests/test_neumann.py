@@ -839,7 +839,7 @@ def test_gershgorin_skips_most_modes(monkeypatch, size):
     # the harmonic cut: the largest eigenvalue again, then the lowest mode
     # and the few that the inertia at the lowest eigenvalue leaves
     calls.clear()
-    prob._low_spectrum()
+    prob._low_spectrum
     assert 0 < len(calls) <= 3
     # a whole hodge command: the base problem and three of the family
     calls.clear()
@@ -887,7 +887,7 @@ def test_inertia_filter_keeps_a_near_tie_of_the_smallest_eigenvalue(monkeypatch,
     solved = []
     kernel = neumann._mode_eigenvalues
     monkeypatch.setattr(neumann, "_mode_eigenvalues", lambda S, j: solved.append(j) or kernel(S, j))
-    counts, got = prob._low_spectrum()
+    counts, got = prob._low_spectrum
     monkeypatch.undo()
     want_counts, want = all_mode_low_spectrum(prob)
     assert counts.tolist() == want_counts and got == want
@@ -945,7 +945,7 @@ def test_pruned_low_spectrum_equals_the_all_mode_loop(size, eps, harmonic_tol):
     prob = NeumannProblem(
         AnnulusGrid(RHO0, *size), eps=eps, profile=bump_on(RHO0), harmonic_tol=harmonic_tol
     )
-    counts, lowest = prob._low_spectrum()
+    counts, lowest = prob._low_spectrum
     want_counts, want_lowest = all_mode_low_spectrum(prob)
     assert counts.tolist() == want_counts
     assert lowest == want_lowest
@@ -957,7 +957,7 @@ def test_low_spectrum_matches_lapack(size, eps, harmonic_tol):
     prob = NeumannProblem(
         AnnulusGrid(RHO0, *size), eps=eps, profile=bump_on(RHO0), harmonic_tol=harmonic_tol
     )
-    counts, lowest = prob._low_spectrum()
+    counts, lowest = prob._low_spectrum
     want_counts, want_lowest = lapack_low_spectrum(prob)
     assert counts.tolist() == want_counts
     assert lowest == pytest.approx(want_lowest, rel=LAPACK_REL)
@@ -1029,7 +1029,7 @@ def test_givens_oracle_matches_dense_qr_without_the_factors(monkeypatch, rho0):
         raise AssertionError("the oracle read the Cholesky factors")
 
     # the oracle must not lean on the route it checks
-    monkeypatch.setattr(NeumannProblem, "_factors", refuse)
+    monkeypatch.setattr(NeumannProblem, "_factors", property(refuse))
     for f in fields:
         got, want = solve_dbar_lstsq(prob, f), dense_qr_minimal_norm(prob, f)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -1068,7 +1068,7 @@ def undeflated_norm_diffs(problems, base):
     leaving: every block is solved and its tridiagonal taken at every step,
     and a problem's norm is its largest |theta| at the first step where
     none of its blocks can reach past it."""
-    factors = [p._factors() for p in problems] + [base._factors()] * len(problems)
+    factors = [p._factors for p in problems] + [base._factors] * len(problems)
     F = np.concatenate(factors, axis=2)
     n_modes, n = base.S1.shape[1:]
     m = len(problems) * n_modes

@@ -46,6 +46,33 @@ def test_parse_complex_aliases():
     assert zb == z.conj()
 
 
+# numerals are ASCII digits, in numbers, exponents and the k of z<k>: any
+# other digit is refused with the offset where it stands, never read as its
+# value (٣*x1 as 3*x1) or left to a conversion error that names no offset
+@pytest.mark.parametrize("text, error, message", [
+    ("²", ExprSyntaxError, "unexpected '²' at offset 0"),
+    ("x1^²", ExprSyntaxError, "expected integer exponent at offset 3"),
+    ("x1^٣", ExprSyntaxError, "expected integer exponent at offset 3"),
+    ("z²", UnknownVariableError, "unknown variable name: 'z²'"),
+    ("z٣", UnknownVariableError, "unknown variable name: 'z٣'"),
+    ("٣*x1", ExprSyntaxError, "unexpected '٣' at offset 0"),
+    ("1٣", ExprSyntaxError, "unexpected '٣' at offset 1"),
+])
+def test_numerals_are_ascii_digits(text, error, message):
+    chart = Chart.complex_chart(3)
+    with pytest.raises(error) as err:
+        parse_expr(text, chart)
+    assert str(err.value) == message
+
+
+def test_leading_zeros_and_unicode_spaces_still_parse():
+    chart = Chart.complex_chart(1)
+    assert parse_expr("z01", chart) == parse_expr("z1", chart)
+    assert parse_expr("007*zb1", chart) == 7 * parse_expr("x1 - i*x2", chart)
+    # whitespace is what str.isspace takes, a no-break and an em space too
+    assert parse_expr("x1\u00a0+\u2003x2", chart) == parse_expr("x1 + x2", chart)
+
+
 def test_decimal_literals_are_exact(chart2):
     e = parse_expr("0.5*x1", chart2)
     assert e.eval([3, 0]) == 1.5
@@ -471,3 +498,75 @@ def test_lowered_products_keep_their_bits_under_int_parts(data):
         assert_matches(got[mono], want[mono])
     lowered = [(struct.pack("dd", re, im), factors) for re, im, factors in _lower(got)]
     assert lowered == [(struct.pack("dd", re, im), factors) for re, im, factors in _lower(want)]
+
+
+# ---------------------------------------------------------------------------
+# the parser on a seeded corpus of texts
+
+import hashlib
+import random
+
+# texts drawn from the grammar's rules, half of them then broken by a piece
+# put in or a character taken out.  Names of each chart and of neither,
+# numerals with leading zeros, decimals with a digit on one side only, and
+# pieces the grammar does not take
+ATOMS = ["x1", "x2", "x3", "x4", "z1", "zb2", "z3", "z01", "zb", "y", "i", "0", "2", "12",
+         "007", ".5", "7.", "2.25"]
+EXPONENTS = ["^2", "^-1", "^3", "^0", "^01", " ^ -2"]
+OPERATORS = ["+", " - ", "*", " / ", "-", "\t+ "]
+NOISE = ["(", ")", "^", "^-", "^.5", "^2.", "^x1", "conj", ".", "1.2.3", "_", "#", "e5", " ",
+         "*", "-"]
+CORPUS = 3000
+# the sha256 of every outcome on the corpus; a change to what the parser
+# accepts, to an error's text or offset, or to a result's printed form fails
+# here
+CORPUS_SHA256 = "895532a5afabbec75b22f8fa990f41bd8301f8734575c2740068c27b85e322e7"
+
+
+def drawn_text(rng, depth=0):
+    """A text of the grammar: an atom, a negation, a conj(...), a bracket or
+    a binary operation, each maybe raised to a power; atoms only at depth 3."""
+    roll = rng.random() if depth < 3 else 0
+    if roll < 0.4:
+        text = rng.choice(ATOMS)
+    elif roll < 0.5:
+        text = "-" + drawn_text(rng, depth + 1)
+    elif roll < 0.6:
+        text = f"conj({drawn_text(rng, depth + 1)})"
+    elif roll < 0.7:
+        text = f"({drawn_text(rng, depth + 1)})"
+    else:
+        text = drawn_text(rng, depth + 1) + rng.choice(OPERATORS) + drawn_text(rng, depth + 1)
+    return text + rng.choice(EXPONENTS) if rng.random() < 0.2 else text
+
+
+def broken(rng, text):
+    """text with a NOISE piece put in, or one character taken out, at random."""
+    at = rng.randrange(len(text) + 1)
+    if rng.random() < 0.5:
+        return text[:at] + rng.choice(NOISE) + text[at:]
+    return text[:at] + text[at + 1 :]
+
+
+def parse_outcome(text, chart):
+    """str of text's expression on the chart, or its exception's type and text."""
+    try:
+        return str(parse_expr(text, chart))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def corpus_outcomes():
+    rng = random.Random(38)
+    charts = (Chart.real(3), Chart.complex_chart(2))
+    for _ in range(CORPUS):
+        text = drawn_text(rng)
+        if rng.random() < 0.5:
+            text = broken(rng, text)
+        for chart in charts:
+            yield f"{text!r} {chart.dim} {parse_outcome(text, chart)}"
+
+
+def test_parse_outcomes_on_a_seeded_corpus_keep_their_digest():
+    digest = hashlib.sha256("\n".join(corpus_outcomes()).encode()).hexdigest()
+    assert digest == CORPUS_SHA256

@@ -316,6 +316,18 @@ def test_malformed_specs_are_rejected_with_their_message(text, old, new, message
         parse_specfile(text.replace(old, new, 1))
 
 
+def test_a_missing_kind_reads_as_tangent_as_in_code():
+    # an absent key takes the SpecFile default, kind as every other key
+    text = GALLERY["tangent_sphere"]
+    assert "kind = tangent\n" in text
+    spec = parse_specfile(text.replace("kind = tangent\n", ""))
+    assert spec == parse_specfile(text)
+    assert spec.kind == "tangent" == SpecFile(chart_dim=2, complex_pairs=False, r_text="x1").kind
+    # an empty kind is still refused by name
+    with pytest.raises(SpecError, match="unknown algebroid kind ''"):
+        parse_specfile(text.replace("kind = tangent", "kind ="))
+
+
 def test_a_complex_kind_built_in_code_takes_n_from_its_chart():
     # n is half the chart dimension, so a complex kind built in code, which
     # states no n, builds what its formatted text builds
