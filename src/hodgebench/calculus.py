@@ -143,20 +143,10 @@ def wirtinger(chart: Chart, i: int, anti: bool) -> VectorFieldExpr:
 
 
 def lie_bracket(X: VectorFieldExpr, Y: VectorFieldExpr) -> VectorFieldExpr:
-    """[X,Y]^j = sum_i (X^i d_i Y^j - Y^i d_i X^j), exact."""
+    """[X,Y]^j = X.Y^j - Y.X^j, exact."""
     _same_chart(X, Y)
-    chart = X.chart
-    comps = []
-    for j in range(chart.dim):
-        acc = const(chart, 0)
-        for i in range(chart.dim):
-            xi, yi = X.components[i], Y.components[i]
-            if not xi.is_zero:
-                acc = acc + xi * Y.components[j].diff(i)
-            if not yi.is_zero:
-                acc = acc - yi * X.components[j].diff(i)
-        comps.append(acc)
-    return VectorFieldExpr(chart, tuple(comps))
+    comps = zip(X.components, Y.components)
+    return VectorFieldExpr(X.chart, tuple(X.apply(yj) - Y.apply(xj) for xj, yj in comps))
 
 
 def normalized_coeffs(coeffs, degree: int, bound: int, what: str) -> tuple:

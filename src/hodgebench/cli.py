@@ -39,7 +39,7 @@ from .sobolev import (
     kernel_lemma_check,
     leibniz_battery,
 )
-from .specfile import SAMPLER_READS, SpecFile, SpecError, format_specfile, parse_specfile
+from .specfile import SpecFile, SpecError, format_specfile, parse_specfile
 
 SOBOLEV_SUITES = INEQUALITY_IDS + (
     "kernel.i",
@@ -172,8 +172,7 @@ def _spec_inputs(args, walks: bool = True) -> Tuple[SpecFile, AlgebroidSpec, Bou
     boundary; a command that walks the spec's sample first checks its size."""
     spec = load_spec(args.spec, args.seed, getattr(args, "samples", None))
     if walks:
-        locus = spec.locus_samples if "locus_samples" in SAMPLER_READS[spec.sampler] else 0
-        check_walk(spec.samples + locus, spec.chart_dim)
+        check_walk(spec.sample_size, spec.chart_dim)
     bd = spec.build_boundary()  # first, so that a bad r is named before a bad entry
     return spec, spec.build_algebroid(), bd
 

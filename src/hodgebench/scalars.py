@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -292,41 +293,36 @@ def _quotient(ar, ai, br, bi):
 
 @dataclass(frozen=True)
 class Chart:
-    """A real coordinate chart, optionally with a complex pairing.
-
-    ``complex_pairs`` lists 0-based index pairs (re, im) so that the k-th
-    complex coordinate is ``z^k = x[re] + i*x[im]``.  When present it must be
-    a bijection onto index pairs and the dimension must be even.
-    """
+    """The real coordinate chart x1..x<dim>.  A complex chart pairs its
+    coordinates consecutively: z^k = x_{2k-1} + i x_{2k}, so its dimension
+    is even."""
 
     dim: int
-    names: tuple = ()
-    complex_pairs: tuple = ()
+    complex: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("chart dimension must be >= 1")
-        names = self.names or tuple(f"x{i + 1}" for i in range(self.dim))
-        if len(names) != self.dim or len(set(names)) != self.dim:
-            raise ValueError("chart needs dim distinct variable names")
-        object.__setattr__(self, "names", tuple(names))
-        if self.complex_pairs:
-            if self.dim % 2 != 0:
-                raise ValueError("complex pairing needs even dimension")
-            used = [i for pair in self.complex_pairs for i in pair]
-            if sorted(used) != list(range(self.dim)):
-                raise ValueError("complex pairing must cover each index once")
-            object.__setattr__(self, "complex_pairs", tuple(tuple(p) for p in self.complex_pairs))
+        if self.complex and self.dim % 2:
+            raise ValueError("complex pairing needs even dimension")
 
     @staticmethod
-    def real(dim: int, names: Optional[Iterable[str]] = None) -> "Chart":
-        return Chart(dim, tuple(names) if names else ())
+    def real(dim: int) -> "Chart":
+        return Chart(dim)
 
     @staticmethod
-    def complex_chart(n: int, names: Optional[Iterable[str]] = None) -> "Chart":
+    def complex_chart(n: int) -> "Chart":
         """R^{2n} with the consecutive pairing z^k = x_{2k-1} + i x_{2k}."""
-        pairs = tuple((2 * k, 2 * k + 1) for k in range(n))
-        return Chart(2 * n, tuple(names) if names else (), pairs)
+        return Chart(2 * n, True)
+
+    @cached_property
+    def names(self) -> tuple:
+        return tuple(f"x{i + 1}" for i in range(self.dim))
+
+    @cached_property
+    def complex_pairs(self) -> tuple:
+        """The 0-based (re, im) index pair of each complex coordinate."""
+        return tuple((k, k + 1) for k in range(0, self.dim, 2)) if self.complex else ()
 
     @property
     def n_complex(self) -> int:
@@ -615,10 +611,9 @@ class UnknownVariableError(ValueError):
 def parse_expr(text: str, chart: Chart) -> ScalarExpr:
     """Parse ``text`` against the chart's variables.
 
-    Identifiers resolve to declared variable names; when the chart carries a
-    complex pairing, ``z<k>`` and ``zb<k>`` resolve to x+iy / x-iy of the
-    k-th pair.  Raises ExprSyntaxError with the offending offset, or
-    UnknownVariableError.
+    Identifiers resolve to the chart's names x1..x<dim>; on a complex chart,
+    ``z<k>`` and ``zb<k>`` resolve to x+iy / x-iy of the k-th pair.  Raises
+    ExprSyntaxError with the offending offset, or UnknownVariableError.
     """
     # the tokens (kind, text, offset) as a stack, the next one last, on an
     # end token of empty text at the end of the input
@@ -669,11 +664,14 @@ def _parse_term(toks, chart):
 
 def _parse_factor(toks, chart):
     value = _parse_base(toks, chart)
-    if _take(toks, "^"):
+    if toks[-1][1] == "^":
+        at = toks.pop()[2]
         sign = -1 if _take(toks, "-") else 1
         kind, digits, pos = toks.pop()
         if kind != "number" or "." in digits:
             raise ExprSyntaxError("expected integer exponent", pos)
+        if sign < 0 and int(digits) and value.is_zero:
+            raise ExprSyntaxError("division by zero expression", at)
         value = value ** (sign * int(digits))
     return value
 

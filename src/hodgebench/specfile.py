@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -32,36 +32,83 @@ from .scalars import Chart, parse_expr
 
 __all__ = ["SpecFile", "SpecError", "parse_specfile", "format_specfile"]
 
-ALGEBROID_KINDS = (
-    "tangent",
-    "antiholomorphic",
-    "graph_bivector",
-    "graph_two_form",
-    "holomorphic_poisson",
-    "custom",
-)
 
-# the kinds on a complex chart, whose [algebroid] n is half its dimension
-COMPLEX_KINDS = ("antiholomorphic", "holomorphic_poisson")
+def _locus_circle(dim: int, count: int) -> np.ndarray:
+    # the non-elliptic circle {x = z = w = 0, |y| = 1} of the Poisson gallery
+    pts = np.zeros((count, dim))
+    pts[:, 2:4] = sphere_lattice(2, count)
+    return pts
 
-# each sampler, and the [boundary] keys beyond samples that it reads; under
-# another sampler such a key is neither checked nor written
-SAMPLER_READS: Dict[str, Tuple[str, ...]] = {
-    "sphere": (),
-    "two_spheres": ("inner_radius",),
-    "poisson_locus": (),
-    "sphere_plus_locus": ("locus_samples",),
+
+def _parse_components(text: str, chart: Chart) -> tuple:
+    """The ';'-separated expressions of an anchor_ or structure_ entry."""
+    return tuple(parse_expr(c.strip(), chart) for c in text.split(";"))
+
+
+def _table(entries: Tuple, chart: Chart, base: int, parse: Callable) -> Dict:
+    """{(i - base, j - base): parse(text, chart)} over (key, text) prefix_i_j
+    table entries."""
+    return {tuple(i - base for i in _pair(key)): parse(text, chart) for key, text in entries}
+
+
+def _pair(key: str) -> Tuple[int, int]:
+    # canonical ASCII numerals only: sigma_01_02 (or in full-width digits)
+    # would name the slot of sigma_1_2, and the algebroid keep one of the two
+    parts = key.split("_")
+    if len(parts) != 3 or not all(p.isdecimal() and str(int(p)) == p for p in parts[1:]):
+        raise SpecError(f"bad table key {key!r} (expected prefix_i_j)")
+    return int(parts[1]), int(parts[2])
+
+
+def _build_custom(chart: Chart, entries: Tuple) -> AlgebroidSpec:
+    # SpecFile has checked the numbering and every component count; each
+    # component is parsed here, once
+    table = dict(entries)
+    rank = sum(key.startswith("anchor_") for key in table)
+    anchors = tuple(
+        VectorFieldExpr(chart, _parse_components(table[f"anchor_{i}"], chart))
+        for i in range(1, rank + 1)
+    )
+    rows = [(k, v) for k, v in entries if k.startswith("structure_")]
+    structure = _table(rows, chart, 1, _parse_components)
+    return AlgebroidSpec(chart, rank, anchors, structure or None)
+
+
+class Kind(NamedTuple):
+    complex: bool  # needs a complex chart; its n and table keys then run to dim // 2
+    prefixes: Tuple[str, ...]  # the [algebroid] table prefixes it reads
+    build: Callable[[Chart, Tuple], AlgebroidSpec]  # from the chart and the entries
+
+
+class Sampler(NamedTuple):
+    reads: Tuple[str, ...]  # [boundary] keys beyond samples; other samplers ignore them
+    min_dim: int  # the least chart dimension it draws on
+    parts: Callable[["SpecFile"], list]  # the sample's parts, each (size, draw(dim, count))
+
+
+# the builders and parts name their functions when they run, so that a
+# wrapper put on this module in their place sees each call
+KINDS: Dict[str, Kind] = {
+    "tangent": Kind(False, (), lambda chart, entries: make_tangent(chart)),
+    "antiholomorphic": Kind(True, (), lambda chart, entries: make_antiholomorphic(chart.n_complex)),
+    "graph_bivector": Kind(False, ("pi_",), lambda chart, entries: make_graph_bivector(
+        chart, _table(entries, chart, 1, parse_expr))),
+    "graph_two_form": Kind(False, ("omega_",), lambda chart, entries: make_graph_two_form(
+        FormExpr.from_table(chart, 2, _table(entries, chart, 1, parse_expr)))),
+    "holomorphic_poisson": Kind(True, ("sigma_",), lambda chart, entries: make_holomorphic_poisson(
+        chart.n_complex, _table(entries, chart, 0, parse_expr))),
+    "custom": Kind(False, ("anchor_", "structure_"), _build_custom),
 }
-SAMPLER_KINDS = tuple(SAMPLER_READS)
 
-# the [algebroid] table prefixes each kind reads; the other kinds take none
-KIND_PREFIXES: Dict[str, Tuple[str, ...]] = {
-    "holomorphic_poisson": ("sigma_",),
-    "graph_bivector": ("pi_",),
-    "graph_two_form": ("omega_",),
-    "custom": ("anchor_", "structure_"),
+SAMPLERS: Dict[str, Sampler] = {
+    "sphere": Sampler((), 1, lambda spec: [(spec.samples, sphere_lattice)]),
+    "two_spheres": Sampler(("inner_radius",), 1, lambda spec: [
+        (spec.samples // 2, sphere_lattice),
+        (spec.samples - spec.samples // 2, partial(sphere_lattice, radius=spec.inner_radius))]),
+    "poisson_locus": Sampler((), 4, lambda spec: [(spec.samples, _locus_circle)]),
+    "sphere_plus_locus": Sampler(("locus_samples",), 4, lambda spec: [
+        (spec.samples, sphere_lattice), (spec.locus_samples, _locus_circle)]),
 }
-TABLE_PREFIXES = sum(KIND_PREFIXES.values(), ())
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -124,37 +171,38 @@ class SpecFile:
         if self.complex_pairs and dim % 2:
             raise SpecError("complex charts need even dimension")
         check_chart_dim(dim)
-        if self.kind not in ALGEBROID_KINDS:
+        if self.kind not in KINDS:
             raise SpecError(f"unknown algebroid kind {self.kind!r}")
-        if self.sampler not in SAMPLER_KINDS:
+        if self.sampler not in SAMPLERS:
             raise SpecError(f"unknown sampler {self.sampler!r}")
         if self.samples < 1:
             raise SpecError("[boundary] samples must be >= 1")
         check_samples("[boundary] samples", self.samples)
-        reads = SAMPLER_READS[self.sampler]
-        if "locus_samples" in reads:
+        kind, sampler = KINDS[self.kind], SAMPLERS[self.sampler]
+        if "locus_samples" in sampler.reads:
             if self.locus_samples < 0:
                 raise SpecError(f"[boundary] locus_samples must be >= 0, got {self.locus_samples}")
             check_samples("[boundary] locus_samples", self.locus_samples)
-        if "inner_radius" in reads and not 0 < self.inner_radius < math.inf:
+        if "inner_radius" in sampler.reads and not 0 < self.inner_radius < math.inf:
             raise SpecError(f"[boundary] inner_radius must be finite and > 0, "
                             f"got {self.inner_radius!r}")
         for key in ("rank_tol", "eig_zero_tol"):
             tol = getattr(self, key)
             if not 0 < tol < 1:  # also rejects nan and inf
                 raise SpecError(f"[options] {key} must be finite with 0 < {key} < 1, got {tol!r}")
-        if self.sampler in ("poisson_locus", "sphere_plus_locus") and dim < 4:
-            raise SpecError(f"sampler {self.sampler!r} needs chart dim >= 4, got {dim}")
-        if self.kind in COMPLEX_KINDS and not self.complex_pairs:
+        if dim < sampler.min_dim:
+            raise SpecError(f"sampler {self.sampler!r} needs chart dim >= {sampler.min_dim}, "
+                            f"got {dim}")
+        if kind.complex and not self.complex_pairs:
             raise SpecError(f"kind {self.kind!r} needs a complex chart")
-        prefixes = KIND_PREFIXES.get(self.kind, ())
         for key, _ in self.entries:
-            if not key.startswith(prefixes):
-                takes = f"only {'/'.join(prefixes)} entries" if prefixes else "no table entries"
+            if not key.startswith(kind.prefixes):
+                takes = (f"only {'/'.join(kind.prefixes)} entries" if kind.prefixes
+                         else "no table entries")
                 raise SpecError(f"kind {self.kind!r} takes {takes}, got {key!r}")
         anchor_keys = {key for key, _ in self.entries if key.startswith("anchor_")}
         rank = len(anchor_keys)
-        if self.kind == "custom":
+        if "anchor_" in kind.prefixes:
             if not rank:
                 raise SpecError("custom algebroids need anchor_<i> entries")
             if anchor_keys != {f"anchor_{i}" for i in range(1, rank + 1)}:
@@ -169,48 +217,23 @@ class SpecFile:
                     raise SpecError(f"{key} needs {rank} ';'-separated coefficients")
                 upper = rank
             else:
-                upper = dim // 2 if self.kind == "holomorphic_poisson" else dim
+                upper = dim // 2 if kind.complex else dim
             i, j = _pair(key)
             if not 1 <= i < j <= upper:
                 raise SpecError(f"table key {key!r} out of range (need 1 <= i < j <= {upper})")
 
     # -- construction ---------------------------------------------------------
 
+    @property
+    def sample_size(self) -> int:
+        """The number of points in the spec's sample."""
+        return sum(size for size, _ in SAMPLERS[self.sampler].parts(self))
+
     def chart(self) -> Chart:
-        if self.complex_pairs:
-            return Chart.complex_chart(self.chart_dim // 2)
-        return Chart.real(self.chart_dim)
+        return Chart(self.chart_dim, self.complex_pairs)
 
     def build_algebroid(self) -> AlgebroidSpec:
-        chart = self.chart()
-        if self.kind == "tangent":
-            return make_tangent(chart)
-        if self.kind == "antiholomorphic":
-            return make_antiholomorphic(self.chart_dim // 2)
-        parse = partial(parse_expr, chart=chart)
-        if self.kind == "holomorphic_poisson":
-            sigma = _table(self.entries, parse, 0)
-            return make_holomorphic_poisson(self.chart_dim // 2, sigma)
-        if self.kind == "graph_bivector":
-            pi = _table(self.entries, parse, 1)
-            return make_graph_bivector(chart, pi)
-        if self.kind == "graph_two_form":
-            omega = FormExpr.from_table(chart, 2, _table(self.entries, parse, 1))
-            return make_graph_two_form(omega)
-        return self._build_custom(chart)
-
-    def _build_custom(self, chart: Chart) -> AlgebroidSpec:
-        # __post_init__ has checked the numbering and every component count;
-        # each component is parsed here, once
-        entries = dict(self.entries)
-        rank = sum(key.startswith("anchor_") for key in entries)
-        anchors = tuple(
-            VectorFieldExpr(chart, _parse_components(entries[f"anchor_{i}"], chart))
-            for i in range(1, rank + 1)
-        )
-        rows = [(k, v) for k, v in self.entries if k.startswith("structure_")]
-        structure = _table(rows, partial(_parse_components, chart=chart), 1)
-        return AlgebroidSpec(chart, rank, anchors, structure or None)
+        return KINDS[self.kind].build(self.chart(), self.entries)
 
     def build_boundary(self) -> BoundaryData:
         r = parse_expr(self.r_text, self.chart())
@@ -221,49 +244,12 @@ class SpecFile:
         first ``count`` points, drawn without the rest: the same bits as
         ``sample_points()[:count]``, since each sampler's points do not
         depend on how many follow them."""
-        half = self.samples // 2
-        sphere = partial(sphere_lattice, self.chart_dim)
-        locus = partial(_locus_circle, self.chart_dim)
-        # (size, draw) of each part of the sample, in order
-        parts = {
-            "sphere": [(self.samples, sphere)],
-            "two_spheres": [(half, sphere),
-                            (self.samples - half, partial(sphere, radius=self.inner_radius))],
-            "poisson_locus": [(self.samples, locus)],
-            "sphere_plus_locus": [(self.samples, sphere), (self.locus_samples, locus)],
-        }[self.sampler]
-        left = sum(size for size, _ in parts) if count is None else count
+        left = self.sample_size if count is None else count
         drawn = []
-        for size, draw in parts:
-            drawn.append(draw(min(size, left)))
+        for size, draw in SAMPLERS[self.sampler].parts(self):
+            drawn.append(draw(self.chart_dim, min(size, left)))
             left -= len(drawn[-1])
         return drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
-
-
-def _locus_circle(dim: int, count: int) -> np.ndarray:
-    # the non-elliptic circle {x = z = w = 0, |y| = 1} of the Poisson gallery
-    pts = np.zeros((count, dim))
-    pts[:, 2:4] = sphere_lattice(2, count)
-    return pts
-
-
-def _parse_components(text: str, chart: Chart) -> tuple:
-    """The ';'-separated expressions of an anchor_ or structure_ entry."""
-    return tuple(parse_expr(c.strip(), chart) for c in text.split(";"))
-
-
-def _table(entries: Tuple, parse: Callable[[str], object], base: int) -> Dict:
-    """{(i - base, j - base): parse(text)} over (key, text) prefix_i_j table entries."""
-    return {tuple(i - base for i in _pair(key)): parse(text) for key, text in entries}
-
-
-def _pair(key: str) -> Tuple[int, int]:
-    # canonical ASCII numerals only: sigma_01_02 (or in full-width digits)
-    # would name the slot of sigma_1_2, and the algebroid keep one of the two
-    parts = key.split("_")
-    if len(parts) != 3 or not all(p.isdecimal() and str(int(p)) == p for p in parts[1:]):
-        raise SpecError(f"bad table key {key!r} (expected prefix_i_j)")
-    return int(parts[1]), int(parts[2])
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +259,7 @@ def _pair(key: str) -> Tuple[int, int]:
 def parse_specfile(text: str) -> SpecFile:
     sections: Dict[str, Dict[str, str]] = {}
     current: Optional[str] = None
+    prefixes = tuple(p for kind in KINDS.values() for p in kind.prefixes)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -291,7 +278,7 @@ def parse_specfile(text: str) -> SpecFile:
             raise SpecError(f"line {lineno}: entry before any [section]")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        table = current == "algebroid" and key.startswith(TABLE_PREFIXES)
+        table = current == "algebroid" and key.startswith(prefixes)
         if key not in SPEC_KEYS[current] and not table:
             raise SpecError(f"line {lineno}: [{current}] has no key {key!r}")
         if key in sections[current]:
@@ -310,11 +297,11 @@ def parse_specfile(text: str) -> SpecFile:
             elif field in needed:
                 raise SpecError(f"[{section}] needs {key}")
     alg_sec = sections["algebroid"]
-    entries = {k: _unquote(v) for k, v in alg_sec.items() if k.startswith(TABLE_PREFIXES)}
+    entries = {k: _unquote(v) for k, v in alg_sec.items() if k.startswith(prefixes)}
     spec = SpecFile(**values, entries=entries)
     n = alg_sec.get("n")
     n = spec.chart_dim // 2 if n is None else _read("algebroid", "n", n)
-    if spec.kind in COMPLEX_KINDS and n != spec.chart_dim // 2:
+    if KINDS[spec.kind].complex and n != spec.chart_dim // 2:
         raise SpecError("n must equal half the chart dimension")
     return spec
 
@@ -333,8 +320,8 @@ def format_specfile(spec: SpecFile) -> str:
     """The spec's text, each key in table order, but for the keys it does not
     read: complex on a real chart, n under a real kind, and the [boundary]
     keys of the other samplers."""
-    reads = {key: key in SAMPLER_READS[spec.sampler] for key in sum(SAMPLER_READS.values(), ())}
-    reads.update(complex=spec.complex_pairs, n=spec.kind in COMPLEX_KINDS)
+    reads = {key: key in SAMPLERS[spec.sampler].reads for s in SAMPLERS.values() for key in s.reads}
+    reads.update(complex=spec.complex_pairs, n=KINDS[spec.kind].complex)
     lines = []
     for section, keys in SPEC_KEYS.items():
         lines.append(f"[{section}]")

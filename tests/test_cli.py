@@ -18,7 +18,7 @@ import pytest
 from hodgebench import bounds, cli, scalars
 from hodgebench.cli import dumps, load_spec, main
 from hodgebench.gallery import gallery_names, gallery_spec
-from hodgebench.specfile import SpecError, format_specfile, parse_specfile
+from hodgebench.specfile import SAMPLERS, SpecError, format_specfile, parse_specfile
 
 SPECS = Path(__file__).resolve().parent / "specs"
 
@@ -421,6 +421,15 @@ def test_levi_bad_point_exits_1_with_one_line(capsys, point):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("r, offset", [("x1^2 + (x2 - x2)^-1", 16), ("x1^2 + 1/(x2 - x2)", 8)])
+def test_a_zero_divisor_in_r_exits_1_naming_its_offset(tmp_path, capsys, r, offset):
+    path = tmp_path / "zero.spec"
+    path.write_text(f'[chart]\ndim = 2\n[boundary]\nr = "{r}"\n[algebroid]\nkind = tangent\n')
+    for command in ("classify", "dsq"):
+        assert main([command, "--spec", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: division by zero expression at offset {offset}\n")
+
+
 def test_arithmetic_errors_exit_1_with_one_line(tmp_path, capsys):
     # the first circle sample is (1, 0), where r's denominator vanishes
     text = gallery_spec_text("symplectic_gc").replace(
@@ -674,6 +683,18 @@ def test_a_sample_past_the_walk_bound_exits_1_in_time(capsys, command):
         return
     assert seconds < 1.0
     assert (code, out, err) == (1, "", f"error: 20000 boundary points at chart dim 32 {WALK_LIMIT}\n")
+
+
+@pytest.mark.parametrize("sampler", tuple(SAMPLERS))
+def test_the_walk_bound_counts_locus_samples_only_under_sphere_plus_locus(tmp_path, sampler):
+    # 1,000 points pass the bound at dim 32 and 1,100 do not; a bad r, built
+    # after the walk check, names a sample that passes it
+    path = tmp_path / "walk.spec"
+    path.write_text(f'[chart]\ndim = 32\n[boundary]\nr = "x1 +* 2"\nsampler = {sampler}\n'
+                    f'samples = 1000\nlocus_samples = 100\n[algebroid]\nkind = tangent\n')
+    refused = f"1100 boundary points at chart dim 32 {WALK_LIMIT}"
+    err = refused if sampler == "sphere_plus_locus" else "unexpected '*' at offset 4"
+    assert run_main(["classify", "--spec", str(path)]) == (1, "", f"error: {err}\n")
 
 
 def test_the_walk_bound_is_points_times_dim_cubed(tmp_path):

@@ -33,6 +33,20 @@ def test_parse_syntax_error_carries_offset(chart2):
     assert err.value.position == 4
 
 
+@pytest.mark.parametrize("text, offset", [("x1^2 + (x2 - x2)^-1", 16), ("0.^-1", 2),
+                                          ("1/(x1 - x1)", 1)])
+def test_a_zero_divisor_is_named_at_its_operator_after_a_negative_power_as_after_a_slash(
+        chart2, text, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, chart2)
+    assert str(err.value) == f"division by zero expression at offset {offset}"
+
+
+def test_a_zero_base_to_the_power_zero_is_one(chart2):
+    for text in ("(x2 - x2)^0", "(x2 - x2)^-0", "0^-00"):
+        assert parse_expr(text, chart2) == const(chart2, 1)
+
+
 def test_parse_unknown_variable(chart2):
     with pytest.raises(UnknownVariableError):
         parse_expr("x1 + nope", chart2)
@@ -190,12 +204,14 @@ def test_chart_invariants():
     with pytest.raises(ValueError):
         Chart(0)
     with pytest.raises(ValueError):
-        Chart(3, complex_pairs=((0, 1),))
-    with pytest.raises(ValueError):
-        Chart(2, complex_pairs=((0, 0),))
+        Chart(3, True)
+    assert Chart(4).names == ("x1", "x2", "x3", "x4")
     chart = Chart.complex_chart(2)
     assert chart.dim == 4
     assert chart.n_complex == 2
+    assert chart.complex_pairs == ((0, 1), (2, 3))
+    assert chart == Chart(4, True) != Chart.real(4)
+    assert hash(chart) == hash(Chart(4, True))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +536,7 @@ CORPUS = 3000
 # the sha256 of every outcome on the corpus; a change to what the parser
 # accepts, to an error's text or offset, or to a result's printed form fails
 # here
-CORPUS_SHA256 = "895532a5afabbec75b22f8fa990f41bd8301f8734575c2740068c27b85e322e7"
+CORPUS_SHA256 = "2c7ed38b0d2232fc82f50a788d75d3187101b1e2a176a9e7f253285c735fdcc6"
 
 
 def drawn_text(rng, depth=0):

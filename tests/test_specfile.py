@@ -14,8 +14,8 @@ from hodgebench.gallery import GALLERY, gallery_spec
 from hodgebench.levi import classify_point, sphere_lattice
 from hodgebench.scalars import var
 from hodgebench.specfile import (
-    ALGEBROID_KINDS,
-    SAMPLER_KINDS,
+    KINDS,
+    SAMPLERS,
     SPEC_KEYS,
     SpecError,
     SpecFile,
@@ -90,7 +90,7 @@ def locus_rows(dim, count):
     return np.array(rows).reshape(count, dim)
 
 
-@pytest.mark.parametrize("sampler", SAMPLER_KINDS)
+@pytest.mark.parametrize("sampler", tuple(SAMPLERS))
 def test_samples_are_one_float_array_of_the_sampler_pieces(sampler):
     spec = replace(gallery_spec("poisson_c4"),  # dim 8
                    sampler=sampler, samples=37, locus_samples=5, inner_radius=0.25)
@@ -104,7 +104,41 @@ def test_samples_are_one_float_array_of_the_sampler_pieces(sampler):
     pts = spec.sample_points()
     assert type(pts) is np.ndarray and pts.dtype == np.float64
     assert pts.shape == want.shape and pts.flags.c_contiguous
+    assert spec.sample_size == len(want)
     assert pts.tobytes() == want.tobytes()
+
+
+# a spec of each kind on a dim-4 chart, with an entry of each of its prefixes,
+# and what the kind's refusal of a foreign entry says that it takes
+KIND_SPECS = {
+    "tangent": ({}, "no table entries"),
+    "antiholomorphic": ({}, "no table entries"),
+    "graph_bivector": ({"pi_1_2": "x3"}, "only pi_ entries"),
+    "graph_two_form": ({"omega_1_2": "1", "omega_3_4": "x1"}, "only omega_ entries"),
+    "holomorphic_poisson": ({"sigma_1_2": "z1"}, "only sigma_ entries"),
+    "custom": ({"anchor_1": "1; 0; 0; 0", "anchor_2": "0; 1; 0; x2", "structure_1_2": "0; x1"},
+               "only anchor_/structure_ entries"),
+}
+
+
+@pytest.mark.parametrize("kind", tuple(KINDS))
+def test_every_kind_builds_from_its_prefixes_and_refuses_a_foreign_one(kind):
+    entries, takes = KIND_SPECS[kind]
+    assert {key.split("_")[0] + "_" for key in entries} == set(KINDS[kind].prefixes)
+    spec = SpecFile(chart_dim=4, complex_pairs=KINDS[kind].complex, r_text="x1^2 + x2^2 - 1",
+                    kind=kind, entries=entries)
+    alg = spec.build_algebroid()
+    assert alg.chart == spec.chart()
+    text = format_specfile(spec)
+    foreign = {p for other in KINDS.values() for p in other.prefixes} - set(KINDS[kind].prefixes)
+    assert foreign
+    for prefix in sorted(foreign):
+        key = f"{prefix}1_2"
+        message = f"kind {kind!r} takes {takes}, got {key!r}"
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            replace(spec, entries={**entries, key: "1"})
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            parse_specfile(text.replace("[algebroid]\n", f'[algebroid]\n{key} = "1"\n'))
 
 
 @settings(max_examples=150, deadline=None)
@@ -112,7 +146,7 @@ def test_samples_are_one_float_array_of_the_sampler_pieces(sampler):
 def test_the_first_count_points_are_drawn_alone_with_the_bits_of_the_whole_sample(data):
     # counts below 8, inside the sample (across two_spheres' halves and into
     # sphere_plus_locus' locus part) and past its end
-    sampler = data.draw(st.sampled_from(SAMPLER_KINDS))
+    sampler = data.draw(st.sampled_from(tuple(SAMPLERS)))
     sphere_only = sampler in ("sphere", "two_spheres")
     spec = SpecFile(
         chart_dim=data.draw(st.sampled_from((2, 3, 6, 12, 32) if sphere_only else (4, 6, 12, 32))),
@@ -163,8 +197,8 @@ def specs(draw):
     """A SpecFile that parse_specfile accepts, over every kind and sampler.
     The keys that format_specfile leaves out for the drawn kind or sampler
     hold the values parse_specfile gives them when absent."""
-    kind = draw(st.sampled_from(ALGEBROID_KINDS))
-    sampler = draw(st.sampled_from(SAMPLER_KINDS))
+    kind = draw(st.sampled_from(tuple(KINDS)))
+    sampler = draw(st.sampled_from(tuple(SAMPLERS)))
     complex_pairs = kind in ("antiholomorphic", "holomorphic_poisson") or draw(st.booleans())
     low = 4 if sampler in ("poisson_locus", "sphere_plus_locus") else 1
     dim = draw(st.integers(low, 8))
