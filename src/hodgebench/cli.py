@@ -229,6 +229,8 @@ def cmd_levi(args) -> Result:
     body = {}
     if args.point:
         points = [_parse_point(p) for p in args.point]
+        if len({len(p) for p in points}) > 1:
+            raise ValueError(f"--point values differ in length: {[len(p) for p in points]}")
     else:
         candidates = spec.sample_points()
         classes = classify_points(alg, bd, candidates)
@@ -382,7 +384,8 @@ def _add_options(name: str, p: argparse.ArgumentParser) -> None:
     if name in ("classify", "convexity"):
         p.add_argument("--samples", type=_positive_int, default=None)
     if name == "levi":
-        p.add_argument("--point", action="append", help="comma-separated coordinates")
+        p.add_argument("--point", action="append", help="comma-separated coordinates; "
+                       "a negative first one as --point=-1,0, since -1,0 reads as an option")
         p.add_argument("--max-points", type=_positive_int, default=5)
     elif name == "convexity":
         p.add_argument("--require-q", type=int, default=None)
@@ -396,11 +399,8 @@ def _add_options(name: str, p: argparse.ArgumentParser) -> None:
         p.add_argument("--n-theta", type=int, default=64)
         p.add_argument("--n-r", type=int, default=64)
         p.add_argument("--trials", type=_positive_int, default=50)
-        p.add_argument(
-            "--spectra",
-            action="store_true",
-            help="include per-mode eigenvalues (pairs with --format csv)",
-        )
+        p.add_argument("--spectra", action="store_true",
+                       help="include per-mode eigenvalues (pairs with --format csv)")
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:

@@ -24,7 +24,8 @@ to margins, and the Levi tail, from adapted frame to signature, are stacked
 over a block of points; the one-point functions call them with a stack of
 one.  The Hessian, Poisson-block and GC oracles take (N, m) stacks of points.
 Every route checks points by one rule (|r| <= _BOUNDARY_TOL, then |dr| >
-rank_tol).  All symbolic work is exact; numbers appear only at point evaluation.
+rank_tol) and raises the first failing point's own error (_pointwise).  All
+symbolic work is exact; numbers appear only at point evaluation.
 The boundary samplers take the normal quantile from a port of Cephes ndtri
 (Moshier, Cephes Mathematical Library, 1989), bit-equal to
 scipy.special.ndtri on the samplers' inputs, so the package imports numpy
@@ -105,29 +106,41 @@ _BLOCK = 256
 _BOUNDARY_TOL = 1e-8
 
 
+def _pointwise(fn, X):
+    """fn(X) for a stack of points X; if that raises a ValueError,
+    ArithmeticError or RuntimeError, fn at each point of X in turn, so that the
+    first failing point raises its own first error, whatever the stack holds
+    after it.  A MemoryError is raised as it comes."""
+    try:
+        return fn(X)
+    except (ValueError, ArithmeticError, RuntimeError) as err:
+        error = err
+    for i in range(len(X)):
+        fn(X[i : i + 1])
+    raise error
+
+
 def _on_boundary(bd: BoundaryData, batch: PointBatch):
-    """The points of a batch before the first off the boundary, dr at them
-    (n, m), the mask of those with |dr| <= rank_tol, and the error of the
-    point off the boundary (None if there is none)."""
+    """dr (N, m) over a batch and the mask of the points with |dr| <=
+    rank_tol; raises if a point is off the boundary, before dr is evaluated."""
     r_vals = bd.r.eval_many(batch)
-    n = _leading(~(np.abs(r_vals) <= _BOUNDARY_TOL))
-    error = None
-    if n < len(batch):
-        error = ValueError(f"point is not on the boundary (r = {complex(r_vals[n])})")
-        batch = PointBatch(batch.points[:n])
+    off = r_vals[~(np.abs(r_vals) <= _BOUNDARY_TOL)]
+    if off.size:
+        raise ValueError(f"point is not on the boundary (r = {complex(off[0])})")
     G = bd.grad_values(batch)
-    return batch, G, np.linalg.norm(G, axis=1) <= bd.rank_tol, error
+    return G, np.linalg.norm(G, axis=1) <= bd.rank_tol
 
 
 def _boundary_batch(bd: BoundaryData, points):
     """The points as a PointBatch and dr at them (N, m); raises the first
     failing point's error, off the boundary or |dr| degenerate."""
-    batch, G, degenerate, error = _on_boundary(bd, PointBatch(points))
-    if degenerate.any():
-        raise ValueError(_DEGENERATE)
-    if error:
-        raise error
-    return batch, G
+    def check(X):
+        batch = PointBatch(X)
+        G, degenerate = _on_boundary(bd, batch)
+        if degenerate.any():
+            raise ValueError(_DEGENERATE)
+        return batch, G
+    return _pointwise(check, points)
 
 
 @dataclass(frozen=True)
@@ -201,7 +214,7 @@ def _anchor_svd(A: np.ndarray, rel_tol: float):
     return rank >= m, q, np.pad(s2 > cut, ((0, 0), (0, m - s2.shape[1])))
 
 
-def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None):
+def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None) -> list:
     """Each point's Classification, in order; with ``levi``, each point's
     LeviReport instead (generic route at non-elliptic points, no form at
     elliptic ones).
@@ -210,54 +223,47 @@ def _walk(alg: AlgebroidSpec, bd: BoundaryData, points, levi=False, cr_rows=None
     stacked anchors give the flags and bases of _anchor_svd, and one
     contraction gives every margin; the Levi forms are computed as one stack
     over the block's non-elliptic points.  Each point is checked for its
-    boundary residual, ellipticity, |dr| degeneracy, then its Levi form; the
-    first failing point's error is raised after the points before it are
-    yielded.  Past an off-boundary point only r is evaluated.  A report's
-    point is its row of the points, as a tuple of Python floats.
+    boundary residual, ellipticity, |dr| degeneracy, then its Levi form; a
+    block that fails a check is walked again one point at a time, so the
+    first failing point's error is raised (_pointwise).  A report's point is
+    its row of the points, as a tuple of Python floats.
     """
     X = np.asarray(points, dtype=float)
     if X.size == 0:
         X = X.reshape(0, alg.chart.dim)
     if X.ndim != 2 or X.shape[1] != alg.chart.dim:
         raise ValueError("point dimension mismatch")
-    route = None
-    block = max(1, min(_BLOCK, 2**20 // alg.chart.dim**3))
-    for start in range(0, len(X), block):
-        batch, G, degenerate, error = _on_boundary(bd, PointBatch(X[start : start + block]))
-        margins = np.zeros(0)
-        if len(batch):
-            A = alg.anchor_matrices(batch)
-            flags, Q, keep = _anchor_svd(A, bd.rank_tol)
-            n = _leading(~flags | degenerate)
-            if n < len(batch):
-                error = ValueError(_DEGENERATE if flags[n] else _NOT_ELLIPTIC)
-            # max over unit v in W of |dr(v)| / |dr|, as |Q^T dr| is |dr|; the
-            # sums over an outer axis add elementwise, whatever the alignment
-            pairing = (Q[:n] * G[:n, :, None].conj()).sum(axis=1)
-            margins = np.linalg.norm(pairing * keep[:n], axis=1) / np.linalg.norm(pairing, axis=1)
+    route = _GenericRoute(alg, bd)
+
+    def walk(block):
+        batch = PointBatch(block)
+        G, degenerate = _on_boundary(bd, batch)
+        A = alg.anchor_matrices(batch)
+        flags, Q, keep = _anchor_svd(A, bd.rank_tol)
+        bad = ~flags | degenerate
+        if bad.any():
+            raise ValueError(_DEGENERATE if flags[bad][0] else _NOT_ELLIPTIC)
+        # max over unit v in W of |dr(v)| / |dr|, as |Q^T dr| is |dr|; the
+        # sums over an outer axis add elementwise, whatever the alignment
+        pairing = (Q * G[:, :, None].conj()).sum(axis=1)
+        margins = np.linalg.norm(pairing * keep, axis=1) / np.linalg.norm(pairing, axis=1)
         classes = [Classification(m >= bd.rank_tol, m) for m in margins.tolist()]
-        rows = X[start : start + len(classes)].tolist()
-        idx = np.flatnonzero(margins < bd.rank_tol) if levi else []
-        if len(idx):
-            route = route or _GenericRoute(alg, bd)
+        if not levi:
+            return classes
+        at = [tuple(p) for p in block.tolist()]
+        idx = np.flatnonzero(margins < bd.rank_tol).tolist()
+        forms = {}
+        if idx:
             dA, P, dP = route.values(PointBatch(batch.points[idx]))
-            B, form_error = route.forms(A.transpose(0, 2, 1)[idx], dA, P, dP, cr_rows)
-            at, cls_at = [tuple(rows[i]) for i in idx], [classes[i] for i in idx]
-            reports, finish_error = _finish(at, cls_at, B, bd.eig_zero_tol)
-            levi_error = finish_error or form_error
-        j = 0
-        for i, cls in enumerate(classes):
-            if not levi:
-                yield cls
-            elif cls.elliptic:
-                yield LeviReport(tuple(rows[i]), cls, None, None, "none")
-            elif j < len(reports):
-                yield reports[j]
-                j += 1
-            else:
-                raise levi_error
-        if error is not None:
-            raise error
+            B = route.forms(A.transpose(0, 2, 1)[idx], dA, P, dP, cr_rows)
+            forms = dict(zip(idx, _finish([at[i] for i in idx], [classes[i] for i in idx], B,
+                                          bd.eig_zero_tol)))
+        return [forms.get(i) or LeviReport(p, c, None, None, "none")
+                for i, (p, c) in enumerate(zip(at, classes))]
+
+    size = max(1, min(_BLOCK, 2**20 // alg.chart.dim**3))
+    blocks = (X[start : start + size] for start in range(0, len(X), size))
+    return [out for block in blocks for out in _pointwise(walk, block)]
 
 
 def classify_point(
@@ -275,7 +281,7 @@ def classify_points(
 
     Raises what classify_point raises at the first point that fails a check.
     """
-    return list(_walk(alg, bd, points))
+    return _walk(alg, bd, points)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +292,7 @@ def adapted_frame(alg: AlgebroidSpec, bd: BoundaryData, point) -> AdaptedFrame:
     batch, _ = _boundary_batch(bd, [point])
     P = eval_table([dr_pairing_expr(alg, bd, j) for j in range(alg.rank)], batch)
     A = alg.anchor_matrices(batch).transpose(0, 2, 1)
-    pivots, rows, _, error = _adapted_frames(P, A, bd.rank_tol)
-    if error:
-        raise error
+    pivots, rows = _adapted_frames(P, A, bd.rank_tol)
     return AdaptedFrame(int(pivots[0]), rows[0], 1.0 / P[0, pivots[0]])
 
 
@@ -296,26 +300,18 @@ def _adapted_frames(P: np.ndarray, A: np.ndarray, rank_tol: float, cr_rows=None)
     """Pivots (N,) and CR rows (N, k, l) of the adapted frames at N points
     with pairings P (N, l) = dr(rho(w_j)) and anchor rows A (N, l, m): the
     pivot has the largest pairing, the CR rows are the other unit rows or
-    cr_rows.  Also the number of points before the first whose anchors are
-    all tangent, and that point's error (None if there is none)."""
+    cr_rows.  Raises if at some point every anchor is tangent."""
     n, l = P.shape
     pivots = np.argmax(np.abs(P), axis=1)
     top = np.abs(P[np.arange(n), pivots])
-    ok = _leading(top <= rank_tol * np.maximum(np.linalg.norm(A, axis=(1, 2)), 1.0))
-    error = None if ok == n else ValueError(
-        "all frame anchors are tangent at the point (ellipticity violated)"
-    )
+    if (top <= rank_tol * np.maximum(np.linalg.norm(A, axis=(1, 2)), 1.0)).any():
+        raise ValueError("all frame anchors are tangent at the point (ellipticity violated)")
     if cr_rows is None:
         others = np.arange(l) != pivots[:, None]
         rows = np.broadcast_to(np.eye(l, dtype=complex), (n, l, l))[others]
-        return pivots, rows.reshape(n, l - 1, l), ok, error
+        return pivots, rows.reshape(n, l - 1, l)
     rows = np.asarray(cr_rows, dtype=complex)
-    return pivots, np.broadcast_to(rows, (n, *rows.shape)), ok, error
-
-
-def _leading(bad: np.ndarray) -> int:
-    """The number of stacked points before the first flagged one."""
-    return int(np.argmax(bad)) if bad.any() else len(bad)
+    return pivots, np.broadcast_to(rows, (n, *rows.shape))
 
 
 def dr_pairing_expr(alg: AlgebroidSpec, bd: BoundaryData, j: int) -> ScalarExpr:
@@ -362,19 +358,19 @@ def adapted_sections(alg: AlgebroidSpec, bd: BoundaryData, frame: AdaptedFrame):
 def _mu_functionals(span: np.ndarray, g: np.ndarray, rel_tol: float):
     """u (N, m) and vdot(u, g) (N,) for spans (N, m, s) and generators g
     (N, m): the coefficient of g in a value modulo the span, by orthogonal
-    projection, is vdot(u, value) / vdot(u, g).  Also the points before the
-    first g in its span, and that one's error."""
+    projection, is vdot(u, value) / vdot(u, g).  Raises if some g lies in
+    its span."""
     u = g
     if span.shape[2]:
         q, s, _ = np.linalg.svd(span, full_matrices=False)
         # a zero span keeps every column, as its rank is unknown
         q = q * ((s > rel_tol * s[:, :1]) | (s[:, :1] <= 0))[:, None, :]
         u = g - (q @ (q.conj().transpose(0, 2, 1) @ g[..., None]))[..., 0]
-    ok = _leading(np.linalg.norm(u, axis=1) <= rel_tol * np.linalg.norm(g, axis=1))
-    error = None if ok == len(g) else ClassificationInconsistency(
-        "mu generator lies in the CR span; the point classifies as elliptic"
-    )
-    return u, np.einsum("nm,nm->n", u.conj(), g), ok, error
+    if (np.linalg.norm(u, axis=1) <= rel_tol * np.linalg.norm(g, axis=1)).any():
+        raise ClassificationInconsistency(
+            "mu generator lies in the CR span; the point classifies as elliptic"
+        )
+    return u, np.einsum("nm,nm->n", u.conj(), g)
 
 
 def levi_from_cr_fields(
@@ -399,9 +395,7 @@ def levi_from_cr_fields(
     g = 1j * (t_val.conj() - t_val)
     if projector is None:
         span = np.concatenate([V[:k], V[:k].conj()]).T
-        u, _, _, error = _mu_functionals(span[None], g[None], bd.rank_tol)
-        if error:
-            raise error
+        u, _ = _mu_functionals(span[None], g[None], bd.rank_tol)
         projector = u[0].conj()
     cval = -1j * V[k + 1 :].reshape(k, k, len(t_val))
     return (cval @ projector) / (projector @ g)
@@ -422,47 +416,47 @@ def _jacobian(exprs: Sequence[ScalarExpr], chart) -> List[List[ScalarExpr]]:
 
 class _GenericRoute:
     def __init__(self, alg: AlgebroidSpec, bd: BoundaryData):
-        self.bd = bd
-        self.P = [dr_pairing_expr(alg, bd, j) for j in range(alg.rank)]
-        self.dP = _jacobian(self.P, alg.chart)
-        self.dA = [_jacobian(a.components, alg.chart) for a in alg.anchors]
+        self.alg, self.bd = alg, bd
+
+    @cached_property
+    def tables(self):
+        """dA, P and dP as exact expressions, built on first read: a walk that
+        meets no non-elliptic point reads none of them."""
+        alg = self.alg
+        P = [dr_pairing_expr(alg, self.bd, j) for j in range(alg.rank)]
+        dP = _jacobian(P, alg.chart)
+        return [_jacobian(a.components, alg.chart) for a in alg.anchors], P, dP
 
     def values(self, batch: PointBatch):
         """forms' dA, P and dP at every point of a batch, stacked."""
-        return (
-            eval_table(self.dA, batch),
-            eval_table(self.P, batch),
-            eval_table(self.dP, batch),
-        )
+        return tuple(eval_table(table, batch) for table in self.tables)
 
     def forms(self, A, dA, P, dP, cr_rows=None):
-        """Levi matrices (N', k, k) from the anchor rows A (N, l, m), their
+        """Levi matrices (N, k, k) from the anchor rows A (N, l, m), their
         jacobians dA (N, l, m_comp, m_dir), P (N, l) and dP (N, l, m) at N
-        points, N' counting those before the first with a flat frame or mu
-        generator in the CR span; that point's error (or None) comes too."""
-        pivots, rows, n, error = _adapted_frames(P, A, self.bd.rank_tol, cr_rows)
-        rows = rows[:n]
-        piv = (np.arange(n), pivots[:n])
+        points; raises if a frame is flat or a mu generator lies in the CR
+        span, the frames checked first."""
+        pivots, rows = _adapted_frames(P, A, self.bd.rank_tol, cr_rows)
+        piv = (np.arange(len(P)), pivots)
         P_piv = P[piv][:, None, None]
-        # tangency-corrected section values v (n, k, m) and jacobians dv
-        num, dnum = rows @ P[:n, :, None], rows @ dP[:n]
+        # tangency-corrected section values v (N, k, m) and jacobians dv
+        num, dnum = rows @ P[:, :, None], rows @ dP
         q = num / P_piv
         # np.power, not ** 2: an array's ** 2 is numpy's vectorised square, which
         # rounds differently
         dq = (dnum * P_piv - num * dP[piv][:, None]) / np.power(P_piv, 2)
-        v = rows @ A[:n] - q * A[piv][:, None]
-        dv = np.einsum("nkl,nlab->nkab", rows, dA[:n]) - q[..., None] * dA[piv][:, None]
+        v = rows @ A - q * A[piv][:, None]
+        dv = np.einsum("nkl,nlab->nkab", rows, dA) - q[..., None] * dA[piv][:, None]
         dv -= A[piv][:, None, :, None] * dq[:, :, None]
         t = (1.0 / P[piv])[:, None] * A[piv]
         g = 1j * (t.conj() - t)
         span = np.concatenate([v, v.conj()], axis=1).transpose(0, 2, 1)
-        # span holds the points before the first flat frame: a mu failure comes first
-        u, u_g, n, mu_error = _mu_functionals(span, g, self.bd.rank_tol)
+        u, u_g = _mu_functionals(span, g, self.bd.rank_tol)
         # [v_i, conj(v_j)] = conj(S_ij) - S_ji, S_ij^a = sum_b conj(v_i^b) d_b v_j^a
-        S = np.einsum("nib,njab->nija", v[:n].conj(), dv[:n])
+        S = np.einsum("nib,njab->nija", v.conj(), dv)
         br = S.conj() - S.transpose(0, 2, 1, 3)
-        B = -1j * np.einsum("na,nija->nij", u[:n].conj(), br)
-        return B / u_g[:n, None, None], mu_error or error
+        B = -1j * np.einsum("na,nija->nij", u.conj(), br)
+        return B / u_g[:, None, None]
 
 
 def levi_form_generic(
@@ -480,7 +474,7 @@ def levi_form_generic(
     routes can share a basis.
     """
     if not exact:
-        rep = next(_walk(alg, bd, [point], levi=True, cr_rows=cr_rows))
+        rep = _walk(alg, bd, [point], levi=True, cr_rows=cr_rows)[0]
         _require_non_elliptic(rep.classification)
         return rep
     cls = classify_point(alg, bd, point)
@@ -492,10 +486,7 @@ def levi_form_generic(
     # the fields are P_piv = 1 / transverse_scale times the CR sections
     B = abs(frame.transverse_scale) ** 2 * levi_from_cr_fields(bd, fields, transverse, point)
     at = tuple(np.asarray(point, dtype=float).tolist())
-    reports, error = _finish([at], [cls], B[None], bd.eig_zero_tol)
-    if error:
-        raise error
-    return reports[0]
+    return _finish([at], [cls], B[None], bd.eig_zero_tol)[0]
 
 
 def levi_forms_generic(
@@ -503,13 +494,15 @@ def levi_forms_generic(
 ) -> List[LeviReport]:
     """levi_form_generic (fast route) at each point, from one walk.
 
-    Raises what the per-point loop raises at the first point that fails.
+    Raises what the per-point loop raises at the first point that fails, an
+    elliptic point included.
     """
-    reports = []
-    for rep in _walk(alg, bd, points, levi=True):
-        _require_non_elliptic(rep.classification)
-        reports.append(rep)
-    return reports
+    def walk(X):
+        reports = _walk(alg, bd, X, levi=True)
+        for rep in reports:
+            _require_non_elliptic(rep.classification)
+        return reports
+    return _pointwise(walk, points)
 
 
 def _require_non_elliptic(cls: Classification):
@@ -522,18 +515,19 @@ def _require_non_elliptic(cls: Classification):
 
 def _finish(points, classes, B: np.ndarray, eig_zero_tol: float):
     """Generic-route LeviReports (Hermitian part, relative Hermitian defect,
-    signature) from Levi matrices B (N, k, k), up to the first whose defect
-    exceeds 1e-6, and that point's error (None if there is none)."""
+    signature) from Levi matrices B (N, k, k); raises if a relative defect
+    exceeds 1e-6."""
     scale = np.linalg.norm(B, axis=(1, 2))
     defect = np.linalg.norm(B - B.conj().transpose(0, 2, 1), axis=(1, 2))
     defect = np.divide(defect, scale, out=np.zeros_like(scale), where=scale > 0)
-    n = _leading(defect > 1e-6)
-    error = None if n == len(B) else ClassificationInconsistency(
-        f"Levi matrix is not Hermitian (relative defect {defect[n]:.3e})"
-    )
-    H = 0.5 * (B[:n] + B[:n].conj().transpose(0, 2, 1))
-    done = zip(points, classes, H, _signatures(H, eig_zero_tol), defect[:n].tolist())
-    return [LeviReport(p, c, h, sig, "generic", d) for p, c, h, sig, d in done], error
+    bad = defect[defect > 1e-6]
+    if bad.size:
+        raise ClassificationInconsistency(
+            f"Levi matrix is not Hermitian (relative defect {bad[0]:.3e})"
+        )
+    H = 0.5 * (B + B.conj().transpose(0, 2, 1))
+    done = zip(points, classes, H, _signatures(H, eig_zero_tol), defect.tolist())
+    return [LeviReport(p, c, h, sig, "generic", d) for p, c, h, sig, d in done]
 
 
 # ---------------------------------------------------------------------------

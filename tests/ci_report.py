@@ -5,7 +5,7 @@
 With no arguments it reports the command lists below; given one workbench
 command line, it reports that command alone in the sections that run
 commands.  The CI job appends the output to its summary; a report, not a
-gate.  Five sections, each a header and a code block:
+gate.  Six sections, each a header and a code block:
 
 - the modules that `hodge` loads beyond ``import hodgebench.cli``, run
   first in the process, before any other command could load them; of the
@@ -16,6 +16,9 @@ gate.  Five sections, each a header and a code block:
   per-mode eigensolves (neumann._mode_eigenvalues) and, per step of the
   deformation norms' Lanczos, the blocks still live (the batch size of its
   one eigh call per step);
+- in-process best-of-3 times of commands that exit 1 late, after a block of
+  256 points is walked again one point at a time to name its first failing
+  point (not run when a command line is given);
 - the traced peak of each command, tracemalloc started after import;
 - best-of-3 times of the exact generic Levi route, which no command runs, at
   one point each of annulus_c3_dbar and poisson_c4, so that a blow-up of its
@@ -32,7 +35,7 @@ import io
 import sys
 import time
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
@@ -63,6 +66,14 @@ TIMED = [
     ["hodge", "--n-theta", "256", "--n-r", "256", "--trials", "10"],
 ]
 
+# error paths: the first off-boundary sample is the last point of the first
+# block, so these walk that block twice, the second time point by point
+LATE_FAULT = "tests/specs/ball_c8_dbar_late_fault.spec"
+FAILING = [
+    ["classify", "--spec", LATE_FAULT],
+    ["convexity", "--spec", LATE_FAULT],
+]
+
 # the labs commands that set that workload's memory, kernel.iii at the
 # largest quadrature order, and convexity on a dim-32 ball (the boundary
 # walk's largest blocks)
@@ -85,13 +96,14 @@ EXACT = [
 ]
 
 
-def quiet(argv):
-    """Run one workbench command with its report discarded; an error stops
-    the report, so that a renamed command or spec shows."""
-    with redirect_stdout(io.StringIO()):
+def quiet(argv, fails=False):
+    """Run one workbench command with its report and error line discarded;
+    an exit 1 stops the report, or with ``fails`` any other exit, so that a
+    renamed command or spec shows."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = workbench(argv)
-    if code == 1:
-        raise SystemExit(f"workbench {' '.join(argv)} exited 1")
+    if (code == 1) != fails:
+        raise SystemExit(f"workbench {' '.join(argv)} exited {code}")
 
 
 def best_of_3(run):
@@ -173,6 +185,9 @@ def main(argv=None):
     section("modules that hodge loads beyond import hodgebench.cli", hodge_modules())
     section(f"in-process best-of-3 times of {len(timed)} workbench commands (s), "
             "with the work counts of hodge", times(timed))
+    if not argv:
+        section(f"in-process best-of-3 times of {len(FAILING)} commands that exit 1 (s)",
+                (f"{' '.join(a)} {best_of_3(lambda: quiet(a, fails=True))}" for a in FAILING))
     section("traced peak (MB), tracemalloc started after import",
             (f"{' '.join(a)} {traced_peak(a)}" for a in traced))
     section("in-process best-of-3 times of the exact generic Levi route (s)", levi_route_times())

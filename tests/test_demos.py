@@ -34,6 +34,23 @@ def run_script(script, *argv, cwd):
     return proc.stdout
 
 
+def test_the_ci_report_times_error_paths_by_their_exit_1(monkeypatch):
+    # the error-path list runs only in the full report: its spec files must
+    # exist (tests/golden pins their exit 1), and quiet(fails=True) stops the
+    # report on any other exit
+    monkeypatch.chdir(ROOT)
+    monkeypatch.syspath_prepend(str(ROOT / "tests"))
+    import ci_report
+
+    assert all((ROOT / argv[2]).exists() for argv in ci_report.FAILING)
+    argv = ["levi", "--spec", "ball_c2_dbar", "--point", "1,2"]
+    ci_report.quiet(argv, fails=True)
+    with pytest.raises(SystemExit, match="exited 1"):
+        ci_report.quiet(argv)
+    with pytest.raises(SystemExit, match="exited 0"):
+        ci_report.quiet(["dsq", "--spec", "tangent_sphere"], fails=True)
+
+
 def test_the_ci_report_runs_each_section_on_one_command():
     # the report reaches into neumann, numpy and fractions to count work, so
     # a rename there fails here rather than in CI's summary only

@@ -44,7 +44,7 @@ from hodgebench.levi import (
     sphere_lattice,
     wirtinger_hessian,
 )
-from hodgebench.scalars import Chart, PointBatch, const, eval_table, parse_expr
+from hodgebench.scalars import Chart, const, eval_table, parse_expr
 from hodgebench.specfile import parse_specfile
 
 
@@ -248,10 +248,10 @@ def reference_levi(alg, bd, point):
         pairings.append(total)
     A = np.array([[c.eval(point) for c in a.components] for a in alg.anchors])
     frame = reference_frame(np.array(pairings), A.T, bd.rank_tol)
-    route = levi._GenericRoute(alg, bd)
-    dA = np.array([[[d.eval(point) for d in row] for row in dj] for dj in route.dA])
-    P = np.array([p.eval(point) for p in route.P])
-    dP = np.array([[d.eval(point) for d in row] for row in route.dP])
+    dA_exprs, P_exprs, dP_exprs = levi._GenericRoute(alg, bd).tables
+    dA = np.array([[[d.eval(point) for d in row] for row in dj] for dj in dA_exprs])
+    P = np.array([p.eval(point) for p in P_exprs])
+    dP = np.array([[d.eval(point) for d in row] for row in dP_exprs])
     B = reference_evaluate(frame, A, dA, P, dP, bd.rank_tol)
     return reference_finish(B, bd.eig_zero_tol)
 
@@ -352,16 +352,14 @@ def test_report_points_are_tuples_of_python_floats_for_any_input():
             assert_python_float_point(rep.point, array[0])
 
 
-def walk_until_error(alg, bd, points, cr_rows=None):
-    """The reports a Levi walk yields before it raises, and what it raises."""
-    yielded = []
+def walk_error(alg, bd, points, cr_rows=None):
+    """What a Levi walk raises, with every warning an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            for rep in levi._walk(alg, bd, points, levi=True, cr_rows=cr_rows):
-                yielded.append(rep)
+            levi._walk(alg, bd, points, levi=True, cr_rows=cr_rows)
         except (ValueError, RuntimeError) as err:
-            return yielded, err
+            return err
     raise AssertionError("the walk raised nothing")
 
 
@@ -373,7 +371,7 @@ def ball_point(t, a):
     ]
 
 
-def test_a_failing_point_mid_block_raises_after_the_points_before_it(monkeypatch):
+def test_a_failing_point_mid_block_raises_its_own_error_at_every_block_size(monkeypatch):
     alg = make_antiholomorphic(2)
     ball = ball_boundary(alg.chart)
     # dr = 2 * 6e-9 * x at (1, 0, 0, 0): above rank_tol, but every pairing
@@ -385,37 +383,37 @@ def test_a_failing_point_mid_block_raises_after_the_points_before_it(monkeypatch
     # with the CR row w_1, the CR section vanishes wherever w_1 is the pivot
     # (|z1| > |z2|): its span is zero and holds the mu generator
     cases = [
-        (pinched, good[:2] + [[1.0, 0.0, 0.0, 0.0]] + good[2:], None, ValueError),
-        (ball, good[:2] + [ball_point(2.0, 0.3)] + good[2:], np.array([[1.0, 0.0]]),
-         levi.ClassificationInconsistency),
+        (pinched, [1.0, 0.0, 0.0, 0.0], None, ValueError),
+        (ball, ball_point(2.0, 0.3), np.array([[1.0, 0.0]]), levi.ClassificationInconsistency),
     ]
-    for bd, points, cr_rows, kind in cases:
-        want = [levi_form_generic(alg, bd, p, cr_rows=cr_rows) for p in points[:2]]
+    for bd, bad, cr_rows, kind in cases:
+        want = [levi_form_generic(alg, bd, p, cr_rows=cr_rows) for p in good]
         with pytest.raises(kind) as first:
-            levi_form_generic(alg, bd, points[2], cr_rows=cr_rows)
+            levi_form_generic(alg, bd, bad, cr_rows=cr_rows)
         for block in (3, 256):
             monkeypatch.setattr(levi, "_BLOCK", block)
-            yielded, err = walk_until_error(alg, bd, points, cr_rows)
+            err = walk_error(alg, bd, good[:2] + [bad] + good[2:], cr_rows)
             assert type(err) is kind and str(err) == str(first.value)
-            assert [rep.point for rep in yielded] == [tuple(p) for p in points[:2]]
-            for rep, one in zip(yielded, want):
+            reports = levi._walk(alg, bd, good, levi=True, cr_rows=cr_rows)
+            assert [rep.point for rep in reports] == [tuple(p) for p in good]
+            for rep, one in zip(reports, want, strict=True):
                 assert np.array_equal(rep.levi, one.levi) and rep.signature == one.signature
 
 
-def test_finish_stops_before_the_first_non_hermitian_matrix():
+def test_finish_refuses_a_stack_with_a_non_hermitian_matrix():
     B = np.array([np.eye(2), [[1.0, 1.0], [0.0, 1.0]], np.zeros((2, 2))], dtype=complex)
     cls = Classification(False, 0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        reports, error = levi._finish([(0.0,), (1.0,), (2.0,)], [cls] * 3, B, 1e-8)
-    assert [rep.signature for rep in reports] == [(2, 0, 0)]
     with pytest.raises(levi.ClassificationInconsistency) as want:
         reference_finish(B[1], 1e-8)
-    assert type(error) is want.type and str(error) == str(want.value)
-    assert "relative defect 8.165e-01" in str(error)  # |B - B^H| / |B| = sqrt(2/3)
-    reports, error = levi._finish([(0.0,)], [cls], B[2:], 1e-8)
-    assert error is None and reports[0].signature == (0, 0, 2)
-    assert reports[0].hermitian_defect == 0.0
+    with warnings.catch_warnings(), pytest.raises(levi.ClassificationInconsistency) as err:
+        warnings.simplefilter("error")
+        levi._finish([(0.0,), (1.0,), (2.0,)], [cls] * 3, B, 1e-8)
+    assert str(err.value) == str(want.value)
+    assert "relative defect 8.165e-01" in str(err.value)  # |B - B^H| / |B| = sqrt(2/3)
+    reports = levi._finish([(0.0,), (2.0,)], [cls] * 2, B[[0, 2]], 1e-8)
+    assert [rep.point for rep in reports] == [(0.0,), (2.0,)]
+    assert [rep.signature for rep in reports] == [(2, 0, 0), (0, 0, 2)]
+    assert [rep.hermitian_defect for rep in reports] == [0.0, 0.0]
 
 
 def first_error(fn, points):
@@ -460,6 +458,59 @@ def test_batched_errors_are_those_of_the_first_bad_point(monkeypatch):
         assert str(err.value) == message
 
 
+def raised(fn):
+    """The type and text of what fn() raises."""
+    try:
+        fn()
+    except (ValueError, ArithmeticError) as err:
+        return type(err), str(err)
+    raise AssertionError("nothing raised")
+
+
+def test_the_first_failing_point_names_itself_at_every_block_size(monkeypatch):
+    # r cannot be evaluated at (-2, 0), and a stacked evaluation of r meets
+    # that before it checks the points before it: (0, 0) is off the boundary
+    # and (1, 0) elliptic, which levi_forms_generic refuses
+    chart = Chart.real(2)
+    alg = make_tangent(chart)
+    bd = BoundaryData(parse_expr("(x1^2 + x2^2 - 1)/(x1 + 2)", chart))
+    on, off, pole = [1.0, 0.0], [0.0, 0.0], [-2.0, 0.0]
+    stacks = [[off, pole], [on, off, pole], [on, pole, off]]
+    off_error = (ValueError, "point is not on the boundary (r = (-0.5+0j))")
+    pole_error = (ZeroDivisionError, "expression denominator vanishes at the point")
+    elliptic_error = raised(lambda: levi_form_generic(alg, bd, on))
+    assert elliptic_error[1].startswith("levi_form_generic requires a non-elliptic point")
+    for batched in (classify_points, q_convex_set, levi_forms_generic):
+        on_error = elliptic_error if batched is levi_forms_generic else None
+        wants = [off_error, on_error or off_error, on_error or pole_error]
+        for points, want in zip(stacks, wants):
+            for block in (1, 2, 256):
+                monkeypatch.setattr(levi, "_BLOCK", block)
+                assert raised(lambda: batched(alg, bd, points)) == want, (batched, points, block)
+
+
+def test_the_oracles_raise_the_first_bad_point_error():
+    alg = make_antiholomorphic(2)
+    chart = alg.chart
+    # dr vanishes at (1, 0, 0, 0) on the sphere, and (0.2, 0.3, 0, 0) is off it
+    bd = BoundaryData(parse_expr("(x1^2 + x2^2 + x3^2 + x4^2 - 1)*(x1 - 1)^2", chart))
+    good, degenerate, off = [0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.2, 0.3, 0.0, 0.0]
+    # sigma vanishes at good, where z1 = 0
+    sigma = {(1, 2): parse_expr("z1", chart)}
+    basis = cr_kernel_basis(bd, [good])[0]
+    oracles = [
+        lambda points: levi_form_complex_hessian(bd, points, basis),
+        lambda points: levi_form_poisson(bd, sigma, points),
+        lambda points: gc_ellipticity_via_bivector(alg, bd, points),
+        lambda points: [adapted_frame(alg, bd, p) for p in points],
+    ]
+    for oracle in oracles:
+        oracle([good])
+        assert raised(lambda: oracle([good, degenerate, off])) == (ValueError, levi._DEGENERATE)
+        kind, text = raised(lambda: oracle([good, off, degenerate]))
+        assert kind is ValueError and text.startswith("point is not on the boundary (r = ")
+
+
 # ---------------------------------------------------------------------------
 # the one walk: one anchor evaluation and one real classification per point
 #
@@ -495,46 +546,21 @@ def reference_anchor_svd(A, rel_tol):
     return flags, bases, scales
 
 
-def reference_walk_classes(alg, bd, points):
-    """The Classifications before the first failing point, block by block as
-    the walk takes them, and that point's error (None if there is none)."""
-    X = np.asarray(points, dtype=float)
+def reference_walk(alg, bd, points):
+    """The oracle's Classifications of the points, as one stack, or, if a
+    point fails a check, the error of the first that does (reference_classify)."""
+    A, G = alg.anchor_matrices(points), bd.grad_values(points)
+    flags, bases, _ = reference_anchor_svd(A, bd.rank_tol)
+    on = all(abs(bd.r.eval(p)) <= levi._BOUNDARY_TOL for p in points)
+    if not (on and flags.all() and (np.linalg.norm(G, axis=1) > bd.rank_tol).all()):
+        return first_error(lambda p: reference_classify(alg, bd, p), points)
     classes = []
-    for start in range(0, len(X), levi._BLOCK):
-        batch = PointBatch(X[start : start + levi._BLOCK])
-        r_vals = bd.r.eval_many(batch)
-        off = np.flatnonzero(~(np.abs(r_vals) <= levi._BOUNDARY_TOL))
-        if off.size:
-            error = ValueError(f"point is not on the boundary (r = {complex(r_vals[off[0]])})")
-            batch = PointBatch(batch.points[: off[0]])
-        A, G = alg.anchor_matrices(batch), bd.grad_values(batch)
-        flags, bases, _ = reference_anchor_svd(A, bd.rank_tol) if len(batch) else ([], [], [])
-        for i in range(len(batch)):
-            g_norm = np.linalg.norm(G[i])
-            if not flags[i] or g_norm <= bd.rank_tol:
-                return classes, ValueError(
-                    levi._DEGENERATE if flags[i] else levi._NOT_ELLIPTIC
-                )
-            if bases[i].shape[1] == 0:
-                classes.append(Classification(False, 0.0))
-                continue
-            pairing = bases[i].conj().T @ G[i].conj()
-            margin = float(np.linalg.norm(pairing) / g_norm)
-            classes.append(Classification(margin >= bd.rank_tol, margin))
-        if off.size:
-            return classes, error
-    return classes, None
-
-
-def walk_classes(alg, bd, points):
-    """The walk's Classifications before it raises, and what it raises."""
-    classes = []
-    try:
-        for cls in levi._walk(alg, bd, points):
-            classes.append(cls)
-    except ValueError as err:
-        return classes, err
-    return classes, None
+    for basis, g in zip(bases, G):
+        margin = 0.0
+        if basis.shape[1]:
+            margin = float(np.linalg.norm(basis.conj().T @ g.conj()) / np.linalg.norm(g))
+        classes.append(Classification(margin >= bd.rank_tol, margin))
+    return classes
 
 
 def gallery_build(name):
@@ -544,18 +570,22 @@ def gallery_build(name):
 
 def test_real_classification_matches_the_complex_oracle(monkeypatch):
     walks = [(*gallery_build(name), gallery_spec(name).sample_points()) for name in gallery_names()]
-    for block in (7, 256):
-        monkeypatch.setattr(levi, "_BLOCK", block)
-        for alg, bd, points in walks + failing_walks():
-            got, error = walk_classes(alg, bd, points)
-            want, want_error = reference_walk_classes(alg, bd, points)
-            assert [c.label for c in got] == [c.label for c in want]
-            assert_classes_match(got, want)
-            assert str(error) == str(want_error) and type(error) is type(want_error)
-        for alg, bd, points in walks:
-            A = alg.anchor_matrices(points)
-            flags, _, _ = levi._anchor_svd(A, bd.rank_tol)
-            assert np.array_equal(flags, reference_anchor_svd(A, bd.rank_tol)[0])
+    for alg, bd, points in walks + failing_walks():
+        want = reference_walk(alg, bd, points)
+        for block in (7, 256):
+            monkeypatch.setattr(levi, "_BLOCK", block)
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as err:
+                    levi._walk(alg, bd, points)
+                assert type(err.value) is ValueError and str(err.value) == want
+            else:
+                got = levi._walk(alg, bd, points)
+                assert [c.label for c in got] == [c.label for c in want]
+                assert_classes_match(got, want)
+    for alg, bd, points in walks:
+        A = alg.anchor_matrices(points)
+        flags, _, _ = levi._anchor_svd(A, bd.rank_tol)
+        assert np.array_equal(flags, reference_anchor_svd(A, bd.rank_tol)[0])
 
 
 def test_walk_ellipticity_flags_match_margins_on_gallery_samples():
